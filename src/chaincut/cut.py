@@ -12,10 +12,11 @@ outcomes are reused) is:
 
 The table's defining property is the reconstruction identity
 ``sum_i c_i Tr_b(rho O_i^b) (x) rho_i = rho`` for every state; the
-planner refuses to emit jobs until that identity has been verified
-numerically.  Its 1-norm sum |c_i| = 4 sets the per-cut sampling
-overhead of this projector-reuse variant, while the number of weighted
-term combinations grows as 6^k in the number of cuts.
+planner refuses to emit jobs until that identity has been checked on a
+Pauli operator basis, which proves it for every state.  Its 1-norm sum
+|c_i| = 4 sets the per-cut sampling overhead of this projector-reuse
+variant, while the number of weighted term combinations grows as 6^k in
+the number of cuts.
 
 This module carries no simulator dependency: job specs, plans, and the
 on-disk bundle format defined here are the contract between execution
@@ -90,12 +91,6 @@ def decomposition_table() -> tuple[CutTerm, ...]:
     )
 
 
-def _random_density(rng: np.random.Generator, dim: int) -> np.ndarray:
-    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    rho = a @ a.conj().T
-    return rho / rho.trace()
-
-
 def reconstruction_error_1q(rho: np.ndarray, terms=None) -> float:
     terms = terms or decomposition_table()
     acc = np.zeros((2, 2), dtype=complex)
@@ -124,12 +119,14 @@ def reconstruction_error_2q(rho_ab: np.ndarray, terms=None) -> float:
 _VERIFIED = False
 
 
-def verify_decomposition(seed: int = 1234, n_single: int = 100, n_double: int = 20) -> None:
-    """Numerically certify the cut table before any downstream use.
+def verify_decomposition() -> None:
+    """Prove the cut table exact before any downstream use.
 
-    Checks the single- and two-qubit reconstruction identities on random
-    states to 1e-12 and the 1-norm sum |c_i| = 4.  Raises on failure;
-    caches success for the process lifetime.
+    The reconstruction identity is linear in rho, so checking it on the
+    4 one-qubit and 16 two-qubit Pauli operators (bases of the operator
+    spaces) to 1e-12 proves it for every state; the 1-norm sum
+    |c_i| = 4 is checked too.  Raises on failure; caches success for the
+    process lifetime.
     """
     global _VERIFIED
     if _VERIFIED:
@@ -138,12 +135,10 @@ def verify_decomposition(seed: int = 1234, n_single: int = 100, n_double: int = 
     one_norm = sum(abs(t.coeff) for t in terms)
     if abs(one_norm - 4.0) > 1e-12:
         raise AssertionError(f"cut-table 1-norm {one_norm} != 4")
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(n_single):
-        worst = max(worst, reconstruction_error_1q(_random_density(rng, 2), terms))
-    for _ in range(n_double):
-        worst = max(worst, reconstruction_error_2q(_random_density(rng, 4), terms))
+    worst = max(reconstruction_error_1q(p, terms) for p in PAULI_1Q.values())
+    for a in PAULI_1Q.values():
+        for b in PAULI_1Q.values():
+            worst = max(worst, reconstruction_error_2q(np.kron(a, b), terms))
     if worst > 1e-12:
         raise AssertionError(f"cut reconstruction identity violated: {worst:.3e}")
     _VERIFIED = True
@@ -289,6 +284,12 @@ def write_job_result(bundle_dir: Path, rep: int, result: JobResult) -> None:
 def read_job_result(bundle_dir: Path, rep: int, spec: JobSpec) -> JobResult:
     path = rep_dir(bundle_dir, rep) / "jobs" / f"{spec.job_id}.json"
     d = json.loads(path.read_text())
+    meas = "".join(d.get("meas", ()))
+    if meas != spec.meas or d.get("n") != spec.n_qubits:
+        raise ValueError(
+            f"job file {path} holds meas={meas!r} n={d.get('n')!r}, "
+            f"but job {spec.job_id} needs meas={spec.meas!r} n={spec.n_qubits}"
+        )
     if "counts" in d:
         return JobResult(spec, counts=counts_from_dict(d))
     dist = Distribution(int(d["n"]), np.asarray(d["dist"], dtype=float))

@@ -20,7 +20,7 @@ import numpy as np
 from . import qstate
 from .circuit import Circuit, basis_change_ops, build_linear_cluster, resolve_basis_ops
 from .counts import Distribution, QuasiDistribution
-from .mitigation import mle_project, tmem_product_inverse
+from .mitigation import mle_project, readout_rates, tmem_product_inverse
 from .qstate import (
     H_1Q,
     PAULI_1Q,
@@ -200,7 +200,7 @@ def direct_chain_report(
     """
     if n > MAX_DIRECT_QUBITS:
         raise ValueError(f"direct reference capped at {MAX_DIRECT_QUBITS} qubits")
-    readout = noise.readout_for(n) if noise is not None else None
+    readout = readout_rates(noise.readout, n) if noise is not None else None
     mitigated = {}
     observed = {}
     ideal = {}

@@ -138,6 +138,25 @@ def mle_project(q: QuasiDistribution, atol: float = 1e-6) -> Distribution:
     return Distribution(q.n, project_to_simplex(q.w))
 
 
+def readout_rates(
+    readout: tuple[tuple[float, float], ...] | None, n: int
+) -> tuple[tuple[float, float], ...] | None:
+    """Per-qubit (f00, f11) rates for an n-qubit register.
+
+    Registers smaller than the configured list take its last n entries
+    (a 3-qubit register reuses the same physical qubits as the tail of
+    the 4-qubit one); larger registers cycle the list.  The simulator,
+    the mitigation pipeline and the direct reference all read rates
+    through this one function, so they always agree.
+    """
+    if not readout:
+        return None
+    m = len(readout)
+    if n <= m:
+        return tuple(readout[m - n:])
+    return tuple(readout[q % m] for q in range(n))
+
+
 def tmem_product_inverse(p: np.ndarray, readout: tuple[tuple[float, float], ...]) -> np.ndarray:
     """TMEM for a tensor-product confusion model, applied factor-wise.
 
@@ -202,17 +221,13 @@ def pipeline_for_rep(
     readout: tuple[tuple[float, float], ...] | None,
     mode: str = "auto",
     register_sizes: tuple[int, ...] = (4, 3),
-    readout_for=None,
 ) -> MitigationPipeline:
     """Build the mitigation pipeline for one repetition directory.
 
     Mode "auto" prefers full calibration when a calibration bundle is on
-    disk and falls back to tensor-product rates from the configuration.
-    ``readout_for`` maps a register size to its per-qubit rates; by
-    default the last n entries of ``readout`` are used.
+    disk and falls back to tensor-product rates from the configuration,
+    sliced per register by readout_rates exactly as the simulator does.
     """
-    if readout_for is None:
-        readout_for = lambda n: readout[len(readout) - n:] if readout else None
     matrices: dict[int, TransitionMatrix] = {}
     for n in register_sizes:
         calib_dir = Path(rep_path) / "calibration" / f"q{n}"
@@ -222,7 +237,7 @@ def pipeline_for_rep(
                 n, FULL_CALIBRATION, calib=read_calibration(calib_dir, n)
             )
         elif mode in ("auto", TENSOR_PRODUCT):
-            rates = readout_for(n)
+            rates = readout_rates(readout, n)
             if rates is not None:
                 matrices[n] = build_transition_matrix(n, TENSOR_PRODUCT, readout=rates)
         elif mode != "none":

