@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .qstate import STATE_LABELS
 
-GATE_KINDS = ("prep", "H", "S", "Sdg", "X", "CZ", "basis")
+GATE_KINDS = ("prep", "H", "S", "Sdg", "X", "CZ")
 
 # Four-qubit block: prepared input + 3 fresh qubits.  Three-qubit block:
 # prepared input + 2 fresh qubits.  The prepared qubit is the downstream
@@ -25,14 +25,16 @@ GATE_KINDS = ("prep", "H", "S", "Sdg", "X", "CZ", "basis")
 FOUR_QUBIT = "4q"
 THREE_QUBIT = "3q"
 BLOCK_FORMS = (FOUR_QUBIT, THREE_QUBIT)
+# Register sizes of the two block forms, in BLOCK_FORMS order.
+REGISTER_SIZES = (4, 3)
 
 
 @dataclass(frozen=True)
 class GateOp:
     """One operation: ``kind`` acting on ``qubits``, optional ``label``.
 
-    ``label`` holds the prepared-state name for ``prep`` and the basis
-    letter for ``basis``; it is None for plain gates.
+    ``label`` holds the prepared-state name for ``prep``; it is None for
+    plain gates.
     """
 
     kind: str
@@ -50,9 +52,6 @@ class GateOp:
         if self.kind == "prep":
             if self.label not in STATE_LABELS:
                 raise ValueError(f"bad prep label {self.label!r}")
-        elif self.kind == "basis":
-            if self.label not in ("X", "Y", "Z"):
-                raise ValueError(f"bad basis label {self.label!r}")
         elif self.label is not None:
             raise ValueError(f"{self.kind} takes no label")
 
@@ -108,18 +107,6 @@ def basis_change_ops(meas: str, n_qubits: int | None = None) -> list[GateOp]:
         elif basis != "Z":
             raise ValueError(f"bad basis {basis!r}")
     return ops
-
-
-def resolve_basis_ops(op: GateOp) -> list[GateOp]:
-    """Expand a ``basis`` marker op into its concrete rotation gates."""
-    if op.kind != "basis":
-        return [op]
-    q = op.qubits[0]
-    if op.label == "X":
-        return [GateOp("H", (q,))]
-    if op.label == "Y":
-        return [GateOp("Sdg", (q,)), GateOp("H", (q,))]
-    return []
 
 
 def build_linear_cluster(n: int) -> Circuit:

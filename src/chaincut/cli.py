@@ -127,9 +127,12 @@ def _reconstruct_reports(bundle: Path, cfg: ExperimentConfig) -> dict:
             )
     per_rep = []
     matrices = None
+    # Exact distributions model pre-readout statistics and never pass
+    # through TMEM, so exact bundles build no confusion matrices.
+    mitigation = "none" if cfg.mode == "exact" else cfg.mitigation
     for rep in reps:
         rep_path = bundle / "reps" / f"r{rep:02d}"
-        pipeline = pipeline_for_rep(rep_path, cfg.readout, mode=cfg.mitigation)
+        pipeline = pipeline_for_rep(rep_path, cfg.readout, mode=mitigation)
         if matrices is None:
             matrices = pipeline.matrices
         results = [read_job_result(bundle, rep, spec) for spec in plan]

@@ -28,16 +28,14 @@ class ExperimentConfig:
     out_dir: str = "chaincut-run"
 
     def __post_init__(self):
-        if self.mode not in ("exact", "sampled"):
-            raise ValueError(f"mode must be 'exact' or 'sampled', got {self.mode!r}")
-        if self.mode == "sampled" and self.shots < 1:
-            raise ValueError("sampled mode needs shots >= 1")
-        if not 0.0 <= self.p1 <= 1.0 or not 0.0 <= self.p2 <= 1.0:
-            raise ValueError("p1 and p2 must lie in [0, 1]")
+        # Pair the rate lists before zipping them: zip would truncate silently.
         if (self.f00 is None) != (self.f11 is None):
             raise ValueError("f00 and f11 must both be set or both be null")
         if self.f00 is not None and len(self.f00) != len(self.f11):
             raise ValueError("f00 and f11 must have equal length")
+        # RunConfig and NoiseModel own the mode, shots and rate checks.
+        self.run_config()
+        NoiseModel(self.p1, self.p2, self.readout)
         if self.mitigation not in MITIGATION_MODES:
             raise ValueError(f"mitigation must be one of {MITIGATION_MODES}")
         if self.k_max < 1:

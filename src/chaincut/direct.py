@@ -18,19 +18,20 @@ from __future__ import annotations
 import numpy as np
 
 from . import qstate
-from .circuit import Circuit, basis_change_ops, build_linear_cluster, resolve_basis_ops
+from .circuit import Circuit, basis_change_ops, build_linear_cluster
 from .counts import Distribution, QuasiDistribution
 from .mitigation import mle_project, readout_rates, tmem_product_inverse
 from .qstate import (
-    H_1Q,
+    GATES_1Q,
     PAULI_1Q,
-    S_1Q,
-    SDG_1Q,
+    apply_on_axis,
     conjugate_cz,
     conjugate_h,
     conjugate_s,
     conjugate_sdg,
     conjugate_x,
+    cz_phases,
+    prep_unitary,
     state_vector_1q,
 )
 from .reconstruct import bound_from_distributions, witness_setting
@@ -39,24 +40,12 @@ from .sim import NoiseModel, RunConfig, apply_readout_to_distribution, sample_co
 MAX_DIRECT_QUBITS = 24
 MAX_NOISY_QUBITS = 16
 
-_FIXED_1Q = {"H": H_1Q, "S": S_1Q, "Sdg": SDG_1Q, "X": PAULI_1Q["X"]}
+# One axis of the Walsh-Hadamard transform: parities (<I>, <Z>) -> 2 (P0, P1).
+_WALSH_1Q = np.array([[1.0, 1.0], [1.0, -1.0]])
 
 
 # ---------------------------------------------------------------------------
 # Statevector path (noiseless)
-
-
-def _sv_apply_1q(psi: np.ndarray, u: np.ndarray, q: int, n: int) -> np.ndarray:
-    t = psi.reshape((2,) * n)
-    t = np.moveaxis(np.tensordot(u, t, axes=([1], [q])), 0, q)
-    return np.ascontiguousarray(t).reshape(-1)
-
-
-def _sv_apply_cz(psi: np.ndarray, a: int, b: int, n: int) -> np.ndarray:
-    idx = np.arange(2**n)
-    bit_a = (idx >> (n - 1 - a)) & 1
-    bit_b = (idx >> (n - 1 - b)) & 1
-    return psi * (1.0 - 2.0 * (bit_a & bit_b))
 
 
 def run_statevector(c: Circuit) -> np.ndarray:
@@ -66,23 +55,20 @@ def run_statevector(c: Circuit) -> np.ndarray:
         raise ValueError(f"{n} qubits exceeds statevector cap {MAX_DIRECT_QUBITS}")
     psi = np.zeros(2**n, dtype=complex)
     psi[0] = 1.0
-    for op in c.ops:
-        for g in resolve_basis_ops(op):
-            if g.kind == "prep":
-                v = state_vector_1q(g.label)
-                u = np.array([[v[0], -np.conj(v[1])], [v[1], np.conj(v[0])]])
-                psi = _sv_apply_1q(psi, u, g.qubits[0], n)
-            elif g.kind == "CZ":
-                psi = _sv_apply_cz(psi, g.qubits[0], g.qubits[1], n)
-            else:
-                psi = _sv_apply_1q(psi, _FIXED_1Q[g.kind], g.qubits[0], n)
+    for g in c.ops:
+        if g.kind == "CZ":
+            psi = psi * cz_phases(g.qubits[0], g.qubits[1], n)
+        else:
+            u = prep_unitary(g.label) if g.kind == "prep" else GATES_1Q[g.kind]
+            psi = apply_on_axis(psi.reshape((2,) * n), u, g.qubits[0]).reshape(-1)
     return psi
 
 
 def statevector_distribution(c: Circuit, meas: str) -> np.ndarray:
+    n = c.n_qubits
     psi = run_statevector(c)
-    for g in basis_change_ops(meas, c.n_qubits):
-        psi = _sv_apply_1q(psi, _FIXED_1Q[g.kind], g.qubits[0], c.n_qubits)
+    for g in basis_change_ops(meas, n):
+        psi = apply_on_axis(psi.reshape((2,) * n), GATES_1Q[g.kind], g.qubits[0]).reshape(-1)
     return np.abs(psi) ** 2
 
 
@@ -113,7 +99,7 @@ def _propagate_paulis(
     factor = np.ones(x.shape[0])
     prep_labels: dict[int, str] = {}
     # (gate, noisy) sequence: circuit body is noisy, readout rotations are not.
-    sequence = [(g, True) for op in c.ops for g in resolve_basis_ops(op)]
+    sequence = [(g, True) for g in c.ops]
     sequence += [(g, False) for g in basis_change_ops(meas, n)]
     for g, noisy in reversed(sequence):
         if g.kind == "prep":
@@ -163,11 +149,7 @@ def heisenberg_distribution(c: Circuit, meas: str, noise: NoiseModel | None) -> 
     chi = _propagate_paulis(c, meas, x, z, noise)
     t = chi.reshape((2,) * n)
     for axis in range(n):
-        t = np.stack(
-            [t.take(0, axis=axis) + t.take(1, axis=axis),
-             t.take(0, axis=axis) - t.take(1, axis=axis)],
-            axis=axis,
-        )
+        t = apply_on_axis(t, _WALSH_1Q, axis)
     p = t.reshape(-1) / 2**n
     p[(p < 0) & (p > -1e-12)] = 0.0
     return p

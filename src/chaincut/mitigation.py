@@ -20,8 +20,9 @@ from pathlib import Path
 
 import numpy as np
 
+from .circuit import REGISTER_SIZES
 from .counts import CountsTable, Distribution, QuasiDistribution, counts_from_dict
-from .qstate import index_to_bits
+from .qstate import apply_on_axis, index_to_bits
 
 COND_LIMIT = 1e6
 
@@ -60,6 +61,19 @@ class TransitionMatrix:
             raise ValueError("columns must sum to 1")
 
 
+def confusion_1q(f00: float, f11: float) -> np.ndarray:
+    """One qubit's confusion matrix: column j = P(observed bit | true bit j)."""
+    return np.array([[f00, 1.0 - f11], [1.0 - f00, f11]])
+
+
+def confusion_matrix(readout: tuple[tuple[float, float], ...]) -> np.ndarray:
+    """Kronecker product of per-qubit confusion matrices, qubit 0 leftmost."""
+    m = np.array([[1.0]])
+    for f00, f11 in readout:
+        m = np.kron(m, confusion_1q(f00, f11))
+    return m
+
+
 def _finish(n: int, mode: str, matrix: np.ndarray) -> TransitionMatrix:
     try:
         cond = float(np.linalg.cond(matrix, 1))
@@ -86,10 +100,7 @@ def build_transition_matrix(
     if mode == TENSOR_PRODUCT:
         if readout is None or len(readout) != n:
             raise ValueError("tensor-product mode needs per-qubit rates for each qubit")
-        m = np.array([[1.0]])
-        for f00, f11 in readout:
-            m = np.kron(m, np.array([[f00, 1.0 - f11], [1.0 - f00, f11]]))
-        return _finish(n, mode, m)
+        return _finish(n, mode, confusion_matrix(readout))
     if mode == FULL_CALIBRATION:
         if calib is None:
             raise ValueError("full-calibration mode needs calibration count tables")
@@ -168,12 +179,10 @@ def tmem_product_inverse(p: np.ndarray, readout: tuple[tuple[float, float], ...]
         raise ValueError("distribution size does not match readout rates")
     t = np.asarray(p, dtype=float).reshape((2,) * n)
     for q, (f00, f11) in enumerate(readout):
-        m = np.array([[f00, 1.0 - f11], [1.0 - f00, f11]])
-        det = np.linalg.det(m)
-        if abs(det) < 1e-12:
+        m = confusion_1q(f00, f11)
+        if abs(np.linalg.det(m)) < 1e-12:
             raise NumericalError(f"qubit {q} confusion matrix is singular")
-        inv = np.linalg.inv(m)
-        t = np.moveaxis(np.tensordot(inv, t, axes=([1], [q])), 0, q)
+        t = apply_on_axis(t, np.linalg.inv(m), q)
     return t.reshape(-1)
 
 
@@ -220,7 +229,6 @@ def pipeline_for_rep(
     rep_path: Path,
     readout: tuple[tuple[float, float], ...] | None,
     mode: str = "auto",
-    register_sizes: tuple[int, ...] = (4, 3),
 ) -> MitigationPipeline:
     """Build the mitigation pipeline for one repetition directory.
 
@@ -229,7 +237,7 @@ def pipeline_for_rep(
     sliced per register by readout_rates exactly as the simulator does.
     """
     matrices: dict[int, TransitionMatrix] = {}
-    for n in register_sizes:
+    for n in REGISTER_SIZES:
         calib_dir = Path(rep_path) / "calibration" / f"q{n}"
         use_full = mode == FULL_CALIBRATION or (mode == "auto" and calib_dir.is_dir())
         if use_full:

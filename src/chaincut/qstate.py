@@ -25,8 +25,6 @@ import numpy as np
 ATOL_STRUCTURAL = 1e-10
 # Probabilistic checks (distribution normalization).
 ATOL_PROB = 1e-9
-# Pure-math identities (norms, trace preservation).
-ATOL_MATH = 1e-12
 
 PAULI_1Q = {
     "I": np.eye(2, dtype=complex),
@@ -35,10 +33,13 @@ PAULI_1Q = {
     "Z": np.array([[1, 0], [0, -1]], dtype=complex),
 }
 
-H_1Q = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
-S_1Q = np.array([[1, 0], [0, 1j]], dtype=complex)
-SDG_1Q = np.array([[1, 0], [0, -1j]], dtype=complex)
-CZ_2Q = np.diag([1.0, 1.0, 1.0, -1.0]).astype(complex)
+# Fixed single-qubit gates, keyed by GateOp kind.
+GATES_1Q = {
+    "H": np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2),
+    "S": np.array([[1, 0], [0, 1j]], dtype=complex),
+    "Sdg": np.array([[1, 0], [0, -1j]], dtype=complex),
+    "X": PAULI_1Q["X"],
+}
 
 # Single-qubit preparation labels, in the order the cut decomposition
 # enumerates its prepared states.  Downstream arrays indexed by "input
@@ -63,6 +64,12 @@ def state_vector_1q(label: str) -> np.ndarray:
         raise ValueError(f"unknown state label {label!r}") from None
 
 
+def prep_unitary(label: str) -> np.ndarray:
+    """Unitary mapping |0> to the labelled state; the second column completes it."""
+    v = state_vector_1q(label)
+    return np.array([[v[0], -np.conj(v[1])], [v[1], np.conj(v[0])]])
+
+
 def ket(bits: str) -> np.ndarray:
     """Computational-basis ket for a bitstring, qubit 0 leftmost."""
     n = len(bits)
@@ -81,6 +88,28 @@ def num_qubits(dim: int) -> int:
     if dim <= 0 or 2**n != dim:
         raise ValueError(f"dimension {dim} is not a power of two")
     return n
+
+
+# ---------------------------------------------------------------------------
+# Kernels on qubit-indexed tensors (one axis of length 2 per qubit)
+
+
+def apply_on_axis(t: np.ndarray, m: np.ndarray, axis: int) -> np.ndarray:
+    """Contract the 2x2 matrix ``m`` into one qubit axis: t'[..i..] = sum_j m[i, j] t[..j..].
+
+    Gates on statevectors and density matrices, readout flips, factor-wise
+    readout inversion and the Walsh-Hadamard transform of the direct
+    reference all go through this one contraction.
+    """
+    return np.moveaxis(np.tensordot(m, t, axes=([1], [axis])), 0, axis)
+
+
+def cz_phases(a: int, b: int, n: int) -> np.ndarray:
+    """Diagonal of CZ on qubits (a, b) of an n-qubit register, as +/-1 floats."""
+    idx = np.arange(2**n)
+    bit_a = (idx >> (n - 1 - a)) & 1
+    bit_b = (idx >> (n - 1 - b)) & 1
+    return 1.0 - 2.0 * (bit_a & bit_b)
 
 
 # ---------------------------------------------------------------------------
@@ -191,19 +220,6 @@ def assert_density_operator(rho: np.ndarray, atol: float = ATOL_STRUCTURAL) -> N
     evmin = float(np.linalg.eigvalsh(rho)[0])
     if evmin < -atol:
         raise ValueError(f"negative eigenvalue {evmin:.3e}")
-
-
-def assert_state_vector(psi: np.ndarray, atol: float = ATOL_MATH) -> None:
-    if psi.ndim != 1:
-        raise ValueError("state vector must be 1-D")
-    num_qubits(psi.shape[0])
-    norm = np.linalg.norm(psi)
-    if abs(norm - 1.0) > atol:
-        raise ValueError(f"state vector norm {norm} differs from 1 beyond {atol}")
-
-
-def density_from_statevector(psi: np.ndarray) -> np.ndarray:
-    return projector(psi)
 
 
 def partial_trace(rho: np.ndarray, keep: Sequence[int]) -> np.ndarray:

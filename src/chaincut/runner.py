@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .circuit import build_block_subcircuit
+from .circuit import REGISTER_SIZES, build_block_subcircuit
 from .counts import CountsTable, Distribution, counts_to_dict, dump_json
 from .cut import JobResult, JobSpec, rep_dir
 from .qstate import index_to_bits
@@ -78,15 +78,9 @@ def calibration_counts(
     return out
 
 
-def write_calibration(
-    bundle_dir: Path,
-    rep: int,
-    run: RunConfig,
-    noise: NoiseModel,
-    register_sizes: tuple[int, ...] = (4, 3),
-) -> None:
+def write_calibration(bundle_dir: Path, rep: int, run: RunConfig, noise: NoiseModel) -> None:
     """Write per-register calibration bundles under reps/rXX/calibration/qN/."""
-    for n in register_sizes:
+    for n in REGISTER_SIZES:
         readout = noise.readout_for(n)
         if readout is None:
             continue

@@ -19,15 +19,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qstate
-from .circuit import Circuit, basis_change_ops, resolve_basis_ops
-from .counts import (  # noqa: F401  (counts surface re-exported here)
-    CountsTable,
-    Distribution,
-    counts_from_vector,
-    expectation_from_counts,
-)
-from .mitigation import readout_rates
-from .qstate import H_1Q, PAULI_1Q, S_1Q, SDG_1Q, state_vector_1q
+from .circuit import Circuit, basis_change_ops
+from .counts import CountsTable, Distribution, counts_from_vector
+from .mitigation import confusion_1q, confusion_matrix, readout_rates
+from .qstate import GATES_1Q, apply_on_axis, cz_phases, prep_unitary
 
 # Dense density matrices become unwieldy past this point; larger chains
 # go through the reference evaluator in chaincut.direct instead.
@@ -99,21 +94,12 @@ def rng_for(master_seed: int, *path: int) -> np.random.Generator:
 
 
 def _apply_1q_unitary(rho: np.ndarray, u: np.ndarray, q: int, n: int) -> np.ndarray:
-    t = rho.reshape((2,) * (2 * n))
-    t = np.moveaxis(np.tensordot(u, t, axes=([1], [q])), 0, q)
-    t = np.moveaxis(np.tensordot(u.conj(), t, axes=([1], [n + q])), 0, n + q)
-    return t.reshape(rho.shape)
-
-
-def _cz_phases(a: int, b: int, n: int) -> np.ndarray:
-    idx = np.arange(2**n)
-    bit_a = (idx >> (n - 1 - a)) & 1
-    bit_b = (idx >> (n - 1 - b)) & 1
-    return 1.0 - 2.0 * (bit_a & bit_b)
+    t = apply_on_axis(rho.reshape((2,) * (2 * n)), u, q)
+    return apply_on_axis(t, u.conj(), n + q).reshape(rho.shape)
 
 
 def _apply_cz(rho: np.ndarray, a: int, b: int, n: int) -> np.ndarray:
-    d = _cz_phases(a, b, n)
+    d = cz_phases(a, b, n)
     return d[:, None] * rho * d[None, :]
 
 
@@ -139,40 +125,28 @@ def _depolarize(rho: np.ndarray, qubits: tuple[int, ...], p: float, n: int) -> n
     return (1.0 - p) * rho + p * out.reshape(rho.shape)
 
 
-def _prep_unitary(label: str) -> np.ndarray:
-    v = state_vector_1q(label)
-    # Maps |0> -> v; second column completes the unitary.
-    return np.array([[v[0], -np.conj(v[1])], [v[1], np.conj(v[0])]])
-
-
-_FIXED_1Q = {"H": H_1Q, "S": S_1Q, "Sdg": SDG_1Q, "X": PAULI_1Q["X"]}
-
-
 def run_exact(c: Circuit, noise: NoiseModel | None = None) -> np.ndarray:
     """Density operator after all ops of ``c`` (measurement not applied).
 
     Depolarizing noise is inserted after each gate on the gate's
-    support; preparation labels are noiseless.  ``basis`` marker ops are
-    resolved into their rotation gates and treated as ordinary (noisy)
-    gates since they sit in the circuit body.
+    support; preparation labels are noiseless.
     """
     n = c.n_qubits
     if n > MAX_DENSITY_QUBITS:
         raise ValueError(f"register of {n} qubits exceeds dense limit {MAX_DENSITY_QUBITS}")
     rho = np.zeros((2**n, 2**n), dtype=complex)
     rho[0, 0] = 1.0
-    for op in c.ops:
-        for g in resolve_basis_ops(op):
-            if g.kind == "prep":
-                rho = _apply_1q_unitary(rho, _prep_unitary(g.label), g.qubits[0], n)
-            elif g.kind == "CZ":
-                rho = _apply_cz(rho, g.qubits[0], g.qubits[1], n)
-                if noise is not None:
-                    rho = _depolarize(rho, g.qubits, noise.p2, n)
-            else:
-                rho = _apply_1q_unitary(rho, _FIXED_1Q[g.kind], g.qubits[0], n)
-                if noise is not None:
-                    rho = _depolarize(rho, g.qubits, noise.p1, n)
+    for g in c.ops:
+        if g.kind == "prep":
+            rho = _apply_1q_unitary(rho, prep_unitary(g.label), g.qubits[0], n)
+        elif g.kind == "CZ":
+            rho = _apply_cz(rho, g.qubits[0], g.qubits[1], n)
+            if noise is not None:
+                rho = _depolarize(rho, g.qubits, noise.p2, n)
+        else:
+            rho = _apply_1q_unitary(rho, GATES_1Q[g.kind], g.qubits[0], n)
+            if noise is not None:
+                rho = _depolarize(rho, g.qubits, noise.p1, n)
     if __debug__:
         qstate.assert_density_operator(rho)
     return rho
@@ -188,7 +162,7 @@ def measure_distribution(rho: np.ndarray, meas: str) -> Distribution:
     if len(meas) != n:
         raise ValueError(f"setting {meas!r} does not match {n} qubits")
     for g in basis_change_ops(meas):
-        rho = _apply_1q_unitary(rho, _FIXED_1Q[g.kind], g.qubits[0], n)
+        rho = _apply_1q_unitary(rho, GATES_1Q[g.kind], g.qubits[0], n)
     p = np.real(np.diag(rho)).copy()
     p[(p < 0) & (p > -1e-12)] = 0.0
     return Distribution(n, p)
@@ -196,16 +170,6 @@ def measure_distribution(rho: np.ndarray, meas: str) -> Distribution:
 
 # ---------------------------------------------------------------------------
 # Sampling
-
-
-def readout_columns(readout: tuple[tuple[float, float], ...]) -> np.ndarray:
-    """Confusion kernel: column j = P(observed bits | true bits = j)."""
-    n = len(readout)
-    t = np.array([[1.0]])
-    for f00, f11 in readout:
-        t = np.kron(t, np.array([[f00, 1.0 - f11], [1.0 - f00, f11]]))
-    assert t.shape == (2**n, 2**n)
-    return t
 
 
 def sample_counts(
@@ -236,7 +200,7 @@ def sample_counts(
         return counts_from_vector(raw, meas, shots)
     if len(readout) != dist.n:
         raise ValueError("readout rates do not match register size")
-    kernel = readout_columns(readout)
+    kernel = confusion_matrix(readout)
     observed = np.zeros(2**dist.n, dtype=np.int64)
     for j in np.nonzero(raw)[0]:
         observed += rng.multinomial(int(raw[j]), kernel[:, j])
@@ -252,6 +216,5 @@ def apply_readout_to_distribution(
         raise ValueError("readout rates do not match register size")
     t = p.reshape((2,) * n)
     for q, (f00, f11) in enumerate(readout):
-        m = np.array([[f00, 1.0 - f11], [1.0 - f00, f11]])
-        t = np.moveaxis(np.tensordot(m, t, axes=([1], [q])), 0, q)
+        t = apply_on_axis(t, confusion_1q(f00, f11), q)
     return t.reshape(-1)

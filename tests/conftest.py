@@ -1,5 +1,6 @@
 """Shared fixtures: executed job grids and block tensors, built once."""
 
+import os
 import sys
 from pathlib import Path
 
@@ -7,11 +8,24 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+import chaincut
 from chaincut.cut import plan_chain_jobs
 from chaincut.mitigation import MitigationPipeline, build_transition_matrix
 from chaincut.reconstruct import build_block_tensors
 from chaincut.runner import execute_jobs
 from chaincut.sim import NoiseModel, RunConfig
+
+
+@pytest.fixture(scope="session")
+def child_env():
+    """Environment for a child interpreter that imports this same checkout.
+
+    pyproject's pythonpath reaches only the pytest process, not subprocesses.
+    """
+    src = str(Path(chaincut.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))
+    )}
 
 
 @pytest.fixture(scope="session")

@@ -120,13 +120,30 @@ class TestReconstruct:
         # exactly as the simulator does, not slice too few rates
         out = tmp_path / "run"
         cfg = write_config(
-            tmp_path, mode="exact", f00=(0.95, 0.93), f11=(0.90, 0.92),
-            k_max=1, out_dir=str(out),
+            tmp_path, mode="sampled", mitigation="tensor", shots=2000, repetitions=1,
+            f00=(0.95, 0.93), f11=(0.90, 0.92), k_max=1, out_dir=str(out),
         )
         assert main(["run-jobs", "--config", str(cfg)]) == 0
         assert main(["reconstruct", "--out", str(out)]) == 0
         t4 = json.loads((out / "reports" / "transition_q4.json").read_text())
         assert t4["mode"] == "tensor" and t4["n"] == 4
+
+    @pytest.mark.parametrize(
+        "readout",
+        [
+            {"f00": (0.5,) * 4, "f11": (0.5,) * 4},  # singular confusion matrices
+            {"mitigation": "full"},  # exact bundles hold no calibration data
+        ],
+        ids=["singular-rates", "full-calibration"],
+    )
+    def test_exact_mode_builds_no_confusion_matrix(self, tmp_path, readout):
+        # exact distributions skip TMEM, so readout settings that could not
+        # build a confusion matrix must not stop an exact bundle reconstructing
+        out = tmp_path / "run"
+        cfg = write_config(tmp_path, mode="exact", k_max=1, out_dir=str(out), **readout)
+        assert main(["run-jobs", "--config", str(cfg)]) == 0
+        assert main(["reconstruct", "--out", str(out)]) == 0
+        assert not list((out / "reports").glob("transition_q*.json"))
 
     def test_mislabelled_job_file_is_rejected(self, tmp_path, capsys):
         out = tmp_path / "run"
@@ -224,3 +241,5 @@ class TestErrors:
             config_from_dict({"k_max": 0})
         with pytest.raises(ValueError):
             config_from_dict({"f00": [0.9], "f11": None})
+        with pytest.raises(ValueError):
+            config_from_dict({"f00": [1.5], "f11": [0.9]})

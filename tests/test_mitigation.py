@@ -9,6 +9,7 @@ from chaincut.mitigation import (
     NumericalError,
     apply_tmem,
     build_transition_matrix,
+    confusion_matrix,
     mle_project,
     pipeline_for_rep,
     project_to_simplex,
@@ -45,6 +46,17 @@ class TestTransitionMatrix:
                 for q in range(2):
                     want *= singles[q][int(o[q]), int(t_[q])]
                 assert t.matrix[obs, true] == pytest.approx(want, abs=1e-15)
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_confusion_matrix_is_kronecker_chain(self, n):
+        rates = tuple(map(tuple, np.random.default_rng(n).uniform(0.5, 1.0, size=(n, 2))))
+        want = np.eye(1)
+        for f00, f11 in rates:
+            want = np.kron(want, np.array([[f00, 1 - f11], [1 - f00, f11]]))
+        got = confusion_matrix(rates)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
+        assert np.all(got >= 0)
+        np.testing.assert_allclose(got.sum(axis=0), np.ones(2**n), atol=1e-12)
 
     def test_columns_stochastic(self):
         t = build_transition_matrix(4, "tensor", readout=TABLE_RATES)

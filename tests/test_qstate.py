@@ -6,12 +6,14 @@ import pytest
 from chaincut.circuit import build_linear_cluster
 from chaincut.qstate import (
     PauliString,
+    apply_on_axis,
     assert_density_operator,
     conjugate_cz,
     conjugate_h,
     conjugate_s,
     conjugate_sdg,
     conjugate_x,
+    cz_phases,
     expectation,
     identity_pauli,
     ket,
@@ -52,6 +54,27 @@ class TestPauliMatrix:
         np.testing.assert_array_equal(
             pauli_matrix(PauliString("X", -1)), -pauli_matrix(PauliString("X"))
         )
+
+
+class TestAxisKernels:
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_apply_on_axis_matches_embedded_operator(self, n):
+        rng = np.random.default_rng(40 + n)
+        t = rng.normal(size=(2,) * n) + 1j * rng.normal(size=(2,) * n)
+        m = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        for axis in range(n):
+            got = apply_on_axis(t, m, axis).reshape(-1)
+            want = oracles.embed(m, (axis,), n) @ t.reshape(-1)
+            np.testing.assert_allclose(got, want, atol=1e-12)
+
+    @pytest.mark.parametrize("n", range(2, 6))
+    def test_cz_phases_match_embedded_cz(self, n):
+        cz = np.diag([1, 1, 1, -1]).astype(complex)
+        for a in range(n):
+            for b in range(n):
+                if a != b:
+                    want = np.diag(oracles.embed(cz, (a, b), n)).real
+                    np.testing.assert_array_equal(cz_phases(a, b, n), want)
 
 
 class TestPauliProducts:

@@ -1,14 +1,11 @@
 """Witness terms, block tensors, transfer stitching, and the scaling sweep."""
 
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import chaincut
 from chaincut.circuit import build_linear_cluster
 from chaincut.counts import expectation_from_weights
 from chaincut.cut import decomposition_table
@@ -333,16 +330,10 @@ class TestBoundAndSweep:
 
 
 class TestModuleBoundary:
-    def test_reconstruct_does_not_import_simulator(self):
+    def test_reconstruct_does_not_import_simulator(self, child_env):
         code = (
             "import sys; import chaincut.reconstruct; "
             "sys.exit(1 if 'chaincut.sim' in sys.modules else 0)"
         )
-        # the child must import this same checkout even when pytest alone
-        # put src/ on the path (pyproject's pythonpath)
-        src = str(Path(chaincut.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            filter(None, (src, os.environ.get("PYTHONPATH")))
-        )}
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, env=env)
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, env=child_env)
         assert proc.returncode == 0, proc.stderr.decode()
