@@ -26,11 +26,13 @@ from . import __version__
 from .config import ExperimentConfig, load_config, override_config
 from .counts import dump_json
 from .cut import (
+    job_path,
     list_reps,
     missing_job_files,
     plan_chain_jobs,
     read_job_result,
     read_plan,
+    rep_dir,
     write_job_result,
     write_plan,
 )
@@ -111,7 +113,28 @@ def _load_bundle_config(bundle: Path, args) -> ExperimentConfig:
     if not cfg_path.exists():
         raise ValueError(f"bundle {bundle} has no config.json")
     cfg = load_config(cfg_path)
+    manifest_path = bundle / "manifest.json"
+    if json.loads(manifest_path.read_text()).get("config_sha256") != cfg.sha256():
+        raise ValueError(f"{cfg_path} does not match the config_sha256 in {manifest_path}")
     return override_config(cfg, k_max=getattr(args, "k_max", None))
+
+
+def _check_rep_files(bundle: Path, rep: int, results: list, cfg: ExperimentConfig) -> None:
+    """Reject job and calibration files that disagree with config.json's mode or shots."""
+    sampled = cfg.mode == "sampled"
+    shots = {}
+    for r in results:
+        path = job_path(bundle, rep, r.spec)
+        if (r.counts is not None) != sampled:
+            raise ValueError(f"job file {path} does not hold {cfg.mode} data, as config.json says")
+        if sampled:
+            shots[path] = r.counts.shots
+    calibration = (rep_dir(bundle, rep) / "calibration").glob("q*/*.json") if sampled else ()
+    for path in sorted(calibration):
+        shots[path] = json.loads(path.read_text()).get("shots")
+    for path, found in shots.items():
+        if found != cfg.shots:
+            raise ValueError(f"{path} holds shots={found!r}, but config.json says {cfg.shots}")
 
 
 def _reconstruct_reports(bundle: Path, cfg: ExperimentConfig) -> dict:
@@ -131,11 +154,11 @@ def _reconstruct_reports(bundle: Path, cfg: ExperimentConfig) -> dict:
     # through TMEM, so exact bundles build no confusion matrices.
     mitigation = "none" if cfg.mode == "exact" else cfg.mitigation
     for rep in reps:
-        rep_path = bundle / "reps" / f"r{rep:02d}"
-        pipeline = pipeline_for_rep(rep_path, cfg.readout, mode=mitigation)
+        results = [read_job_result(bundle, rep, spec) for spec in plan]
+        _check_rep_files(bundle, rep, results, cfg)
+        pipeline = pipeline_for_rep(rep_dir(bundle, rep), cfg.readout, mode=mitigation)
         if matrices is None:
             matrices = pipeline.matrices
-        results = [read_job_result(bundle, rep, spec) for spec in plan]
         bt4, bt3 = build_block_tensors(results, pipeline)
         per_rep.append(
             {

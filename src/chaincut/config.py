@@ -74,15 +74,40 @@ class ExperimentConfig:
         ).hexdigest()
 
 
+# JSON type each field takes, named by the type of its default value.
+_EXPECTED = {int: "an integer", float: "a number", str: "a string", list: "null or a list of numbers"}
+
+
+def _has_json_type(default, value) -> bool:
+    if isinstance(value, bool):  # JSON true/false are neither integers nor numbers
+        return False
+    if isinstance(default, list):
+        return value is None or (
+            isinstance(value, list) and all(_has_json_type(0.0, x) for x in value)
+        )
+    if isinstance(default, float):
+        return isinstance(value, (int, float))
+    return isinstance(value, type(default))
+
+
 def config_from_dict(d: dict) -> ExperimentConfig:
-    known = ExperimentConfig().to_dict().keys()
-    unknown = set(d) - set(known)
+    if not isinstance(d, dict):
+        raise ValueError("config must be a JSON object")
+    defaults = ExperimentConfig().to_dict()
+    unknown = set(d) - set(defaults)
     if unknown:
         raise ValueError(f"unknown config fields: {sorted(unknown)}")
+    for key, value in d.items():
+        if not _has_json_type(defaults[key], value):
+            expected = _EXPECTED[type(defaults[key])]
+            raise ValueError(f"config field {key!r} must be {expected}, got {value!r}")
     kwargs = dict(d)
     for key in ("f00", "f11"):
         if kwargs.get(key) is not None:
-            kwargs[key] = tuple(float(x) for x in kwargs[key])
+            try:
+                kwargs[key] = tuple(float(x) for x in kwargs[key])
+            except OverflowError as exc:
+                raise ValueError(f"config field {key!r}: {exc}") from exc
     return ExperimentConfig(**kwargs)
 
 

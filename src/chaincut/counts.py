@@ -1,4 +1,4 @@
-"""Measured-counts containers, parity expectations, and the counts file format.
+"""Measured-counts containers and the counts file format.
 
 This module is deliberately simulator-free: reconstruction and mitigation
 operate on counts and distributions alone, so archived (or externally
@@ -7,7 +7,8 @@ produced) data can be processed without a quantum backend in sight.
 Counts file (JSON): ``{"n": 4, "shots": 1000000, "meas": ["X","Z","X","Z"],
 "counts": {"0101": 12345, ...}}`` with bitstrings qubit-0-leftmost.
 Exact results use ``"dist": [p_0, ..., p_{2^n-1}]`` in place of
-``shots``/``counts``, indexed by basis-state integer.
+``shots``/``counts``, indexed by basis-state integer.  In memory, counts are
+dense vectors too; only counts_to_dict and counts_from_dict see bitstrings.
 """
 
 from __future__ import annotations
@@ -20,51 +21,56 @@ import numpy as np
 from .qstate import (
     assert_distribution,
     assert_quasi_distribution,
-    bits_to_index,
     index_to_bits,
     num_qubits,
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CountsTable:
-    """Raw sampled counts over bitstrings for one measurement setting."""
+    """Sampled counts for one measurement setting.
 
-    n: int
+    ``counts`` is a read-only int64 vector over the 2^n outcomes, indexed
+    by basis-state integer; ``n`` and ``shots`` follow from it.
+    """
+
     meas: str
-    counts: dict[str, int]
-    shots: int
+    counts: np.ndarray
 
     def __post_init__(self):
+        counts = np.array(self.counts, dtype=np.int64)
+        counts.flags.writeable = False
+        object.__setattr__(self, "counts", counts)
+        if counts.ndim != 1 or len(self.meas) != num_qubits(len(counts)):
+            raise ValueError(f"{counts.shape} counts do not match setting {self.meas!r}")
+        if np.any(counts < 0):
+            raise ValueError("negative count")
         if self.shots <= 0:
             raise ValueError("shots must be positive")
-        total = 0
-        for bits, c in self.counts.items():
-            if len(bits) != self.n or any(b not in "01" for b in bits):
-                raise ValueError(f"bad bitstring {bits!r} for n={self.n}")
-            if c < 0:
-                raise ValueError(f"negative count for {bits!r}")
-            total += c
-        if total != self.shots:
-            raise ValueError(f"counts sum to {total}, shots say {self.shots}")
 
-    def vector(self) -> np.ndarray:
-        """Counts as a dense 2^n vector indexed by basis-state integer."""
-        v = np.zeros(2**self.n)
-        for bits, c in self.counts.items():
-            v[bits_to_index(bits)] = c
-        return v
+    @property
+    def n(self) -> int:
+        return num_qubits(len(self.counts))
+
+    @property
+    def shots(self) -> int:
+        return int(self.counts.sum())
 
     def frequencies(self) -> np.ndarray:
-        return self.vector() / self.shots
+        return self.counts / self.shots
+
+    def __eq__(self, other):
+        if not isinstance(other, CountsTable):
+            return NotImplemented
+        return self.meas == other.meas and np.array_equal(self.counts, other.counts)
 
 
 def counts_from_vector(vec: np.ndarray, meas: str, shots: int) -> CountsTable:
-    n = num_qubits(len(vec))
-    counts = {
-        index_to_bits(i, n): int(c) for i, c in enumerate(vec) if c > 0
-    }
-    return CountsTable(n, meas, counts, shots)
+    """Counts table from a dense count vector that must sum to ``shots``."""
+    t = CountsTable(meas, vec)
+    if t.shots != shots:
+        raise ValueError(f"counts sum to {t.shots}, shots say {shots}")
+    return t
 
 
 @dataclass(frozen=True)
@@ -95,70 +101,32 @@ class QuasiDistribution:
         assert_quasi_distribution(self.w)
 
 
-def parity_signs(n: int, mask_qubits: tuple[int, ...]) -> np.ndarray:
-    """(-1)^(parity of outcome bits at mask_qubits), over all 2^n outcomes."""
-    signs = np.ones(2**n)
-    idx = np.arange(2**n)
-    for q in mask_qubits:
-        bit = (idx >> (n - 1 - q)) & 1
-        signs *= 1.0 - 2.0 * bit
-    return signs
-
-
-def expectation_from_weights(weights: np.ndarray, n: int, pauli_letters: str, meas: str) -> float:
-    """Parity expectation of a Pauli string from outcome weights.
-
-    ``weights`` is a normalized (quasi-)distribution over 2^n outcomes
-    measured in ``meas``.  Every non-identity letter of the Pauli must
-    match the measured basis at that qubit; the value is
-    sum_b w(b) * (-1)^(parity of b on the Pauli's support).
-    """
-    if len(pauli_letters) != n or len(meas) != n:
-        raise ValueError("length mismatch")
-    support = []
-    for q, (letter, basis) in enumerate(zip(pauli_letters, meas)):
-        if letter == "I":
-            continue
-        if letter != basis:
-            raise ValueError(
-                f"Pauli letter {letter} at qubit {q} incompatible with {basis} readout"
-            )
-        support.append(q)
-    return float(weights @ parity_signs(n, tuple(support)))
-
-
-def expectation_from_counts(
-    data: CountsTable | Distribution | QuasiDistribution, pauli_letters: str, meas: str | None = None
-) -> float:
-    """Parity expectation from counts or a (quasi-)distribution."""
-    if isinstance(data, CountsTable):
-        return expectation_from_weights(data.frequencies(), data.n, pauli_letters, meas or data.meas)
-    if meas is None:
-        raise ValueError("measurement setting required for bare distributions")
-    weights = data.p if isinstance(data, Distribution) else data.w
-    return expectation_from_weights(weights, data.n, pauli_letters, meas)
-
-
 # ---------------------------------------------------------------------------
 # File format
 
 
 def counts_to_dict(t: CountsTable) -> dict:
+    """The file form: nonzero counts keyed by bitstring."""
+    n = t.n
     return {
-        "n": t.n,
+        "n": n,
         "shots": t.shots,
         "meas": list(t.meas),
-        "counts": {b: int(c) for b, c in sorted(t.counts.items())},
+        "counts": {index_to_bits(int(j), n): int(t.counts[j]) for j in np.flatnonzero(t.counts)},
     }
 
 
 def counts_from_dict(d: dict) -> CountsTable:
-    return CountsTable(
-        int(d["n"]),
-        "".join(d["meas"]),
-        {b: int(c) for b, c in d["counts"].items()},
-        int(d["shots"]),
-    )
+    """Parse the file form; keys must be n-character 0/1 strings."""
+    n = int(d["n"])
+    vec = np.zeros(2**n, dtype=np.int64)
+    for bits, c in d["counts"].items():
+        if len(bits) != n or not set(bits) <= {"0", "1"}:
+            raise ValueError(f"bad bitstring {bits!r} for n={n}")
+        if not 0 <= int(c) < 2**62:  # counts live in an int64 vector
+            raise ValueError(f"count {c!r} for {bits!r} is negative or too large")
+        vec[int(bits, 2)] = int(c)
+    return counts_from_vector(vec, "".join(d["meas"]), int(d["shots"]))
 
 
 def dist_to_dict(n: int, meas: str, p: np.ndarray) -> dict:

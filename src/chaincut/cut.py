@@ -271,18 +271,22 @@ def read_plan(bundle_dir: Path) -> tuple[JobSpec, ...]:
     return plan_from_dict(json.loads((Path(bundle_dir) / "plan.json").read_text()))
 
 
+def job_path(bundle_dir: Path, rep: int, spec: JobSpec) -> Path:
+    return rep_dir(bundle_dir, rep) / "jobs" / f"{spec.job_id}.json"
+
+
 def write_job_result(bundle_dir: Path, rep: int, result: JobResult) -> None:
-    jobs = rep_dir(bundle_dir, rep) / "jobs"
-    jobs.mkdir(parents=True, exist_ok=True)
+    path = job_path(bundle_dir, rep, result.spec)
+    path.parent.mkdir(parents=True, exist_ok=True)
     if result.counts is not None:
         payload = counts_to_dict(result.counts)
     else:
         payload = dist_to_dict(result.dist.n, result.spec.meas, result.dist.p)
-    (jobs / f"{result.spec.job_id}.json").write_text(dump_json(payload))
+    path.write_text(dump_json(payload))
 
 
 def read_job_result(bundle_dir: Path, rep: int, spec: JobSpec) -> JobResult:
-    path = rep_dir(bundle_dir, rep) / "jobs" / f"{spec.job_id}.json"
+    path = job_path(bundle_dir, rep, spec)
     d = json.loads(path.read_text())
     meas = "".join(d.get("meas", ()))
     if meas != spec.meas or d.get("n") != spec.n_qubits:
@@ -297,8 +301,7 @@ def read_job_result(bundle_dir: Path, rep: int, spec: JobSpec) -> JobResult:
 
 
 def missing_job_files(bundle_dir: Path, plan: tuple[JobSpec, ...], rep: int) -> list[str]:
-    jobs = rep_dir(bundle_dir, rep) / "jobs"
-    return [s.job_id for s in plan if not (jobs / f"{s.job_id}.json").exists()]
+    return [s.job_id for s in plan if not job_path(bundle_dir, rep, s).exists()]
 
 
 def list_reps(bundle_dir: Path) -> list[int]:

@@ -14,6 +14,7 @@ probability simplex, computed in closed form by sorted water-filling.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -66,11 +67,16 @@ def confusion_1q(f00: float, f11: float) -> np.ndarray:
     return np.array([[f00, 1.0 - f11], [1.0 - f00, f11]])
 
 
+@functools.lru_cache(maxsize=16)
 def confusion_matrix(readout: tuple[tuple[float, float], ...]) -> np.ndarray:
-    """Kronecker product of per-qubit confusion matrices, qubit 0 leftmost."""
+    """Kronecker product of per-qubit confusion matrices, qubit 0 leftmost.
+
+    Built once per rate tuple and shared, so the result is read-only.
+    """
     m = np.array([[1.0]])
     for f00, f11 in readout:
         m = np.kron(m, confusion_1q(f00, f11))
+    m.flags.writeable = False
     return m
 
 
@@ -88,14 +94,14 @@ def build_transition_matrix(
     n: int,
     mode: str = TENSOR_PRODUCT,
     readout: tuple[tuple[float, float], ...] | None = None,
-    calib: dict[str, CountsTable] | None = None,
+    calib: list[CountsTable] | None = None,
 ) -> TransitionMatrix:
     """Confusion matrix from per-qubit rates or from calibration counts.
 
     Tensor-product mode takes per-qubit (f00, f11) and returns the
     Kronecker product of the 2x2 single-qubit confusion matrices.
-    Full-calibration mode estimates each column empirically from the
-    counts of one prepared basis state; all 2^n states must be present.
+    Full-calibration mode estimates column j empirically from calib[j],
+    the counts of prepared basis state j; all 2^n states must be present.
     """
     if mode == TENSOR_PRODUCT:
         if readout is None or len(readout) != n:
@@ -104,13 +110,9 @@ def build_transition_matrix(
     if mode == FULL_CALIBRATION:
         if calib is None:
             raise ValueError("full-calibration mode needs calibration count tables")
-        m = np.zeros((2**n, 2**n))
-        for j in range(2**n):
-            bits = index_to_bits(j, n)
-            if bits not in calib:
-                raise ValueError(f"calibration state {bits} missing")
-            m[:, j] = calib[bits].frequencies()
-        return _finish(n, mode, m)
+        if len(calib) != 2**n:
+            raise ValueError(f"calibration states missing: {len(calib)} of {2**n} given")
+        return _finish(n, mode, np.stack([t.frequencies() for t in calib], axis=1))
     raise ValueError(f"unknown mitigation mode {mode!r}")
 
 
@@ -212,16 +214,17 @@ class MitigationPipeline:
         return mle_project(q)
 
 
-def read_calibration(calib_dir: Path, n: int) -> dict[str, CountsTable]:
+def read_calibration(calib_dir: Path, n: int) -> list[CountsTable]:
     """Load a calibration bundle directory: one counts file per basis state."""
-    out = {}
-    root = Path(calib_dir)
+    out = []
     for j in range(2**n):
-        bits = index_to_bits(j, n)
-        path = root / f"{bits}.json"
+        path = Path(calib_dir) / f"{index_to_bits(j, n)}.json"
         if not path.exists():
             raise ValueError(f"calibration file missing: {path}")
-        out[bits] = counts_from_dict(json.loads(path.read_text()))
+        d = json.loads(path.read_text())
+        if d.get("n") != n:
+            raise ValueError(f"calibration file {path} holds n={d.get('n')!r}, needs n={n}")
+        out.append(counts_from_dict(d))
     return out
 
 

@@ -293,10 +293,6 @@ def index_to_bits(index: int, n: int) -> str:
     return format(index, f"0{n}b")
 
 
-def bits_to_index(bits: str) -> int:
-    return int(bits, 2)
-
-
 # ---------------------------------------------------------------------------
 # Symplectic (x, z) representation used for Heisenberg propagation of
 # Pauli strings through Clifford gates.  Arrays of shape (..., n) of

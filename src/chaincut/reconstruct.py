@@ -42,7 +42,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuit import FOUR_QUBIT, THREE_QUBIT
-from .counts import CountsTable, Distribution, expectation_from_weights
 from .cut import CUT_PATTERNS, JobResult, decomposition_table, verify_decomposition
 from .mitigation import MitigationPipeline
 from .qstate import STATE_LABELS, PauliString, pauli_product
@@ -50,11 +49,18 @@ from .qstate import STATE_LABELS, PauliString, pauli_product
 PATTERN_INDEX = {"XZX": 0, "ZXZ": 1}
 XP_INDEX = STATE_LABELS.index("Xp")
 
-# SIGNS[mask, outcome] = (-1)^popcount(mask & outcome) over 3-bit words;
-# converts outcome-indexed block values into parity-indexed ones.
-SIGNS3 = np.array(
-    [[-1.0 if bin(m & o).count("1") % 2 else 1.0 for o in range(8)] for m in range(8)]
-)
+
+def mask_signs(mask: int | np.ndarray, n: int) -> np.ndarray:
+    """(-1)^popcount(index & mask) over the 2^n outcome indices, one row per mask.
+
+    Masks are in outcome-index bit order: chain site p is bit n-1-p.
+    """
+    index = np.arange(2**n, dtype=np.int64)
+    return 1.0 - 2.0 * (np.bitwise_count(np.asarray(mask)[..., None] & index) & 1)
+
+
+# SIGNS3[mask, outcome] turns outcome-indexed block values into parity-indexed ones.
+SIGNS3 = mask_signs(np.arange(8), 3)
 
 BLOCK_ENTRY_TOL = 1e-6
 
@@ -101,10 +107,6 @@ class WitnessTerm:
     pauli: PauliString
     parity: str
 
-    @property
-    def setting(self) -> str:
-        return witness_setting(self.pauli.n_qubits, self.parity)
-
 
 def witness_terms(n: int, parity: str) -> list[WitnessTerm]:
     """All 2^m subset-products of the odd- or even-indexed stabilizers.
@@ -132,30 +134,19 @@ def witness_terms(n: int, parity: str) -> list[WitnessTerm]:
 def _subset_site_masks(n: int, parity: str) -> np.ndarray:
     """Bitmask of non-identity sites for every subset of one parity.
 
-    Entry s is an integer whose bit p (0-based chain site) is set when
-    the subset encoded by s produces a non-identity letter at site p:
-    the X sites are the chosen stabilizers, and a Z survives where
-    exactly one neighbouring stabilizer was chosen.
+    Entry s is an integer in outcome-index bit order (chain site p is bit
+    n-1-p, as in index_to_bits) whose bit is set when the subset encoded
+    by s produces a non-identity letter at that site: the X sites are the
+    chosen stabilizers, and a Z survives where exactly one neighbouring
+    stabilizer was chosen.
     """
-    positions = np.array([i - 1 for i in parity_indices(n, parity)], dtype=np.int64)
-    m = len(positions)
-    subsets = np.arange(2**m, dtype=np.int64)
-    chosen = np.zeros(2**m, dtype=np.int64)
+    positions = [i - 1 for i in parity_indices(n, parity)]
+    subsets = np.arange(2 ** len(positions), dtype=np.int64)
+    chosen = np.zeros_like(subsets)
     for t, p in enumerate(positions):
-        chosen |= ((subsets >> t) & 1) << p
-    full = (1 << n) - 1
-    z_sites = ((chosen >> 1) ^ (chosen << 1)) & full
+        chosen |= ((subsets >> t) & 1) << (n - 1 - p)
+    z_sites = ((chosen >> 1) ^ (chosen << 1)) & ((1 << n) - 1)
     return chosen | z_sites
-
-
-def _block_masks(site_masks: np.ndarray, block: int) -> np.ndarray:
-    """3-bit local mask of a block, MSB = the block's first real qubit."""
-    base = 3 * block
-    return (
-        (((site_masks >> base) & 1) << 2)
-        | (((site_masks >> (base + 1)) & 1) << 1)
-        | ((site_masks >> (base + 2)) & 1)
-    ).astype(np.int64)
 
 
 def _local_pattern(block: int, setting: str) -> int:
@@ -195,16 +186,6 @@ class BlockTensor:
             raise ValueError("block tensor entry outside [-1-eps, 1+eps]")
 
 
-def _index_results(results: list[JobResult]) -> dict[tuple, CountsTable | Distribution]:
-    indexed = {}
-    for r in results:
-        s = r.spec
-        indexed[(s.form, s.input, s.pattern, s.cut_basis)] = (
-            r.counts if r.counts is not None else r.dist
-        )
-    return indexed
-
-
 def build_block_tensors(
     results: list[JobResult], pipeline: MitigationPipeline
 ) -> tuple[BlockTensor, BlockTensor]:
@@ -217,7 +198,12 @@ def build_block_tensors(
     """
     verify_decomposition()
     terms = decomposition_table()
-    indexed = _index_results(results)
+    indexed = {
+        (r.spec.form, r.spec.input, r.spec.pattern, r.spec.cut_basis): (
+            r.counts if r.counts is not None else r.dist
+        )
+        for r in results
+    }
     missing = []
     w4 = np.zeros((2, 6, 6, 8))
     p3 = np.zeros((2, 6, 8))
@@ -278,20 +264,19 @@ def witness_values(bt4: BlockTensor, bt3: BlockTensor, n: int, parity: str) -> n
     n_cuts = chain_cut_count(n)
     setting = "XZ" if parity == "odd" else "ZX"
     site_masks = _subset_site_masks(n, parity)
+    # 3-bit local mask of each block, MSB = the block's first real qubit
+    local = [(site_masks >> (n - 3 - 3 * b)) & 7 for b in range(n_cuts + 1)]
     c = _coefficients()
-    masks0 = _block_masks(site_masks, 0)
-    v = bt4.values[_local_pattern(0, setting), XP_INDEX][:, masks0].T * c[None, :]
+    v = bt4.values[_local_pattern(0, setting), XP_INDEX][:, local[0]].T * c[None, :]
     for b in range(1, n_cuts):
-        masks = _block_masks(site_masks, b)
         out = np.empty_like(v)
         for mask in range(8):
-            rows = masks == mask
+            rows = local[b] == mask
             if np.any(rows):
                 m = bt4.values[_local_pattern(b, setting), :, :, mask] * c[None, :]
                 out[rows] = v[rows] @ m
         v = out
-    masks_last = _block_masks(site_masks, n_cuts)
-    closing = bt3.values[_local_pattern(n_cuts, setting)][:, masks_last]
+    closing = bt3.values[_local_pattern(n_cuts, setting)][:, local[n_cuts]]
     return np.sum(v * closing.T, axis=1)
 
 
@@ -438,14 +423,12 @@ def scaling_sweep(bt4: BlockTensor, bt3: BlockTensor, k_max: int) -> list[Scalin
 
 
 def witness_values_from_distribution(p: np.ndarray, n: int, parity: str) -> np.ndarray:
-    """Per-term expectations of one parity from a full-chain distribution."""
-    setting = witness_setting(n, parity)
-    values = []
-    for term in witness_terms(n, parity):
-        values.append(
-            expectation_from_weights(p, n, term.pauli.letters, setting)
-        )
-    return np.asarray(values)
+    """Per-term expectations of one parity from a full-chain distribution.
+
+    ``p`` is measured in witness_setting(n, parity), where every term is a
+    parity of outcome bits on its support; terms follow witness_terms order.
+    """
+    return np.array([p @ mask_signs(mask, n) for mask in _subset_site_masks(n, parity)])
 
 
 def bound_from_distributions(p_xz: np.ndarray, p_zx: np.ndarray, n: int) -> dict:

@@ -68,18 +68,13 @@ def calibration_counts(
     readout: tuple[tuple[float, float], ...],
     shots: int,
     rng: np.random.Generator,
-) -> dict[str, CountsTable]:
-    """Readout calibration data: sampled counts for each prepared basis state."""
-    out = {}
-    for j in range(2**n):
-        p = np.zeros(2**n)
-        p[j] = 1.0
-        out[index_to_bits(j, n)] = sample_counts(Distribution(n, p), shots, rng, readout)
-    return out
+) -> list[CountsTable]:
+    """Readout calibration data: sampled counts for each prepared basis state, in index order."""
+    return [sample_counts(Distribution(n, p), shots, rng, readout) for p in np.eye(2**n)]
 
 
 def write_calibration(bundle_dir: Path, rep: int, run: RunConfig, noise: NoiseModel) -> None:
-    """Write per-register calibration bundles under reps/rXX/calibration/qN/."""
+    """Write per-register calibration bundles under reps/rXX/calibration/qN/<bits>.json."""
     for n in REGISTER_SIZES:
         readout = noise.readout_for(n)
         if readout is None:
@@ -87,5 +82,5 @@ def write_calibration(bundle_dir: Path, rep: int, run: RunConfig, noise: NoiseMo
         rng = rng_for(run.seed, rep, _CALIB_STREAM, n)
         target = rep_dir(bundle_dir, rep) / "calibration" / f"q{n}"
         target.mkdir(parents=True, exist_ok=True)
-        for bits, table in calibration_counts(n, readout, run.shots, rng).items():
-            (target / f"{bits}.json").write_text(dump_json(counts_to_dict(table)))
+        for j, table in enumerate(calibration_counts(n, readout, run.shots, rng)):
+            (target / f"{index_to_bits(j, n)}.json").write_text(dump_json(counts_to_dict(table)))

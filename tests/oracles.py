@@ -165,6 +165,30 @@ def partial_trace_index_sum(rho: np.ndarray, keep: list[int]) -> np.ndarray:
     return out
 
 
+def expectation_from_weights(weights: np.ndarray, n: int, pauli_letters: str, meas: str) -> float:
+    """Parity expectation of a Pauli string from outcome weights, letter by letter.
+
+    ``weights`` is a normalized (quasi-)distribution over 2^n outcomes
+    measured in ``meas``.  Every non-identity letter of the Pauli must
+    match the measured basis at that qubit; the value is
+    sum_b w(b) * (-1)^(parity of b on the Pauli's support), the sign
+    vector built one support qubit at a time (qubit q is bit n-1-q).
+    """
+    if len(pauli_letters) != n or len(meas) != n:
+        raise ValueError("length mismatch")
+    index = np.arange(2**n)
+    signs = np.ones(2**n)
+    for q, (letter, basis) in enumerate(zip(pauli_letters, meas)):
+        if letter == "I":
+            continue
+        if letter != basis:
+            raise ValueError(
+                f"Pauli letter {letter} at qubit {q} incompatible with {basis} readout"
+            )
+        signs *= 1.0 - 2.0 * ((index >> (n - 1 - q)) & 1)
+    return float(weights @ signs)
+
+
 def _block_masks_and_patterns(letters: str, parity: str) -> tuple[int, list, list]:
     """Cut count, per-block 3-bit masks and pattern indices, from raw letters."""
     n = len(letters)

@@ -12,7 +12,7 @@ import numpy as np
 from chaincut.circuit import build_linear_cluster
 from chaincut.cli import main
 from chaincut.config import ExperimentConfig
-from chaincut.counts import dump_json, expectation_from_weights
+from chaincut.counts import dump_json
 from chaincut.cut import (
     decomposition_table,
     plan_chain_jobs,
@@ -216,7 +216,7 @@ def test_c5_witness_soundness():
             )
             phys = mle_project(apply_tmem(counts, t4))
             vals = [
-                expectation_from_weights(phys.p, n, t.pauli.letters, meas)
+                oracles.expectation_from_weights(phys.p, n, t.pauli.letters, meas)
                 for t in witness_terms(n, parity)
             ]
             avgs[parity] = float(np.mean(vals))

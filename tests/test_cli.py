@@ -1,9 +1,13 @@
 """End-to-end CLI runs: bundles, reports, determinism, exit codes."""
 
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chaincut.cli import main
 from chaincut.config import ExperimentConfig, config_from_dict, load_config
@@ -176,6 +180,63 @@ class TestReconstruct:
         assert main(["reconstruct", "--out", str(tmp_path / "nothing")]) == 1
 
 
+class TestBundleIntegrity:
+    """Files that disagree with the bundle's config.json are rejected, naming the file."""
+
+    @staticmethod
+    def bundle(tmp_path: Path, mode: str) -> Path:
+        out = tmp_path / "run"
+        cfg = write_config(
+            tmp_path, mode=mode, shots=2000, repetitions=1, k_max=1, seed=4, out_dir=str(out)
+        )
+        assert main(["run-jobs", "--config", str(cfg)]) == 0
+        return out
+
+    @staticmethod
+    def double_shots(path: Path) -> None:
+        # still a valid counts file, with the same frequencies
+        d = json.loads(path.read_text())
+        d["shots"] *= 2
+        d["counts"] = {b: 2 * c for b, c in d["counts"].items()}
+        path.write_text(dump_json(d))
+
+    def assert_rejected(self, out: Path, name: str, capsys) -> None:
+        capsys.readouterr()
+        assert main(["reconstruct", "--out", str(out)]) == 1
+        assert name in capsys.readouterr().err
+
+    def test_job_file_shots_differ_from_config(self, tmp_path, capsys):
+        out = self.bundle(tmp_path, "sampled")
+        self.double_shots(out / "reps" / "r00" / "jobs" / "4q-Xp-XZX-Z.json")
+        self.assert_rejected(out, "4q-Xp-XZX-Z.json", capsys)
+
+    def test_calibration_file_shots_differ_from_config(self, tmp_path, capsys):
+        out = self.bundle(tmp_path, "sampled")
+        self.double_shots(out / "reps" / "r00" / "calibration" / "q4" / "0101.json")
+        self.assert_rejected(out, "0101.json", capsys)
+
+    def test_exact_bundle_holding_counts(self, tmp_path, capsys):
+        out = self.bundle(tmp_path, "exact")
+        (out / "reps" / "r00" / "jobs" / "3q-Xp-XZX.json").write_text(dump_json(
+            {"n": 3, "meas": ["X", "Z", "X"], "shots": 8, "counts": {"000": 8}}
+        ))
+        self.assert_rejected(out, "3q-Xp-XZX.json", capsys)
+
+    def test_sampled_bundle_holding_dist(self, tmp_path, capsys):
+        out = self.bundle(tmp_path, "sampled")
+        (out / "reps" / "r00" / "jobs" / "3q-Xp-XZX.json").write_text(dump_json(
+            {"n": 3, "meas": ["X", "Z", "X"], "dist": [0.125] * 8}
+        ))
+        self.assert_rejected(out, "3q-Xp-XZX.json", capsys)
+
+    def test_config_does_not_match_manifest_hash(self, tmp_path, capsys):
+        out = self.bundle(tmp_path, "exact")
+        cfg = json.loads((out / "config.json").read_text())
+        cfg["seed"] += 1
+        (out / "config.json").write_text(dump_json(cfg))
+        self.assert_rejected(out, "config.json does not match the config_sha256", capsys)
+
+
 class TestDirect:
     def test_noiseless_direct(self, tmp_path):
         out = tmp_path / "ref"
@@ -243,3 +304,56 @@ class TestErrors:
             config_from_dict({"f00": [0.9], "f11": None})
         with pytest.raises(ValueError):
             config_from_dict({"f00": [1.5], "f11": [0.9]})
+        mistyped = [
+            ("f00", {"f00": 0.9, "f11": 0.9}),
+            ("k_max", {"k_max": "9"}),
+            ("shots", {"shots": True, "mode": "sampled"}),
+            ("p1", {"p1": False}),
+            ("f11", {"f00": [0.9], "f11": [True]}),
+            ("mode", {"mode": 1}),
+            ("seed", {"seed": 1.0}),
+        ]
+        for field, d in mistyped:
+            with pytest.raises(ValueError, match=field):
+                config_from_dict(d)
+
+    @pytest.mark.parametrize(
+        "fields",
+        [{"f00": 0.9, "f11": 0.9}, {"k_max": "9"}, {"shots": True, "mode": "sampled"}],
+        ids=["scalar-rates", "string-int", "bool-shots"],
+    )
+    def test_mistyped_field_is_one_error_line(self, tmp_path, child_env, fields):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(fields))
+        proc = subprocess.run(
+            [sys.executable, "-m", "chaincut.cli", "run-jobs", "--config", str(bad)],
+            capture_output=True, text=True, env=child_env, cwd=tmp_path, timeout=120,
+        )
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.sampled_from([10**400, -(10**400)])
+    | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=5) | st.dictionaries(st.text(), inner, max_size=3),
+    max_leaves=10,
+)
+# values near the valid ones, so that accepted configs are explored too
+PLAUSIBLE = (
+    st.sampled_from(["exact", "sampled", "auto", "tensor", "full", "none"])
+    | st.integers(-2, 30) | st.floats(0.0, 1.0)
+    | st.lists(st.floats(0.0, 1.0) | st.just(10**400), max_size=4)
+)
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(st.dictionaries(st.sampled_from(sorted(ExperimentConfig().to_dict())), JSON_VALUES | PLAUSIBLE))
+def test_config_from_dict_returns_config_or_raises_value_error(d):
+    try:
+        cfg = config_from_dict(d)
+    except ValueError:
+        return
+    assert isinstance(cfg, ExperimentConfig)
+    assert config_from_dict(cfg.to_dict()) == cfg

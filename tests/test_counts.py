@@ -1,0 +1,77 @@
+"""Counts tables: dense in memory, bitstring-keyed only in the file form."""
+
+import numpy as np
+import pytest
+
+from chaincut.counts import CountsTable, counts_from_dict, counts_from_vector, counts_to_dict
+
+
+def sampled_table(n: int, seed: int) -> CountsTable:
+    rng = np.random.default_rng(seed)
+    vec = rng.multinomial(1000, rng.dirichlet(np.full(2**n, 0.3)))
+    return counts_from_vector(vec, "".join(rng.choice(list("XYZ"), n)), 1000)
+
+
+class TestCountsTable:
+    def test_n_and_shots_follow_from_vector(self):
+        t = CountsTable("XZ", [3, 0, 0, 5])
+        assert t.n == 2 and t.shots == 8
+        assert t.counts.dtype == np.int64
+        np.testing.assert_array_equal(t.frequencies(), [3 / 8, 0, 0, 5 / 8])
+
+    def test_vector_is_read_only_copy(self):
+        vec = np.array([1, 2], dtype=np.int64)
+        t = CountsTable("Z", vec)
+        vec[0] = 7
+        assert t.counts[0] == 1
+        with pytest.raises(ValueError):
+            t.counts[0] = 5
+
+    def test_equality_compares_meas_and_vector(self):
+        assert CountsTable("ZZ", [1, 0, 0, 1]) == CountsTable("ZZ", np.array([1, 0, 0, 1]))
+        assert CountsTable("ZZ", [1, 0, 0, 1]) != CountsTable("ZX", [1, 0, 0, 1])
+        assert CountsTable("ZZ", [1, 0, 0, 1]) != CountsTable("ZZ", [0, 1, 0, 1])
+
+    @pytest.mark.parametrize(
+        "meas, vec",
+        [("Z", [1, -1, 1]), ("ZZ", [1, 1]), ("Z", [2, -1]), ("Z", [0, 0])],
+        ids=["not-power-of-two", "setting-length", "negative", "no-shots"],
+    )
+    def test_invalid_tables_rejected(self, meas, vec):
+        with pytest.raises(ValueError):
+            CountsTable(meas, vec)
+
+    def test_from_vector_checks_shots(self):
+        with pytest.raises(ValueError, match="shots say 5"):
+            counts_from_vector(np.array([1, 3]), "Z", 5)
+
+
+class TestFileForm:
+    @pytest.mark.parametrize("n", [1, 3, 4, 7])
+    def test_round_trip(self, n):
+        t = sampled_table(n, seed=n)
+        again = counts_from_dict(counts_to_dict(t))
+        np.testing.assert_array_equal(again.counts, t.counts)
+        assert again.meas == t.meas and again.shots == t.shots
+        assert again == t
+
+    def test_keys_are_sorted_nonzero_bitstrings(self):
+        d = counts_to_dict(CountsTable("XZX", [0, 4, 0, 0, 0, 0, 1, 0]))
+        assert d == {"n": 3, "shots": 5, "meas": ["X", "Z", "X"], "counts": {"001": 4, "110": 1}}
+
+    @pytest.mark.parametrize(
+        "counts, shots, match",
+        [
+            ({"0a": 2}, 2, "bad bitstring"),
+            ({"0 ": 2}, 2, "bad bitstring"),
+            ({"010": 2}, 2, "bad bitstring"),
+            ({"0": 2}, 2, "bad bitstring"),
+            ({"01": -1, "10": 3}, 2, "negative"),
+            ({"01": 2**70}, 2**70, "too large"),
+            ({"01": 1, "10": 3}, 5, "shots say 5"),
+        ],
+        ids=["bad-char", "space", "too-long", "too-short", "negative", "huge", "wrong-sum"],
+    )
+    def test_invalid_files_rejected(self, counts, shots, match):
+        with pytest.raises(ValueError, match=match):
+            counts_from_dict({"n": 2, "shots": shots, "meas": ["Z", "Z"], "counts": counts})

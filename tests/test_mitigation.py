@@ -58,6 +58,13 @@ class TestTransitionMatrix:
         assert np.all(got >= 0)
         np.testing.assert_allclose(got.sum(axis=0), np.ones(2**n), atol=1e-12)
 
+    def test_confusion_matrix_built_once_and_read_only(self):
+        rates = TABLE_RATES[:3]
+        m = confusion_matrix(rates)
+        assert confusion_matrix(tuple(rates)) is m
+        with pytest.raises(ValueError):
+            m[0, 0] = 0.0
+
     def test_columns_stochastic(self):
         t = build_transition_matrix(4, "tensor", readout=TABLE_RATES)
         np.testing.assert_allclose(t.matrix.sum(axis=0), np.ones(16), atol=1e-12)
@@ -73,7 +80,7 @@ class TestTransitionMatrix:
     def test_full_calibration_missing_state(self):
         rng = np.random.default_rng(18)
         calib = calibration_counts(2, TABLE_RATES[:2], 1000, rng)
-        del calib["11"]
+        del calib[3]
         with pytest.raises(ValueError, match="missing"):
             build_transition_matrix(2, "full", calib=calib)
 
@@ -92,7 +99,7 @@ class TestTransitionMatrix:
 class TestApplyTmem:
     def test_identity_matrix_returns_normalized_counts(self):
         t = build_transition_matrix(1, "tensor", readout=((1.0, 1.0),))
-        counts = CountsTable(1, "Z", {"0": 3, "1": 1}, 4)
+        counts = CountsTable("Z", [3, 1])
         q = apply_tmem(counts, t)
         np.testing.assert_allclose(q.w, [0.75, 0.25])
 
@@ -188,7 +195,7 @@ class TestMleProject:
 class TestPipeline:
     def test_identity_pipeline_on_physical_counts(self):
         pipe = MitigationPipeline({})
-        counts = CountsTable(1, "Z", {"0": 9000, "1": 1000}, 10_000)
+        counts = CountsTable("Z", [9000, 1000])
         np.testing.assert_allclose(pipe.physical(counts).p, [0.9, 0.1], atol=1e-15)
 
     def test_exact_payload_passthrough(self):

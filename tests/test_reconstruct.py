@@ -7,16 +7,17 @@ import numpy as np
 import pytest
 
 from chaincut.circuit import build_linear_cluster
-from chaincut.counts import expectation_from_weights
 from chaincut.cut import decomposition_table
 from chaincut.mitigation import MitigationPipeline
 from chaincut.qstate import PauliString, pauli_product
 from chaincut.reconstruct import (
+    SIGNS3,
     BlockTensor,
     bound_from_distributions,
     build_block_tensors,
     chain_cut_count,
     fidelity_lower_bound,
+    mask_signs,
     scaling_sweep,
     stabilizer,
     stitched_distribution,
@@ -25,6 +26,7 @@ from chaincut.reconstruct import (
     witness_term_count,
     witness_terms,
     witness_values,
+    witness_values_from_distribution,
 )
 
 import oracles
@@ -138,7 +140,7 @@ class TestStitching:
             p = chain_distribution(n, meas, None)
             stitched = witness_values(bt4, bt3, n, parity)
             for term, sval in zip(witness_terms(n, parity), stitched):
-                dval = expectation_from_weights(p, n, term.pauli.letters, meas)
+                dval = oracles.expectation_from_weights(p, n, term.pauli.letters, meas)
                 assert sval == pytest.approx(dval, abs=1e-9)
 
     def test_single_term_matches_batch(self, noisy_exact_tensors):
@@ -240,8 +242,43 @@ class TestStitchedDistribution:
         vals = witness_values(bt4, bt3, 12, "odd")
         meas = witness_setting(12, "odd")
         for term, want in zip(witness_terms(12, "odd"), vals):
-            got = expectation_from_weights(p, 12, term.pauli.letters, meas)
+            got = oracles.expectation_from_weights(p, 12, term.pauli.letters, meas)
             assert got == pytest.approx(want, abs=1e-10)
+
+
+class TestWitnessFromDistribution:
+    def test_mask_signs_match_popcount_loop(self):
+        for n in range(1, 7):
+            for mask in range(2**n):
+                want = [(-1.0) ** bin(mask & b).count("1") for b in range(2**n)]
+                np.testing.assert_array_equal(mask_signs(mask, n), want)
+        np.testing.assert_array_equal(SIGNS3, [mask_signs(m, 3) for m in range(8)])
+
+    @pytest.mark.parametrize("n", range(2, 16))
+    def test_matches_letter_oracle(self, n):
+        rng = np.random.default_rng(n)
+        p = rng.dirichlet(np.full(2**n, 0.5))
+        q = p + rng.normal(0.0, 1e-3, 2**n)  # quasi-distribution with negative entries
+        for parity in ("odd", "even"):
+            meas = witness_setting(n, parity)
+            terms = witness_terms(n, parity)
+            for weights in (p, q):
+                want = [
+                    oracles.expectation_from_weights(weights, n, t.pauli.letters, meas)
+                    for t in terms
+                ]
+                got = witness_values_from_distribution(weights, n, parity)
+                assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("n", [4, 9])
+    def test_noiseless_chain_terms_are_one(self, n):
+        from chaincut.direct import chain_distribution
+
+        for parity in ("odd", "even"):
+            p = chain_distribution(n, witness_setting(n, parity), None)
+            np.testing.assert_allclose(
+                witness_values_from_distribution(p, n, parity), 1.0, atol=1e-12
+            )
 
 
 class TestBlockTensors:

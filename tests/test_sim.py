@@ -1,15 +1,10 @@
-"""Density simulation, noise channels, sampling, and counts expectations."""
+"""Density simulation, noise channels and sampling."""
 
 import numpy as np
 import pytest
 
 from chaincut.circuit import Circuit, GateOp, build_linear_cluster
-from chaincut.counts import (
-    CountsTable,
-    Distribution,
-    QuasiDistribution,
-    expectation_from_counts,
-)
+from chaincut.counts import Distribution
 from chaincut.qstate import PauliString, assert_density_operator, expectation, fidelity_to_pure
 from chaincut.sim import (
     NoiseModel,
@@ -117,19 +112,19 @@ class TestSampleCounts:
     def test_deterministic_outcome(self):
         d = Distribution(1, np.array([1.0, 0.0]))
         t = sample_counts(d, 1000, 5)
-        assert t.counts == {"0": 1000}
+        np.testing.assert_array_equal(t.counts, [1000, 0])
 
     def test_binomial_within_five_sigma(self):
         d = Distribution(1, np.array([0.5, 0.5]))
         t = sample_counts(d, 1_000_000, 42)
         sigma = np.sqrt(1_000_000 * 0.25)
-        assert abs(t.counts["0"] - 500_000) < 5 * sigma
+        assert abs(t.counts[0] - 500_000) < 5 * sigma
 
     def test_readout_flip_rate_within_five_sigma(self):
         d = Distribution(1, np.array([1.0, 0.0]))
         t = sample_counts(d, 1_000_000, 9, readout=((0.95, 0.9),))
         sigma = np.sqrt(1_000_000 * 0.05 * 0.95)
-        assert abs(t.counts.get("1", 0) - 50_000) < 5 * sigma
+        assert abs(t.counts[1] - 50_000) < 5 * sigma
 
     def test_reproducible_for_fixed_seed(self):
         d = Distribution(2, np.array([0.4, 0.3, 0.2, 0.1]))
@@ -151,31 +146,6 @@ class TestSampleCounts:
         flipped = apply_readout_to_distribution(p, readout)
         t = sample_counts(Distribution(3, p), 2_000_000, 3, readout=readout)
         np.testing.assert_allclose(t.frequencies(), flipped, atol=2e-3)
-
-
-class TestExpectationFromCounts:
-    def test_identity_is_normalization(self):
-        t = CountsTable(2, "XZ", {"00": 3, "11": 5}, 8)
-        assert expectation_from_counts(t, "II") == pytest.approx(1.0)
-
-    def test_lc4_stabilizer_from_exact_distribution(self):
-        rho = run_exact(build_linear_cluster(4), None)
-        d = measure_distribution(rho, "XZXZ")
-        assert expectation_from_counts(d, "XZII", "XZXZ") == pytest.approx(1.0, abs=1e-12)
-        assert expectation_from_counts(d, "XIXZ", "XZXZ") == pytest.approx(1.0, abs=1e-12)
-
-    def test_quasi_distribution_identity_preserved(self):
-        q = QuasiDistribution(1, np.array([1.2, -0.2]))
-        assert expectation_from_counts(q, "II"[:1], "Z") == pytest.approx(1.0)
-
-    def test_basis_incompatibility_rejected(self):
-        t = CountsTable(2, "XZ", {"00": 1}, 1)
-        with pytest.raises(ValueError, match="incompatible"):
-            expectation_from_counts(t, "ZI")
-
-    def test_parity_value(self):
-        t = CountsTable(2, "ZZ", {"01": 1, "10": 1}, 2)
-        assert expectation_from_counts(t, "ZZ") == pytest.approx(-1.0)
 
 
 class TestRng:
