@@ -26,6 +26,11 @@ from .qstate import (
 )
 
 
+# Largest shot count, and so largest single count, a table holds: below the
+# int64 that count vectors use and the C long a multinomial draw takes.
+MAX_SHOTS = 2**62 - 1
+
+
 @dataclass(frozen=True, eq=False)
 class CountsTable:
     """Sampled counts for one measurement setting.
@@ -123,7 +128,7 @@ def counts_from_dict(d: dict) -> CountsTable:
     for bits, c in d["counts"].items():
         if len(bits) != n or not set(bits) <= {"0", "1"}:
             raise ValueError(f"bad bitstring {bits!r} for n={n}")
-        if not 0 <= int(c) < 2**62:  # counts live in an int64 vector
+        if not 0 <= int(c) <= MAX_SHOTS:
             raise ValueError(f"count {c!r} for {bits!r} is negative or too large")
         vec[int(bits, 2)] = int(c)
     return counts_from_vector(vec, "".join(d["meas"]), int(d["shots"]))

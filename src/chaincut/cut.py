@@ -197,7 +197,6 @@ class JobResult:
     spec: JobSpec
     counts: CountsTable | None = None
     dist: Distribution | None = None
-    wall_time_s: float = 0.0
 
     def __post_init__(self):
         if (self.counts is None) == (self.dist is None):

@@ -35,7 +35,7 @@ from .qstate import (
     state_vector_1q,
 )
 from .reconstruct import bound_from_distributions, witness_setting
-from .sim import NoiseModel, RunConfig, apply_readout_to_distribution, sample_counts
+from .sim import NoiseModel, RunConfig, apply_readout_to_distribution, rng_for, sample_counts
 
 MAX_DIRECT_QUBITS = 24
 MAX_NOISY_QUBITS = 16
@@ -196,9 +196,7 @@ def direct_chain_report(
             continue
         flipped = apply_readout_to_distribution(p, readout)
         if run.mode == "sampled":
-            rng = np.random.default_rng(
-                np.random.SeedSequence(run.seed, spawn_key=(9000 + seed_offset, n, ord(key[0])))
-            )
+            rng = rng_for(run.seed, 9000 + seed_offset, n, ord(key[0]))
             counts = sample_counts(Distribution(n, flipped), run.shots, rng, None)
             freq = counts.frequencies()
         else:

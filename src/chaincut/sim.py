@@ -20,7 +20,7 @@ import numpy as np
 
 from . import qstate
 from .circuit import Circuit, basis_change_ops
-from .counts import CountsTable, Distribution, counts_from_vector
+from .counts import MAX_SHOTS, CountsTable, Distribution, counts_from_vector
 from .mitigation import confusion_1q, confusion_matrix, readout_rates
 from .qstate import GATES_1Q, apply_on_axis, cz_phases, prep_unitary
 
@@ -80,8 +80,10 @@ class RunConfig:
     def __post_init__(self):
         if self.mode not in ("exact", "sampled"):
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.mode == "sampled" and self.shots < 1:
-            raise ValueError("sampled mode needs shots >= 1")
+        if self.mode == "sampled" and not 1 <= self.shots <= MAX_SHOTS:
+            raise ValueError(f"sampled mode needs 1 <= shots <= {MAX_SHOTS}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
 
 def rng_for(master_seed: int, *path: int) -> np.random.Generator:
@@ -200,10 +202,8 @@ def sample_counts(
         return counts_from_vector(raw, meas, shots)
     if len(readout) != dist.n:
         raise ValueError("readout rates do not match register size")
-    kernel = confusion_matrix(readout)
-    observed = np.zeros(2**dist.n, dtype=np.int64)
-    for j in np.nonzero(raw)[0]:
-        observed += rng.multinomial(int(raw[j]), kernel[:, j])
+    nz = np.flatnonzero(raw)
+    observed = rng.multinomial(raw[nz], confusion_matrix(readout)[:, nz].T).sum(axis=0)
     return counts_from_vector(observed, meas, shots)
 
 

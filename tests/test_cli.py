@@ -1,5 +1,6 @@
 """End-to-end CLI runs: bundles, reports, determinism, exit codes."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 from chaincut.cli import main
 from chaincut.config import ExperimentConfig, config_from_dict, load_config
-from chaincut.counts import dump_json
+from chaincut.counts import MAX_SHOTS, dump_json
 
 
 def write_config(path: Path, **kwargs) -> Path:
@@ -32,6 +33,11 @@ def read_tree(root: Path, skip_time: bool = True) -> dict[str, bytes]:
                 data = "\n".join(",".join(l.split(",")[:5]) for l in lines).encode()
             out[str(p.relative_to(root))] = data
     return out
+
+
+# sha256 of the default-noise sampled bundle in
+# TestRunJobs.test_sampled_bundle_matches_golden_digest.
+GOLDEN_SAMPLED_BUNDLE_SHA256 = "acf0b8b57ade56ed24b3bd0ebb7b88e3b2da7872bbb0ff4fb453057aa7fb61ee"
 
 
 class TestRunJobs:
@@ -65,6 +71,24 @@ class TestRunJobs:
         first = read_tree(tmp_path / "a")
         assert main(["run-jobs", "--config", str(cfg)]) == 0
         assert read_tree(tmp_path / "a") == first
+
+    def test_sampled_bundle_matches_golden_digest(self, tmp_path):
+        # Pins the job and calibration RNG streams across code changes, not
+        # only across reruns.  config.json holds out_dir and manifest.json its
+        # hash, so both are left out; plan.json and every rep file are hashed.
+        out = tmp_path / "run"
+        cfg = write_config(
+            tmp_path, mode="sampled", mitigation="auto", shots=10_000, repetitions=2,
+            seed=20240917, out_dir=str(out),
+        )
+        assert main(["run-jobs", "--config", str(cfg)]) == 0
+        tree = read_tree(out)
+        del tree["config.json"], tree["manifest.json"]
+        assert len(tree) == 1 + 2 * (48 + 16 + 8)
+        digest = hashlib.sha256()
+        for name, data in sorted(tree.items()):
+            digest.update(name.encode() + b"\0" + data + b"\0")
+        assert digest.hexdigest() == GOLDEN_SAMPLED_BUNDLE_SHA256
 
     def test_flag_overrides(self, tmp_path):
         cfg = write_config(tmp_path, mode="sampled", shots=1000, out_dir="ignored")
@@ -279,10 +303,24 @@ class TestErrors:
         bad.write_text('{"modee": "exact"}')
         assert main(["run-jobs", "--config", str(bad)]) == 1
 
+    def test_negative_seed_override_writes_nothing(self, tmp_path):
+        out = tmp_path / "run"
+        assert main(["run-jobs", "--seed", "-1", "--out", str(out)]) == 1
+        assert not out.exists()
+
     def test_invalid_json_config(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
         assert main(["run-jobs", "--config", str(bad)]) == 1
+
+    def test_largest_shot_count_reconstructs(self, tmp_path):
+        # every count of a calibration file stays readable (<= MAX_SHOTS)
+        out = tmp_path / "run"
+        cfg = write_config(
+            tmp_path, mode="sampled", shots=MAX_SHOTS, k_max=1, repetitions=1, out_dir=str(out)
+        )
+        assert main(["run-jobs", "--config", str(cfg)]) == 0
+        assert main(["reconstruct", "--out", str(out)]) == 0
 
     def test_singular_readout_is_numerical_error(self, tmp_path, capsys):
         out = tmp_path / "run"
@@ -304,6 +342,12 @@ class TestErrors:
             config_from_dict({"f00": [0.9], "f11": None})
         with pytest.raises(ValueError):
             config_from_dict({"f00": [1.5], "f11": [0.9]})
+        # in range for JSON, out of range for SeedSequence and multinomial
+        with pytest.raises(ValueError, match="seed"):
+            config_from_dict({"mode": "sampled", "seed": -1})
+        for shots in (2**62, 10**20):
+            with pytest.raises(ValueError, match="shots"):
+                config_from_dict({"mode": "sampled", "shots": shots})
         mistyped = [
             ("f00", {"f00": 0.9, "f11": 0.9}),
             ("k_max", {"k_max": "9"}),
@@ -319,8 +363,14 @@ class TestErrors:
 
     @pytest.mark.parametrize(
         "fields",
-        [{"f00": 0.9, "f11": 0.9}, {"k_max": "9"}, {"shots": True, "mode": "sampled"}],
-        ids=["scalar-rates", "string-int", "bool-shots"],
+        [
+            {"f00": 0.9, "f11": 0.9},
+            {"k_max": "9"},
+            {"shots": True, "mode": "sampled"},
+            {"mode": "sampled", "seed": -1},
+            {"mode": "sampled", "shots": 10**20},
+        ],
+        ids=["scalar-rates", "string-int", "bool-shots", "negative-seed", "huge-shots"],
     )
     def test_mistyped_field_is_one_error_line(self, tmp_path, child_env, fields):
         bad = tmp_path / "bad.json"
@@ -332,6 +382,7 @@ class TestErrors:
         assert proc.returncode == 1
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.json"]
 
 
 JSON_VALUES = st.recursive(

@@ -5,8 +5,10 @@ import pytest
 
 from chaincut.circuit import Circuit, GateOp, build_linear_cluster
 from chaincut.counts import Distribution
+from chaincut.mitigation import confusion_matrix
 from chaincut.qstate import PauliString, assert_density_operator, expectation, fidelity_to_pure
 from chaincut.sim import (
+    DEFAULT_READOUT,
     NoiseModel,
     apply_readout_to_distribution,
     measure_distribution,
@@ -132,6 +134,26 @@ class TestSampleCounts:
         a = sample_counts(d, seed_or_rng=77, **kwargs)
         b = sample_counts(d, seed_or_rng=77, **kwargs)
         assert a == b
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_readout_draw_matches_per_outcome_loop(self, seed):
+        # One multinomial per observed true outcome, in index order, from the
+        # same generator: the draws and the generator's final state must agree.
+        n = 3 + seed % 2
+        readout = DEFAULT_READOUT[-n:]
+        p = rng_for(seed, 1).random(2**n)
+        p[seed % 3 :: 3] = 0.0
+        p /= p.sum()
+        shots = (1, 10, 1_000_000)[seed % 3]
+        rng = rng_for(seed, 2)
+        got = sample_counts(Distribution(n, p), shots, rng, readout)
+        ref = rng_for(seed, 2)
+        raw = ref.multinomial(shots, p / p.sum())
+        want = np.zeros(2**n, dtype=np.int64)
+        for j in np.flatnonzero(raw):
+            want += ref.multinomial(int(raw[j]), confusion_matrix(readout)[:, j])
+        np.testing.assert_array_equal(got.counts, want)
+        assert rng.integers(1 << 62) == ref.integers(1 << 62)
 
     def test_shots_validated(self):
         d = Distribution(1, np.array([1.0, 0.0]))
