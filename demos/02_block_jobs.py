@@ -9,7 +9,7 @@ bases gives 36 four-qubit jobs; 6 x 2 gives 12 three-qubit jobs.
 
 import numpy as np
 
-from chaincut.circuit import build_block_subcircuit, dump_circuit
+from chaincut.circuit import build_block_subcircuit
 from chaincut.cut import plan_chain_jobs
 from chaincut.mitigation import MitigationPipeline
 from chaincut.runner import execute_jobs
@@ -21,9 +21,9 @@ three = [s for s in plan if s.form == "3q"]
 print(f"grid: {len(four)} four-qubit jobs + {len(three)} three-qubit jobs = {len(plan)}")
 print("first few job ids:", ", ".join(s.job_id for s in plan[:4]), "...")
 
-circ = build_block_subcircuit("4q", "Xp", "XZXZ")
+circ = build_block_subcircuit("4q", "Xp")
 print("\nthe |+>-input block is the 4-qubit linear-cluster circuit itself:")
-print(" ", dump_circuit(circ))
+print(" ", [(g.kind, g.qubits, g.label) for g in circ.ops])
 
 results = execute_jobs(plan, RunConfig("exact"), None)
 job = next(r for r in results if r.spec.job_id == "4q-Xp-XZX-Z")

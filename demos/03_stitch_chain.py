@@ -30,7 +30,7 @@ for parity in ("odd", "even"):
           f"{np.max(np.abs(vals - 1)):.2e}")
 
 sample = witness_terms(12, "odd")[37]
-print(f"\nexample term: stabilizer subset {sample.subset} -> Pauli {sample.pauli.letters}")
+print(f"\nexample term: stabilizer subset {sample.subset} -> Pauli {sample.letters}")
 
 for setting in ("XZ", "ZX"):
     stitched = stitched_distribution(bt4, bt3, 12, setting)

@@ -1,7 +1,8 @@
 """Circuit IR and builders for linear-cluster chains and their cut blocks.
 
-A circuit is a flat list of gate ops plus one terminal measurement
-setting (one basis letter per qubit).  Preparation of a labelled
+A circuit is a register size and a flat list of gate ops; the
+measurement setting (one basis letter per qubit) is an argument of
+whichever function measures it.  Preparation of a labelled
 single-qubit state is an op of kind ``prep`` resolved by the simulator;
 there is no pulse- or gate-level decomposition of state preparation.
 
@@ -12,7 +13,6 @@ basis letter is always P(0) - P(1) of the rotated qubit.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from .qstate import STATE_LABELS
@@ -58,16 +58,14 @@ class GateOp:
 
 @dataclass(frozen=True)
 class Circuit:
-    """An n-qubit circuit: ordered ops plus a terminal measurement setting."""
+    """An n-qubit circuit: ordered ops, measured in whatever setting the caller names."""
 
     n_qubits: int
     ops: tuple[GateOp, ...]
-    meas: str
 
     def __post_init__(self):
         if self.n_qubits < 1:
             raise ValueError("need at least one qubit")
-        validate_meas_setting(self.meas, self.n_qubits)
         seen: set[int] = set()
         prepped: set[int] = set()
         for op in self.ops:
@@ -84,19 +82,14 @@ class Circuit:
             seen.update(op.qubits)
 
 
-def validate_meas_setting(meas: str, n_qubits: int) -> None:
-    if len(meas) != n_qubits or any(c not in "XYZ" for c in meas):
-        raise ValueError(f"measurement setting {meas!r} invalid for {n_qubits} qubits")
-
-
 def basis_change_ops(meas: str, n_qubits: int | None = None) -> list[GateOp]:
     """Pre-measurement rotations mapping each requested basis onto Z.
 
     X -> H; Y -> Sdg, H; Z -> nothing.  Applied right before the terminal
     Z-basis readout.
     """
-    if n_qubits is not None:
-        validate_meas_setting(meas, n_qubits)
+    if n_qubits is not None and len(meas) != n_qubits:
+        raise ValueError(f"measurement setting {meas!r} invalid for {n_qubits} qubits")
     ops = []
     for q, basis in enumerate(meas):
         if basis == "X":
@@ -110,18 +103,15 @@ def basis_change_ops(meas: str, n_qubits: int | None = None) -> list[GateOp]:
 
 
 def build_linear_cluster(n: int) -> Circuit:
-    """Hadamard column then a CZ staircase: the n-qubit linear-cluster circuit.
-
-    Default measurement is all-Z; callers override via replace_meas.
-    """
+    """Hadamard column then a CZ staircase: the n-qubit linear-cluster circuit."""
     if n < 1:
         raise ValueError("linear cluster needs n >= 1")
     ops = [GateOp("H", (q,)) for q in range(n)]
     ops += [GateOp("CZ", (q, q + 1)) for q in range(n - 1)]
-    return Circuit(n, tuple(ops), "Z" * n)
+    return Circuit(n, tuple(ops))
 
 
-def build_block_subcircuit(form: str, input_label: str, meas: str) -> Circuit:
+def build_block_subcircuit(form: str, input_label: str) -> Circuit:
     """One cut block: prepared qubit 0, H on the rest, CZ staircase.
 
     With ``input_label`` = "Xp" the 4q and 3q forms prepare the 4- and
@@ -131,45 +121,8 @@ def build_block_subcircuit(form: str, input_label: str, meas: str) -> Circuit:
     """
     if form not in BLOCK_FORMS:
         raise ValueError(f"unknown block form {form!r}")
-    n = 4 if form == FOUR_QUBIT else 3
-    validate_meas_setting(meas, n)
+    n = REGISTER_SIZES[BLOCK_FORMS.index(form)]
     ops = [GateOp("prep", (0,), input_label)]
     ops += [GateOp("H", (q,)) for q in range(1, n)]
     ops += [GateOp("CZ", (q, q + 1)) for q in range(n - 1)]
-    return Circuit(n, tuple(ops), meas)
-
-
-def replace_meas(c: Circuit, meas: str) -> Circuit:
-    return Circuit(c.n_qubits, c.ops, meas)
-
-
-# ---------------------------------------------------------------------------
-# JSON round-trip.  Format:
-#   {"n": 4, "ops": [{"kind": "prep", "q": [0], "label": "Xp"},
-#                    {"kind": "H", "q": [1]}, {"kind": "CZ", "q": [0, 1]}],
-#    "meas": ["X", "Z", "X", "Z"]}
-
-
-def circuit_to_dict(c: Circuit) -> dict:
-    ops = []
-    for op in c.ops:
-        d: dict = {"kind": op.kind, "q": list(op.qubits)}
-        if op.label is not None:
-            d["label"] = op.label
-        ops.append(d)
-    return {"n": c.n_qubits, "ops": ops, "meas": list(c.meas)}
-
-
-def circuit_from_dict(d: dict) -> Circuit:
-    ops = tuple(
-        GateOp(o["kind"], tuple(o["q"]), o.get("label")) for o in d["ops"]
-    )
-    return Circuit(int(d["n"]), ops, "".join(d["meas"]))
-
-
-def dump_circuit(c: Circuit) -> str:
-    return json.dumps(circuit_to_dict(c), sort_keys=True)
-
-
-def load_circuit(text: str) -> Circuit:
-    return circuit_from_dict(json.loads(text))
+    return Circuit(n, tuple(ops))

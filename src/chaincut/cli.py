@@ -40,9 +40,9 @@ from .direct import direct_chain_report
 from .mitigation import NumericalError, pipeline_for_rep, transition_matrix_to_dict
 from .reconstruct import (
     build_block_tensors,
-    fidelity_lower_bound,
     scaling_sweep,
     stitched_distribution,
+    stitched_lower_bound,
     witness_terms,
     witness_values,
 )
@@ -97,7 +97,7 @@ def cmd_run_jobs(args) -> int:
 def cmd_calibrate(args) -> int:
     cfg = _load_effective_config(args)
     noise = cfg.noise_model()
-    if noise is None or noise.readout is None:
+    if not cfg.readout:
         raise ValueError("calibrate needs readout rates in the configuration")
     out = Path(cfg.out_dir)
     _write_manifest(out, "calibrate", cfg)
@@ -151,8 +151,9 @@ def _reconstruct_reports(bundle: Path, cfg: ExperimentConfig) -> dict:
     per_rep = []
     matrices = None
     # Exact distributions model pre-readout statistics and never pass
-    # through TMEM, so exact bundles build no confusion matrices.
-    mitigation = "none" if cfg.mode == "exact" else cfg.mitigation
+    # through TMEM, so exact bundles build no confusion matrices; nor does a
+    # config without readout rates, whose sampled bundles hold no calibration.
+    mitigation = "none" if cfg.mode == "exact" or not cfg.readout else cfg.mitigation
     for rep in reps:
         results = [read_job_result(bundle, rep, spec) for spec in plan]
         _check_rep_files(bundle, rep, results, cfg)
@@ -203,23 +204,24 @@ def _scaling_csv(rows: list[dict]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _witness_report(per_rep: list[dict], parities=("odd", "even")) -> dict:
+def _term_entries(n: int, parity: str, means, stds=None) -> list[dict]:
+    """One report entry per witness term: subset, letters (key "pauli"), mean[, std]."""
+    entries = []
+    for i, t in enumerate(witness_terms(n, parity)):
+        entry = {"subset": list(t.subset), "pauli": t.letters, "mean": float(means[i])}
+        if stds is not None:
+            entry["std"] = float(stds[i])
+        entries.append(entry)
+    return entries
+
+
+def _witness_report(per_rep: list[dict]) -> dict:
     report = {"n": REPORT_N}
-    key = {"odd": "odd12", "even": "even12"}
-    for parity in parities:
-        stacked = np.stack([r[key[parity]] for r in per_rep])
+    for parity in ("odd", "even"):
+        stacked = np.stack([r[f"{parity}12"] for r in per_rep])
         means = stacked.mean(axis=0)
         stds = stacked.std(axis=0, ddof=1) if stacked.shape[0] > 1 else np.zeros_like(means)
-        terms = witness_terms(REPORT_N, parity)
-        report[parity] = [
-            {
-                "subset": list(t.subset),
-                "pauli": t.pauli.letters,
-                "mean": float(m),
-                "std": float(s),
-            }
-            for t, m, s in zip(terms, means, stds)
-        ]
+        report[parity] = _term_entries(REPORT_N, parity, means, stds)
     return report
 
 
@@ -241,7 +243,7 @@ def cmd_reconstruct(args) -> int:
     even_avg = float(np.mean([t["mean"] for t in witness["even"]]))
     witness["odd_avg"] = odd_avg
     witness["even_avg"] = even_avg
-    witness["bound"] = fidelity_lower_bound(odd_avg, even_avg)
+    witness["bound"] = stitched_lower_bound(odd_avg, even_avg, REPORT_N)
     (reports / "witness_terms.json").write_text(dump_json(witness))
     dists = {
         "n": REPORT_N,
@@ -275,14 +277,8 @@ def cmd_direct(args) -> int:
     even = np.mean([r["even"] for r in reports], axis=0)
     witness = {
         "n": n,
-        "odd": [
-            {"subset": list(t.subset), "pauli": t.pauli.letters, "mean": float(v)}
-            for t, v in zip(witness_terms(n, "odd"), odd)
-        ],
-        "even": [
-            {"subset": list(t.subset), "pauli": t.pauli.letters, "mean": float(v)}
-            for t, v in zip(witness_terms(n, "even"), even)
-        ],
+        "odd": _term_entries(n, "odd", odd),
+        "even": _term_entries(n, "even", even),
         "odd_avg": float(np.mean(odd)),
         "even_avg": float(np.mean(even)),
         "bound": float(np.mean(bounds)),

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import qstate
 from .circuit import Circuit, basis_change_ops, build_linear_cluster
 from .counts import Distribution, QuasiDistribution
 from .mitigation import mle_project, readout_rates, tmem_product_inverse
@@ -212,8 +211,3 @@ def direct_chain_report(
     }
     return report
 
-
-def lc_state_fidelity(rho: np.ndarray, n: int) -> float:
-    """<LC_n| rho |LC_n> against the ideal cluster state."""
-    psi = run_statevector(build_linear_cluster(n))
-    return qstate.fidelity_to_pure(rho, psi)

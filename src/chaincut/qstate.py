@@ -1,11 +1,12 @@
-"""Dense complex linear algebra and Pauli-string primitives.
+"""Dense complex linear algebra and symplectic Pauli conjugation.
 
 Everything downstream (circuit simulation, cut decomposition, witness
 evaluation) works with plain numpy arrays produced and validated here:
 
 * state vectors     -- complex vectors of length 2^n, unit L2 norm
 * density operators -- Hermitian, unit-trace, PSD 2^n x 2^n matrices
-* Pauli strings     -- ``PauliString`` values with a tracked +/-1 phase
+* Pauli strings     -- (x, z) bit arrays plus a +/-1 sign, conjugated
+                       through Clifford gates in place
 
 Bit convention used across the whole package: qubit 0 is the leftmost
 qubit of the chain and the most significant bit of every basis-state
@@ -15,9 +16,7 @@ so a register-ordered Kronecker chain needs no reshuffling.
 
 from __future__ import annotations
 
-import functools
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -70,14 +69,6 @@ def prep_unitary(label: str) -> np.ndarray:
     return np.array([[v[0], -np.conj(v[1])], [v[1], np.conj(v[0])]])
 
 
-def ket(bits: str) -> np.ndarray:
-    """Computational-basis ket for a bitstring, qubit 0 leftmost."""
-    n = len(bits)
-    v = np.zeros(2**n, dtype=complex)
-    v[int(bits, 2)] = 1.0
-    return v
-
-
 def projector(vec: np.ndarray) -> np.ndarray:
     """|v><v| for a normalized state vector."""
     return np.outer(vec, vec.conj())
@@ -110,94 +101,6 @@ def cz_phases(a: int, b: int, n: int) -> np.ndarray:
     bit_a = (idx >> (n - 1 - a)) & 1
     bit_b = (idx >> (n - 1 - b)) & 1
     return 1.0 - 2.0 * (bit_a & bit_b)
-
-
-# ---------------------------------------------------------------------------
-# Pauli strings
-
-
-# Letter-product tables: product XY = phase * letter with phase in i^k.
-_LETTER_INDEX = {"I": 0, "X": 1, "Y": 2, "Z": 3}
-_INDEX_LETTER = "IXYZ"
-# _PROD_LETTER[a][b] = index of the Pauli letter of sigma_a . sigma_b
-_PROD_LETTER = np.array(
-    [[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]], dtype=np.int8
-)
-# _PROD_PHASE[a][b] = exponent k of i in sigma_a . sigma_b = i^k sigma_c
-_PROD_PHASE = np.array(
-    [[0, 0, 0, 0], [0, 0, 1, 3], [0, 3, 0, 1], [0, 1, 3, 0]], dtype=np.int8
-)
-
-
-@dataclass(frozen=True)
-class PauliString:
-    """A signed Pauli string: ``phase * letters[0] (x) letters[1] (x) ...``.
-
-    ``letters`` is a string over {I, X, Y, Z}, one letter per qubit with
-    qubit 0 first.  ``phase`` is restricted to +/-1; products that would
-    produce an imaginary global phase raise instead of silently storing it.
-    """
-
-    letters: str
-    phase: int = 1
-
-    def __post_init__(self):
-        if not self.letters or any(c not in "IXYZ" for c in self.letters):
-            raise ValueError(f"invalid Pauli letters {self.letters!r}")
-        if self.phase not in (1, -1):
-            raise ValueError(f"phase must be +1 or -1, got {self.phase}")
-
-    @property
-    def n_qubits(self) -> int:
-        return len(self.letters)
-
-    @property
-    def support(self) -> tuple[int, ...]:
-        return tuple(q for q, c in enumerate(self.letters) if c != "I")
-
-    def __mul__(self, other: "PauliString") -> "PauliString":
-        if self.n_qubits != other.n_qubits:
-            raise ValueError("Pauli length mismatch")
-        a = np.frombuffer(self.letters.encode(), dtype=np.uint8)
-        b = np.frombuffer(other.letters.encode(), dtype=np.uint8)
-        ia = _LETTER_LUT[a]
-        ib = _LETTER_LUT[b]
-        k = int(_PROD_PHASE[ia, ib].sum()) % 4
-        if k % 2:
-            raise ValueError("product has imaginary phase; not representable")
-        letters = "".join(_INDEX_LETTER[i] for i in _PROD_LETTER[ia, ib])
-        phase = self.phase * other.phase * (1 if k == 0 else -1)
-        return PauliString(letters, phase)
-
-    def __str__(self) -> str:
-        sign = "+" if self.phase == 1 else "-"
-        return sign + self.letters
-
-
-# ASCII byte -> letter index lookup (only I, X, Y, Z populated).
-_LETTER_LUT = np.zeros(128, dtype=np.int8)
-for _c, _i in _LETTER_INDEX.items():
-    _LETTER_LUT[ord(_c)] = _i
-
-
-def identity_pauli(n: int) -> PauliString:
-    return PauliString("I" * n)
-
-
-def pauli_product(factors: Iterable[PauliString]) -> PauliString:
-    """Product of Pauli strings with phase tracking, left to right."""
-    factors = list(factors)
-    if not factors:
-        raise ValueError("empty product")
-    return functools.reduce(lambda a, b: a * b, factors)
-
-
-def pauli_matrix(p: PauliString) -> np.ndarray:
-    """Dense 2^n x 2^n matrix of a signed Pauli string."""
-    out = np.array([[p.phase]], dtype=complex)
-    for c in p.letters:
-        out = np.kron(out, PAULI_1Q[c])
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -243,27 +146,6 @@ def partial_trace(rho: np.ndarray, keep: Sequence[int]) -> np.ndarray:
     return np.ascontiguousarray(t.reshape(2**m, 2**m))
 
 
-def expectation(rho: np.ndarray, p: PauliString) -> float:
-    """Tr(rho * P) for a signed Pauli string, checked to be real.
-
-    An imaginary residue above the structural tolerance signals a
-    corrupted (non-Hermitian) state and raises.
-    """
-    n = num_qubits(rho.shape[0])
-    if p.n_qubits != n:
-        raise ValueError(f"Pauli on {p.n_qubits} qubits, state on {n}")
-    val = complex(np.trace(rho @ pauli_matrix(p)))
-    if abs(val.imag) > ATOL_STRUCTURAL:
-        raise ValueError(f"expectation has imaginary part {val.imag:.3e}")
-    return float(val.real)
-
-
-def fidelity_to_pure(rho: np.ndarray, psi: np.ndarray) -> float:
-    """<psi| rho |psi> for a pure target."""
-    val = complex(psi.conj() @ rho @ psi)
-    return float(val.real)
-
-
 # ---------------------------------------------------------------------------
 # Distributions over measurement outcomes
 
@@ -298,19 +180,6 @@ def index_to_bits(index: int, n: int) -> str:
 # Pauli strings through Clifford gates.  Arrays of shape (..., n) of
 # uint8 bits; sign tracked as a +/-1 array (conjugation by H, S, CZ can
 # only flip signs, never introduce factors of i).
-
-
-def pauli_to_xz(p: PauliString) -> tuple[np.ndarray, np.ndarray, int]:
-    idx = _LETTER_LUT[np.frombuffer(p.letters.encode(), dtype=np.uint8)]
-    x = ((idx == 1) | (idx == 2)).astype(np.uint8)
-    z = ((idx == 2) | (idx == 3)).astype(np.uint8)
-    return x, z, p.phase
-
-
-def xz_to_pauli(x: np.ndarray, z: np.ndarray, sign: int) -> PauliString:
-    # index 2z + x: 0 -> I, 1 -> X, 2 -> Z, 3 -> Y
-    letters = "".join("IXZY"[int(2 * zz + xx)] for xx, zz in zip(x, z))
-    return PauliString(letters, int(sign))
 
 
 def conjugate_h(x, z, sign, q):

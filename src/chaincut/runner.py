@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .circuit import BLOCK_FORMS, REGISTER_SIZES, build_block_subcircuit
+from .circuit import REGISTER_SIZES, build_block_subcircuit
 from .counts import CountsTable, Distribution, counts_to_dict, dump_json
 from .cut import JobResult, JobSpec, rep_dir
 from .qstate import index_to_bits
@@ -31,9 +31,8 @@ _CALIB_STREAM = 1
 # keys one repetition cycles through would never hit.
 @functools.lru_cache(maxsize=2 * 12)
 def _block_state(form: str, label: str, noise: NoiseModel | None) -> np.ndarray:
-    """Read-only density operator of one block; its ops do not depend on the setting."""
-    n = REGISTER_SIZES[BLOCK_FORMS.index(form)]
-    rho = run_exact(build_block_subcircuit(form, label, "Z" * n), noise)
+    """Read-only density operator of one block, measured later in each of its settings."""
+    rho = run_exact(build_block_subcircuit(form, label), noise)
     rho.flags.writeable = False
     return rho
 

@@ -30,6 +30,107 @@ STATES = {
 }
 
 
+def ket(bits: str) -> np.ndarray:
+    """Computational-basis ket for a bitstring, qubit 0 leftmost."""
+    v = np.zeros(2 ** len(bits), dtype=complex)
+    v[int(bits, 2)] = 1.0
+    return v
+
+
+def cluster_state(n: int) -> np.ndarray:
+    """|LC_n> = 2^(-n/2) sum_b (-1)^(sum_i b_i b_(i+1)) |b>, in closed form."""
+    b = (np.arange(2**n)[:, None] >> np.arange(n - 1, -1, -1)) & 1
+    return (-1.0) ** np.sum(b[:, :-1] & b[:, 1:], axis=1) / 2 ** (n / 2)
+
+
+def fidelity_to_pure(rho: np.ndarray, psi: np.ndarray) -> float:
+    return float(np.real(psi.conj() @ rho @ psi))
+
+
+def lc_state_fidelity(rho: np.ndarray, n: int) -> float:
+    """<LC_n| rho |LC_n> against the ideal cluster state."""
+    return fidelity_to_pure(rho, cluster_state(n))
+
+
+# ---------------------------------------------------------------------------
+# Signed Pauli strings as (phase, letters), qubit 0 first
+
+
+def _letter_products() -> dict:
+    """(i-power phase, letter) of a.b for every pair of letters, read off 2x2 matrices."""
+    table = {}
+    for a, b in itertools.product("IXYZ", repeat=2):
+        m = PAULIS[a] @ PAULIS[b]
+        for c in "IXYZ":
+            phase = np.trace(PAULIS[c].conj().T @ m) / 2
+            if abs(phase) > 0.5:
+                table[a, b] = (complex(np.round(phase)), c)
+    return table
+
+
+LETTER_PRODUCTS = _letter_products()
+
+
+def stabilizer(n: int, i: int) -> tuple[int, str]:
+    """Chain stabilizer s_i (1-based): X at site i, Z on its neighbours."""
+    letters = ["I"] * n
+    letters[i - 1] = "X"
+    if i > 1:
+        letters[i - 2] = "Z"
+    if i < n:
+        letters[i] = "Z"
+    return 1, "".join(letters)
+
+
+def pauli_product(*factors: tuple[int, str]) -> tuple[int, str]:
+    """Phase-tracked product of signed Pauli strings, left to right, letter by letter.
+
+    A product whose phase is imaginary is not a Hermitian Pauli string and raises.
+    """
+    phase, letters = complex(factors[0][0]), factors[0][1]
+    for f_phase, f_letters in factors[1:]:
+        if len(f_letters) != len(letters):
+            raise ValueError("Pauli length mismatch")
+        phase *= f_phase
+        out = []
+        for a, b in zip(letters, f_letters):
+            p, c = LETTER_PRODUCTS[a, b]
+            phase *= p
+            out.append(c)
+        letters = "".join(out)
+    if phase.imag:
+        raise ValueError("product has imaginary phase; not a Hermitian Pauli string")
+    return int(phase.real), letters
+
+
+def pauli_matrix(p: tuple[int, str]) -> np.ndarray:
+    """Dense 2^n x 2^n matrix of a signed Pauli string."""
+    out = np.array([[p[0]]], dtype=complex)
+    for c in p[1]:
+        out = np.kron(out, PAULIS[c])
+    return out
+
+
+def expectation(rho: np.ndarray, p: tuple[int, str]) -> float:
+    """Tr(rho P), checked to be real."""
+    if rho.shape[0] != 2 ** len(p[1]):
+        raise ValueError(f"Pauli on {len(p[1])} qubits, state of dimension {rho.shape[0]}")
+    val = complex(np.trace(rho @ pauli_matrix(p)))
+    assert abs(val.imag) < 1e-10, val
+    return val.real
+
+
+def pauli_to_xz(p: tuple[int, str]) -> tuple[np.ndarray, np.ndarray, int]:
+    """Symplectic bits of a signed Pauli string: x marks X/Y letters, z marks Z/Y."""
+    x = np.array([c in "XY" for c in p[1]], dtype=np.uint8)
+    z = np.array([c in "ZY" for c in p[1]], dtype=np.uint8)
+    return x, z, p[0]
+
+
+def xz_to_pauli(x: np.ndarray, z: np.ndarray, sign: int) -> tuple[int, str]:
+    return int(sign), "".join("IXZY"[2 * int(b) + int(a)] for a, b in zip(x, z))
+
+
 def embed(op: np.ndarray, qubits: tuple[int, ...], n: int) -> np.ndarray:
     """Full 2^n matrix of an operator on the listed qubits, by index lookup."""
     dim = 2**n
@@ -243,7 +344,7 @@ def stitch_expectation(term, bt4, bt3, n_cuts: int) -> float:
     chain.  Masks and patterns come from the term's letters, as in
     stitch_brute_force, not from the library's bit tricks.
     """
-    letters = term.pauli.letters
+    letters = term.letters
     k, masks, patterns = _block_masks_and_patterns(letters, term.parity)
     assert k == n_cuts, f"term on {len(letters)} qubits, chain has {3 * n_cuts + 3}"
     v = CUT_COEFFS * bt4.values[patterns[0], XP_INDEX, :, masks[0]]

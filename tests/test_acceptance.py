@@ -19,7 +19,7 @@ from chaincut.cut import (
     reconstruction_error_1q,
     reconstruction_error_2q,
 )
-from chaincut.direct import direct_chain_report, lc_state_fidelity
+from chaincut.direct import direct_chain_report
 from chaincut.mitigation import (
     MitigationPipeline,
     apply_tmem,
@@ -27,7 +27,6 @@ from chaincut.mitigation import (
     mle_project,
 )
 from chaincut.counts import Distribution, QuasiDistribution
-from chaincut.qstate import expectation
 from chaincut.reconstruct import (
     bound_from_distributions,
     build_block_tensors,
@@ -127,7 +126,7 @@ def test_c3_contraction_vs_brute_force():
                 idxs = rng.choice(len(terms), size=16, replace=False)
             for idx in idxs:
                 ref = oracles.stitch_brute_force(
-                    terms[idx].pauli.letters, parity, bt4.values, bt3.values, coeffs
+                    terms[idx].letters, parity, bt4.values, bt3.values, coeffs
                 )
                 got = oracles.stitch_expectation(terms[idx], bt4, bt3, k)
                 worst = max(worst, abs(got - ref), abs(batch[idx] - ref))
@@ -175,7 +174,7 @@ def _noisy_chain_witness(n: int, noise: NoiseModel):
     values = {}
     for parity in ("odd", "even"):
         values[parity] = np.array(
-            [expectation(rho, t.pauli) for t in witness_terms(n, parity)]
+            [oracles.expectation(rho, (1, t.letters)) for t in witness_terms(n, parity)]
         )
     bound = fidelity_lower_bound(
         float(np.mean(values["odd"])), float(np.mean(values["even"]))
@@ -194,7 +193,7 @@ def test_c5_witness_soundness():
             readout=None,
         )
         rho, bound = _noisy_chain_witness(n, noise)
-        fid = lc_state_fidelity(rho, n)
+        fid = oracles.lc_state_fidelity(rho, n)
         worst_excess = max(worst_excess, bound - fid)
     exact_ok = worst_excess <= 1e-9
 
@@ -202,7 +201,7 @@ def test_c5_witness_soundness():
     noise = NoiseModel()
     n = 4
     rho_true = run_exact(build_linear_cluster(n), noise)
-    fid_true = lc_state_fidelity(rho_true, n)
+    fid_true = oracles.lc_state_fidelity(rho_true, n)
     t4 = build_transition_matrix(4, "tensor", readout=noise.readout_for(4))
     bounds = []
     for rep in range(25):
@@ -216,7 +215,7 @@ def test_c5_witness_soundness():
             )
             phys = mle_project(apply_tmem(counts, t4))
             vals = [
-                oracles.expectation_from_weights(phys.p, n, t.pauli.letters, meas)
+                oracles.expectation_from_weights(phys.p, n, t.letters, meas)
                 for t in witness_terms(n, parity)
             ]
             avgs[parity] = float(np.mean(vals))

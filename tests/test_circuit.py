@@ -1,4 +1,4 @@
-"""Circuit builders, basis changes, and the JSON round-trip."""
+"""Circuit builders, basis changes and circuit validation."""
 
 import numpy as np
 import pytest
@@ -9,11 +9,6 @@ from chaincut.circuit import (
     basis_change_ops,
     build_block_subcircuit,
     build_linear_cluster,
-    circuit_from_dict,
-    circuit_to_dict,
-    dump_circuit,
-    load_circuit,
-    replace_meas,
 )
 
 import oracles
@@ -40,7 +35,6 @@ class TestLinearCluster:
     def test_twelve_qubit_gate_counts(self):
         c = build_linear_cluster(12)
         assert gate_counts(c) == {"H": 12, "CZ": 11}
-        assert c.meas == "Z" * 12
 
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
@@ -49,24 +43,24 @@ class TestLinearCluster:
 
 class TestBlockSubcircuit:
     def test_four_qubit_form_with_plus_input_is_cluster_state(self):
-        block = build_block_subcircuit("4q", "Xp", "XZXZ")
+        block = build_block_subcircuit("4q", "Xp")
         psi_block = oracles.statevector(block)
         psi_lc = oracles.statevector(build_linear_cluster(4))
         assert abs(psi_block.conj() @ psi_lc) ** 2 == pytest.approx(1.0, abs=1e-12)
 
     def test_three_qubit_form_with_plus_input_is_cluster_state(self):
-        block = build_block_subcircuit("3q", "Xp", "ZXZ")
+        block = build_block_subcircuit("3q", "Xp")
         psi_block = oracles.statevector(block)
         psi_lc = oracles.statevector(build_linear_cluster(3))
         assert abs(psi_block.conj() @ psi_lc) ** 2 == pytest.approx(1.0, abs=1e-12)
 
     def test_three_qubit_z0_prep_structure(self):
-        c = build_block_subcircuit("3q", "Z0", "ZXZ")
+        c = build_block_subcircuit("3q", "Z0")
         assert c.ops[0] == GateOp("prep", (0,), "Z0")
         assert gate_counts(c) == {"prep": 1, "H": 2, "CZ": 2}
 
     def test_arbitrary_input_matches_dense_oracle(self):
-        c = build_block_subcircuit("4q", "Ym", "XZXY")
+        c = build_block_subcircuit("4q", "Ym")
         psi = oracles.statevector(c)
         # final-state expectations against embedded Pauli matrices
         op = oracles.embed(oracles.PAULIS["Z"], (1,), 4)
@@ -78,25 +72,19 @@ class TestBlockSubcircuit:
             np.real(psi_lib.conj() @ op @ psi_lib), abs=1e-12
         )
 
-    def test_measurement_length_mismatch(self):
-        with pytest.raises(ValueError):
-            build_block_subcircuit("4q", "Xp", "XZX")
-        with pytest.raises(ValueError):
-            build_block_subcircuit("3q", "Xp", "XZXZ")
-
 
 class TestBasisChanges:
     def test_all_z_is_empty(self):
         assert basis_change_ops("ZZZ") == []
 
     def test_x_basis_on_plus_state(self):
-        c = Circuit(1, (GateOp("prep", (0,), "Xp"),), "X")
+        c = Circuit(1, (GateOp("prep", (0,), "Xp"),))
         psi = oracles.statevector(c)
         p = oracles.measured_distribution(psi, "X")
         assert p[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_y_basis_on_plus_i_state(self):
-        c = Circuit(1, (GateOp("prep", (0,), "Yp"),), "Y")
+        c = Circuit(1, (GateOp("prep", (0,), "Yp"),))
         psi = oracles.statevector(c)
         p = oracles.measured_distribution(psi, "Y")
         assert p[0] == pytest.approx(1.0, abs=1e-12)
@@ -110,42 +98,29 @@ class TestBasisChanges:
         ]
 
 
+    def test_setting_validated(self):
+        with pytest.raises(ValueError, match="invalid for 4 qubits"):
+            basis_change_ops("XZX", 4)
+        with pytest.raises(ValueError, match="bad basis"):
+            basis_change_ops("XQ", 2)
+
+
 class TestValidation:
     def test_out_of_range_qubit_rejected(self):
         with pytest.raises(ValueError, match="references qubit"):
-            Circuit(2, (GateOp("H", (2,)),), "ZZ")
+            Circuit(2, (GateOp("H", (2,)),))
 
     def test_double_prep_rejected(self):
         ops = (GateOp("prep", (0,), "Z0"), GateOp("prep", (0,), "Z1"))
         with pytest.raises(ValueError, match="prepared twice"):
-            Circuit(1, ops, "Z")
+            Circuit(1, ops)
 
     def test_prep_after_gate_rejected(self):
         ops = (GateOp("H", (0,)), GateOp("prep", (0,), "Z0"))
         with pytest.raises(ValueError, match="precede"):
-            Circuit(1, ops, "Z")
+            Circuit(1, ops)
 
     def test_cz_needs_distinct_qubits(self):
         with pytest.raises(ValueError):
             GateOp("CZ", (1, 1))
 
-
-class TestRoundTrip:
-    def test_parse_serialize_parse_identity(self):
-        c = build_block_subcircuit("4q", "Ym", "XZXY")
-        text = dump_circuit(c)
-        again = load_circuit(text)
-        assert again == c
-        assert dump_circuit(again) == text
-
-    def test_dict_shape(self):
-        c = build_block_subcircuit("3q", "Xp", "XZX")
-        d = circuit_to_dict(c)
-        assert d["n"] == 3
-        assert d["meas"] == ["X", "Z", "X"]
-        assert d["ops"][0] == {"kind": "prep", "q": [0], "label": "Xp"}
-        assert circuit_from_dict(d) == c
-
-    def test_meas_replacement(self):
-        c = build_linear_cluster(3)
-        assert replace_meas(c, "XZX").meas == "XZX"

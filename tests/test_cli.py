@@ -1,17 +1,20 @@
 """End-to-end CLI runs: bundles, reports, determinism, exit codes."""
 
+import contextlib
 import hashlib
+import io
 import json
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chaincut.cli import main
-from chaincut.config import ExperimentConfig, config_from_dict, load_config
+from chaincut.config import MITIGATION_MODES, ExperimentConfig, config_from_dict, load_config
 from chaincut.counts import MAX_SHOTS, dump_json
 
 
@@ -173,6 +176,29 @@ class TestReconstruct:
         assert main(["reconstruct", "--out", str(out)]) == 0
         assert not list((out / "reports").glob("transition_q*.json"))
 
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"f00": None, "f11": None},
+            {"f00": [], "f11": []},
+            {"f00": None, "f11": None, "p1": 0.0, "p2": 0.0},
+        ],
+        ids=["null-rates", "empty-rates", "noiseless"],
+    )
+    def test_sampled_without_readout_rates_skips_tmem(self, tmp_path, fields):
+        # such a bundle holds no calibration, so even mitigation "full" must
+        # reconstruct it without TMEM instead of looking for calibration files
+        out = tmp_path / "run"
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({
+            "mode": "sampled", "mitigation": "full", "shots": 1000, "repetitions": 1,
+            "k_max": 1, "out_dir": str(out), **fields,
+        }))
+        assert main(["run-jobs", "--config", str(cfg)]) == 0
+        assert not (out / "reps" / "r00" / "calibration").exists()
+        assert main(["reconstruct", "--out", str(out)]) == 0
+        assert not list((out / "reports").glob("transition_q*.json"))
+
     def test_mislabelled_job_file_is_rejected(self, tmp_path, capsys):
         out = tmp_path / "run"
         cfg = write_config(tmp_path, mode="exact", k_max=1, out_dir=str(out))
@@ -290,11 +316,14 @@ class TestCalibrate:
         assert len(list((out / "reps" / "r00" / "calibration" / "q4").glob("*.json"))) == 16
 
     def test_calibrate_requires_readout(self, tmp_path, capsys):
-        cfg = write_config(
-            tmp_path, mode="sampled", shots=100, f00=None, f11=None,
-            out_dir=str(tmp_path / "cal"),
-        )
-        assert main(["calibrate", "--config", str(cfg)]) == 1
+        # null and empty rate lists alike: there is nothing to calibrate
+        for rates in (None, ()):
+            cfg = write_config(
+                tmp_path, mode="sampled", shots=100, f00=rates, f11=rates,
+                out_dir=str(tmp_path / "cal"),
+            )
+            assert main(["calibrate", "--config", str(cfg)]) == 1
+            assert not (tmp_path / "cal").exists()
 
 
 class TestErrors:
@@ -408,3 +437,52 @@ def test_config_from_dict_returns_config_or_raises_value_error(d):
         return
     assert isinstance(cfg, ExperimentConfig)
     assert config_from_dict(cfg.to_dict()) == cfg
+
+
+@st.composite
+def small_configs(draw):
+    """Small runnable configs: every mode and mitigation, rates null, empty or in range."""
+    n_rates = draw(st.none() | st.integers(0, 4))
+    rates = st.lists(st.floats(0.0, 1.0), min_size=n_rates or 0, max_size=n_rates or 0)
+    rate = st.just(0.0) | st.floats(0.0, 1.0)
+    return {
+        "mode": draw(st.sampled_from(["exact", "sampled"])),
+        "mitigation": draw(st.sampled_from(MITIGATION_MODES)),
+        "shots": draw(st.integers(1, 64)),
+        "repetitions": draw(st.integers(1, 2)),
+        "k_max": draw(st.integers(1, 2)),
+        "seed": draw(st.integers(0, 2**32)),
+        "p1": draw(rate),
+        "p2": draw(rate),
+        "f00": None if n_rates is None else draw(rates),
+        "f11": None if n_rates is None else draw(rates),
+    }
+
+
+NO_RATES = {"mode": "sampled", "mitigation": "full", "shots": 64, "repetitions": 1, "k_max": 1}
+
+
+@settings(max_examples=30, deadline=None, database=None, derandomize=True)
+@given(small_configs())
+@example({**NO_RATES, "f00": None, "f11": None})
+@example({**NO_RATES, "f00": [], "f11": []})
+@example({**NO_RATES, "f00": None, "f11": None, "p1": 0.0, "p2": 0.0})
+def test_every_accepted_config_runs_and_reconstructs(d):
+    try:
+        config_from_dict(d)
+    except ValueError:
+        return
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "run"
+        cfg = Path(tmp) / "config.json"
+        cfg.write_text(json.dumps({**d, "out_dir": str(out)}))
+        assert main(["run-jobs", "--config", str(cfg)]) == 0
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(["reconstruct", "--out", str(out)])
+        # a confusion matrix sampled from a few calibration shots can be singular
+        calibrated = any((out / "reps").glob("r*/calibration/q*/*.json"))
+        if code == 2 and calibrated:
+            assert err.getvalue().startswith("numerical error:") and err.getvalue().count("\n") == 1
+        else:
+            assert code == 0, (d, err.getvalue())

@@ -22,7 +22,7 @@ from chaincut.cut import (
     write_job_result,
     write_plan,
 )
-from chaincut.qstate import ket, projector
+from chaincut.qstate import projector
 from chaincut.runner import execute_jobs
 from chaincut.sim import RunConfig
 
@@ -46,7 +46,7 @@ class TestDecomposition:
         assert sum(abs(t.coeff) for t in decomposition_table()) == pytest.approx(4.0)
 
     def test_z_eigenstate_hits_only_projector_term(self):
-        assert reconstruction_error_1q(projector(ket("0"))) < 1e-15
+        assert reconstruction_error_1q(projector(oracles.ket("0"))) < 1e-15
 
     def test_identity_on_random_single_qubit_states(self):
         rng = np.random.default_rng(100)

@@ -8,7 +8,6 @@ from chaincut.direct import (
     chain_distribution,
     direct_chain_report,
     heisenberg_distribution,
-    lc_state_fidelity,
     run_statevector,
     statevector_distribution,
 )
@@ -25,7 +24,7 @@ class TestStatevector:
         np.testing.assert_allclose(psi, oracles.statevector(c), atol=1e-13)
 
     def test_block_with_prep(self):
-        c = build_block_subcircuit("4q", "Ym", "XZXY")
+        c = build_block_subcircuit("4q", "Ym")
         np.testing.assert_allclose(run_statevector(c), oracles.statevector(c), atol=1e-13)
 
     def test_distribution_matches_oracle(self):
@@ -53,7 +52,7 @@ class TestHeisenberg:
 
     def test_block_circuit_with_prep(self):
         noise = NoiseModel(p1=0.01, p2=0.08, readout=None)
-        c = build_block_subcircuit("4q", "Yp", "XZXZ")
+        c = build_block_subcircuit("4q", "Yp")
         got = heisenberg_distribution(c, "XZXZ", noise)
         want = measure_distribution(run_exact(c, noise), "XZXZ").p
         np.testing.assert_allclose(got, want, atol=1e-12)
@@ -112,7 +111,7 @@ class TestDirectReport:
         noise = NoiseModel(p1=0.003, p2=0.05, readout=None)
         rep = direct_chain_report(5, noise, RunConfig("exact"))
         rho = run_exact(build_linear_cluster(5), noise)
-        fid = lc_state_fidelity(rho, 5)
+        fid = oracles.lc_state_fidelity(rho, 5)
         assert rep["bound"] <= fid + 1e-9
 
     def test_cap_enforced(self):

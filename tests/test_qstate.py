@@ -1,11 +1,14 @@
-"""Pauli algebra, partial trace, and expectation primitives."""
+"""Axis kernels, partial trace, validators and symplectic conjugation.
+
+The signed Pauli-string algebra (product, matrix, expectation) lives in
+tests/oracles.py as a reference; it is checked here against dense matrices.
+"""
 
 import numpy as np
 import pytest
 
 from chaincut.circuit import build_linear_cluster
 from chaincut.qstate import (
-    PauliString,
     apply_on_axis,
     assert_density_operator,
     conjugate_cz,
@@ -14,27 +17,21 @@ from chaincut.qstate import (
     conjugate_sdg,
     conjugate_x,
     cz_phases,
-    expectation,
-    identity_pauli,
-    ket,
     partial_trace,
-    pauli_matrix,
-    pauli_product,
-    pauli_to_xz,
     projector,
     state_vector_1q,
-    xz_to_pauli,
 )
 
 import oracles
+from oracles import expectation, ket, pauli_matrix, pauli_product, pauli_to_xz, xz_to_pauli
 
 
 class TestPauliMatrix:
     def test_identity(self):
-        np.testing.assert_array_equal(pauli_matrix(PauliString("I")), np.eye(2))
+        np.testing.assert_array_equal(pauli_matrix((1, "I")), np.eye(2))
 
     def test_z_is_diag(self):
-        np.testing.assert_array_equal(pauli_matrix(PauliString("Z")), np.diag([1.0, -1.0]))
+        np.testing.assert_array_equal(pauli_matrix((1, "Z")), np.diag([1.0, -1.0]))
 
     def test_xz_matches_hand_expanded_kronecker(self):
         # X (x) Z expanded entrywise: X swaps the first qubit's blocks,
@@ -48,11 +45,11 @@ class TestPauliMatrix:
             ],
             dtype=complex,
         )
-        np.testing.assert_array_equal(pauli_matrix(PauliString("XZ")), expected)
+        np.testing.assert_array_equal(pauli_matrix((1, "XZ")), expected)
 
     def test_phase_is_applied(self):
         np.testing.assert_array_equal(
-            pauli_matrix(PauliString("X", -1)), -pauli_matrix(PauliString("X"))
+            pauli_matrix((-1, "X")), -pauli_matrix((1, "X"))
         )
 
 
@@ -79,40 +76,37 @@ class TestAxisKernels:
 
 class TestPauliProducts:
     def test_spec_product_with_cancelling_z(self):
-        s1 = PauliString("XZII")
-        s3 = PauliString("IZXZ")
-        prod = s1 * s3
-        assert prod.letters == "XIXZ"
-        assert prod.phase == 1
+        s1 = (1, "XZII")
+        s3 = (1, "IZXZ")
+        assert pauli_product(s1, s3) == (1, "XIXZ")
 
     def test_imaginary_phase_rejected(self):
         with pytest.raises(ValueError, match="imaginary"):
-            PauliString("X") * PauliString("Z")
+            pauli_product((1, "X"), (1, "Z"))
 
     def test_product_matches_matrix_product_on_commuting_strings(self):
         rng = np.random.default_rng(11)
         n = 5
-        stabs = []
-        for i in range(1, n + 1):
-            letters = ["I"] * n
-            letters[i - 1] = "X"
-            if i > 1:
-                letters[i - 2] = "Z"
-            if i < n:
-                letters[i] = "Z"
-            stabs.append(PauliString("".join(letters)))
+        stabs = [oracles.stabilizer(n, i) for i in range(1, n + 1)]
         for _ in range(20):
             a, b = rng.integers(0, n, size=2)
-            prod = stabs[a] * stabs[b]
+            prod = pauli_product(stabs[a], stabs[b])
             np.testing.assert_allclose(
                 pauli_matrix(prod),
                 pauli_matrix(stabs[a]) @ pauli_matrix(stabs[b]),
                 atol=1e-14,
             )
 
+    def test_letter_table_matches_matrices(self):
+        for (a, b), (phase, c) in oracles.LETTER_PRODUCTS.items():
+            np.testing.assert_array_equal(
+                oracles.PAULIS[a] @ oracles.PAULIS[b], phase * oracles.PAULIS[c]
+            )
+        assert len(oracles.LETTER_PRODUCTS) == 16
+
     def test_reduce_product(self):
-        factors = [PauliString("XZ"), PauliString("ZX"), PauliString("II")]
-        prod = pauli_product(factors)
+        factors = [(1, "XZ"), (1, "ZX"), (1, "II")]
+        prod = pauli_product(*factors)
         np.testing.assert_allclose(
             pauli_matrix(prod),
             pauli_matrix(factors[0]) @ pauli_matrix(factors[1]),
@@ -158,15 +152,15 @@ class TestPartialTrace:
 
 class TestExpectation:
     def test_z_eigenstate(self):
-        assert expectation(projector(ket("0")), PauliString("Z")) == pytest.approx(1.0)
+        assert expectation(projector(ket("0")), (1, "Z")) == pytest.approx(1.0)
 
     def test_maximally_mixed(self):
-        assert expectation(np.eye(2) / 2, PauliString("X")) == pytest.approx(0.0, abs=1e-14)
+        assert expectation(np.eye(2) / 2, (1, "X")) == pytest.approx(0.0, abs=1e-14)
 
     def test_cluster_stabilizer_via_statevector_oracle(self):
         psi = oracles.statevector(build_linear_cluster(4))
         rho = projector(psi)
-        assert expectation(rho, PauliString("XZII")) == pytest.approx(1.0, abs=1e-12)
+        assert expectation(rho, (1, "XZII")) == pytest.approx(1.0, abs=1e-12)
 
     def test_bounded_for_physical_states(self):
         rng = np.random.default_rng(5)
@@ -175,12 +169,12 @@ class TestExpectation:
             rho = a @ a.conj().T
             rho /= rho.trace()
             letters = "".join(rng.choice(list("IXYZ"), size=2))
-            val = expectation(rho, PauliString(letters))
+            val = expectation(rho, (1, letters))
             assert -1.0 - 1e-9 <= val <= 1.0 + 1e-9
 
     def test_size_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            expectation(np.eye(4) / 4, PauliString("X"))
+            expectation(np.eye(4) / 4, (1, "X"))
 
 
 class TestValidators:
@@ -211,7 +205,7 @@ class TestConjugation:
         rng = np.random.default_rng(7)
         for _ in range(10):
             letters = "".join(rng.choice(list("IXYZ"), size=3))
-            p = PauliString(letters)
+            p = (1, letters)
             q = int(rng.integers(0, 3))
             x, z, sign = pauli_to_xz(p)
             sign = conj(x[None, :], z[None, :], np.array([sign]), q)
@@ -226,7 +220,7 @@ class TestConjugation:
         cz = np.diag([1, 1, 1, -1]).astype(complex)
         for _ in range(15):
             letters = "".join(rng.choice(list("IXYZ"), size=3))
-            p = PauliString(letters)
+            p = (1, letters)
             a, b = rng.choice(3, size=2, replace=False)
             x, z, sign = pauli_to_xz(p)
             sign = conjugate_cz(x[None, :], z[None, :], np.array([sign]), int(a), int(b))
@@ -237,6 +231,6 @@ class TestConjugation:
             )
 
     def test_identity_roundtrip(self):
-        p = identity_pauli(4)
+        p = (1, "IIII")
         x, z, sign = pauli_to_xz(p)
         assert xz_to_pauli(x, z, sign) == p

@@ -9,7 +9,6 @@ import pytest
 from chaincut.circuit import build_linear_cluster
 from chaincut.cut import decomposition_table
 from chaincut.mitigation import MitigationPipeline
-from chaincut.qstate import PauliString, pauli_product
 from chaincut.reconstruct import (
     SIGNS3,
     BlockTensor,
@@ -19,8 +18,8 @@ from chaincut.reconstruct import (
     fidelity_lower_bound,
     mask_signs,
     scaling_sweep,
-    stabilizer,
     stitched_distribution,
+    stitched_lower_bound,
     witness_averages,
     witness_setting,
     witness_term_count,
@@ -33,17 +32,18 @@ import oracles
 
 
 class TestStabilizers:
+    """The reference stabilizers in tests/oracles.py that witness terms are checked against."""
+
     def test_boundary_and_bulk_forms(self):
-        assert stabilizer(4, 1).letters == "XZII"
-        assert stabilizer(4, 3).letters == "IZXZ"
-        assert stabilizer(4, 4).letters == "IIZX"
+        assert oracles.stabilizer(4, 1) == (1, "XZII")
+        assert oracles.stabilizer(4, 3) == (1, "IZXZ")
+        assert oracles.stabilizer(4, 4) == (1, "IIZX")
 
     def test_stabilize_cluster_state(self):
         psi = oracles.statevector(build_linear_cluster(5))
-        from chaincut.qstate import pauli_matrix
-
+        np.testing.assert_allclose(psi, oracles.cluster_state(5), atol=1e-13)
         for i in range(1, 6):
-            val = np.real(psi.conj() @ pauli_matrix(stabilizer(5, i)) @ psi)
+            val = np.real(psi.conj() @ oracles.pauli_matrix(oracles.stabilizer(5, i)) @ psi)
             assert val == pytest.approx(1.0, abs=1e-12)
 
 
@@ -55,11 +55,11 @@ class TestWitnessTerms:
     def test_empty_subset_is_identity(self):
         terms = witness_terms(4, "odd")
         assert terms[0].subset == ()
-        assert terms[0].pauli.letters == "IIII"
+        assert terms[0].letters == "IIII"
 
     def test_spec_product_example(self):
         terms = {t.subset: t for t in witness_terms(4, "odd")}
-        assert terms[(1, 3)].pauli == PauliString("XIXZ")
+        assert terms[(1, 3)].letters == "XIXZ"
 
     def test_cardinalities(self):
         for n in (4, 7, 9, 12, 15):
@@ -70,24 +70,26 @@ class TestWitnessTerms:
             assert len(witness_terms(n, "odd")) == odd
 
     def test_products_match_phase_tracked_multiplication(self):
-        rng = np.random.default_rng(41)
-        n = 9
-        for parity in ("odd", "even"):
-            terms = witness_terms(n, parity)
-            for t in rng.choice(len(terms), size=10, replace=False):
-                term = terms[t]
-                if not term.subset:
-                    continue
-                ref = pauli_product(stabilizer(n, i) for i in term.subset)
-                assert term.pauli == ref
-                assert ref.phase == 1
+        # Every term of both parities up to the direct verb's noiseless cap:
+        # letters from masks against the oracle's stabilizer product, built
+        # from the product without the subset's last stabilizer.
+        for n in range(2, 25):
+            for parity in ("odd", "even"):
+                products = {(): (1, "I" * n)}
+                for term in witness_terms(n, parity):
+                    if term.subset:
+                        head, last = term.subset[:-1], term.subset[-1]
+                        products[term.subset] = oracles.pauli_product(
+                            products[head], oracles.stabilizer(n, last)
+                        )
+                    assert products[term.subset] == (1, term.letters), (n, term.subset)
 
     def test_basis_compatibility_with_setting(self):
         for n in (6, 9, 12):
             for parity in ("odd", "even"):
                 setting = witness_setting(n, parity)
                 for term in witness_terms(n, parity):
-                    for letter, basis in zip(term.pauli.letters, setting):
+                    for letter, basis in zip(term.letters, setting):
                         assert letter in ("I", basis)
 
     def test_small_n_rejected(self):
@@ -140,7 +142,7 @@ class TestStitching:
             p = chain_distribution(n, meas, None)
             stitched = witness_values(bt4, bt3, n, parity)
             for term, sval in zip(witness_terms(n, parity), stitched):
-                dval = oracles.expectation_from_weights(p, n, term.pauli.letters, meas)
+                dval = oracles.expectation_from_weights(p, n, term.letters, meas)
                 assert sval == pytest.approx(dval, abs=1e-9)
 
     def test_single_term_matches_batch(self, noisy_exact_tensors):
@@ -173,7 +175,7 @@ class TestStitching:
             for idx in pick:
                 term = terms[idx]
                 ref = oracles.stitch_brute_force(
-                    term.pauli.letters, parity, bt4.values, bt3.values, coeffs
+                    term.letters, parity, bt4.values, bt3.values, coeffs
                 )
                 got = oracles.stitch_expectation(term, bt4, bt3, k)
                 assert got == pytest.approx(ref, abs=1e-12)
@@ -183,7 +185,7 @@ class TestStitching:
         bt4, bt3 = noisy_exact_tensors
         coeffs = np.array([t.coeff for t in decomposition_table()])
         term = next(t for t in witness_terms(12, "odd") if t.subset == (1,))
-        ref = oracles.stitch_brute_force(term.pauli.letters, "odd", bt4.values, bt3.values, coeffs)
+        ref = oracles.stitch_brute_force(term.letters, "odd", bt4.values, bt3.values, coeffs)
         assert oracles.stitch_expectation(term, bt4, bt3, 3) == pytest.approx(ref, abs=1e-12)
 
     @staticmethod
@@ -242,7 +244,7 @@ class TestStitchedDistribution:
         vals = witness_values(bt4, bt3, 12, "odd")
         meas = witness_setting(12, "odd")
         for term, want in zip(witness_terms(12, "odd"), vals):
-            got = oracles.expectation_from_weights(p, 12, term.pauli.letters, meas)
+            got = oracles.expectation_from_weights(p, 12, term.letters, meas)
             assert got == pytest.approx(want, abs=1e-10)
 
 
@@ -264,7 +266,7 @@ class TestWitnessFromDistribution:
             terms = witness_terms(n, parity)
             for weights in (p, q):
                 want = [
-                    oracles.expectation_from_weights(weights, n, t.pauli.letters, meas)
+                    oracles.expectation_from_weights(weights, n, t.letters, meas)
                     for t in terms
                 ]
                 got = witness_values_from_distribution(weights, n, parity)
@@ -322,6 +324,15 @@ class TestBoundAndSweep:
     def test_range_validation(self):
         with pytest.raises(ValueError):
             fidelity_lower_bound(1.5, 0.0)
+
+    def test_stitched_range_is_the_cut_one_norm(self):
+        # sampled blocks may stitch to just above 1; the reachable range at
+        # k cuts is gamma^k with gamma = sum |c_i| = 4
+        assert stitched_lower_bound(1.0001, 1.0, 9) == pytest.approx(1.0001)
+        assert stitched_lower_bound(-16.0, 16.0, 9) == pytest.approx(-1.0)
+        for bad in (16.1, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="outside"):
+                stitched_lower_bound(bad, 1.0, 9)
 
     def test_noiseless_sweep_is_exact(self, exact_tensors):
         bt4, bt3 = exact_tensors

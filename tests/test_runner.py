@@ -27,7 +27,7 @@ def test_shared_distribution_equals_fresh_simulation(plan, noise):
     for spec in plan:
         shared = runner.block_distribution(spec, noise)
         fresh = measure_distribution(
-            run_exact(build_block_subcircuit(spec.form, spec.input, spec.meas), noise), spec.meas
+            run_exact(build_block_subcircuit(spec.form, spec.input), noise), spec.meas
         )
         assert shared.n == fresh.n
         assert np.array_equal(shared.p, fresh.p)

@@ -6,7 +6,7 @@ import pytest
 from chaincut.circuit import Circuit, GateOp, build_linear_cluster
 from chaincut.counts import Distribution
 from chaincut.mitigation import confusion_matrix
-from chaincut.qstate import PauliString, assert_density_operator, expectation, fidelity_to_pure
+from chaincut.qstate import assert_density_operator
 from chaincut.sim import (
     DEFAULT_READOUT,
     NoiseModel,
@@ -21,16 +21,7 @@ import oracles
 
 
 def chain_stabilizers(n):
-    out = []
-    for i in range(1, n + 1):
-        letters = ["I"] * n
-        letters[i - 1] = "X"
-        if i > 1:
-            letters[i - 2] = "Z"
-        if i < n:
-            letters[i] = "Z"
-        out.append(PauliString("".join(letters)))
-    return out
+    return [oracles.stabilizer(n, i) for i in range(1, n + 1)]
 
 
 class TestRunExact:
@@ -38,16 +29,16 @@ class TestRunExact:
         rho = run_exact(build_linear_cluster(3), None)
         assert_density_operator(rho)
         for s in chain_stabilizers(3):
-            assert expectation(rho, s) == pytest.approx(1.0, abs=1e-12)
+            assert oracles.expectation(rho, s) == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_noiseless_stabilizers_up_to_five(self, n):
         rho = run_exact(build_linear_cluster(n), None)
         for s in chain_stabilizers(n):
-            assert expectation(rho, s) == pytest.approx(1.0, abs=1e-12)
+            assert oracles.expectation(rho, s) == pytest.approx(1.0, abs=1e-12)
 
     def test_full_depolarization_gives_maximally_mixed(self):
-        c = Circuit(1, (GateOp("H", (0,)),), "Z")
+        c = Circuit(1, (GateOp("H", (0,)),))
         rho = run_exact(c, NoiseModel(p1=1.0, p2=0.0, readout=None))
         np.testing.assert_allclose(rho, np.eye(2) / 2, atol=1e-14)
 
@@ -58,8 +49,8 @@ class TestRunExact:
         ref = oracles.noisy_density(c, p1, p2)
         np.testing.assert_allclose(rho, ref, atol=1e-12)
         psi = oracles.statevector(c)
-        assert fidelity_to_pure(rho, psi) == pytest.approx(
-            fidelity_to_pure(ref, psi), abs=1e-12
+        assert oracles.fidelity_to_pure(rho, psi) == pytest.approx(
+            oracles.fidelity_to_pure(ref, psi), abs=1e-12
         )
 
     def test_zero_noise_is_bit_identical_to_noiseless(self):
@@ -74,7 +65,7 @@ class TestRunExact:
     def test_noisy_block_with_prep_matches_oracle(self):
         from chaincut.circuit import build_block_subcircuit
 
-        c = build_block_subcircuit("4q", "Ym", "XZXY")
+        c = build_block_subcircuit("4q", "Ym")
         rho = run_exact(c, NoiseModel(p1=0.002, p2=0.03, readout=None))
         np.testing.assert_allclose(rho, oracles.noisy_density(c, 0.002, 0.03), atol=1e-12)
 
