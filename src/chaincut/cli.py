@@ -11,12 +11,22 @@ Every verb accepts --config FILE plus the overrides --out, --seed,
 --shots, --exact.  Exit codes: 0 success, 1 validation error,
 2 numerical error.  All outputs except wall-clock timing columns are
 byte-reproducible for a fixed config and seed.
+
+run-jobs, calibrate and reconstruct run their repetitions in parallel
+(``_map_reps``): one forked worker per CPU in the affinity mask, at most
+one per repetition.  Each repetition draws from its own seeded stream, so
+the outputs do not depend on the worker count, and the first failing
+repetition, in repetition order, is the error reported.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import math
+import os
+import re
 import sys
 from pathlib import Path
 
@@ -27,7 +37,6 @@ from .config import ExperimentConfig, load_config, override_config
 from .counts import dump_json
 from .cut import (
     job_path,
-    list_reps,
     missing_job_files,
     plan_chain_jobs,
     read_job_result,
@@ -46,7 +55,7 @@ from .reconstruct import (
     witness_terms,
     witness_values,
 )
-from .runner import execute_jobs, write_calibration
+from .runner import block_distribution, execute_jobs, write_calibration
 
 REPORT_N = 12  # chain length of the per-term witness report
 
@@ -75,6 +84,34 @@ def _load_effective_config(args) -> ExperimentConfig:
     )
 
 
+def _map_reps(fn, reps) -> list:
+    """``[fn(rep) for rep in reps]``, with the repetitions spread over forked workers.
+
+    One worker per CPU in the affinity mask, at most one per repetition;
+    the repetitions go out in one contiguous chunk per worker.  Results
+    come back in repetition order, and of the exceptions raised in the
+    workers, the one of the first failing repetition is re-raised here.
+    """
+    reps = list(reps)
+    workers = min(len(reps), len(os.sched_getaffinity(0)))
+    if workers <= 1:
+        return list(map(fn, reps))
+    # Imported here: at module level they slow every `import chaincut.cli`.
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    context = multiprocessing.get_context("fork")
+    with ProcessPoolExecutor(workers, mp_context=context) as pool:
+        return list(pool.map(fn, reps, chunksize=math.ceil(len(reps) / workers)))
+
+
+def _run_rep(out: Path, plan, run, noise, rep: int) -> None:
+    for result in execute_jobs(plan, run, noise, rep=rep):
+        write_job_result(out, rep, result)
+    if run.mode == "sampled" and noise is not None and noise.readout is not None:
+        write_calibration(out, rep, run, noise)
+
+
 def cmd_run_jobs(args) -> int:
     cfg = _load_effective_config(args)
     out = Path(cfg.out_dir)
@@ -85,11 +122,10 @@ def cmd_run_jobs(args) -> int:
     write_plan(out, plan)
     noise = cfg.noise_model()
     run = cfg.run_config()
-    for rep in range(cfg.effective_repetitions):
-        for result in execute_jobs(plan, run, noise, rep=rep):
-            write_job_result(out, rep, result)
-        if run.mode == "sampled" and noise is not None and noise.readout is not None:
-            write_calibration(out, rep, run, noise)
+    # Simulated once here, the block distributions reach the workers by fork.
+    for spec in plan:
+        block_distribution(spec, noise)
+    _map_reps(functools.partial(_run_rep, out, plan, run, noise), range(cfg.effective_repetitions))
     print(f"wrote {cfg.effective_repetitions} repetition(s) of {len(plan)} jobs to {out}")
     return 0
 
@@ -102,8 +138,10 @@ def cmd_calibrate(args) -> int:
     out = Path(cfg.out_dir)
     _write_manifest(out, "calibrate", cfg)
     run = cfg.run_config()
-    for rep in range(cfg.effective_repetitions):
-        write_calibration(out, rep, run, noise)
+    _map_reps(
+        functools.partial(write_calibration, out, run=run, noise=noise),
+        range(cfg.effective_repetitions),
+    )
     print(f"wrote calibration bundles to {out}")
     return 0
 
@@ -137,40 +175,55 @@ def _check_rep_files(bundle: Path, rep: int, results: list, cfg: ExperimentConfi
             raise ValueError(f"{path} holds shots={found!r}, but config.json says {cfg.shots}")
 
 
+def _check_rep_dirs(bundle: Path, repetitions: int) -> None:
+    """Reject a reps/ whose rNN directories are not exactly the config's repetitions."""
+    root = bundle / "reps"
+    children = root.iterdir() if root.is_dir() else ()
+    found = {p.name for p in children if p.is_dir() and re.fullmatch(r"r\d+", p.name)}
+    expected = {rep_dir(bundle, rep).name for rep in range(repetitions)}
+    problems = []
+    if found - expected:
+        problems.append("extra " + ", ".join(sorted(found - expected)))
+    if expected - found:
+        problems.append("missing " + ", ".join(sorted(expected - found)))
+    if problems:
+        raise ValueError(
+            f"{root} does not hold the {repetitions} repetition(s) config.json says: "
+            + "; ".join(problems)
+        )
+
+
+def _reconstruct_rep(bundle: Path, plan, cfg: ExperimentConfig, mitigation: str, rep: int) -> dict:
+    results = [read_job_result(bundle, rep, spec) for spec in plan]
+    _check_rep_files(bundle, rep, results, cfg)
+    pipeline = pipeline_for_rep(rep_dir(bundle, rep), cfg.readout, mode=mitigation)
+    bt4, bt3 = build_block_tensors(results, pipeline)
+    return {
+        "odd12": witness_values(bt4, bt3, REPORT_N, "odd"),
+        "even12": witness_values(bt4, bt3, REPORT_N, "even"),
+        "dist_xz": stitched_distribution(bt4, bt3, REPORT_N, "XZ"),
+        "dist_zx": stitched_distribution(bt4, bt3, REPORT_N, "ZX"),
+        "rows": scaling_sweep(bt4, bt3, cfg.k_max),
+        "matrices": pipeline.matrices,
+    }
+
+
 def _reconstruct_reports(bundle: Path, cfg: ExperimentConfig) -> dict:
     plan = read_plan(bundle)
-    reps = list_reps(bundle)
-    if not reps:
-        raise ValueError(f"bundle {bundle} contains no repetitions")
+    reps = range(cfg.effective_repetitions)
+    _check_rep_dirs(bundle, len(reps))
     for rep in reps:
         missing = missing_job_files(bundle, plan, rep)
         if missing:
             raise ValueError(
                 f"bundle incomplete in rep {rep}; missing jobs: " + ", ".join(missing)
             )
-    per_rep = []
-    matrices = None
     # Exact distributions model pre-readout statistics and never pass
     # through TMEM, so exact bundles build no confusion matrices; nor does a
     # config without readout rates, whose sampled bundles hold no calibration.
     mitigation = "none" if cfg.mode == "exact" or not cfg.readout else cfg.mitigation
-    for rep in reps:
-        results = [read_job_result(bundle, rep, spec) for spec in plan]
-        _check_rep_files(bundle, rep, results, cfg)
-        pipeline = pipeline_for_rep(rep_dir(bundle, rep), cfg.readout, mode=mitigation)
-        if matrices is None:
-            matrices = pipeline.matrices
-        bt4, bt3 = build_block_tensors(results, pipeline)
-        per_rep.append(
-            {
-                "odd12": witness_values(bt4, bt3, REPORT_N, "odd"),
-                "even12": witness_values(bt4, bt3, REPORT_N, "even"),
-                "dist_xz": stitched_distribution(bt4, bt3, REPORT_N, "XZ"),
-                "dist_zx": stitched_distribution(bt4, bt3, REPORT_N, "ZX"),
-                "rows": scaling_sweep(bt4, bt3, cfg.k_max),
-            }
-        )
-    return {"per_rep": per_rep, "matrices": matrices or {}}
+    per_rep = _map_reps(functools.partial(_reconstruct_rep, bundle, plan, cfg, mitigation), reps)
+    return {"per_rep": per_rep, "matrices": per_rep[0]["matrices"]}
 
 
 def _aggregate_scaling(per_rep: list[dict], k_max: int) -> list[dict]:

@@ -302,13 +302,3 @@ def read_job_result(bundle_dir: Path, rep: int, spec: JobSpec) -> JobResult:
 def missing_job_files(bundle_dir: Path, plan: tuple[JobSpec, ...], rep: int) -> list[str]:
     return [s.job_id for s in plan if not job_path(bundle_dir, rep, s).exists()]
 
-
-def list_reps(bundle_dir: Path) -> list[int]:
-    root = Path(bundle_dir) / "reps"
-    if not root.is_dir():
-        return []
-    reps = []
-    for child in sorted(root.iterdir()):
-        if child.is_dir() and child.name.startswith("r") and child.name[1:].isdigit():
-            reps.append(int(child.name[1:]))
-    return reps

@@ -1,9 +1,12 @@
 """End-to-end CLI runs: bundles, reports, determinism, exit codes."""
 
 import contextlib
+import functools
 import hashlib
 import io
 import json
+import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -13,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from chaincut.cli import main
+from chaincut.cli import _map_reps, main
 from chaincut.config import MITIGATION_MODES, ExperimentConfig, config_from_dict, load_config
 from chaincut.counts import MAX_SHOTS, dump_json
 
@@ -229,6 +232,36 @@ class TestReconstruct:
     def test_reconstruct_without_bundle_fails_cleanly(self, tmp_path, capsys):
         assert main(["reconstruct", "--out", str(tmp_path / "nothing")]) == 1
 
+    def test_stale_repetition_is_rejected(self, tmp_path, capsys):
+        # a smaller run into the same out_dir leaves the first run's r02 behind;
+        # averaging it in would mix two configs into one bound
+        out = tmp_path / "run"
+        first = write_config(
+            tmp_path, mode="sampled", repetitions=3, shots=1000, k_max=1, out_dir=str(out)
+        )
+        assert main(["run-jobs", "--config", str(first)]) == 0
+        second = write_config(
+            tmp_path, mode="sampled", repetitions=2, shots=1000, k_max=1, seed=99,
+            out_dir=str(out),
+        )
+        assert main(["run-jobs", "--config", str(second)]) == 0
+        capsys.readouterr()
+        assert main(["reconstruct", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "extra r02" in err
+        assert not (out / "reports").exists()
+
+    def test_missing_repetition_is_named(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        cfg = write_config(
+            tmp_path, mode="sampled", repetitions=3, shots=1000, k_max=1, out_dir=str(out)
+        )
+        assert main(["run-jobs", "--config", str(cfg)]) == 0
+        shutil.rmtree(out / "reps" / "r01")
+        capsys.readouterr()
+        assert main(["reconstruct", "--out", str(out)]) == 1
+        assert "missing r01" in capsys.readouterr().err
+
 
 class TestBundleIntegrity:
     """Files that disagree with the bundle's config.json are rejected, naming the file."""
@@ -285,6 +318,92 @@ class TestBundleIntegrity:
         cfg["seed"] += 1
         (out / "config.json").write_text(dump_json(cfg))
         self.assert_rejected(out, "config.json does not match the config_sha256", capsys)
+
+
+def _fail_from_rep_2(rep: int) -> int:
+    if rep >= 2:
+        raise ValueError(f"repetition {rep} failed")
+    return rep
+
+
+class TestParallelRepetitions:
+    """Repetitions run in forked workers; outputs and errors do not depend on it."""
+
+    SAMPLED = dict(mode="sampled", repetitions=3, shots=2000, k_max=2, seed=5, out_dir="run")
+
+    @staticmethod
+    def chaincut(cwd: Path, env: dict, *argv, cpus=None) -> subprocess.CompletedProcess:
+        pin = None if cpus is None else (lambda: os.sched_setaffinity(0, cpus))
+        return subprocess.run(
+            [sys.executable, "-m", "chaincut.cli", *argv], cwd=cwd, env=env,
+            capture_output=True, text=True, timeout=120, preexec_fn=pin,
+        )
+
+    def test_map_reps_keeps_repetition_order(self):
+        assert _map_reps(functools.partial(pow, 2), range(7)) == [1, 2, 4, 8, 16, 32, 64]
+        assert _map_reps(functools.partial(pow, 2), [3]) == [8]
+
+    def test_map_reps_raises_the_first_failing_repetition(self):
+        with pytest.raises(ValueError, match="repetition 2 failed"):
+            _map_reps(_fail_from_rep_2, range(6))
+
+    def test_same_bytes_on_one_cpu_and_on_all(self, tmp_path, child_env):
+        trees = []
+        for name, cpus in (("one", {min(os.sched_getaffinity(0))}), ("all", None)):
+            work = tmp_path / name
+            work.mkdir()
+            write_config(work, **self.SAMPLED)
+            for argv in (("run-jobs", "--config", "config.json"), ("reconstruct", "--out", "run")):
+                proc = self.chaincut(work, child_env, *argv, cpus=cpus)
+                assert proc.returncode == 0, proc.stderr
+            trees.append(read_tree(work / "run"))
+        assert len(trees[0]) == 3 + 3 * (48 + 16 + 8) + 6
+        assert trees[0] == trees[1]
+
+    def test_bad_job_file_in_last_repetition(self, tmp_path, child_env):
+        write_config(tmp_path, **self.SAMPLED)
+        assert self.chaincut(tmp_path, child_env, "run-jobs", "--config", "config.json").returncode == 0
+        victim = tmp_path / "run" / "reps" / "r02" / "jobs" / "4q-Xp-XZX-Z.json"
+        d = json.loads(victim.read_text())
+        d["meas"] = ["X", "X", "X", "X"]
+        victim.write_text(dump_json(d))
+        proc = self.chaincut(tmp_path, child_env, "reconstruct", "--out", "run")
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
+        assert str(Path("run") / "reps" / "r02" / "jobs" / "4q-Xp-XZX-Z.json") in proc.stderr
+
+    def test_first_failing_repetition_is_reported(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        cfg = write_config(tmp_path, **{**self.SAMPLED, "out_dir": str(out)})
+        assert main(["run-jobs", "--config", str(cfg)]) == 0
+        for rep in ("r01", "r02"):
+            (out / "reps" / rep / "jobs" / "3q-Xp-XZX.json").write_text(dump_json(
+                {"n": 3, "meas": ["Z", "Z", "Z"], "dist": [0.125] * 8}
+            ))
+        capsys.readouterr()
+        assert main(["reconstruct", "--out", str(out)]) == 1
+        err = capsys.readouterr().err.replace(str(tmp_path), "")
+        assert str(Path("r01") / "jobs" / "3q-Xp-XZX.json") in err and "r02" not in err
+
+    def test_singular_calibration_in_workers(self, tmp_path, child_env):
+        write_config(
+            tmp_path, **{**self.SAMPLED, "f00": (0.5,) * 4, "f11": (0.5,) * 4},
+            mitigation="tensor",
+        )
+        assert self.chaincut(tmp_path, child_env, "run-jobs", "--config", "config.json").returncode == 0
+        proc = self.chaincut(tmp_path, child_env, "reconstruct", "--out", "run")
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("numerical error:") and proc.stderr.count("\n") == 1
+
+    def test_cli_import_does_not_load_multiprocessing(self, child_env):
+        code = (
+            "import sys; import chaincut.cli; "
+            "sys.exit(1 if {'multiprocessing', 'concurrent.futures'} & set(sys.modules) else 0)"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, env=child_env)
+        assert proc.returncode == 0, proc.stderr.decode()
 
 
 class TestDirect:
