@@ -7,10 +7,11 @@ Verbs:
     scaling      reconstruct, emphasizing the chain-length sweep
     direct       simulate the uncut chain as a reference
 
-Every verb accepts --config FILE plus the overrides --out, --seed,
---shots, --exact.  Exit codes: 0 success, 1 validation error,
-2 numerical error.  All outputs except wall-clock timing columns are
-byte-reproducible for a fixed config and seed.
+Every verb accepts --config FILE and --out DIR, plus the overrides it
+reads: --seed and --shots (run-jobs, calibrate, direct), --exact (run-jobs,
+direct), --k-max (reconstruct, scaling), --n (direct).  Exit codes:
+0 success, 1 validation error, 2 numerical error.  All outputs except
+wall-clock timing columns are byte-reproducible for a fixed config and seed.
 
 run-jobs, calibrate and reconstruct run their repetitions in parallel
 (``_map_reps``): one forked worker per CPU in the affinity mask, at most
@@ -23,7 +24,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import os
 import re
@@ -36,9 +36,8 @@ from . import __version__
 from .config import ExperimentConfig, load_config, override_config
 from .counts import dump_json
 from .cut import (
-    job_path,
-    missing_job_files,
     plan_chain_jobs,
+    read_bundle_file,
     read_job_result,
     read_plan,
     rep_dir,
@@ -46,7 +45,13 @@ from .cut import (
     write_plan,
 )
 from .direct import direct_chain_report
-from .mitigation import NumericalError, pipeline_for_rep, transition_matrix_to_dict
+from .mitigation import (
+    FULL_CALIBRATION,
+    NumericalError,
+    pipeline_for_rep,
+    read_calibration,
+    transition_matrix_to_dict,
+)
 from .reconstruct import (
     build_block_tensors,
     scaling_sweep,
@@ -79,8 +84,7 @@ def _load_effective_config(args) -> ExperimentConfig:
         out_dir=args.out,
         seed=args.seed,
         shots=args.shots,
-        mode="exact" if args.exact else None,
-        k_max=getattr(args, "k_max", None),
+        mode="exact" if getattr(args, "exact", False) else None,
     )
 
 
@@ -135,9 +139,10 @@ def cmd_calibrate(args) -> int:
     noise = cfg.noise_model()
     if not cfg.readout:
         raise ValueError("calibrate needs readout rates in the configuration")
+    # Calibration is sampled whatever the config's mode: check shots as sampled ones.
+    run = override_config(cfg, mode="sampled").run_config()
     out = Path(cfg.out_dir)
     _write_manifest(out, "calibrate", cfg)
-    run = cfg.run_config()
     _map_reps(
         functools.partial(write_calibration, out, run=run, noise=noise),
         range(cfg.effective_repetitions),
@@ -147,32 +152,11 @@ def cmd_calibrate(args) -> int:
 
 
 def _load_bundle_config(bundle: Path, args) -> ExperimentConfig:
-    cfg_path = bundle / "config.json"
-    if not cfg_path.exists():
-        raise ValueError(f"bundle {bundle} has no config.json")
+    cfg_path, manifest_path = bundle / "config.json", bundle / "manifest.json"
     cfg = load_config(cfg_path)
-    manifest_path = bundle / "manifest.json"
-    if json.loads(manifest_path.read_text()).get("config_sha256") != cfg.sha256():
+    if read_bundle_file(manifest_path, lambda d: d.get("config_sha256")) != cfg.sha256():
         raise ValueError(f"{cfg_path} does not match the config_sha256 in {manifest_path}")
-    return override_config(cfg, k_max=getattr(args, "k_max", None))
-
-
-def _check_rep_files(bundle: Path, rep: int, results: list, cfg: ExperimentConfig) -> None:
-    """Reject job and calibration files that disagree with config.json's mode or shots."""
-    sampled = cfg.mode == "sampled"
-    shots = {}
-    for r in results:
-        path = job_path(bundle, rep, r.spec)
-        if (r.counts is not None) != sampled:
-            raise ValueError(f"job file {path} does not hold {cfg.mode} data, as config.json says")
-        if sampled:
-            shots[path] = r.counts.shots
-    calibration = (rep_dir(bundle, rep) / "calibration").glob("q*/*.json") if sampled else ()
-    for path in sorted(calibration):
-        shots[path] = json.loads(path.read_text()).get("shots")
-    for path, found in shots.items():
-        if found != cfg.shots:
-            raise ValueError(f"{path} holds shots={found!r}, but config.json says {cfg.shots}")
+    return override_config(cfg, k_max=args.k_max)
 
 
 def _check_rep_dirs(bundle: Path, repetitions: int) -> None:
@@ -194,9 +178,12 @@ def _check_rep_dirs(bundle: Path, repetitions: int) -> None:
 
 
 def _reconstruct_rep(bundle: Path, plan, cfg: ExperimentConfig, mitigation: str, rep: int) -> dict:
-    results = [read_job_result(bundle, rep, spec) for spec in plan]
-    _check_rep_files(bundle, rep, results, cfg)
-    pipeline = pipeline_for_rep(rep_dir(bundle, rep), cfg.readout, mode=mitigation)
+    shots = cfg.shots if cfg.mode == "sampled" else None
+    results = [read_job_result(bundle, rep, spec, shots) for spec in plan]
+    calibration = {}
+    if shots is not None:
+        calibration = read_calibration(bundle, rep, shots, required=mitigation == FULL_CALIBRATION)
+    pipeline = pipeline_for_rep(calibration, cfg.readout, mode=mitigation)
     bt4, bt3 = build_block_tensors(results, pipeline)
     return {
         "odd12": witness_values(bt4, bt3, REPORT_N, "odd"),
@@ -208,22 +195,15 @@ def _reconstruct_rep(bundle: Path, plan, cfg: ExperimentConfig, mitigation: str,
     }
 
 
-def _reconstruct_reports(bundle: Path, cfg: ExperimentConfig) -> dict:
+def _reconstruct_reports(bundle: Path, cfg: ExperimentConfig) -> list[dict]:
     plan = read_plan(bundle)
     reps = range(cfg.effective_repetitions)
     _check_rep_dirs(bundle, len(reps))
-    for rep in reps:
-        missing = missing_job_files(bundle, plan, rep)
-        if missing:
-            raise ValueError(
-                f"bundle incomplete in rep {rep}; missing jobs: " + ", ".join(missing)
-            )
     # Exact distributions model pre-readout statistics and never pass
     # through TMEM, so exact bundles build no confusion matrices; nor does a
     # config without readout rates, whose sampled bundles hold no calibration.
     mitigation = "none" if cfg.mode == "exact" or not cfg.readout else cfg.mitigation
-    per_rep = _map_reps(functools.partial(_reconstruct_rep, bundle, plan, cfg, mitigation), reps)
-    return {"per_rep": per_rep, "matrices": per_rep[0]["matrices"]}
+    return _map_reps(functools.partial(_reconstruct_rep, bundle, plan, cfg, mitigation), reps)
 
 
 def _aggregate_scaling(per_rep: list[dict], k_max: int) -> list[dict]:
@@ -279,14 +259,11 @@ def _witness_report(per_rep: list[dict]) -> dict:
 
 
 def cmd_reconstruct(args) -> int:
-    bundle = Path(args.out) if args.out else None
-    if bundle is None and args.config:
-        bundle = Path(load_config(args.config).out_dir)
-    if bundle is None:
+    if not (args.out or args.config):
         raise ValueError("reconstruct needs --out (the bundle directory) or --config")
+    bundle = Path(args.out or load_config(args.config).out_dir)
     cfg = _load_bundle_config(bundle, args)
-    data = _reconstruct_reports(bundle, cfg)
-    per_rep = data["per_rep"]
+    per_rep = _reconstruct_reports(bundle, cfg)
     reports = bundle / "reports"
     reports.mkdir(parents=True, exist_ok=True)
     rows = _aggregate_scaling(per_rep, cfg.k_max)
@@ -304,7 +281,7 @@ def cmd_reconstruct(args) -> int:
         "ZX": [float(x) for x in np.mean([r["dist_zx"] for r in per_rep], axis=0)],
     }
     (reports / "stitched_distributions.json").write_text(dump_json(dists))
-    for n, t in sorted(data["matrices"].items()):
+    for n, t in sorted(per_rep[0]["matrices"].items()):
         (reports / f"transition_q{n}.json").write_text(
             dump_json(transition_matrix_to_dict(t))
         )
@@ -370,22 +347,26 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"chaincut {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, k_max=False, n=False):
+    flags = {
+        "--seed": dict(type=int, help="master seed override"),
+        "--shots": dict(type=int, help="shots-per-job override"),
+        "--exact": dict(action="store_true", help="force exact (no sampling) mode"),
+        "--k-max": dict(dest="k_max", type=int, help="largest chain index k (n = 6 + 3k)"),
+        "--n": dict(type=int, default=12, help="chain length (default 12)"),
+    }
+
+    def verb(name: str, help: str, *options: str) -> None:
+        p = sub.add_parser(name, help=help)
         p.add_argument("--config", type=Path, help="experiment config (JSON)")
         p.add_argument("--out", type=str, help="output / bundle directory")
-        p.add_argument("--seed", type=int, help="master seed override")
-        p.add_argument("--shots", type=int, help="shots-per-job override")
-        p.add_argument("--exact", action="store_true", help="force exact (no sampling) mode")
-        if k_max:
-            p.add_argument("--k-max", dest="k_max", type=int, help="largest chain index k (n = 6 + 3k)")
-        if n:
-            p.add_argument("--n", type=int, default=12, help="chain length (default 12)")
+        for option in options:
+            p.add_argument(option, **flags[option])
 
-    common(sub.add_parser("run-jobs", help="execute the 48-job block grid"))
-    common(sub.add_parser("calibrate", help="write readout calibration bundles"))
-    common(sub.add_parser("reconstruct", help="build reports from a job bundle"), k_max=True)
-    common(sub.add_parser("scaling", help="reconstruct with the full chain-length sweep"), k_max=True)
-    common(sub.add_parser("direct", help="simulate the uncut chain directly"), n=True)
+    verb("run-jobs", "execute the 48-job block grid", "--seed", "--shots", "--exact")
+    verb("calibrate", "write readout calibration bundles", "--seed", "--shots")
+    verb("reconstruct", "build reports from a job bundle", "--k-max")
+    verb("scaling", "reconstruct with the full chain-length sweep", "--k-max")
+    verb("direct", "simulate the uncut chain directly", "--seed", "--shots", "--exact", "--n")
     return parser
 
 
@@ -405,7 +386,7 @@ def main(argv: list[str] | None = None) -> int:
     except (NumericalError, np.linalg.LinAlgError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -7,6 +7,7 @@ import json
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
+from .cut import read_bundle_file
 from .mitigation import FULL_CALIBRATION, TENSOR_PRODUCT
 from .sim import DEFAULT_P1, DEFAULT_P2, DEFAULT_READOUT, NoiseModel, RunConfig
 
@@ -91,8 +92,6 @@ def _has_json_type(default, value) -> bool:
 
 
 def config_from_dict(d: dict) -> ExperimentConfig:
-    if not isinstance(d, dict):
-        raise ValueError("config must be a JSON object")
     defaults = ExperimentConfig().to_dict()
     unknown = set(d) - set(defaults)
     if unknown:
@@ -112,10 +111,7 @@ def config_from_dict(d: dict) -> ExperimentConfig:
 
 
 def load_config(path: Path) -> ExperimentConfig:
-    try:
-        return config_from_dict(json.loads(Path(path).read_text()))
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"config file {path} is not valid JSON: {exc}") from exc
+    return read_bundle_file(path, config_from_dict)
 
 
 def override_config(cfg: ExperimentConfig, **overrides) -> ExperimentConfig:

@@ -234,44 +234,61 @@ def plan_chain_jobs() -> tuple[JobSpec, ...]:
 # On-disk bundle: plan.json + reps/rXX/jobs/<job_id>.json (+ calibration)
 
 
-def plan_to_dict(plan: tuple[JobSpec, ...]) -> dict:
-    return {
-        "jobs": [
-            {
-                "id": s.job_id,
-                "form": s.form,
-                "input": s.input,
-                "pattern": s.pattern,
-                "cut_basis": s.cut_basis,
-            }
-            for s in plan
-        ]
-    }
+def read_bundle_file(path: Path, parse):
+    """``parse(obj)`` for the JSON object in one bundle (or config) file: the one reader.
 
-
-def plan_from_dict(d: dict) -> tuple[JobSpec, ...]:
-    return tuple(
-        JobSpec(j["form"], j["input"], j["pattern"], j.get("cut_basis"))
-        for j in d["jobs"]
-    )
+    Invalid JSON, a value that is not an object, and anything ``parse`` finds
+    missing, mistyped or out of range become a ValueError naming the file; a
+    file that cannot be opened stays the OSError (FileNotFoundError, ...) naming it.
+    """
+    try:
+        d = json.loads(Path(path).read_text())
+        if not isinstance(d, dict):
+            raise ValueError("not a JSON object")
+        return parse(d)
+    except KeyError as exc:
+        raise ValueError(f"{path}: no field {exc}") from exc
+    except (ValueError, TypeError, AttributeError, OverflowError) as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def rep_dir(bundle_dir: Path, rep: int) -> Path:
     return Path(bundle_dir) / "reps" / f"r{rep:02d}"
 
 
-def write_plan(bundle_dir: Path, plan: tuple[JobSpec, ...]) -> None:
-    path = Path(bundle_dir) / "plan.json"
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(dump_json(plan_to_dict(plan)))
-
-
-def read_plan(bundle_dir: Path) -> tuple[JobSpec, ...]:
-    return plan_from_dict(json.loads((Path(bundle_dir) / "plan.json").read_text()))
+def calibration_dir(bundle_dir: Path, rep: int, n: int) -> Path:
+    """The n-qubit readout calibration of one repetition: one counts file per basis state."""
+    return rep_dir(bundle_dir, rep) / "calibration" / f"q{n}"
 
 
 def job_path(bundle_dir: Path, rep: int, spec: JobSpec) -> Path:
     return rep_dir(bundle_dir, rep) / "jobs" / f"{spec.job_id}.json"
+
+
+def write_plan(bundle_dir: Path, plan: tuple[JobSpec, ...]) -> None:
+    path = Path(bundle_dir) / "plan.json"
+    path.parent.mkdir(parents=True, exist_ok=True)
+    jobs = [
+        {"id": s.job_id, "form": s.form, "input": s.input, "pattern": s.pattern,
+         "cut_basis": s.cut_basis}
+        for s in plan
+    ]
+    path.write_text(dump_json({"jobs": jobs}))
+
+
+def read_plan(bundle_dir: Path) -> tuple[JobSpec, ...]:
+    """The job specs of plan.json, which must list every job of the grid once."""
+
+    def parse(d: dict) -> tuple[JobSpec, ...]:
+        plan = tuple(
+            JobSpec(j["form"], j["input"], j["pattern"], j.get("cut_basis")) for j in d["jobs"]
+        )
+        grid = plan_chain_jobs()
+        if len(plan) != len(grid) or set(plan) != set(grid):
+            raise ValueError(f"does not list the {len(grid)} jobs of the block grid once each")
+        return plan
+
+    return read_bundle_file(Path(bundle_dir) / "plan.json", parse)
 
 
 def write_job_result(bundle_dir: Path, rep: int, result: JobResult) -> None:
@@ -284,21 +301,36 @@ def write_job_result(bundle_dir: Path, rep: int, result: JobResult) -> None:
     path.write_text(dump_json(payload))
 
 
-def read_job_result(bundle_dir: Path, rep: int, spec: JobSpec) -> JobResult:
-    path = job_path(bundle_dir, rep, spec)
-    d = json.loads(path.read_text())
-    meas = "".join(d.get("meas", ()))
-    if meas != spec.meas or d.get("n") != spec.n_qubits:
-        raise ValueError(
-            f"job file {path} holds meas={meas!r} n={d.get('n')!r}, "
-            f"but job {spec.job_id} needs meas={spec.meas!r} n={spec.n_qubits}"
-        )
-    if "counts" in d:
-        return JobResult(spec, counts=counts_from_dict(d))
-    dist = Distribution(int(d["n"]), np.asarray(d["dist"], dtype=float))
-    return JobResult(spec, dist=dist)
+def checked_counts(d: dict, n: int, shots: int) -> CountsTable:
+    """The counts table of a parsed counts file that must hold ``n`` and config.json's ``shots``."""
+    if d.get("n") != n:
+        raise ValueError(f"holds n={d.get('n')!r}, needs n={n}")
+    table = counts_from_dict(d)
+    if table.shots != shots:
+        raise ValueError(f"holds shots={table.shots}, but config.json says {shots}")
+    return table
 
 
-def missing_job_files(bundle_dir: Path, plan: tuple[JobSpec, ...], rep: int) -> list[str]:
-    return [s.job_id for s in plan if not job_path(bundle_dir, rep, s).exists()]
+def read_job_result(bundle_dir: Path, rep: int, spec: JobSpec, shots: int | None) -> JobResult:
+    """One job file, checked against its plan entry and config.json's ``shots``.
 
+    ``shots`` is None for an exact bundle.  ``meas`` and ``n`` are checked
+    first, so that a wrong ``n`` never sizes an allocation.
+    """
+
+    def parse(d: dict) -> JobResult:
+        meas = "".join(d.get("meas", ()))
+        if meas != spec.meas or d.get("n") != spec.n_qubits:
+            raise ValueError(
+                f"holds meas={meas!r} n={d.get('n')!r}, "
+                f"but job {spec.job_id} needs meas={spec.meas!r} n={spec.n_qubits}"
+            )
+        if ("counts" in d) != (shots is not None):
+            mode = "exact" if shots is None else "sampled"
+            raise ValueError(f"does not hold {mode} data, as config.json says")
+        if shots is None:
+            dist = np.asarray(d["dist"], dtype=float)
+            return JobResult(spec, dist=Distribution(spec.n_qubits, dist))
+        return JobResult(spec, counts=checked_counts(d, spec.n_qubits, shots))
+
+    return read_bundle_file(job_path(bundle_dir, rep, spec), parse)

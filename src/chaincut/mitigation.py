@@ -15,14 +15,14 @@ probability simplex, computed in closed form by sorted water-filling.
 from __future__ import annotations
 
 import functools
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .circuit import REGISTER_SIZES
-from .counts import CountsTable, Distribution, QuasiDistribution, counts_from_dict
+from .counts import CountsTable, Distribution, QuasiDistribution
+from .cut import calibration_dir, checked_counts, read_bundle_file
 from .qstate import apply_on_axis, index_to_bits
 
 COND_LIMIT = 1e6
@@ -214,39 +214,43 @@ class MitigationPipeline:
         return mle_project(q)
 
 
-def read_calibration(calib_dir: Path, n: int) -> list[CountsTable]:
-    """Load a calibration bundle directory: one counts file per basis state."""
-    out = []
-    for j in range(2**n):
-        path = Path(calib_dir) / f"{index_to_bits(j, n)}.json"
-        if not path.exists():
-            raise ValueError(f"calibration file missing: {path}")
-        d = json.loads(path.read_text())
-        if d.get("n") != n:
-            raise ValueError(f"calibration file {path} holds n={d.get('n')!r}, needs n={n}")
-        out.append(counts_from_dict(d))
-    return out
+def read_calibration(
+    bundle_dir: Path, rep: int, shots: int, required: bool = False
+) -> dict[int, list[CountsTable]]:
+    """The calibration count tables of one repetition, per register size, in basis-state order.
+
+    Each calibration directory present is read whole.  With ``required``, a
+    register size without its directory is an error naming the directory.
+    """
+    tables = {}
+    for n in REGISTER_SIZES:
+        target = calibration_dir(bundle_dir, rep, n)
+        if not target.is_dir():
+            if required:
+                raise ValueError(f"mitigation 'full' needs the calibration directory {target}")
+            continue
+        parse = functools.partial(checked_counts, n=n, shots=shots)
+        tables[n] = [
+            read_bundle_file(target / f"{index_to_bits(j, n)}.json", parse) for j in range(2**n)
+        ]
+    return tables
 
 
 def pipeline_for_rep(
-    rep_path: Path,
+    calibration: dict[int, list[CountsTable]],
     readout: tuple[tuple[float, float], ...] | None,
     mode: str = "auto",
 ) -> MitigationPipeline:
-    """Build the mitigation pipeline for one repetition directory.
+    """Build the mitigation pipeline for one repetition from its calibration tables.
 
-    Mode "auto" prefers full calibration when a calibration bundle is on
-    disk and falls back to tensor-product rates from the configuration,
+    Mode "auto" prefers full calibration for each register size with tables
+    (see read_calibration), else tensor-product rates from the configuration,
     sliced per register by readout_rates exactly as the simulator does.
     """
     matrices: dict[int, TransitionMatrix] = {}
     for n in REGISTER_SIZES:
-        calib_dir = Path(rep_path) / "calibration" / f"q{n}"
-        use_full = mode == FULL_CALIBRATION or (mode == "auto" and calib_dir.is_dir())
-        if use_full:
-            matrices[n] = build_transition_matrix(
-                n, FULL_CALIBRATION, calib=read_calibration(calib_dir, n)
-            )
+        if mode == FULL_CALIBRATION or (mode == "auto" and n in calibration):
+            matrices[n] = build_transition_matrix(n, FULL_CALIBRATION, calib=calibration.get(n))
         elif mode in ("auto", TENSOR_PRODUCT):
             rates = readout_rates(readout, n)
             if rates is not None:

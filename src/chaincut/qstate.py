@@ -154,10 +154,11 @@ def assert_distribution(p: np.ndarray, atol: float = ATOL_PROB) -> None:
     if p.ndim != 1:
         raise ValueError("distribution must be 1-D")
     num_qubits(p.shape[0])
-    if np.any(p < -atol):
-        raise ValueError(f"negative probability {p.min():.3e}")
+    # Written so that NaN fails each test, as a NaN read from a file must.
+    if not np.all(p >= -atol):
+        raise ValueError(f"probability {p.min():.3e} is negative or not a number")
     s = float(p.sum())
-    if abs(s - 1.0) > atol:
+    if not abs(s - 1.0) <= atol:
         raise ValueError(f"probabilities sum to {s}, not 1")
 
 
@@ -166,7 +167,7 @@ def assert_quasi_distribution(w: np.ndarray, atol: float = ATOL_PROB) -> None:
         raise ValueError("quasi-distribution must be 1-D")
     num_qubits(w.shape[0])
     s = float(w.sum())
-    if abs(s - 1.0) > atol:
+    if not abs(s - 1.0) <= atol:
         raise ValueError(f"weights sum to {s}, not 1")
 
 

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuit import FOUR_QUBIT, THREE_QUBIT
-from .cut import CUT_PATTERNS, JobResult, decomposition_table, verify_decomposition
+from .cut import CUT_BASES, CUT_PATTERNS, JobResult, JobSpec, decomposition_table, plan_chain_jobs
 from .mitigation import MitigationPipeline
 from .qstate import STATE_LABELS
 
@@ -183,37 +183,22 @@ def build_block_tensors(
     read the Z marginal, X/Y terms the parity), then transform outcome
     weights into parity values for the 8 local masks.
     """
-    verify_decomposition()
     terms = decomposition_table()
-    indexed = {
-        (r.spec.form, r.spec.input, r.spec.pattern, r.spec.cut_basis): (
-            r.counts if r.counts is not None else r.dist
-        )
-        for r in results
-    }
-    missing = []
+    payloads = {r.spec: r.counts if r.counts is not None else r.dist for r in results}
+    missing = sorted(s.job_id for s in plan_chain_jobs() if s not in payloads)
+    if missing:
+        raise ValueError(f"job grid incomplete, missing: {missing}")
     w4 = np.zeros((2, 6, 6, 8))
     p3 = np.zeros((2, 6, 8))
     for p_idx, pattern in enumerate(CUT_PATTERNS):
         for j, label in enumerate(STATE_LABELS):
-            dists = {}
-            for basis in ("X", "Y", "Z"):
-                key = (FOUR_QUBIT, label, pattern, basis)
-                if key not in indexed:
-                    missing.append("-".join((FOUR_QUBIT, label, pattern, basis)))
-                    continue
-                dists[basis] = pipeline.physical(indexed[key]).p
-            if len(dists) == 3:
-                for t in terms:
-                    block = dists[t.basis].reshape(8, 2)
-                    w4[p_idx, j, t.index] = block @ np.asarray(t.outcome_weights)
-            key3 = (THREE_QUBIT, label, pattern, None)
-            if key3 not in indexed:
-                missing.append("-".join((THREE_QUBIT, label, pattern)))
-            else:
-                p3[p_idx, j] = pipeline.physical(indexed[key3]).p
-    if missing:
-        raise ValueError(f"job grid incomplete, missing: {sorted(set(missing))}")
+            dists = {
+                basis: pipeline.physical(payloads[JobSpec(FOUR_QUBIT, label, pattern, basis)]).p
+                for basis in CUT_BASES
+            }
+            for t in terms:
+                w4[p_idx, j, t.index] = dists[t.basis].reshape(8, 2) @ np.asarray(t.outcome_weights)
+            p3[p_idx, j] = pipeline.physical(payloads[JobSpec(THREE_QUBIT, label, pattern, None)]).p
     t4 = w4 @ SIGNS3
     t3 = p3 @ SIGNS3
     return (

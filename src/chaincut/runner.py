@@ -17,7 +17,7 @@ import numpy as np
 
 from .circuit import REGISTER_SIZES, build_block_subcircuit
 from .counts import CountsTable, Distribution, counts_to_dict, dump_json
-from .cut import JobResult, JobSpec, rep_dir
+from .cut import JobResult, JobSpec, calibration_dir
 from .qstate import index_to_bits
 from .sim import NoiseModel, RunConfig, measure_distribution, rng_for, run_exact, sample_counts
 
@@ -97,7 +97,7 @@ def write_calibration(bundle_dir: Path, rep: int, run: RunConfig, noise: NoiseMo
         if readout is None:
             continue
         rng = rng_for(run.seed, rep, _CALIB_STREAM, n)
-        target = rep_dir(bundle_dir, rep) / "calibration" / f"q{n}"
+        target = calibration_dir(bundle_dir, rep, n)
         target.mkdir(parents=True, exist_ok=True)
         for j, table in enumerate(calibration_counts(n, readout, run.shots, rng)):
             (target / f"{index_to_bits(j, n)}.json").write_text(dump_json(counts_to_dict(table)))

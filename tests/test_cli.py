@@ -1,10 +1,12 @@
 """End-to-end CLI runs: bundles, reports, determinism, exit codes."""
 
+import collections
 import contextlib
 import functools
 import hashlib
 import io
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -147,7 +149,9 @@ class TestReconstruct:
         victim = out / "reps" / "r00" / "jobs" / "3q-Xp-XZX.json"
         victim.unlink()
         assert main(["reconstruct", "--out", str(out)]) == 1
-        assert "3q-Xp-XZX" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert str(victim) in err and "Traceback" not in err
+        assert err.startswith("error:") and err.count("\n") == 1
 
     def test_short_readout_list_reconstructs(self, tmp_path):
         # two rates for four-qubit registers: mitigation must cycle the list
@@ -319,6 +323,63 @@ class TestBundleIntegrity:
         (out / "config.json").write_text(dump_json(cfg))
         self.assert_rejected(out, "config.json does not match the config_sha256", capsys)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_probability_in_exact_job_file(self, tmp_path, capsys, value):
+        # Python's json reads NaN and Infinity; a distribution holding one
+        # must be rejected, not passed on to the simplex projection
+        out = self.bundle(tmp_path, "exact")
+        victim = out / "reps" / "r00" / "jobs" / "3q-Xp-XZX.json"
+        d = json.loads(victim.read_text())
+        d["dist"][0] = value
+        victim.write_text(json.dumps(d))
+        self.assert_rejected(out, str(victim), capsys)
+
+    def test_directory_in_place_of_job_file(self, tmp_path, capsys):
+        out = self.bundle(tmp_path, "sampled")
+        victim = out / "reps" / "r00" / "jobs" / "3q-Xp-XZX.json"
+        victim.unlink()
+        victim.mkdir()
+        self.assert_rejected(out, str(victim), capsys)
+
+    def test_full_mitigation_without_calibration_directory(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        cfg = write_config(
+            tmp_path, mode="sampled", mitigation="full", shots=2000, repetitions=1, k_max=1,
+            out_dir=str(out),
+        )
+        assert main(["run-jobs", "--config", str(cfg)]) == 0
+        shutil.rmtree(out / "reps" / "r00" / "calibration" / "q4")
+        self.assert_rejected(out, str(out / "reps" / "r00" / "calibration" / "q4"), capsys)
+
+    def test_partial_calibration_directory_under_tensor(self, tmp_path, capsys):
+        # tensor mode builds no matrix from calibration files, but a bundle
+        # holding an incomplete calibration directory is still malformed
+        out = tmp_path / "run"
+        cfg = write_config(
+            tmp_path, mode="sampled", mitigation="tensor", shots=2000, repetitions=1, k_max=1,
+            out_dir=str(out),
+        )
+        assert main(["run-jobs", "--config", str(cfg)]) == 0
+        victim = out / "reps" / "r00" / "calibration" / "q4" / "0011.json"
+        victim.unlink()
+        self.assert_rejected(out, str(victim), capsys)
+
+    def test_each_bundle_file_is_parsed_once(self, tmp_path, monkeypatch):
+        out = self.bundle(tmp_path, "sampled")
+        bundle_files = {p.relative_to(out) for p in out.rglob("*.json")}
+        assert len(bundle_files) == 3 + 48 + 16 + 8
+        reads = collections.Counter()
+        path_open = Path.open
+
+        def counting_open(path, mode="r", *args, **kwargs):
+            if "r" in mode:
+                reads[path.relative_to(out)] += 1
+            return path_open(path, mode, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "open", counting_open)
+        assert main(["reconstruct", "--out", str(out)]) == 0
+        assert dict(reads) == dict.fromkeys(bundle_files, 1)
+
 
 def _fail_from_rep_2(rep: int) -> int:
     if rep >= 2:
@@ -444,6 +505,17 @@ class TestCalibrate:
             assert main(["calibrate", "--config", str(cfg)]) == 1
             assert not (tmp_path / "cal").exists()
 
+    @pytest.mark.parametrize("shots", [2**62, 2**63, 0])
+    def test_calibrate_checks_shots_as_sampled(self, tmp_path, capsys, shots):
+        # calibration is sampled even when the config's mode is exact, which
+        # does not range-check shots itself
+        out = tmp_path / "cal"
+        cfg = write_config(tmp_path, mode="exact", out_dir=str(out))
+        assert main(["calibrate", "--config", str(cfg), "--shots", str(shots)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1 and "shots" in err
+        assert not out.exists()
+
 
 class TestErrors:
     def test_unknown_config_field(self, tmp_path):
@@ -455,6 +527,22 @@ class TestErrors:
         out = tmp_path / "run"
         assert main(["run-jobs", "--seed", "-1", "--out", str(out)]) == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["reconstruct", "--shots", "5"],
+            ["reconstruct", "--exact"],
+            ["scaling", "--seed", "1"],
+            ["calibrate", "--exact"],
+        ],
+    )
+    def test_verbs_take_only_the_options_they_read(self, tmp_path, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--out", str(tmp_path / "run")])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
 
     def test_invalid_json_config(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -605,3 +693,95 @@ def test_every_accepted_config_runs_and_reconstructs(d):
             assert err.getvalue().startswith("numerical error:") and err.getvalue().count("\n") == 1
         else:
             assert code == 0, (d, err.getvalue())
+
+
+# Bundle files a malformation test overwrites: every kind reconstruct reads.
+MALFORMABLE = (
+    "config.json",
+    "manifest.json",
+    "plan.json",
+    "reps/r00/jobs/4q-Xp-XZX-Z.json",
+    "reps/r00/calibration/q4/0101.json",
+)
+
+
+@pytest.fixture(scope="module")
+def malformable_bundle(tmp_path_factory) -> Path:
+    """A one-repetition sampled bundle, so that reconstruct runs in this process."""
+    out = tmp_path_factory.mktemp("malformable") / "run"
+    cfg = write_config(
+        out.parent, mode="sampled", shots=500, repetitions=1, k_max=1, seed=3, out_dir=str(out)
+    )
+    assert main(["run-jobs", "--config", str(cfg)]) == 0
+    return out
+
+
+DELETE = object()
+JOB, CALIBRATION = MALFORMABLE[3], MALFORMABLE[4]
+# Every top-level field of the files in MALFORMABLE, so that a change can hit any of them.
+FIELDS = sorted(
+    {*ExperimentConfig().to_dict(), "command", "package", "version", "config_sha256", "jobs",
+     "n", "meas", "shots", "counts", "dist"}
+)
+CHANGES = (
+    st.tuples(st.just("value"), JSON_VALUES)
+    | st.tuples(st.just("truncate"), st.floats(0.0, 1.0, exclude_max=True))
+    | st.tuples(st.just("field"), st.sampled_from(FIELDS), st.just(DELETE) | JSON_VALUES)
+)
+
+
+def _changed(original: bytes, change: tuple) -> bytes:
+    if change[0] == "value":
+        return json.dumps(change[1]).encode()
+    if change[0] == "truncate":
+        # every bundle file ends in "}\n", so no proper prefix short of it is valid JSON
+        return original[: int(change[1] * (len(original) - 1))]
+    d = json.loads(original)
+    if change[2] is DELETE:
+        d.pop(change[1], None)
+    else:
+        d[change[1]] = change[2]
+    return json.dumps(d).encode()
+
+
+@settings(max_examples=100, deadline=None, database=None, derandomize=True)
+@given(name=st.sampled_from(MALFORMABLE), change=CHANGES)
+@example(name=JOB, change=("value", []))
+@example(name=JOB, change=("value", {"n": 3, "meas": 5}))
+@example(name=JOB, change=("value", {"n": 4, "meas": ["X", "Z", "X", "Z"]}))
+@example(name=JOB, change=("field", "shots", DELETE))
+@example(name=JOB, change=("field", "counts", [1]))
+@example(name=JOB, change=("field", "counts", {"0000": None}))
+@example(name=JOB, change=("field", "n", 10**9))
+@example(name=CALIBRATION, change=("value", []))
+@example(name=CALIBRATION, change=("field", "shots", DELETE))
+@example(name="manifest.json", change=("value", []))
+@example(name="plan.json", change=("value", []))
+@example(name="plan.json", change=("field", "jobs", []))
+@example(name="plan.json", change=("truncate", 0.5))
+def test_malformed_bundle_file_is_one_error_line(malformable_bundle, name, change):
+    """A changed bundle file gives exit 1 and one error line naming it, never a traceback.
+
+    An arbitrary value or a truncation is always rejected; a changed field
+    may also leave a file that reconstructs (an unchecked manifest field, or
+    a value that happens to be valid), or calibration counts that give a
+    singular confusion matrix.
+    """
+    target = malformable_bundle / name
+    original = target.read_bytes()
+    target.write_bytes(_changed(original, change))
+    err = io.StringIO()
+    try:
+        with contextlib.redirect_stderr(err):
+            code = main(["reconstruct", "--out", str(malformable_bundle)])
+    finally:
+        target.write_bytes(original)
+    err = err.getvalue()
+    if change[0] == "field" and code == 0:
+        return
+    if change[0] == "field" and code == 2:
+        assert err.startswith("numerical error:") and err.count("\n") == 1
+        return
+    assert code == 1, (change, err)
+    assert err.startswith("error:") and err.count("\n") == 1, err
+    assert str(target) in err, err

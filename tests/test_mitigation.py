@@ -13,6 +13,7 @@ from chaincut.mitigation import (
     mle_project,
     pipeline_for_rep,
     project_to_simplex,
+    read_calibration,
     tmem_product_inverse,
     transition_matrix_to_dict,
 )
@@ -208,15 +209,17 @@ class TestPipeline:
         from chaincut.sim import RunConfig
 
         write_calibration(tmp_path, 0, RunConfig("sampled", shots=50_000, seed=4), default_noise)
-        rep = tmp_path / "reps" / "r00"
-        pipe = pipeline_for_rep(rep, default_noise.readout, mode="auto")
+        calibration = read_calibration(tmp_path, 0, 50_000)
+        assert sorted(calibration) == [3, 4] and len(calibration[4]) == 16
+        pipe = pipeline_for_rep(calibration, default_noise.readout, mode="auto")
         assert pipe.matrices[4].mode == "full"
         assert pipe.matrices[3].mode == "full"
 
     def test_auto_mode_falls_back_to_tensor(self, tmp_path, default_noise):
-        pipe = pipeline_for_rep(tmp_path, default_noise.readout, mode="auto")
+        assert read_calibration(tmp_path, 0, 50_000) == {}
+        pipe = pipeline_for_rep({}, default_noise.readout, mode="auto")
         assert pipe.matrices[4].mode == "tensor"
 
-    def test_none_mode(self, tmp_path, default_noise):
-        pipe = pipeline_for_rep(tmp_path, default_noise.readout, mode="none")
+    def test_none_mode(self, default_noise):
+        pipe = pipeline_for_rep({}, default_noise.readout, mode="none")
         assert pipe.matrices == {}
