@@ -1,33 +1,8 @@
 """chaincut: simulate, cut, mitigate, and stitch linear-cluster chains.
 
-Submodules are imported lazily so that purely classical stages
-(mitigation, reconstruct) never drag the simulator into the process.
+Import the submodules by name (``from chaincut.reconstruct import ...``);
+the purely classical stages (mitigation, reconstruct) never import the
+simulator.
 """
 
-import importlib
-
 __version__ = "0.1.0"
-
-_SUBMODULES = (
-    "circuit",
-    "cli",
-    "config",
-    "counts",
-    "cut",
-    "direct",
-    "mitigation",
-    "qstate",
-    "reconstruct",
-    "runner",
-    "sim",
-)
-
-
-def __getattr__(name):
-    if name in _SUBMODULES:
-        return importlib.import_module(f".{name}", __name__)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def __dir__():
-    return sorted(list(globals()) + list(_SUBMODULES))

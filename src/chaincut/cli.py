@@ -1,19 +1,19 @@
 """Batch experiment driver.
 
 Verbs:
-    run-jobs     execute the 48-job block grid and persist the bundle
-    calibrate    write readout-calibration bundles only
-    reconstruct  turn a bundle into witness/bound/distribution reports
-    scaling      reconstruct, emphasizing the chain-length sweep
+    run-jobs     execute the 48-job block grid and persist the bundle,
+                 with readout calibration for sampled configs with rates
+    reconstruct  turn a bundle into witness/bound/distribution reports,
+                 including the chain-length sweep to n = 6 + 3 k_max
     direct       simulate the uncut chain as a reference
 
 Every verb accepts --config FILE and --out DIR, plus the overrides it
-reads: --seed and --shots (run-jobs, calibrate, direct), --exact (run-jobs,
-direct), --k-max (reconstruct, scaling), --n (direct).  Exit codes:
-0 success, 1 validation error, 2 numerical error.  All outputs except
-wall-clock timing columns are byte-reproducible for a fixed config and seed.
+reads: --seed and --shots (run-jobs, direct), --exact (run-jobs, direct),
+--k-max (reconstruct), --n (direct).  Exit codes: 0 success, 1 validation
+error, 2 numerical error.  All outputs except wall-clock timing columns are
+byte-reproducible for a fixed config and seed.
 
-run-jobs, calibrate and reconstruct run their repetitions in parallel
+run-jobs and reconstruct run their repetitions in parallel
 (``_map_reps``): one forked worker per CPU in the affinity mask, at most
 one per repetition.  Each repetition draws from its own seeded stream, so
 the outputs do not depend on the worker count, and the first failing
@@ -134,23 +134,6 @@ def cmd_run_jobs(args) -> int:
     return 0
 
 
-def cmd_calibrate(args) -> int:
-    cfg = _load_effective_config(args)
-    noise = cfg.noise_model()
-    if not cfg.readout:
-        raise ValueError("calibrate needs readout rates in the configuration")
-    # Calibration is sampled whatever the config's mode: check shots as sampled ones.
-    run = override_config(cfg, mode="sampled").run_config()
-    out = Path(cfg.out_dir)
-    _write_manifest(out, "calibrate", cfg)
-    _map_reps(
-        functools.partial(write_calibration, out, run=run, noise=noise),
-        range(cfg.effective_repetitions),
-    )
-    print(f"wrote calibration bundles to {out}")
-    return 0
-
-
 def _load_bundle_config(bundle: Path, args) -> ExperimentConfig:
     cfg_path, manifest_path = bundle / "config.json", bundle / "manifest.json"
     cfg = load_config(cfg_path)
@@ -202,7 +185,7 @@ def _reconstruct_reports(bundle: Path, cfg: ExperimentConfig) -> list[dict]:
     # Exact distributions model pre-readout statistics and never pass
     # through TMEM, so exact bundles build no confusion matrices; nor does a
     # config without readout rates, whose sampled bundles hold no calibration.
-    mitigation = "none" if cfg.mode == "exact" or not cfg.readout else cfg.mitigation
+    mitigation = "none" if cfg.mode == "exact" or cfg.readout is None else cfg.mitigation
     return _map_reps(functools.partial(_reconstruct_rep, bundle, plan, cfg, mitigation), reps)
 
 
@@ -363,18 +346,14 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument(option, **flags[option])
 
     verb("run-jobs", "execute the 48-job block grid", "--seed", "--shots", "--exact")
-    verb("calibrate", "write readout calibration bundles", "--seed", "--shots")
     verb("reconstruct", "build reports from a job bundle", "--k-max")
-    verb("scaling", "reconstruct with the full chain-length sweep", "--k-max")
     verb("direct", "simulate the uncut chain directly", "--seed", "--shots", "--exact", "--n")
     return parser
 
 
 _HANDLERS = {
     "run-jobs": cmd_run_jobs,
-    "calibrate": cmd_calibrate,
     "reconstruct": cmd_reconstruct,
-    "scaling": cmd_reconstruct,
     "direct": cmd_direct,
 }
 

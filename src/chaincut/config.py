@@ -7,6 +7,7 @@ import json
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
+from .counts import has_json_type
 from .cut import read_bundle_file
 from .mitigation import FULL_CALIBRATION, TENSOR_PRODUCT
 from .sim import DEFAULT_P1, DEFAULT_P2, DEFAULT_READOUT, NoiseModel, RunConfig
@@ -46,12 +47,13 @@ class ExperimentConfig:
 
     @property
     def readout(self) -> tuple[tuple[float, float], ...] | None:
-        if self.f00 is None:
+        """Per-qubit (f00, f11) pairs, or None for null and empty rate lists alike."""
+        if not self.f00:
             return None
         return tuple(zip(self.f00, self.f11))
 
     def noise_model(self) -> NoiseModel | None:
-        if self.p1 == 0.0 and self.p2 == 0.0 and self.f00 is None:
+        if self.p1 == 0.0 and self.p2 == 0.0 and self.readout is None:
             return None
         return NoiseModel(self.p1, self.p2, self.readout)
 
@@ -79,25 +81,13 @@ class ExperimentConfig:
 _EXPECTED = {int: "an integer", float: "a number", str: "a string", list: "null or a list of numbers"}
 
 
-def _has_json_type(default, value) -> bool:
-    if isinstance(value, bool):  # JSON true/false are neither integers nor numbers
-        return False
-    if isinstance(default, list):
-        return value is None or (
-            isinstance(value, list) and all(_has_json_type(0.0, x) for x in value)
-        )
-    if isinstance(default, float):
-        return isinstance(value, (int, float))
-    return isinstance(value, type(default))
-
-
 def config_from_dict(d: dict) -> ExperimentConfig:
     defaults = ExperimentConfig().to_dict()
     unknown = set(d) - set(defaults)
     if unknown:
         raise ValueError(f"unknown config fields: {sorted(unknown)}")
     for key, value in d.items():
-        if not _has_json_type(defaults[key], value):
+        if not has_json_type(defaults[key], value):
             expected = _EXPECTED[type(defaults[key])]
             raise ValueError(f"config field {key!r} must be {expected}, got {value!r}")
     kwargs = dict(d)

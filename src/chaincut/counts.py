@@ -121,21 +121,58 @@ def counts_to_dict(t: CountsTable) -> dict:
     }
 
 
+def has_json_type(default, value) -> bool:
+    """Whether a value parsed from JSON (config or bundle file) has the JSON type of ``default``."""
+    if isinstance(value, bool):  # JSON true/false are neither integers nor numbers
+        return False
+    if isinstance(default, list):
+        return value is None or (
+            isinstance(value, list) and all(has_json_type(0.0, x) for x in value)
+        )
+    if isinstance(default, float):
+        return isinstance(value, (int, float))
+    return isinstance(value, type(default))
+
+
+def json_int(value, name: str) -> int:
+    """``value`` if it is a JSON integer, else a ValueError naming it ``name``."""
+    if not has_json_type(0, value):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
+def setting_from_dict(d: dict) -> str:
+    """The measurement setting of a file form: a list of basis letters."""
+    if not isinstance(d.get("meas"), list):
+        raise ValueError(f"meas must be a list of basis letters, got {d.get('meas')!r}")
+    return "".join(d["meas"])
+
+
 def counts_from_dict(d: dict) -> CountsTable:
-    """Parse the file form; keys must be n-character 0/1 strings."""
-    n = int(d["n"])
+    """Parse the file form; keys must be n-character 0/1 strings, numbers JSON integers."""
+    n = json_int(d["n"], "n")
     vec = np.zeros(2**n, dtype=np.int64)
     for bits, c in d["counts"].items():
         if len(bits) != n or not set(bits) <= {"0", "1"}:
             raise ValueError(f"bad bitstring {bits!r} for n={n}")
-        if not 0 <= int(c) <= MAX_SHOTS:
+        if not has_json_type(0, c):
+            raise ValueError(f"count for {bits!r} must be an integer, got {c!r}")
+        if not 0 <= c <= MAX_SHOTS:
             raise ValueError(f"count {c!r} for {bits!r} is negative or too large")
-        vec[int(bits, 2)] = int(c)
-    return counts_from_vector(vec, "".join(d["meas"]), int(d["shots"]))
+        vec[int(bits, 2)] = c
+    return counts_from_vector(vec, setting_from_dict(d), json_int(d["shots"], "shots"))
 
 
 def dist_to_dict(n: int, meas: str, p: np.ndarray) -> dict:
     return {"n": n, "meas": list(meas), "dist": [float(x) for x in p]}
+
+
+def dist_from_dict(d: dict, n: int) -> Distribution:
+    """The distribution of an exact file form, whose ``dist`` must hold JSON numbers."""
+    p = d["dist"]
+    if p is None or not has_json_type([], p):
+        raise ValueError("dist must be a list of numbers")
+    return Distribution(n, np.array(p, dtype=float))
 
 
 def dump_json(obj: dict) -> str:

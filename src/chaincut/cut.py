@@ -33,7 +33,17 @@ from pathlib import Path
 import numpy as np
 
 from .circuit import BLOCK_FORMS, FOUR_QUBIT, THREE_QUBIT
-from .counts import CountsTable, Distribution, counts_from_dict, counts_to_dict, dist_to_dict, dump_json
+from .counts import (
+    CountsTable,
+    Distribution,
+    counts_from_dict,
+    counts_to_dict,
+    dist_from_dict,
+    dist_to_dict,
+    dump_json,
+    json_int,
+    setting_from_dict,
+)
 from .qstate import PAULI_1Q, STATE_LABELS, projector, state_vector_1q
 
 CUT_PATTERNS = ("XZX", "ZXZ")
@@ -319,18 +329,17 @@ def read_job_result(bundle_dir: Path, rep: int, spec: JobSpec, shots: int | None
     """
 
     def parse(d: dict) -> JobResult:
-        meas = "".join(d.get("meas", ()))
-        if meas != spec.meas or d.get("n") != spec.n_qubits:
+        meas, n = setting_from_dict(d), json_int(d["n"], "n")
+        if meas != spec.meas or n != spec.n_qubits:
             raise ValueError(
-                f"holds meas={meas!r} n={d.get('n')!r}, "
+                f"holds meas={meas!r} n={n!r}, "
                 f"but job {spec.job_id} needs meas={spec.meas!r} n={spec.n_qubits}"
             )
         if ("counts" in d) != (shots is not None):
             mode = "exact" if shots is None else "sampled"
             raise ValueError(f"does not hold {mode} data, as config.json says")
         if shots is None:
-            dist = np.asarray(d["dist"], dtype=float)
-            return JobResult(spec, dist=Distribution(spec.n_qubits, dist))
-        return JobResult(spec, counts=checked_counts(d, spec.n_qubits, shots))
+            return JobResult(spec, dist=dist_from_dict(d, n))
+        return JobResult(spec, counts=checked_counts(d, n, shots))
 
     return read_bundle_file(job_path(bundle_dir, rep, spec), parse)

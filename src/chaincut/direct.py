@@ -24,6 +24,7 @@ from .qstate import (
     GATES_1Q,
     PAULI_1Q,
     apply_on_axis,
+    apply_per_qubit,
     conjugate_cz,
     conjugate_h,
     conjugate_s,
@@ -146,10 +147,7 @@ def heisenberg_distribution(c: Circuit, meas: str, noise: NoiseModel | None) -> 
         z[:, q] = (subsets >> (n - 1 - q)) & 1
     x = np.zeros_like(z)
     chi = _propagate_paulis(c, meas, x, z, noise)
-    t = chi.reshape((2,) * n)
-    for axis in range(n):
-        t = apply_on_axis(t, _WALSH_1Q, axis)
-    p = t.reshape(-1) / 2**n
+    p = apply_per_qubit(chi, (_WALSH_1Q,) * n) / 2**n
     p[(p < 0) & (p > -1e-12)] = 0.0
     return p
 

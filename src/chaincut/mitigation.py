@@ -15,6 +15,7 @@ probability simplex, computed in closed form by sorted water-filling.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -23,7 +24,7 @@ import numpy as np
 from .circuit import REGISTER_SIZES
 from .counts import CountsTable, Distribution, QuasiDistribution
 from .cut import calibration_dir, checked_counts, read_bundle_file
-from .qstate import apply_on_axis, index_to_bits
+from .qstate import apply_per_qubit, index_to_bits
 
 COND_LIMIT = 1e6
 
@@ -80,14 +81,16 @@ def confusion_matrix(readout: tuple[tuple[float, float], ...]) -> np.ndarray:
     return m
 
 
-def _finish(n: int, mode: str, matrix: np.ndarray) -> TransitionMatrix:
-    try:
-        cond = float(np.linalg.cond(matrix, 1))
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"confusion matrix is singular: {exc}") from exc
+def checked_cond(*factors: np.ndarray) -> float:
+    """1-norm condition number of kron(*factors); NumericalError if singular or past COND_LIMIT.
+
+    Norm and inverse factor over a Kronecker product, so the condition
+    number of a tensored register is the product of its qubits'.
+    """
+    cond = math.prod(float(np.linalg.cond(m, 1)) for m in factors)
     if not np.isfinite(cond) or cond > COND_LIMIT:
         raise NumericalError(f"confusion matrix condition number {cond:.3e} exceeds {COND_LIMIT:.0e}")
-    return TransitionMatrix(n, mode, matrix, cond)
+    return cond
 
 
 def build_transition_matrix(
@@ -106,14 +109,16 @@ def build_transition_matrix(
     if mode == TENSOR_PRODUCT:
         if readout is None or len(readout) != n:
             raise ValueError("tensor-product mode needs per-qubit rates for each qubit")
-        return _finish(n, mode, confusion_matrix(readout))
-    if mode == FULL_CALIBRATION:
+        matrix = confusion_matrix(readout)
+    elif mode == FULL_CALIBRATION:
         if calib is None:
             raise ValueError("full-calibration mode needs calibration count tables")
         if len(calib) != 2**n:
             raise ValueError(f"calibration states missing: {len(calib)} of {2**n} given")
-        return _finish(n, mode, np.stack([t.frequencies() for t in calib], axis=1))
-    raise ValueError(f"unknown mitigation mode {mode!r}")
+        matrix = np.stack([t.frequencies() for t in calib], axis=1)
+    else:
+        raise ValueError(f"unknown mitigation mode {mode!r}")
+    return TransitionMatrix(n, mode, matrix, checked_cond(matrix))
 
 
 def apply_tmem(data: CountsTable | np.ndarray, t: TransitionMatrix) -> QuasiDistribution:
@@ -173,19 +178,15 @@ def readout_rates(
 def tmem_product_inverse(p: np.ndarray, readout: tuple[tuple[float, float], ...]) -> np.ndarray:
     """TMEM for a tensor-product confusion model, applied factor-wise.
 
-    Equivalent to apply_tmem with the Kronecker-product matrix but never
-    materializes it, so it scales to registers far beyond 4 qubits.
+    Equivalent to apply_tmem with the Kronecker-product matrix, and held to
+    the same conditioning rule (checked_cond), but never materializes it,
+    so it scales to registers far beyond 4 qubits.
     """
-    n = len(readout)
-    if len(p) != 2**n:
+    if len(p) != 2 ** len(readout):
         raise ValueError("distribution size does not match readout rates")
-    t = np.asarray(p, dtype=float).reshape((2,) * n)
-    for q, (f00, f11) in enumerate(readout):
-        m = confusion_1q(f00, f11)
-        if abs(np.linalg.det(m)) < 1e-12:
-            raise NumericalError(f"qubit {q} confusion matrix is singular")
-        t = apply_on_axis(t, np.linalg.inv(m), q)
-    return t.reshape(-1)
+    factors = [confusion_1q(f00, f11) for f00, f11 in readout]
+    checked_cond(*factors)
+    return apply_per_qubit(np.asarray(p, dtype=float), [np.linalg.inv(m) for m in factors])
 
 
 # ---------------------------------------------------------------------------

@@ -95,6 +95,14 @@ def apply_on_axis(t: np.ndarray, m: np.ndarray, axis: int) -> np.ndarray:
     return np.moveaxis(np.tensordot(m, t, axes=([1], [axis])), 0, axis)
 
 
+def apply_per_qubit(v: np.ndarray, factors: Sequence[np.ndarray]) -> np.ndarray:
+    """``kron(factors[0], factors[1], ...) @ v``, one 2x2 factor per qubit axis, qubit 0 first."""
+    t = np.reshape(v, (2,) * len(factors))
+    for q, m in enumerate(factors):
+        t = apply_on_axis(t, m, q)
+    return t.reshape(-1)
+
+
 def cz_phases(a: int, b: int, n: int) -> np.ndarray:
     """Diagonal of CZ on qubits (a, b) of an n-qubit register, as +/-1 floats."""
     idx = np.arange(2**n)

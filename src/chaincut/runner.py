@@ -18,6 +18,7 @@ import numpy as np
 from .circuit import REGISTER_SIZES, build_block_subcircuit
 from .counts import CountsTable, Distribution, counts_to_dict, dump_json
 from .cut import JobResult, JobSpec, calibration_dir
+from .mitigation import readout_rates
 from .qstate import index_to_bits
 from .sim import NoiseModel, RunConfig, measure_distribution, rng_for, run_exact, sample_counts
 
@@ -73,7 +74,7 @@ def _execute_one(
     dist = block_distribution(spec, noise)
     if run.mode == "exact":
         return JobResult(spec, dist=dist)
-    readout = noise.readout_for(spec.n_qubits) if noise is not None else None
+    readout = readout_rates(noise.readout, spec.n_qubits) if noise is not None else None
     counts = sample_counts(
         dist, run.shots, rng_for(run.seed, rep, _JOB_STREAM, idx), readout, meas=spec.meas
     )
@@ -93,9 +94,7 @@ def calibration_counts(
 def write_calibration(bundle_dir: Path, rep: int, run: RunConfig, noise: NoiseModel) -> None:
     """Write per-register calibration bundles under reps/rXX/calibration/qN/<bits>.json."""
     for n in REGISTER_SIZES:
-        readout = noise.readout_for(n)
-        if readout is None:
-            continue
+        readout = readout_rates(noise.readout, n)
         rng = rng_for(run.seed, rep, _CALIB_STREAM, n)
         target = calibration_dir(bundle_dir, rep, n)
         target.mkdir(parents=True, exist_ok=True)

@@ -21,8 +21,8 @@ import numpy as np
 from . import qstate
 from .circuit import Circuit, basis_change_ops
 from .counts import MAX_SHOTS, CountsTable, Distribution, counts_from_vector
-from .mitigation import confusion_1q, confusion_matrix, readout_rates
-from .qstate import GATES_1Q, apply_on_axis, cz_phases, prep_unitary
+from .mitigation import confusion_1q, confusion_matrix
+from .qstate import GATES_1Q, apply_on_axis, apply_per_qubit, cz_phases, prep_unitary
 
 # Dense density matrices become unwieldy past this point; larger chains
 # go through the reference evaluator in chaincut.direct instead.
@@ -63,10 +63,6 @@ class NoiseModel:
             for f00, f11 in self.readout:
                 if not (0.0 <= f00 <= 1.0 and 0.0 <= f11 <= 1.0):
                     raise ValueError(f"readout rates ({f00}, {f11}) outside [0, 1]")
-
-    def readout_for(self, n: int) -> tuple[tuple[float, float], ...] | None:
-        """Readout rates for an n-qubit register (see readout_rates)."""
-        return readout_rates(self.readout, n)
 
 
 @dataclass(frozen=True)
@@ -214,7 +210,4 @@ def apply_readout_to_distribution(
     n = qstate.num_qubits(len(p))
     if len(readout) != n:
         raise ValueError("readout rates do not match register size")
-    t = p.reshape((2,) * n)
-    for q, (f00, f11) in enumerate(readout):
-        t = apply_on_axis(t, confusion_1q(f00, f11), q)
-    return t.reshape(-1)
+    return apply_per_qubit(p, [confusion_1q(f00, f11) for f00, f11 in readout])

@@ -10,7 +10,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 import chaincut
 from chaincut.cut import plan_chain_jobs
-from chaincut.mitigation import MitigationPipeline, build_transition_matrix
+from chaincut.mitigation import MitigationPipeline, build_transition_matrix, readout_rates
 from chaincut.reconstruct import build_block_tensors
 from chaincut.runner import execute_jobs
 from chaincut.sim import NoiseModel, RunConfig
@@ -73,8 +73,8 @@ def sampled_noiseless_tensors(plan):
 
 @pytest.fixture(scope="session")
 def sampled_pipeline(default_noise):
-    t4 = build_transition_matrix(4, "tensor", readout=default_noise.readout_for(4))
-    t3 = build_transition_matrix(3, "tensor", readout=default_noise.readout_for(3))
+    t4 = build_transition_matrix(4, "tensor", readout=readout_rates(default_noise.readout, 4))
+    t3 = build_transition_matrix(3, "tensor", readout=readout_rates(default_noise.readout, 3))
     return MitigationPipeline({4: t4, 3: t3})
 
 

@@ -25,6 +25,7 @@ from chaincut.mitigation import (
     apply_tmem,
     build_transition_matrix,
     mle_project,
+    readout_rates,
 )
 from chaincut.counts import Distribution, QuasiDistribution
 from chaincut.reconstruct import (
@@ -202,7 +203,7 @@ def test_c5_witness_soundness():
     n = 4
     rho_true = run_exact(build_linear_cluster(n), noise)
     fid_true = oracles.lc_state_fidelity(rho_true, n)
-    t4 = build_transition_matrix(4, "tensor", readout=noise.readout_for(4))
+    t4 = build_transition_matrix(4, "tensor", readout=readout_rates(noise.readout, 4))
     bounds = []
     for rep in range(25):
         rng_rep = np.random.default_rng(np.random.SeedSequence(777, spawn_key=(rep,)))
@@ -211,7 +212,7 @@ def test_c5_witness_soundness():
             meas = witness_setting(n, parity)
             p = measure_distribution(rho_true, meas).p
             counts = sample_counts(
-                Distribution(n, p), 1_000_000, rng_rep, noise.readout_for(4)
+                Distribution(n, p), 1_000_000, rng_rep, readout_rates(noise.readout, 4)
             )
             phys = mle_project(apply_tmem(counts, t4))
             vals = [

@@ -137,7 +137,7 @@ class TestReconstruct:
             mitigation="none", k_max=1, out_dir=str(out),
         )
         assert main(["run-jobs", "--config", str(cfg)]) == 0
-        assert main(["scaling", "--out", str(out), "--k-max", "9"]) == 0
+        assert main(["reconstruct", "--out", str(out), "--k-max", "9"]) == 0
         csv = (out / "reports" / "scaling.csv").read_text().splitlines()
         assert len(csv) == 10
         assert csv[-1].startswith("33,")
@@ -267,6 +267,18 @@ class TestReconstruct:
         assert "missing r01" in capsys.readouterr().err
 
 
+# (mode, field, edit): job-file edits that int(), float() or "".join() would
+# read back as the file run-jobs wrote.
+COERCIBLE = {
+    "string-shots": ("sampled", "shots", str),
+    "fractional-count": ("sampled", "counts", lambda c: {**c, min(c): c[min(c)] + 0.9}),
+    "string-meas": ("sampled", "meas", "".join),
+    "float-n": ("sampled", "n", float),
+    "string-dist": ("exact", "dist", lambda p: [repr(x) for x in p]),
+    "float-n-exact": ("exact", "n", float),
+}
+
+
 class TestBundleIntegrity:
     """Files that disagree with the bundle's config.json are rejected, naming the file."""
 
@@ -363,6 +375,19 @@ class TestBundleIntegrity:
         victim = out / "reps" / "r00" / "calibration" / "q4" / "0011.json"
         victim.unlink()
         self.assert_rejected(out, str(victim), capsys)
+
+    @pytest.mark.parametrize("case", sorted(COERCIBLE))
+    def test_bundle_numbers_are_checked_not_coerced(self, tmp_path, capsys, case):
+        mode, field, change = COERCIBLE[case]
+        out = self.bundle(tmp_path, mode)
+        victim = out / "reps" / "r00" / "jobs" / "3q-Xp-XZX.json"
+        d = json.loads(victim.read_text())
+        d[field] = change(d[field])
+        victim.write_text(json.dumps(d))
+        capsys.readouterr()
+        assert main(["reconstruct", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1 and str(victim) in err
 
     def test_each_bundle_file_is_parsed_once(self, tmp_path, monkeypatch):
         out = self.bundle(tmp_path, "sampled")
@@ -485,35 +510,19 @@ class TestDirect:
         cfg = write_config(tmp_path, mode="exact", out_dir=str(tmp_path / "x"))
         assert main(["direct", "--config", str(cfg), "--n", "27"]) == 1
 
-
-class TestCalibrate:
-    def test_calibrate_writes_bundles(self, tmp_path):
-        out = tmp_path / "cal"
+    @pytest.mark.parametrize("mode", ["sampled", "exact"])
+    def test_ill_conditioned_readout_is_numerical_error(self, tmp_path, capsys, mode):
+        # direct's factored TMEM is held to the block path's condition-number
+        # limit: these rates give about 1.9e7 for four qubits, 2.3e14 for six
+        out = tmp_path / "ref"
         cfg = write_config(
-            tmp_path, mode="sampled", shots=1000, repetitions=1, out_dir=str(out)
+            tmp_path, mode=mode, shots=10_000, repetitions=1, out_dir=str(out),
+            f00=(0.5000001, 0.95, 0.95, 0.95), f11=(0.5, 0.9, 0.9, 0.9),
         )
-        assert main(["calibrate", "--config", str(cfg)]) == 0
-        assert len(list((out / "reps" / "r00" / "calibration" / "q4").glob("*.json"))) == 16
-
-    def test_calibrate_requires_readout(self, tmp_path, capsys):
-        # null and empty rate lists alike: there is nothing to calibrate
-        for rates in (None, ()):
-            cfg = write_config(
-                tmp_path, mode="sampled", shots=100, f00=rates, f11=rates,
-                out_dir=str(tmp_path / "cal"),
-            )
-            assert main(["calibrate", "--config", str(cfg)]) == 1
-            assert not (tmp_path / "cal").exists()
-
-    @pytest.mark.parametrize("shots", [2**62, 2**63, 0])
-    def test_calibrate_checks_shots_as_sampled(self, tmp_path, capsys, shots):
-        # calibration is sampled even when the config's mode is exact, which
-        # does not range-check shots itself
-        out = tmp_path / "cal"
-        cfg = write_config(tmp_path, mode="exact", out_dir=str(out))
-        assert main(["calibrate", "--config", str(cfg), "--shots", str(shots)]) == 1
+        assert main(["direct", "--config", str(cfg), "--n", "6"]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error:") and err.count("\n") == 1 and "shots" in err
+        assert err.startswith("numerical error:") and err.count("\n") == 1
+        assert "condition number" in err
         assert not out.exists()
 
 
@@ -533,8 +542,6 @@ class TestErrors:
         [
             ["reconstruct", "--shots", "5"],
             ["reconstruct", "--exact"],
-            ["scaling", "--seed", "1"],
-            ["calibrate", "--exact"],
         ],
     )
     def test_verbs_take_only_the_options_they_read(self, tmp_path, capsys, argv):
@@ -543,6 +550,23 @@ class TestErrors:
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("verb", ["calibrate", "scaling"])
+    def test_removed_verb_is_unknown(self, tmp_path, capsys, verb):
+        # run-jobs writes the calibration; reconstruct writes the sweep
+        with pytest.raises(SystemExit) as exc:
+            main([verb, "--out", str(tmp_path / "run")])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    def test_empty_rate_lists_are_no_readout_rates(self):
+        empty = config_from_dict({"f00": [], "f11": []})
+        assert empty.readout is None and empty.noise_model().readout is None
+        assert config_from_dict({"f00": [], "f11": [], "p1": 0.0, "p2": 0.0}).noise_model() is None
+        # config.json keeps the lists as written, and so does its hash
+        assert empty.to_dict()["f00"] == []
+        assert empty.sha256() != config_from_dict({"f00": None, "f11": None}).sha256()
 
     def test_invalid_json_config(self, tmp_path):
         bad = tmp_path / "bad.json"

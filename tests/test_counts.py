@@ -75,3 +75,25 @@ class TestFileForm:
     def test_invalid_files_rejected(self, counts, shots, match):
         with pytest.raises(ValueError, match=match):
             counts_from_dict({"n": 2, "shots": shots, "meas": ["Z", "Z"], "counts": counts})
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("n", 2.0),
+            ("n", True),
+            ("shots", "4"),
+            ("shots", 4.0),
+            ("counts", {"01": 1.9, "10": 3}),
+            ("counts", {"01": True, "10": 3}),
+            ("counts", {"01": "1", "10": 3}),
+            ("meas", "ZZ"),
+        ],
+        ids=["float-n", "bool-n", "string-shots", "float-shots", "fractional-count",
+             "bool-count", "string-count", "string-meas"],
+    )
+    def test_numbers_are_json_integers_not_coerced(self, field, value):
+        # each edit would read back as the valid table below under int()/join()
+        d = {"n": 2, "shots": 4, "meas": ["Z", "Z"], "counts": {"01": 1, "10": 3}}
+        counts_from_dict(d)
+        with pytest.raises(ValueError, match="integer|list"):
+            counts_from_dict({**d, field: value})

@@ -3,12 +3,14 @@
 import numpy as np
 import pytest
 
+from chaincut import mitigation
 from chaincut.counts import CountsTable, Distribution, QuasiDistribution, counts_from_vector
 from chaincut.mitigation import (
     MitigationPipeline,
     NumericalError,
     apply_tmem,
     build_transition_matrix,
+    checked_cond,
     confusion_matrix,
     mle_project,
     pipeline_for_rep,
@@ -23,6 +25,8 @@ from chaincut.sim import apply_readout_to_distribution, sample_counts
 import oracles
 
 TABLE_RATES = ((0.950, 0.909), (0.943, 0.910), (0.969, 0.901), (0.922, 0.887))
+# Qubit 0 is nearly singular: its condition number alone is about 1e7.
+NEAR_SINGULAR_RATES = ((0.5000001, 0.5), (0.95, 0.9), (0.95, 0.9), (0.95, 0.9))
 
 
 class TestTransitionMatrix:
@@ -146,6 +150,27 @@ class TestApplyTmem:
         dense = apply_tmem(p, t).w
         fast = tmem_product_inverse(p, TABLE_RATES)
         np.testing.assert_allclose(fast, dense, atol=1e-12)
+
+    def test_product_inverse_condition_number_matches_dense(self, monkeypatch):
+        dense = build_transition_matrix(4, "tensor", readout=TABLE_RATES).cond
+        seen = []
+
+        def spy(*factors):
+            seen.append(checked_cond(*factors))
+            return seen[-1]
+
+        monkeypatch.setattr(mitigation, "checked_cond", spy)
+        tmem_product_inverse(np.full(16, 1 / 16), TABLE_RATES)
+        assert len(seen) == 1
+        assert seen[0] == pytest.approx(dense, rel=1e-12)
+
+    def test_dense_and_factored_share_the_condition_limit(self):
+        # every qubit's determinant is far from 0 (1e-7 for qubit 0), yet the
+        # register is past COND_LIMIT on both paths
+        with pytest.raises(NumericalError, match="condition number 1.885e"):
+            build_transition_matrix(4, "tensor", readout=NEAR_SINGULAR_RATES)
+        with pytest.raises(NumericalError, match="condition number 1.885e"):
+            tmem_product_inverse(np.full(16, 1 / 16), NEAR_SINGULAR_RATES)
 
 
 class TestMleProject:

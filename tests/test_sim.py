@@ -5,7 +5,7 @@ import pytest
 
 from chaincut.circuit import Circuit, GateOp, build_linear_cluster
 from chaincut.counts import Distribution
-from chaincut.mitigation import confusion_matrix
+from chaincut.mitigation import confusion_matrix, readout_rates
 from chaincut.qstate import assert_density_operator
 from chaincut.sim import (
     DEFAULT_READOUT,
@@ -171,7 +171,7 @@ class TestRng:
 
     def test_noise_model_readout_slicing(self):
         nm = NoiseModel()
-        assert nm.readout_for(4) == nm.readout
-        assert nm.readout_for(3) == nm.readout[1:]
-        assert len(nm.readout_for(12)) == 12
-        assert nm.readout_for(12)[4] == nm.readout[0]
+        assert readout_rates(nm.readout, 4) == nm.readout
+        assert readout_rates(nm.readout, 3) == nm.readout[1:]
+        assert len(readout_rates(nm.readout, 12)) == 12
+        assert readout_rates(nm.readout, 12)[4] == nm.readout[0]
