@@ -279,9 +279,7 @@ def cmd_direct(args) -> int:
     n = args.n
     noise = cfg.noise_model()
     run = cfg.run_config()
-    reports = []
-    for rep in range(cfg.effective_repetitions):
-        reports.append(direct_chain_report(n, noise, run, seed_offset=rep))
+    reports = direct_chain_report(n, noise, run, cfg.effective_repetitions)
     out = Path(cfg.out_dir) / "direct"
     out.mkdir(parents=True, exist_ok=True)
     bounds = np.array([r["bound"] for r in reports])

@@ -10,7 +10,11 @@ a Walsh-Hadamard transform, with no density matrix ever materialized.
 
 This is the stand-in for running the uncut chain on hardware: its
 distributions feed the same mitigation pipeline as the block jobs, so
-cut-vs-direct comparisons see identical classical processing.
+cut-vs-direct comparisons see identical classical processing.  A run's
+repetitions differ only in their seeded draws: each setting's chain
+distribution and its readout-flipped form are computed once per run,
+each repetition then samples, mitigates and projects its own copy, and
+every witness term's sign row is built once for all repetitions.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from .qstate import (
     prep_unitary,
     state_vector_1q,
 )
-from .reconstruct import bound_from_distributions, witness_setting
+from .reconstruct import witness_report, witness_setting, witness_values_from_distribution
 from .sim import NoiseModel, RunConfig, apply_readout_to_distribution, rng_for, sample_counts
 
 MAX_DIRECT_QUBITS = 24
@@ -168,44 +172,42 @@ def direct_chain_report(
     n: int,
     noise: NoiseModel | None,
     run: RunConfig,
-    seed_offset: int = 0,
-) -> dict:
-    """Distributions, witness expectations, and bound for the uncut chain.
+    repetitions: int = 1,
+) -> list[dict]:
+    """Distributions, witness expectations, and bound of each repetition of the uncut chain.
 
     Readout noise is applied exactly to the distribution (exact mode) or
     at the sampled-bit level (sampled mode), then inverted by factored
     TMEM with the model's per-qubit rates and projected back onto the
     simplex -- the same processing the cut pipeline applies per block.
+    Repetition r draws from its own stream (9000 + r), so its report does
+    not depend on how many repetitions are requested.
     """
     if n > MAX_DIRECT_QUBITS:
         raise ValueError(f"direct reference capped at {MAX_DIRECT_QUBITS} qubits")
     readout = readout_rates(noise.readout, n) if noise is not None else None
-    mitigated = {}
-    observed = {}
     ideal = {}
+    flipped = {}
     for key, parity in (("XZ", "odd"), ("ZX", "even")):
-        meas = witness_setting(n, parity)
-        p = chain_distribution(n, meas, noise)
-        ideal[key] = p
-        if readout is None:
+        ideal[key] = chain_distribution(n, witness_setting(n, parity), noise)
+        flipped[key] = (
+            ideal[key] if readout is None else apply_readout_to_distribution(ideal[key], readout)
+        )
+    per_rep = []
+    for rep in range(repetitions):
+        observed, mitigated = {}, {}
+        for key, p in flipped.items():
+            if readout is not None and run.mode == "sampled":
+                rng = rng_for(run.seed, 9000 + rep, n, ord(key[0]))
+                p = sample_counts(Distribution(n, p), run.shots, rng, None).frequencies()
             observed[key] = p
-            mitigated[key] = mle_project(QuasiDistribution(n, p)).p
-            continue
-        flipped = apply_readout_to_distribution(p, readout)
-        if run.mode == "sampled":
-            rng = rng_for(run.seed, 9000 + seed_offset, n, ord(key[0]))
-            counts = sample_counts(Distribution(n, flipped), run.shots, rng, None)
-            freq = counts.frequencies()
-        else:
-            freq = flipped
-        observed[key] = freq
-        quasi = tmem_product_inverse(freq, readout)
-        mitigated[key] = mle_project(QuasiDistribution(n, quasi)).p
-    report = bound_from_distributions(mitigated["XZ"], mitigated["ZX"], n)
-    report["distributions"] = {
-        "ideal": ideal,
-        "observed": observed,
-        "mitigated": mitigated,
-    }
-    return report
-
+            quasi = p if readout is None else tmem_product_inverse(p, readout)
+            mitigated[key] = mle_project(QuasiDistribution(n, quasi)).p
+        per_rep.append({"ideal": ideal, "observed": observed, "mitigated": mitigated})
+    stacked = {key: np.stack([d["mitigated"][key] for d in per_rep]) for key in flipped}
+    odd = witness_values_from_distribution(stacked["XZ"], n, "odd")
+    even = witness_values_from_distribution(stacked["ZX"], n, "even")
+    return [
+        {**witness_report(odd[rep], even[rep], n), "distributions": dists}
+        for rep, dists in enumerate(per_rep)
+    ]

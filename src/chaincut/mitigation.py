@@ -230,11 +230,19 @@ def read_calibration(
             if required:
                 raise ValueError(f"mitigation 'full' needs the calibration directory {target}")
             continue
-        parse = functools.partial(checked_counts, n=n, shots=shots)
+        parse = functools.partial(_calibration_table, n=n, shots=shots)
         tables[n] = [
             read_bundle_file(target / f"{index_to_bits(j, n)}.json", parse) for j in range(2**n)
         ]
     return tables
+
+
+def _calibration_table(d: dict, n: int, shots: int) -> CountsTable:
+    """One calibration file's counts: a Z-basis readout of all n qubits."""
+    table = checked_counts(d, n, shots)
+    if table.meas != "Z" * n:
+        raise ValueError(f"holds meas={table.meas!r}, but calibration reads every qubit in Z")
+    return table
 
 
 def pipeline_for_rep(

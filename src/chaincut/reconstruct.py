@@ -411,19 +411,26 @@ def scaling_sweep(bt4: BlockTensor, bt3: BlockTensor, k_max: int) -> list[Scalin
 
 
 def witness_values_from_distribution(p: np.ndarray, n: int, parity: str) -> np.ndarray:
-    """Per-term expectations of one parity from a full-chain distribution.
+    """Per-term expectations of one parity from full-chain distributions.
 
-    ``p`` is measured in witness_setting(n, parity), where every term is a
-    parity of outcome bits on its support; terms follow witness_terms order.
+    ``p`` is one distribution or a (repetitions, 2^n) stack of them, each
+    measured in witness_setting(n, parity), where every term is a parity of
+    outcome bits on its support; terms follow witness_terms order, along the
+    last axis of the result.  Each term's sign row is built once and dotted
+    with every distribution in turn, so only one row is held at a time.
     """
+    rows = np.atleast_2d(p)
     site_masks = np.bitwise_or(*_subset_masks(n, parity))
-    return np.array([p @ mask_signs(mask, n) for mask in site_masks])
+    values = np.empty((len(rows), len(site_masks)))
+    for t, mask in enumerate(site_masks):
+        signs = mask_signs(mask, n)
+        for r, dist in enumerate(rows):
+            values[r, t] = dist @ signs
+    return values if np.ndim(p) > 1 else values[0]
 
 
-def bound_from_distributions(p_xz: np.ndarray, p_zx: np.ndarray, n: int) -> dict:
-    """Witness averages and fidelity bound from XZ- and ZX-basis statistics."""
-    odd = witness_values_from_distribution(p_xz, n, "odd")
-    even = witness_values_from_distribution(p_zx, n, "even")
+def witness_report(odd: np.ndarray, even: np.ndarray, n: int) -> dict:
+    """Witness averages and fidelity bound from one set of per-term values."""
     odd_avg = float(np.mean(odd))
     even_avg = float(np.mean(even))
     return {
@@ -434,3 +441,12 @@ def bound_from_distributions(p_xz: np.ndarray, p_zx: np.ndarray, n: int) -> dict
         "even_avg": even_avg,
         "bound": fidelity_lower_bound(odd_avg, even_avg),
     }
+
+
+def bound_from_distributions(p_xz: np.ndarray, p_zx: np.ndarray, n: int) -> dict:
+    """Witness averages and fidelity bound from XZ- and ZX-basis statistics."""
+    return witness_report(
+        witness_values_from_distribution(p_xz, n, "odd"),
+        witness_values_from_distribution(p_zx, n, "even"),
+        n,
+    )

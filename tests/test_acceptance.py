@@ -89,7 +89,7 @@ def test_c2_noiseless_end_to_end_equality():
     plan = plan_chain_jobs()
     results = execute_jobs(plan, RunConfig("exact"), None)
     bt4, bt3 = build_block_tensors(results, MitigationPipeline({}))
-    direct = direct_chain_report(12, None, RunConfig("exact"))
+    direct = direct_chain_report(12, None, RunConfig("exact"))[0]
     worst_unit = 0.0
     worst_cross = 0.0
     for parity, key in (("odd", "odd"), ("even", "even")):
@@ -291,7 +291,7 @@ def test_c7_qualitative_paper_regime():
     odd = float(np.mean(witness_values(bt4, bt3, 12, "odd")))
     even = float(np.mean(witness_values(bt4, bt3, 12, "even")))
     stitched12 = fidelity_lower_bound(odd, even)
-    direct12 = direct_chain_report(12, noise, RunConfig("exact"))["bound"]
+    direct12 = direct_chain_report(12, noise, RunConfig("exact"))[0]["bound"]
     report(
         "C7 qualitative regime (4q bound bracket, cut beats direct)",
         0.60 <= block4["bound"] <= 0.85 and stitched12 > direct12,

@@ -46,6 +46,9 @@ def read_tree(root: Path, skip_time: bool = True) -> dict[str, bytes]:
 # sha256 of the default-noise sampled bundle in
 # TestRunJobs.test_sampled_bundle_matches_golden_digest.
 GOLDEN_SAMPLED_BUNDLE_SHA256 = "acf0b8b57ade56ed24b3bd0ebb7b88e3b2da7872bbb0ff4fb453057aa7fb61ee"
+# sha256 of the sampled direct reports in
+# TestDirect.test_sampled_direct_matches_golden_digest.
+GOLDEN_SAMPLED_DIRECT_SHA256 = "e24b79a4a5e4d9661ebb4048c2f4439040c77000dd861f9e5452399adbfa5fa4"
 
 
 class TestRunJobs:
@@ -314,6 +317,18 @@ class TestBundleIntegrity:
         self.double_shots(out / "reps" / "r00" / "calibration" / "q4" / "0101.json")
         self.assert_rejected(out, "0101.json", capsys)
 
+    def test_calibration_file_meas_is_not_z(self, tmp_path, capsys):
+        # every calibration file is a Z-basis readout of a prepared basis state
+        out = self.bundle(tmp_path, "sampled")
+        victim = out / "reps" / "r00" / "calibration" / "q4" / "0101.json"
+        d = json.loads(victim.read_text())
+        d["meas"] = ["X", "Y", "X", "Y"]
+        victim.write_text(dump_json(d))
+        capsys.readouterr()
+        assert main(["reconstruct", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1 and str(victim) in err
+
     def test_exact_bundle_holding_counts(self, tmp_path, capsys):
         out = self.bundle(tmp_path, "exact")
         (out / "reps" / "r00" / "jobs" / "3q-Xp-XZX.json").write_text(dump_json(
@@ -505,6 +520,20 @@ class TestDirect:
         assert len(witness["odd"]) == 64
         dists = json.loads((out / "direct" / "distributions.json").read_text())
         assert len(dists["XZ"]["mitigated"]) == 4096
+
+    def test_sampled_direct_matches_golden_digest(self, tmp_path):
+        # Pins the per-repetition sampling streams (9000 + rep) across code
+        # changes; manifest.json holds the config hash and is left out.
+        out = tmp_path / "ref"
+        cfg = write_config(
+            tmp_path, mode="sampled", shots=10_000, repetitions=3, seed=20240917,
+            out_dir=str(out),
+        )
+        assert main(["direct", "--config", str(cfg), "--n", "9"]) == 0
+        digest = hashlib.sha256()
+        for name in ("witness_terms.json", "distributions.json", "summary.csv"):
+            digest.update(name.encode() + b"\0" + (out / "direct" / name).read_bytes() + b"\0")
+        assert digest.hexdigest() == GOLDEN_SAMPLED_DIRECT_SHA256
 
     def test_direct_exceeding_cap_fails(self, tmp_path, capsys):
         cfg = write_config(tmp_path, mode="exact", out_dir=str(tmp_path / "x"))

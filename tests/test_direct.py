@@ -3,7 +3,11 @@
 import numpy as np
 import pytest
 
+from chaincut import direct, reconstruct
 from chaincut.circuit import build_block_subcircuit, build_linear_cluster
+from chaincut.cli import main
+from chaincut.config import ExperimentConfig
+from chaincut.counts import dump_json
 from chaincut.direct import (
     chain_distribution,
     direct_chain_report,
@@ -11,6 +15,7 @@ from chaincut.direct import (
     run_statevector,
     statevector_distribution,
 )
+from chaincut.reconstruct import witness_term_count
 from chaincut.sim import NoiseModel, RunConfig, measure_distribution, run_exact
 
 import oracles
@@ -80,36 +85,47 @@ class TestHeisenberg:
 
 class TestDirectReport:
     def test_noiseless_bound_is_one(self):
-        rep = direct_chain_report(12, None, RunConfig("exact"))
+        [rep] = direct_chain_report(12, None, RunConfig("exact"))
         assert rep["bound"] == pytest.approx(1.0, abs=1e-12)
         np.testing.assert_allclose(rep["odd"], 1.0, atol=1e-12)
 
     def test_two_qubit_stabilizers(self):
-        rep = direct_chain_report(2, None, RunConfig("exact"))
+        [rep] = direct_chain_report(2, None, RunConfig("exact"))
         # <X1 Z2> and <Z1 X2> both appear among the per-term values
         assert rep["odd"][-1] == pytest.approx(1.0, abs=1e-12)
         assert rep["even"][-1] == pytest.approx(1.0, abs=1e-12)
 
     def test_exact_readout_mitigation_is_transparent(self):
         noise = NoiseModel(p1=0.0, p2=0.0)  # readout only
-        rep = direct_chain_report(6, noise, RunConfig("exact"))
+        [rep] = direct_chain_report(6, noise, RunConfig("exact"))
         assert rep["bound"] == pytest.approx(1.0, abs=1e-9)
         flipped = rep["distributions"]["observed"]["XZ"]
         ideal = rep["distributions"]["ideal"]["XZ"]
         assert 0.5 * np.sum(np.abs(flipped - ideal)) > 0.05
 
-    def test_sampled_report_reproducible(self):
+    def test_repetition_does_not_depend_on_how_many_run(self):
+        # repetition r draws from its own stream, so asking for more
+        # repetitions leaves the first ones as they were
         noise = NoiseModel()
         run = RunConfig("sampled", shots=100_000, seed=5)
-        a = direct_chain_report(6, noise, run)
-        b = direct_chain_report(6, noise, run)
-        assert a["bound"] == b["bound"]
-        c = direct_chain_report(6, noise, run, seed_offset=1)
-        assert c["bound"] != a["bound"]
+        three = direct_chain_report(6, noise, run, 3)
+        assert len(three) == 3
+        for count in (1, 2):
+            fewer = direct_chain_report(6, noise, run, count)
+            assert len(fewer) == count
+            for a, b in zip(fewer, three):
+                assert a["bound"] == b["bound"]
+                assert np.array_equal(a["odd"], b["odd"]) and np.array_equal(a["even"], b["even"])
+                for kind in ("ideal", "observed", "mitigated"):
+                    for key in ("XZ", "ZX"):
+                        assert np.array_equal(
+                            a["distributions"][kind][key], b["distributions"][kind][key]
+                        )
+        assert three[1]["bound"] != three[0]["bound"]
 
     def test_noisy_bound_below_true_fidelity(self):
         noise = NoiseModel(p1=0.003, p2=0.05, readout=None)
-        rep = direct_chain_report(5, noise, RunConfig("exact"))
+        [rep] = direct_chain_report(5, noise, RunConfig("exact"))
         rho = run_exact(build_linear_cluster(5), noise)
         fid = oracles.lc_state_fidelity(rho, 5)
         assert rep["bound"] <= fid + 1e-9
@@ -117,3 +133,29 @@ class TestDirectReport:
     def test_cap_enforced(self):
         with pytest.raises(ValueError, match="capped"):
             direct_chain_report(27, None, RunConfig("exact"))
+
+
+def test_sampled_direct_shares_deterministic_work(tmp_path, monkeypatch):
+    """Each setting is simulated once per run, each witness term's sign row built once."""
+    calls = {"chain_distribution": 0, "mask_signs": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(
+        direct, "chain_distribution", counted("chain_distribution", direct.chain_distribution)
+    )
+    monkeypatch.setattr(reconstruct, "mask_signs", counted("mask_signs", reconstruct.mask_signs))
+    cfg = ExperimentConfig(
+        mode="sampled", shots=1000, repetitions=3, out_dir=str(tmp_path / "ref")
+    )
+    (tmp_path / "config.json").write_text(dump_json(cfg.to_dict()))
+    assert main(["direct", "--config", str(tmp_path / "config.json"), "--n", "9"]) == 0
+    # two settings (XZ, ZX) and 32 + 16 witness terms; 6 and 144 if every
+    # repetition simulated the chain and built the sign rows again
+    assert calls["chain_distribution"] == 2
+    assert calls["mask_signs"] == witness_term_count(9, "odd") + witness_term_count(9, "even")

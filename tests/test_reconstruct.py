@@ -271,6 +271,10 @@ class TestWitnessFromDistribution:
                 ]
                 got = witness_values_from_distribution(weights, n, parity)
                 assert np.array_equal(got, want)
+            # a stack of distributions gives each one's values, to the bit
+            stacked = witness_values_from_distribution(np.stack([p, q]), n, parity)
+            assert np.array_equal(stacked[0], witness_values_from_distribution(p, n, parity))
+            assert np.array_equal(stacked[1], witness_values_from_distribution(q, n, parity))
 
     @pytest.mark.parametrize("n", [4, 9])
     def test_noiseless_chain_terms_are_one(self, n):

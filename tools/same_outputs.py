@@ -7,7 +7,9 @@ directory and runs the same verbs with it and with this checkout's
 ``src/``, each side in its own working directory: ``run-jobs`` then
 ``reconstruct`` on small sampled configs under every mitigation mode, on
 null and empty readout-rate lists, on an exact and a noiseless exact
-config, and ``direct`` in sampled, exact and noiseless mode.  Configs use
+config, and ``direct`` in sampled, exact and noiseless mode at n = 9 and
+sampled at n = 15 with 5 repetitions (the ``direct_n15`` benchmark's
+register size and repetition count).  Configs use
 relative ``out_dir``s, so the two sides write the same paths.  Every output
 file is compared byte for byte, with the wall-clock ``time_ms`` column of
 ``scaling.csv`` stripped; so are each verb's exit code, stdout and stderr.
@@ -44,11 +46,12 @@ BUNDLES = {
     "exact": {"mode": "exact", "k_max": 3},
     "noiseless": {**NOISELESS, "k_max": 3},
 }
-# name -> config fields; direct --n 9 on each
+# name -> (config fields, chain length); direct --n <length> on each
 DIRECT = {
-    "direct-sampled": SAMPLED,
-    "direct-exact": {"mode": "exact"},
-    "direct-noiseless": NOISELESS,
+    "direct-sampled": (SAMPLED, 9),
+    "direct-exact": ({"mode": "exact"}, 9),
+    "direct-noiseless": (NOISELESS, 9),
+    "direct-sampled-n15": ({**SAMPLED, "repetitions": 5}, 15),
 }
 
 
@@ -58,15 +61,16 @@ def commands() -> list[list[str]]:
     for name in BUNDLES:
         steps.append(["run-jobs", "--config", f"configs/{name}.json"])
         steps.append(["reconstruct", "--out", name])
-    for name in DIRECT:
-        steps.append(["direct", "--config", f"configs/{name}.json", "--n", "9"])
+    for name, (_, n) in DIRECT.items():
+        steps.append(["direct", "--config", f"configs/{name}.json", "--n", str(n)])
     return steps
 
 
 def run_side(src: Path, work: Path) -> None:
     """Run every command with chaincut from ``src``; outputs land under ``work``."""
     (work / "configs").mkdir(parents=True)
-    for name, fields in {**BUNDLES, **DIRECT}.items():
+    configs = {**BUNDLES, **{name: fields for name, (fields, _) in DIRECT.items()}}
+    for name, fields in configs.items():
         (work / "configs" / f"{name}.json").write_text(json.dumps({**fields, "out_dir": name}))
     env = {**os.environ, "PYTHONPATH": str(src)}
     log = []
