@@ -13,7 +13,7 @@ from chaincut.circuit import build_block_subcircuit
 from chaincut.cut import plan_chain_jobs
 from chaincut.mitigation import MitigationPipeline
 from chaincut.runner import execute_jobs
-from chaincut.sim import RunConfig
+from chaincut.sim import NoiseModel, RunConfig
 
 plan = plan_chain_jobs()
 four = [s for s in plan if s.form == "4q"]
@@ -25,7 +25,7 @@ circ = build_block_subcircuit("4q", "Xp")
 print("\nthe |+>-input block is the 4-qubit linear-cluster circuit itself:")
 print(" ", [(g.kind, g.qubits, g.label) for g in circ.ops])
 
-results = execute_jobs(plan, RunConfig("exact"), None)
+results = execute_jobs(plan, RunConfig("exact"), NoiseModel(0.0, 0.0, None))
 job = next(r for r in results if r.spec.job_id == "4q-Xp-XZX-Z")
 print("\nexact XZXZ outcome distribution of that block (16 bitstrings):")
 p = job.dist.p

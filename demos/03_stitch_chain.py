@@ -19,9 +19,11 @@ from chaincut.reconstruct import (
     witness_values,
 )
 from chaincut.runner import execute_jobs
-from chaincut.sim import RunConfig
+from chaincut.sim import NoiseModel, RunConfig
 
-results = execute_jobs(plan_chain_jobs(), RunConfig("exact"), None)
+NOISELESS = NoiseModel(0.0, 0.0, None)
+
+results = execute_jobs(plan_chain_jobs(), RunConfig("exact"), NOISELESS)
 bt4, bt3 = build_block_tensors(results, MitigationPipeline({}))
 
 for parity in ("odd", "even"):
@@ -34,7 +36,7 @@ print(f"\nexample term: stabilizer subset {sample.subset} -> Pauli {sample.lette
 
 for setting in ("XZ", "ZX"):
     stitched = stitched_distribution(bt4, bt3, 12, setting)
-    direct = chain_distribution(12, (setting * 6)[:12], None)
+    direct = chain_distribution(12, (setting * 6)[:12], NOISELESS)
     tv = 0.5 * np.sum(np.abs(stitched - direct))
     print(f"{setting} distribution: 4096 outcomes, total variation vs direct = {tv:.2e}")
 

@@ -112,7 +112,7 @@ def _map_reps(fn, reps) -> list:
 def _run_rep(out: Path, plan, run, noise, rep: int) -> None:
     for result in execute_jobs(plan, run, noise, rep=rep):
         write_job_result(out, rep, result)
-    if run.mode == "sampled" and noise is not None and noise.readout is not None:
+    if run.mode == "sampled" and noise.readout is not None:
         write_calibration(out, rep, run, noise)
 
 

@@ -37,7 +37,7 @@ class ExperimentConfig:
             raise ValueError("f00 and f11 must have equal length")
         # RunConfig and NoiseModel own the mode, shots and rate checks.
         self.run_config()
-        NoiseModel(self.p1, self.p2, self.readout)
+        self.noise_model()
         if self.mitigation not in MITIGATION_MODES:
             raise ValueError(f"mitigation must be one of {MITIGATION_MODES}")
         if self.k_max < 1:
@@ -52,9 +52,7 @@ class ExperimentConfig:
             return None
         return tuple(zip(self.f00, self.f11))
 
-    def noise_model(self) -> NoiseModel | None:
-        if self.p1 == 0.0 and self.p2 == 0.0 and self.readout is None:
-            return None
+    def noise_model(self) -> NoiseModel:
         return NoiseModel(self.p1, self.p2, self.readout)
 
     def run_config(self) -> RunConfig:

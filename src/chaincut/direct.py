@@ -1,20 +1,21 @@
 """Whole-chain reference evaluation, independent of the block pipeline.
 
-Noiseless circuits run as plain statevectors.  Noisy circuits exploit
-that every gate here is Clifford and the noise is Pauli-diagonal:
-observables are back-propagated through the circuit (Heisenberg
-picture), picking up a (1-p) damping factor at each depolarizing
-insertion that overlaps their support.  Readout-basis coefficients for
-all 2^n outcome parities then yield the exact measured distribution via
-a Walsh-Hadamard transform, with no density matrix ever materialized.
+A circuit whose noise schedule inserts nothing runs as a plain statevector.
+Otherwise every gate here is Clifford and the noise Pauli-diagonal, so
+observables are back-propagated through the circuit (Heisenberg picture),
+damped by (1-p) at each insertion of ``NoiseModel.schedule`` that meets
+their support; the parities of all 2^n outcomes then give the exact
+distribution by a Walsh-Hadamard transform, with no density matrix.
 
-This is the stand-in for running the uncut chain on hardware: its
-distributions feed the same mitigation pipeline as the block jobs, so
-cut-vs-direct comparisons see identical classical processing.  A run's
-repetitions differ only in their seeded draws: each setting's chain
-distribution and its readout-flipped form are computed once per run,
-each repetition then samples, mitigates and projects its own copy, and
-every witness term's sign row is built once for all repetitions.
+This stands in for the uncut chain on hardware.  Like the block jobs, its
+distributions get readout flips, factored TMEM and simplex projection, but
+the processing is not identical: sampled mode draws no shots when the
+config has no readout rates; ``mitigation`` is ignored, so TMEM runs even
+under "none"; and TMEM uses the model's true rates where the cut under
+"auto" and "full" uses sampled calibration, understating direct's spread.
+Each setting's chain distribution, its readout-flipped form and every
+witness sign row are computed once per run; a repetition only samples,
+mitigates and projects its own copy.
 """
 
 from __future__ import annotations
@@ -89,33 +90,30 @@ def _initial_values(label: str | None) -> np.ndarray:
 
 
 def _propagate_paulis(
-    c: Circuit, meas: str, x: np.ndarray, z: np.ndarray, noise: NoiseModel | None
+    c: Circuit, meas: str, x: np.ndarray, z: np.ndarray, noise: NoiseModel
 ) -> np.ndarray:
     """Expectations of a batch of Z-frame observables after the circuit.
 
     ``x``/``z`` are (batch, n) bit arrays of observables measured after
-    the basis rotations of ``meas``.  Gates conjugate the batch in
-    reverse order; each depolarizing insertion multiplies the damping
-    factor of every observable whose current support meets the gate's.
+    the basis rotations of ``meas``.  The ops of ``noise.schedule``, then
+    the noiseless readout rotations, conjugate the batch in reverse order;
+    each depolarizing insertion first multiplies the damping factor of
+    every observable whose current support meets the insertion's.
     """
     n = c.n_qubits
     sign = np.ones(x.shape[0])
     factor = np.ones(x.shape[0])
     prep_labels: dict[int, str] = {}
-    # (gate, noisy) sequence: circuit body is noisy, readout rotations are not.
-    sequence = [(g, True) for g in c.ops]
-    sequence += [(g, False) for g in basis_change_ops(meas, n)]
-    for g, noisy in reversed(sequence):
+    sequence = noise.schedule(c) + [(g, ()) for g in basis_change_ops(meas, n)]
+    for g, insertions in reversed(sequence):
         if g.kind == "prep":
             prep_labels[g.qubits[0]] = g.label
             continue
-        if noisy and noise is not None:
-            p = noise.p2 if g.kind == "CZ" else noise.p1
-            if p > 0.0:
-                touched = np.zeros(x.shape[0], dtype=bool)
-                for q in g.qubits:
-                    touched |= (x[:, q] | z[:, q]) == 1
-                factor[touched] *= 1.0 - p
+        for qubits, p in insertions:
+            touched = np.zeros(x.shape[0], dtype=bool)
+            for q in qubits:
+                touched |= (x[:, q] | z[:, q]) == 1
+            factor[touched] *= 1.0 - p
         if g.kind == "CZ":
             sign = conjugate_cz(x, z, sign, g.qubits[0], g.qubits[1])
         elif g.kind == "H":
@@ -136,7 +134,7 @@ def _propagate_paulis(
     return value
 
 
-def heisenberg_distribution(c: Circuit, meas: str, noise: NoiseModel | None) -> np.ndarray:
+def heisenberg_distribution(c: Circuit, meas: str, noise: NoiseModel) -> np.ndarray:
     """Exact measured distribution of a noisy Clifford circuit.
 
     Computes <Z_T> for every outcome-parity subset T, then converts
@@ -156,10 +154,10 @@ def heisenberg_distribution(c: Circuit, meas: str, noise: NoiseModel | None) -> 
     return p
 
 
-def chain_distribution(n: int, meas: str, noise: NoiseModel | None) -> np.ndarray:
-    """Pre-readout measured distribution of the n-qubit cluster circuit."""
+def chain_distribution(n: int, meas: str, noise: NoiseModel) -> np.ndarray:
+    """Pre-readout distribution of the n-qubit cluster circuit; a statevector when noiseless."""
     c = build_linear_cluster(n)
-    if noise is None or (noise.p1 == 0.0 and noise.p2 == 0.0):
+    if not any(insertions for _, insertions in noise.schedule(c)):
         return statevector_distribution(c, meas)
     return heisenberg_distribution(c, meas, noise)
 
@@ -170,7 +168,7 @@ def chain_distribution(n: int, meas: str, noise: NoiseModel | None) -> np.ndarra
 
 def direct_chain_report(
     n: int,
-    noise: NoiseModel | None,
+    noise: NoiseModel,
     run: RunConfig,
     repetitions: int = 1,
 ) -> list[dict]:
@@ -185,7 +183,7 @@ def direct_chain_report(
     """
     if n > MAX_DIRECT_QUBITS:
         raise ValueError(f"direct reference capped at {MAX_DIRECT_QUBITS} qubits")
-    readout = readout_rates(noise.readout, n) if noise is not None else None
+    readout = readout_rates(noise.readout, n)
     ideal = {}
     flipped = {}
     for key, parity in (("XZ", "odd"), ("ZX", "even")):

@@ -31,7 +31,7 @@ _CALIB_STREAM = 1
 # (cut.plan_chain_jobs) for two noise models at once: an LRU smaller than the
 # keys one repetition cycles through would never hit.
 @functools.lru_cache(maxsize=2 * 12)
-def _block_state(form: str, label: str, noise: NoiseModel | None) -> np.ndarray:
+def _block_state(form: str, label: str, noise: NoiseModel) -> np.ndarray:
     """Read-only density operator of one block, measured later in each of its settings."""
     rho = run_exact(build_block_subcircuit(form, label), noise)
     rho.flags.writeable = False
@@ -39,7 +39,7 @@ def _block_state(form: str, label: str, noise: NoiseModel | None) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=2 * 48)
-def block_distribution(spec: JobSpec, noise: NoiseModel | None) -> Distribution:
+def block_distribution(spec: JobSpec, noise: NoiseModel) -> Distribution:
     """Exact outcome distribution of one job, computed once and shared (read-only)."""
     dist = measure_distribution(_block_state(spec.form, spec.input, noise), spec.meas)
     dist.p.flags.writeable = False
@@ -49,7 +49,7 @@ def block_distribution(spec: JobSpec, noise: NoiseModel | None) -> Distribution:
 def execute_jobs(
     plan: tuple[JobSpec, ...],
     run: RunConfig,
-    noise: NoiseModel | None = None,
+    noise: NoiseModel,
     rep: int = 0,
 ) -> list[JobResult]:
     """Run every job in the plan; one result per spec, in plan order.
@@ -69,12 +69,12 @@ def execute_jobs(
 
 
 def _execute_one(
-    spec: JobSpec, idx: int, run: RunConfig, noise: NoiseModel | None, rep: int
+    spec: JobSpec, idx: int, run: RunConfig, noise: NoiseModel, rep: int
 ) -> JobResult:
     dist = block_distribution(spec, noise)
     if run.mode == "exact":
         return JobResult(spec, dist=dist)
-    readout = readout_rates(noise.readout, spec.n_qubits) if noise is not None else None
+    readout = readout_rates(noise.readout, spec.n_qubits)
     counts = sample_counts(
         dist, run.shots, rng_for(run.seed, rep, _JOB_STREAM, idx), readout, meas=spec.meas
     )

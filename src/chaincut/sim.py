@@ -1,10 +1,10 @@
 """Exact density-matrix simulation of small circuits plus seeded sampling.
 
-Noise model: gate-local depolarizing (p1 after every single-qubit gate,
-p2 after every CZ, each on the gate's support) and classical readout
-bit-flips applied per sampled bit.  Preparation labels are resolved
-noiselessly.  Decoherence is not modelled as time evolution; p1/p2 are
-effective per-gate knobs.
+Noise model: gate-local depolarizing noise, placed by NoiseModel.schedule
+(the one statement of placement, iterated here and in chaincut.direct),
+and classical readout bit-flips applied per sampled bit.  Decoherence is
+not modelled as time evolution; p1/p2 are effective per-gate knobs.
+``NoiseModel(0.0, 0.0, None)`` is the noiseless model.
 
 Determinism contract: every stochastic step draws from a generator
 derived from (master seed, stream path), so identical configurations
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qstate
-from .circuit import Circuit, basis_change_ops
+from .circuit import Circuit, GateOp, basis_change_ops
 from .counts import MAX_SHOTS, CountsTable, Distribution, counts_from_vector
 from .mitigation import confusion_1q, confusion_matrix
 from .qstate import GATES_1Q, apply_on_axis, apply_per_qubit, cz_phases, prep_unitary
@@ -64,6 +64,18 @@ class NoiseModel:
                 if not (0.0 <= f00 <= 1.0 and 0.0 <= f11 <= 1.0):
                     raise ValueError(f"readout rates ({f00}, {f11}) outside [0, 1]")
 
+    def schedule(self, c: Circuit) -> list[tuple[GateOp, tuple]]:
+        """Each op of ``c`` with the depolarizing insertions ``(qubits, p)`` that follow it.
+
+        p1 after each one-qubit gate and p2 after each CZ, on the gate's
+        support; preparation is noiseless and a zero rate inserts nothing.
+        """
+        steps = []
+        for g in c.ops:
+            p = 0.0 if g.kind == "prep" else self.p2 if g.kind == "CZ" else self.p1
+            steps.append((g, ((g.qubits, p),) if p > 0.0 else ()))
+        return steps
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -103,8 +115,6 @@ def _apply_cz(rho: np.ndarray, a: int, b: int, n: int) -> np.ndarray:
 
 def _depolarize(rho: np.ndarray, qubits: tuple[int, ...], p: float, n: int) -> np.ndarray:
     """rho -> (1-p) rho + p (I/2^k (x) Tr_support rho) on the gate support."""
-    if p == 0.0:
-        return rho
     keep = [q for q in range(n) if q not in qubits]
     k = len(qubits)
     if not keep:
@@ -123,28 +133,22 @@ def _depolarize(rho: np.ndarray, qubits: tuple[int, ...], p: float, n: int) -> n
     return (1.0 - p) * rho + p * out.reshape(rho.shape)
 
 
-def run_exact(c: Circuit, noise: NoiseModel | None = None) -> np.ndarray:
-    """Density operator after all ops of ``c`` (measurement not applied).
-
-    Depolarizing noise is inserted after each gate on the gate's
-    support; preparation labels are noiseless.
-    """
+def run_exact(c: Circuit, noise: NoiseModel) -> np.ndarray:
+    """Density operator after all ops of ``c`` and the insertions ``noise.schedule`` places."""
     n = c.n_qubits
     if n > MAX_DENSITY_QUBITS:
         raise ValueError(f"register of {n} qubits exceeds dense limit {MAX_DENSITY_QUBITS}")
     rho = np.zeros((2**n, 2**n), dtype=complex)
     rho[0, 0] = 1.0
-    for g in c.ops:
+    for g, insertions in noise.schedule(c):
         if g.kind == "prep":
             rho = _apply_1q_unitary(rho, prep_unitary(g.label), g.qubits[0], n)
         elif g.kind == "CZ":
             rho = _apply_cz(rho, g.qubits[0], g.qubits[1], n)
-            if noise is not None:
-                rho = _depolarize(rho, g.qubits, noise.p2, n)
         else:
             rho = _apply_1q_unitary(rho, GATES_1Q[g.kind], g.qubits[0], n)
-            if noise is not None:
-                rho = _depolarize(rho, g.qubits, noise.p1, n)
+        for qubits, p in insertions:
+            rho = _depolarize(rho, qubits, p, n)
     if __debug__:
         qstate.assert_density_operator(rho)
     return rho

@@ -15,6 +15,8 @@ from chaincut.reconstruct import build_block_tensors
 from chaincut.runner import execute_jobs
 from chaincut.sim import NoiseModel, RunConfig
 
+NOISELESS = NoiseModel(0.0, 0.0, None)
+
 
 @pytest.fixture(scope="session")
 def child_env():
@@ -35,7 +37,7 @@ def plan():
 
 @pytest.fixture(scope="session")
 def exact_results(plan):
-    return execute_jobs(plan, RunConfig("exact"), None)
+    return execute_jobs(plan, RunConfig("exact"), NOISELESS)
 
 
 @pytest.fixture(scope="session")
@@ -67,7 +69,7 @@ def sampled_results(plan, default_noise):
 @pytest.fixture(scope="session")
 def sampled_noiseless_tensors(plan):
     run = RunConfig("sampled", shots=1_000_000, seed=31)
-    results = execute_jobs(plan, run, None)
+    results = execute_jobs(plan, run, NOISELESS)
     return build_block_tensors(results, MitigationPipeline({}))
 
 

@@ -8,6 +8,7 @@ import time
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from chaincut.circuit import build_linear_cluster
 from chaincut.cli import main
@@ -52,6 +53,7 @@ from chaincut.sim import (
 import oracles
 from test_reconstruct import random_tensors
 
+NOISELESS = NoiseModel(0.0, 0.0, None)
 TABLE_RATES = ((0.950, 0.909), (0.943, 0.910), (0.969, 0.901), (0.922, 0.887))
 
 
@@ -87,9 +89,9 @@ def test_c1_cut_identity_exactness():
 def test_c2_noiseless_end_to_end_equality():
     t0 = time.perf_counter()
     plan = plan_chain_jobs()
-    results = execute_jobs(plan, RunConfig("exact"), None)
+    results = execute_jobs(plan, RunConfig("exact"), NOISELESS)
     bt4, bt3 = build_block_tensors(results, MitigationPipeline({}))
-    direct = direct_chain_report(12, None, RunConfig("exact"))[0]
+    direct = direct_chain_report(12, NOISELESS, RunConfig("exact"))[0]
     worst_unit = 0.0
     worst_cross = 0.0
     for parity, key in (("odd", "odd"), ("even", "even")):
@@ -141,7 +143,7 @@ def test_c3_contraction_vs_brute_force():
 
 def test_c4_scaling_exactness_and_cost():
     plan = plan_chain_jobs()
-    results = execute_jobs(plan, RunConfig("exact"), None)
+    results = execute_jobs(plan, RunConfig("exact"), NOISELESS)
     bt4, bt3 = build_block_tensors(results, MitigationPipeline({}))
     t0 = time.perf_counter()
     rows = scaling_sweep(bt4, bt3, 9)
@@ -297,6 +299,30 @@ def test_c7_qualitative_paper_regime():
         0.60 <= block4["bound"] <= 0.85 and stitched12 > direct12,
         f"4q bound {block4['bound']:.4f} in [0.60, 0.85]; "
         f"stitched12 {stitched12:.4f} > direct12 {direct12:.4f}",
+    )
+
+
+@pytest.mark.parametrize("p2", [0.085, 0.3])
+def test_cut_equals_direct_without_one_qubit_noise(p2):
+    # The stitched chain differs from the uncut one only at its open end,
+    # where a block prepares |+> noiselessly and the uncut chain applies a
+    # noisy H; with p1 = 0 both are the same channel.  The block pipeline
+    # (dense simulator, transfer matrices) and the Heisenberg reference
+    # compute it independently, so each checks the other.
+    noise = NoiseModel(0.0, p2, None)
+    results = execute_jobs(plan_chain_jobs(), RunConfig("exact"), noise)
+    bt4, bt3 = build_block_tensors(results, MitigationPipeline({}))
+    odd6, even6 = (float(np.mean(witness_values(bt4, bt3, 6, p))) for p in ("odd", "even"))
+    stitched = {6: fidelity_lower_bound(odd6, even6)}
+    stitched.update((row.n, row.bound) for row in scaling_sweep(bt4, bt3, 3))
+    gaps = {
+        n: abs(bound - direct_chain_report(n, noise, RunConfig("exact"))[0]["bound"])
+        for n, bound in stitched.items()
+    }
+    report(
+        f"cut = direct without one-qubit noise (p2 = {p2})",
+        sorted(gaps) == [6, 9, 12, 15] and max(gaps.values()) <= 1e-12,
+        ", ".join(f"n={n} gap {gap:.1e}" for n, gap in gaps.items()),
     )
 
 

@@ -18,9 +18,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from chaincut.circuit import build_linear_cluster
 from chaincut.cli import _map_reps, main
 from chaincut.config import MITIGATION_MODES, ExperimentConfig, config_from_dict, load_config
 from chaincut.counts import MAX_SHOTS, dump_json
+from chaincut.sim import NoiseModel
 
 
 def write_config(path: Path, **kwargs) -> Path:
@@ -592,7 +594,9 @@ class TestErrors:
     def test_empty_rate_lists_are_no_readout_rates(self):
         empty = config_from_dict({"f00": [], "f11": []})
         assert empty.readout is None and empty.noise_model().readout is None
-        assert config_from_dict({"f00": [], "f11": [], "p1": 0.0, "p2": 0.0}).noise_model() is None
+        noiseless = config_from_dict({"f00": [], "f11": [], "p1": 0.0, "p2": 0.0}).noise_model()
+        assert noiseless == NoiseModel(0.0, 0.0, None)
+        assert all(insertions == () for _, insertions in noiseless.schedule(build_linear_cluster(4)))
         # config.json keeps the lists as written, and so does its hash
         assert empty.to_dict()["f00"] == []
         assert empty.sha256() != config_from_dict({"f00": None, "f11": None}).sha256()

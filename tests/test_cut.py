@@ -23,7 +23,7 @@ from chaincut.cut import (
 )
 from chaincut.qstate import projector
 from chaincut.runner import execute_jobs
-from chaincut.sim import RunConfig
+from chaincut.sim import NoiseModel, RunConfig
 
 import oracles
 
@@ -177,7 +177,7 @@ class TestBundle:
             assert again.counts.meas == r.spec.meas
 
     def test_result_roundtrip_exact(self, tmp_path, plan):
-        results = execute_jobs(plan[:1], RunConfig("exact"), None)
+        results = execute_jobs(plan[:1], RunConfig("exact"), NoiseModel(0.0, 0.0, None))
         write_job_result(tmp_path, 0, results[0])
         again = read_job_result(tmp_path, 0, results[0].spec, None)
         np.testing.assert_allclose(again.dist.p, results[0].dist.p, rtol=0, atol=0)

@@ -16,9 +16,17 @@ from chaincut.direct import (
     statevector_distribution,
 )
 from chaincut.reconstruct import witness_term_count
-from chaincut.sim import NoiseModel, RunConfig, measure_distribution, run_exact
+from chaincut.sim import (
+    DEFAULT_READOUT,
+    NoiseModel,
+    RunConfig,
+    measure_distribution,
+    run_exact,
+)
 
 import oracles
+
+NOISELESS = NoiseModel(0.0, 0.0, None)
 
 
 class TestStatevector:
@@ -71,13 +79,18 @@ class TestHeisenberg:
 
     def test_noiseless_agrees_with_statevector(self):
         c = build_linear_cluster(6)
-        got = heisenberg_distribution(c, "XZXZXZ", None)
+        got = heisenberg_distribution(c, "XZXZXZ", NOISELESS)
         want = statevector_distribution(c, "XZXZXZ")
         np.testing.assert_allclose(got, want, atol=1e-12)
 
     def test_chain_distribution_dispatch(self):
-        p = chain_distribution(12, "XZ" * 6, None)
+        p = chain_distribution(12, "XZ" * 6, NOISELESS)
         assert abs(p.sum() - 1.0) < 1e-12
+        # no depolarizing insertion: the statevector path, whatever the readout rates
+        want = statevector_distribution(build_linear_cluster(12), "XZ" * 6)
+        assert np.array_equal(p, want)
+        readout_only = NoiseModel(0.0, 0.0, DEFAULT_READOUT)
+        assert np.array_equal(chain_distribution(12, "XZ" * 6, readout_only), want)
         noisy = chain_distribution(12, "XZ" * 6, NoiseModel(readout=None))
         assert abs(noisy.sum() - 1.0) < 1e-10
         assert not np.allclose(noisy, p)
@@ -85,12 +98,12 @@ class TestHeisenberg:
 
 class TestDirectReport:
     def test_noiseless_bound_is_one(self):
-        [rep] = direct_chain_report(12, None, RunConfig("exact"))
+        [rep] = direct_chain_report(12, NOISELESS, RunConfig("exact"))
         assert rep["bound"] == pytest.approx(1.0, abs=1e-12)
         np.testing.assert_allclose(rep["odd"], 1.0, atol=1e-12)
 
     def test_two_qubit_stabilizers(self):
-        [rep] = direct_chain_report(2, None, RunConfig("exact"))
+        [rep] = direct_chain_report(2, NOISELESS, RunConfig("exact"))
         # <X1 Z2> and <Z1 X2> both appear among the per-term values
         assert rep["odd"][-1] == pytest.approx(1.0, abs=1e-12)
         assert rep["even"][-1] == pytest.approx(1.0, abs=1e-12)
@@ -132,7 +145,7 @@ class TestDirectReport:
 
     def test_cap_enforced(self):
         with pytest.raises(ValueError, match="capped"):
-            direct_chain_report(27, None, RunConfig("exact"))
+            direct_chain_report(27, NOISELESS, RunConfig("exact"))
 
 
 def test_sampled_direct_shares_deterministic_work(tmp_path, monkeypatch):

@@ -27,8 +27,11 @@ from chaincut.reconstruct import (
     witness_values,
     witness_values_from_distribution,
 )
+from chaincut.sim import NoiseModel
 
 import oracles
+
+NOISELESS = NoiseModel(0.0, 0.0, None)
 
 
 class TestStabilizers:
@@ -139,7 +142,7 @@ class TestStitching:
 
         for parity in ("odd", "even"):
             meas = witness_setting(n, parity)
-            p = chain_distribution(n, meas, None)
+            p = chain_distribution(n, meas, NOISELESS)
             stitched = witness_values(bt4, bt3, n, parity)
             for term, sval in zip(witness_terms(n, parity), stitched):
                 dval = oracles.expectation_from_weights(p, n, term.letters, meas)
@@ -227,7 +230,7 @@ class TestStitchedDistribution:
         for setting in ("XZ", "ZX"):
             meas = (setting * 6)[:12]
             got = stitched_distribution(bt4, bt3, 12, setting)
-            want = chain_distribution(12, meas, None)
+            want = chain_distribution(12, meas, NOISELESS)
             assert 0.5 * np.sum(np.abs(got - want)) <= 1e-9
 
     def test_sums_to_one_even_for_random_tensors(self):
@@ -281,7 +284,7 @@ class TestWitnessFromDistribution:
         from chaincut.direct import chain_distribution
 
         for parity in ("odd", "even"):
-            p = chain_distribution(n, witness_setting(n, parity), None)
+            p = chain_distribution(n, witness_setting(n, parity), NOISELESS)
             np.testing.assert_allclose(
                 witness_values_from_distribution(p, n, parity), 1.0, atol=1e-12
             )

@@ -21,7 +21,9 @@ def empty_memos():
     runner.block_distribution.cache_clear()
 
 
-@pytest.mark.parametrize("noise", [None, NoiseModel()], ids=["noiseless", "default-noise"])
+@pytest.mark.parametrize(
+    "noise", [NoiseModel(0.0, 0.0, None), NoiseModel()], ids=["noiseless", "default-noise"]
+)
 def test_shared_distribution_equals_fresh_simulation(plan, noise):
     assert len(plan) == 48
     for spec in plan:

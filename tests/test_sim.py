@@ -19,6 +19,8 @@ from chaincut.sim import (
 
 import oracles
 
+NOISELESS = NoiseModel(0.0, 0.0, None)
+
 
 def chain_stabilizers(n):
     return [oracles.stabilizer(n, i) for i in range(1, n + 1)]
@@ -26,14 +28,14 @@ def chain_stabilizers(n):
 
 class TestRunExact:
     def test_cluster_state_stabilizers(self):
-        rho = run_exact(build_linear_cluster(3), None)
+        rho = run_exact(build_linear_cluster(3), NOISELESS)
         assert_density_operator(rho)
         for s in chain_stabilizers(3):
             assert oracles.expectation(rho, s) == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_noiseless_stabilizers_up_to_five(self, n):
-        rho = run_exact(build_linear_cluster(n), None)
+        rho = run_exact(build_linear_cluster(n), NOISELESS)
         for s in chain_stabilizers(n):
             assert oracles.expectation(rho, s) == pytest.approx(1.0, abs=1e-12)
 
@@ -53,14 +55,9 @@ class TestRunExact:
             oracles.fidelity_to_pure(ref, psi), abs=1e-12
         )
 
-    def test_zero_noise_is_bit_identical_to_noiseless(self):
-        c = build_linear_cluster(3)
-        silent = NoiseModel(p1=0.0, p2=0.0, readout=None)
-        assert np.array_equal(run_exact(c, silent), run_exact(c, None))
-
     def test_register_cap(self):
         with pytest.raises(ValueError, match="exceeds"):
-            run_exact(build_linear_cluster(9), None)
+            run_exact(build_linear_cluster(9), NOISELESS)
 
     def test_noisy_block_with_prep_matches_oracle(self):
         from chaincut.circuit import build_block_subcircuit
@@ -70,6 +67,32 @@ class TestRunExact:
         np.testing.assert_allclose(rho, oracles.noisy_density(c, 0.002, 0.03), atol=1e-12)
 
 
+class TestSchedule:
+    """NoiseModel.schedule is the one statement of where depolarizing noise goes."""
+
+    @pytest.mark.parametrize(
+        "op, insertions",
+        [
+            (GateOp("prep", (0,), "Ym"), ()),
+            (GateOp("H", (1,)), (((1,), 0.01),)),
+            (GateOp("CZ", (2, 0)), (((2, 0), 0.2),)),
+        ],
+        ids=["prep", "one-qubit", "CZ"],
+    )
+    def test_rate_follows_the_op_on_its_support(self, op, insertions):
+        c = Circuit(3, (op,))
+        assert NoiseModel(0.01, 0.2, None).schedule(c) == [(op, insertions)]
+
+    def test_zero_rate_inserts_nothing(self):
+        c = build_linear_cluster(4)  # four H, then three CZ
+        noiseless = NoiseModel(0.0, 0.0, DEFAULT_READOUT).schedule(c)
+        assert [insertions for _, insertions in noiseless] == [()] * 7
+        no_p1 = NoiseModel(0.0, 0.1, None).schedule(c)
+        assert [insertions for g, insertions in no_p1 if g.kind == "H"] == [()] * 4
+        no_p2 = NoiseModel(0.1, 0.0, None).schedule(c)
+        assert [insertions for g, insertions in no_p2 if g.kind == "CZ"] == [()] * 3
+
+
 class TestMeasureDistribution:
     def test_ground_state(self):
         rho = np.diag([1.0, 0.0]).astype(complex)
@@ -77,14 +100,14 @@ class TestMeasureDistribution:
 
     def test_lc2_xz_matches_oracle(self):
         c = build_linear_cluster(2)
-        rho = run_exact(c, None)
+        rho = run_exact(c, NOISELESS)
         got = measure_distribution(rho, "XZ").p
         ref = oracles.measured_distribution(oracles.statevector(c), "XZ")
         np.testing.assert_allclose(got, ref, atol=1e-13)
 
     def test_lc4_xzxz_matches_oracle(self):
         c = build_linear_cluster(4)
-        rho = run_exact(c, None)
+        rho = run_exact(c, NOISELESS)
         got = measure_distribution(rho, "XZXZ").p
         ref = oracles.measured_distribution(oracles.statevector(c), "XZXZ")
         np.testing.assert_allclose(got, ref, atol=1e-13)

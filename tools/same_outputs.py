@@ -6,10 +6,13 @@ Extracts the ``src/`` tree of BASE_REV (``git archive``) into a temporary
 directory and runs the same verbs with it and with this checkout's
 ``src/``, each side in its own working directory: ``run-jobs`` then
 ``reconstruct`` on small sampled configs under every mitigation mode, on
-null and empty readout-rate lists, on an exact and a noiseless exact
-config, and ``direct`` in sampled, exact and noiseless mode at n = 9 and
-sampled at n = 15 with 5 repetitions (the ``direct_n15`` benchmark's
-register size and repetition count).  Configs use
+null and empty readout-rate lists, on an exact config, an exact one with
+p2 = 0 and a noiseless exact one, and ``direct`` in sampled, exact, exact
+with p1 = 0 and noiseless mode at n = 9 and sampled at n = 15 with 5
+repetitions (the ``direct_n15`` benchmark's register size and repetition
+count).  The two zero-rate configs each reach a depolarizing rate of 0 in
+one engine: p2 = 0 in the dense block simulator, p1 = 0 in the Heisenberg
+reference.  Configs use
 relative ``out_dir``s, so the two sides write the same paths.  Every output
 file is compared byte for byte, with the wall-clock ``time_ms`` column of
 ``scaling.csv`` stripped; so are each verb's exit code, stdout and stderr.
@@ -44,12 +47,14 @@ BUNDLES = {
     "null-rates": {**SAMPLED, **NO_RATES},
     "empty-rates": {**SAMPLED, "f00": [], "f11": []},
     "exact": {"mode": "exact", "k_max": 3},
+    "exact-p2-zero": {"mode": "exact", "p2": 0.0, "k_max": 3},
     "noiseless": {**NOISELESS, "k_max": 3},
 }
 # name -> (config fields, chain length); direct --n <length> on each
 DIRECT = {
     "direct-sampled": (SAMPLED, 9),
     "direct-exact": ({"mode": "exact"}, 9),
+    "direct-exact-p1-zero": ({"mode": "exact", "p1": 0.0}, 9),
     "direct-noiseless": (NOISELESS, 9),
     "direct-sampled-n15": ({**SAMPLED, "repetitions": 5}, 15),
 }
