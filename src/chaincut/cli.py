@@ -260,8 +260,8 @@ def cmd_reconstruct(args) -> int:
     (reports / "witness_terms.json").write_text(dump_json(witness))
     dists = {
         "n": REPORT_N,
-        "XZ": [float(x) for x in np.mean([r["dist_xz"] for r in per_rep], axis=0)],
-        "ZX": [float(x) for x in np.mean([r["dist_zx"] for r in per_rep], axis=0)],
+        "XZ": np.mean([r["dist_xz"] for r in per_rep], axis=0).tolist(),
+        "ZX": np.mean([r["dist_zx"] for r in per_rep], axis=0).tolist(),
     }
     (reports / "stitched_distributions.json").write_text(dump_json(dists))
     for n, t in sorted(per_rep[0]["matrices"].items()):
@@ -299,11 +299,11 @@ def cmd_direct(args) -> int:
     dists = {
         "n": n,
         "XZ": {
-            kind: [float(x) for x in np.mean([r["distributions"][kind]["XZ"] for r in reports], axis=0)]
+            kind: np.mean([r["distributions"][kind]["XZ"] for r in reports], axis=0).tolist()
             for kind in ("ideal", "observed", "mitigated")
         },
         "ZX": {
-            kind: [float(x) for x in np.mean([r["distributions"][kind]["ZX"] for r in reports], axis=0)]
+            kind: np.mean([r["distributions"][kind]["ZX"] for r in reports], axis=0).tolist()
             for kind in ("ideal", "observed", "mitigated")
         },
     }

@@ -50,17 +50,18 @@ PATTERN_INDEX = {"XZX": 0, "ZXZ": 1}
 XP_INDEX = STATE_LABELS.index("Xp")
 
 
-def mask_signs(mask: int | np.ndarray, n: int) -> np.ndarray:
-    """(-1)^popcount(index & mask) over the 2^n outcome indices, one row per mask.
+def mask_signs(mask: int | np.ndarray, outcomes: np.ndarray) -> np.ndarray:
+    """(-1)^popcount(index & mask) over the outcome indices, one row per mask.
 
-    Masks are in outcome-index bit order: chain site p is bit n-1-p.
+    ``outcomes`` is ``np.arange(2**n, dtype=np.int64)``, built once by a
+    caller that builds many rows.  Masks are in outcome-index bit order:
+    chain site p is bit n-1-p.
     """
-    index = np.arange(2**n, dtype=np.int64)
-    return 1.0 - 2.0 * (np.bitwise_count(np.asarray(mask)[..., None] & index) & 1)
+    return 1.0 - 2.0 * (np.bitwise_count(np.asarray(mask)[..., None] & outcomes) & 1)
 
 
 # SIGNS3[mask, outcome] turns outcome-indexed block values into parity-indexed ones.
-SIGNS3 = mask_signs(np.arange(8), 3)
+SIGNS3 = mask_signs(np.arange(8), np.arange(8, dtype=np.int64))
 
 BLOCK_ENTRY_TOL = 1e-6
 
@@ -421,9 +422,10 @@ def witness_values_from_distribution(p: np.ndarray, n: int, parity: str) -> np.n
     """
     rows = np.atleast_2d(p)
     site_masks = np.bitwise_or(*_subset_masks(n, parity))
+    outcomes = np.arange(2**n, dtype=np.int64)
     values = np.empty((len(rows), len(site_masks)))
     for t, mask in enumerate(site_masks):
-        signs = mask_signs(mask, n)
+        signs = mask_signs(mask, outcomes)
         for r, dist in enumerate(rows):
             values[r, t] = dist @ signs
     return values if np.ndim(p) > 1 else values[0]

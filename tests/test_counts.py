@@ -1,9 +1,21 @@
 """Counts tables: dense in memory, bitstring-keyed only in the file form."""
 
+import json
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from chaincut.counts import CountsTable, counts_from_dict, counts_from_vector, counts_to_dict
+from chaincut.counts import (
+    LONG_LIST,
+    CountsTable,
+    counts_from_dict,
+    counts_from_vector,
+    counts_to_dict,
+    dump_json,
+)
 
 
 def sampled_table(n: int, seed: int) -> CountsTable:
@@ -97,3 +109,71 @@ class TestFileForm:
         counts_from_dict(d)
         with pytest.raises(ValueError, match="integer|list"):
             counts_from_dict({**d, field: value})
+
+
+FLOATS = st.floats() | st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324])
+SCALARS = st.none() | st.booleans() | st.integers() | FLOATS | st.text()
+
+
+def long_lists(items):
+    """Lists of LONG_LIST or more entries drawn, with repeats, from a few ``items``."""
+
+    def draw_from(pool, seed):
+        picks = np.random.default_rng(seed).integers(len(pool), size=LONG_LIST + seed % 8)
+        return [pool[i] for i in picks]
+
+    return st.builds(draw_from, st.lists(items, min_size=1, max_size=6), st.integers(0, 2**16))
+
+
+def spread_float_lists():
+    """Float lists of LONG_LIST or more entries, nearly all distinct, with a few
+    drawn floats written over random places."""
+
+    def spread(extra, seed):
+        rng = np.random.default_rng(seed)
+        o = rng.standard_normal(LONG_LIST + seed % 8).tolist()
+        for x in extra:
+            o[rng.integers(len(o))] = x
+        return o
+
+    return st.builds(spread, st.lists(FLOATS, max_size=6), st.integers(0, 2**16))
+
+
+JSON_OBJECTS = st.recursive(
+    SCALARS
+    | long_lists(FLOATS)
+    | spread_float_lists()
+    | long_lists(st.integers())
+    | long_lists(SCALARS),
+    lambda inner: (
+        st.lists(inner, max_size=4)
+        | st.lists(inner, max_size=4).map(tuple)
+        | st.dictionaries(st.text(), inner, max_size=4)
+    ),
+    max_leaves=12,
+)
+
+
+class TestDumpJson:
+    @settings(max_examples=300, deadline=None, database=None, derandomize=True)
+    @given(JSON_OBJECTS)
+    @example([0.0, -0.0])
+    @example([1, 1.0])
+    @example([True, 1])
+    @example([0.0, -0.0] * LONG_LIST)
+    # all distinct, once with 0.0 beside -0.0, which the sample counts as a repeat
+    @example([float(i) for i in range(1, LONG_LIST)] + [-0.0, math.nan])
+    @example([float(i) for i in range(LONG_LIST)] + [-0.0, math.nan])
+    @example([1] * LONG_LIST + [1.0])
+    @example([True] + [1] * LONG_LIST)
+    def test_writes_what_json_dumps_writes(self, obj):
+        want = json.dumps(obj, sort_keys=True, indent=1) + "\n"
+        # compared as lists of lines: pytest explains two unequal long strings
+        # with a full text diff, which makes shrinking a failure take minutes
+        assert dump_json(obj).split("\n") == want.split("\n")
+
+    @pytest.mark.parametrize("key", [1, 1.5, True, None], ids=repr)
+    def test_non_str_key_raises(self, key):
+        # json.dumps would write these keys as strings
+        with pytest.raises(TypeError, match="keys must be str"):
+            dump_json({"a": {key: 1}})

@@ -1,5 +1,7 @@
 """Whole-chain reference evaluator: statevector and Heisenberg paths."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,7 @@ from chaincut import direct, reconstruct
 from chaincut.circuit import build_block_subcircuit, build_linear_cluster
 from chaincut.cli import main
 from chaincut.config import ExperimentConfig
-from chaincut.counts import dump_json
+from chaincut.counts import LONG_LIST, dump_json
 from chaincut.direct import (
     chain_distribution,
     direct_chain_report,
@@ -172,3 +174,16 @@ def test_sampled_direct_shares_deterministic_work(tmp_path, monkeypatch):
     # repetition simulated the chain and built the sign rows again
     assert calls["chain_distribution"] == 2
     assert calls["mask_signs"] == witness_term_count(9, "odd") + witness_term_count(9, "even")
+
+
+def test_distributions_file_is_what_json_dumps_writes(tmp_path):
+    """The largest artifact, direct's distributions.json, is written as the stdlib would."""
+    cfg = ExperimentConfig(mode="sampled", shots=1000, repetitions=2, out_dir=str(tmp_path / "ref"))
+    (tmp_path / "config.json").write_text(dump_json(cfg.to_dict()))
+    assert main(["direct", "--config", str(tmp_path / "config.json"), "--n", "9"]) == 0
+    text = (tmp_path / "ref" / "direct" / "distributions.json").read_text()
+    dists = json.loads(text)
+    # 2^9 floats per list, long enough for the C encoder; the ideal lists
+    # repeat enough values to be formatted one distinct value at a time
+    assert len(dists["XZ"]["observed"]) == 2**9 >= LONG_LIST
+    assert text == json.dumps(dists, sort_keys=True, indent=1) + "\n"

@@ -254,10 +254,11 @@ class TestStitchedDistribution:
 class TestWitnessFromDistribution:
     def test_mask_signs_match_popcount_loop(self):
         for n in range(1, 7):
+            outcomes = np.arange(2**n, dtype=np.int64)
             for mask in range(2**n):
                 want = [(-1.0) ** bin(mask & b).count("1") for b in range(2**n)]
-                np.testing.assert_array_equal(mask_signs(mask, n), want)
-        np.testing.assert_array_equal(SIGNS3, [mask_signs(m, 3) for m in range(8)])
+                np.testing.assert_array_equal(mask_signs(mask, outcomes), want)
+        np.testing.assert_array_equal(SIGNS3, [mask_signs(m, np.arange(8)) for m in range(8)])
 
     @pytest.mark.parametrize("n", range(2, 16))
     def test_matches_letter_oracle(self, n):
