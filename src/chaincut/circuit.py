@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .qstate import STATE_LABELS
 
-GATE_KINDS = ("prep", "H", "S", "Sdg", "X", "CZ")
+GATE_KINDS = ("prep", "H", "Sdg", "CZ")
 
 # Four-qubit block: prepared input + 3 fresh qubits.  Three-qubit block:
 # prepared input + 2 fresh qubits.  The prepared qubit is the downstream

@@ -46,7 +46,7 @@ from .cut import (
 )
 from .direct import direct_chain_report
 from .mitigation import (
-    FULL_CALIBRATION,
+    MitigationPipeline,
     NumericalError,
     pipeline_for_rep,
     read_calibration,
@@ -109,10 +109,10 @@ def _map_reps(fn, reps) -> list:
         return list(pool.map(fn, reps, chunksize=math.ceil(len(reps) / workers)))
 
 
-def _run_rep(out: Path, plan, run, noise, rep: int) -> None:
+def _run_rep(out: Path, plan, run, noise, calibrated: bool, rep: int) -> None:
     for result in execute_jobs(plan, run, noise, rep=rep):
         write_job_result(out, rep, result)
-    if run.mode == "sampled" and noise.readout is not None:
+    if calibrated:
         write_calibration(out, rep, run, noise)
 
 
@@ -129,8 +129,9 @@ def cmd_run_jobs(args) -> int:
     # Simulated once here, the block distributions reach the workers by fork.
     for spec in plan:
         block_distribution(spec, noise)
-    _map_reps(functools.partial(_run_rep, out, plan, run, noise), range(cfg.effective_repetitions))
-    print(f"wrote {cfg.effective_repetitions} repetition(s) of {len(plan)} jobs to {out}")
+    reps = range(cfg.effective_repetitions)
+    _map_reps(functools.partial(_run_rep, out, plan, run, noise, cfg.calibrated), reps)
+    print(f"wrote {len(reps)} repetition(s) of {len(plan)} jobs to {out}")
     return 0
 
 
@@ -160,13 +161,14 @@ def _check_rep_dirs(bundle: Path, repetitions: int) -> None:
         )
 
 
-def _reconstruct_rep(bundle: Path, plan, cfg: ExperimentConfig, mitigation: str, rep: int) -> dict:
+def _reconstruct_rep(bundle: Path, plan, cfg: ExperimentConfig, rep: int) -> dict:
     shots = cfg.shots if cfg.mode == "sampled" else None
     results = [read_job_result(bundle, rep, spec, shots) for spec in plan]
-    calibration = {}
-    if shots is not None:
-        calibration = read_calibration(bundle, rep, shots, required=mitigation == FULL_CALIBRATION)
-    pipeline = pipeline_for_rep(calibration, cfg.readout, mode=mitigation)
+    # Exact distributions model pre-readout statistics: like uncalibrated counts, no TMEM.
+    pipeline = MitigationPipeline({})
+    if cfg.calibrated:
+        calibration = read_calibration(bundle, rep, cfg.shots)
+        pipeline = pipeline_for_rep(calibration, cfg.readout, cfg.mitigation)
     bt4, bt3 = build_block_tensors(results, pipeline)
     return {
         "odd12": witness_values(bt4, bt3, REPORT_N, "odd"),
@@ -182,11 +184,7 @@ def _reconstruct_reports(bundle: Path, cfg: ExperimentConfig) -> list[dict]:
     plan = read_plan(bundle)
     reps = range(cfg.effective_repetitions)
     _check_rep_dirs(bundle, len(reps))
-    # Exact distributions model pre-readout statistics and never pass
-    # through TMEM, so exact bundles build no confusion matrices; nor does a
-    # config without readout rates, whose sampled bundles hold no calibration.
-    mitigation = "none" if cfg.mode == "exact" or cfg.readout is None else cfg.mitigation
-    return _map_reps(functools.partial(_reconstruct_rep, bundle, plan, cfg, mitigation), reps)
+    return _map_reps(functools.partial(_reconstruct_rep, bundle, plan, cfg), reps)
 
 
 def _aggregate_scaling(per_rep: list[dict], k_max: int) -> list[dict]:

@@ -52,6 +52,11 @@ class ExperimentConfig:
             return None
         return tuple(zip(self.f00, self.f11))
 
+    @property
+    def calibrated(self) -> bool:
+        """Sampled with readout rates: run-jobs writes, and reconstruct reads, calibration."""
+        return self.mode == "sampled" and self.readout is not None
+
     def noise_model(self) -> NoiseModel:
         return NoiseModel(self.p1, self.p2, self.readout)
 

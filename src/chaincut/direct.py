@@ -9,10 +9,10 @@ distribution by a Walsh-Hadamard transform, with no density matrix.
 
 This stands in for the uncut chain on hardware.  Like the block jobs, its
 distributions get readout flips, factored TMEM and simplex projection, but
-the processing is not identical: sampled mode draws no shots when the
-config has no readout rates; ``mitigation`` is ignored, so TMEM runs even
-under "none"; and TMEM uses the model's true rates where the cut under
-"auto" and "full" uses sampled calibration, understating direct's spread.
+the processing is not identical: ``mitigation`` is ignored, so TMEM runs
+even under "none"; and TMEM uses the model's true rates where the cut
+under "auto" and "full" uses sampled calibration, understating direct's
+spread.
 Each setting's chain distribution, its readout-flipped form and every
 witness sign row are computed once per run; a repetition only samples,
 mitigates and projects its own copy.
@@ -33,8 +33,6 @@ from .qstate import (
     conjugate_cz,
     conjugate_h,
     conjugate_s,
-    conjugate_sdg,
-    conjugate_x,
     cz_phases,
     prep_unitary,
     state_vector_1q,
@@ -118,13 +116,9 @@ def _propagate_paulis(
             sign = conjugate_cz(x, z, sign, g.qubits[0], g.qubits[1])
         elif g.kind == "H":
             sign = conjugate_h(x, z, sign, g.qubits[0])
-        elif g.kind == "S":
-            # adjoint channel of S conjugates with S^dag and vice versa
-            sign = conjugate_sdg(x, z, sign, g.qubits[0])
         elif g.kind == "Sdg":
+            # the adjoint channel of Sdg conjugates with S
             sign = conjugate_s(x, z, sign, g.qubits[0])
-        elif g.kind == "X":
-            sign = conjugate_x(x, z, sign, g.qubits[0])
         else:
             raise ValueError(f"cannot propagate through {g.kind}")
     value = sign * factor
@@ -174,10 +168,11 @@ def direct_chain_report(
 ) -> list[dict]:
     """Distributions, witness expectations, and bound of each repetition of the uncut chain.
 
-    Readout noise is applied exactly to the distribution (exact mode) or
-    at the sampled-bit level (sampled mode), then inverted by factored
-    TMEM with the model's per-qubit rates and projected back onto the
-    simplex -- the same processing the cut pipeline applies per block.
+    Readout noise, if the model has rates, is applied exactly to the
+    distribution; sampled mode then draws ``run.shots`` shots from it.
+    TMEM with the model's per-qubit rates inverts the readout, and the
+    result is projected back onto the simplex -- the same processing the
+    cut pipeline applies per block.
     Repetition r draws from its own stream (9000 + r), so its report does
     not depend on how many repetitions are requested.
     """
@@ -195,7 +190,7 @@ def direct_chain_report(
     for rep in range(repetitions):
         observed, mitigated = {}, {}
         for key, p in flipped.items():
-            if readout is not None and run.mode == "sampled":
+            if run.mode == "sampled":
                 rng = rng_for(run.seed, 9000 + rep, n, ord(key[0]))
                 p = sample_counts(Distribution(n, p), run.shots, rng, None).frequencies()
             observed[key] = p

@@ -143,16 +143,14 @@ def project_to_simplex(v: np.ndarray) -> np.ndarray:
     return np.maximum(v + tau, 0.0)
 
 
-def mle_project(q: QuasiDistribution, atol: float = 1e-6) -> Distribution:
+def mle_project(q: QuasiDistribution) -> Distribution:
     """Closest physical distribution to a quasi-distribution (2-norm).
 
     Treating q as a diagonal operator, the closest-density-operator
     eigenvalue-truncation method reduces to simplex projection of the
-    diagonal, so the result is exactly the Euclidean projection.
+    diagonal, so the result is exactly the Euclidean projection.  q sums
+    to one already: QuasiDistribution checks that when it is built.
     """
-    s = float(q.w.sum())
-    if abs(s - 1.0) > atol:
-        raise ValueError(f"quasi-distribution sums to {s}; expected 1 within {atol}")
     return Distribution(q.n, project_to_simplex(q.w))
 
 
@@ -197,9 +195,9 @@ def tmem_product_inverse(p: np.ndarray, readout: tuple[tuple[float, float], ...]
 class MitigationPipeline:
     """Counts -> TMEM -> simplex projection, per register size.
 
-    ``matrices`` maps register size to a TransitionMatrix (or is missing
-    the size entirely, in which case counts are only normalized).  Exact
-    distributions skip TMEM: they model pre-readout statistics.
+    ``matrices`` maps each register size to a TransitionMatrix, or is
+    empty, in which case counts are only normalized.  Exact distributions
+    skip TMEM: they model pre-readout statistics.
     """
 
     matrices: dict[int, TransitionMatrix]
@@ -215,21 +213,15 @@ class MitigationPipeline:
         return mle_project(q)
 
 
-def read_calibration(
-    bundle_dir: Path, rep: int, shots: int, required: bool = False
-) -> dict[int, list[CountsTable]]:
+def read_calibration(bundle_dir: Path, rep: int, shots: int) -> dict[int, list[CountsTable]]:
     """The calibration count tables of one repetition, per register size, in basis-state order.
 
-    Each calibration directory present is read whole.  With ``required``, a
-    register size without its directory is an error naming the directory.
+    Every register's directory is read whole; a missing file or directory
+    is an error naming the first file that cannot be read.
     """
     tables = {}
     for n in REGISTER_SIZES:
         target = calibration_dir(bundle_dir, rep, n)
-        if not target.is_dir():
-            if required:
-                raise ValueError(f"mitigation 'full' needs the calibration directory {target}")
-            continue
         parse = functools.partial(_calibration_table, n=n, shots=shots)
         tables[n] = [
             read_bundle_file(target / f"{index_to_bits(j, n)}.json", parse) for j in range(2**n)
@@ -247,23 +239,23 @@ def _calibration_table(d: dict, n: int, shots: int) -> CountsTable:
 
 def pipeline_for_rep(
     calibration: dict[int, list[CountsTable]],
-    readout: tuple[tuple[float, float], ...] | None,
-    mode: str = "auto",
+    readout: tuple[tuple[float, float], ...],
+    mode: str,
 ) -> MitigationPipeline:
-    """Build the mitigation pipeline for one repetition from its calibration tables.
+    """The mitigation pipeline of one calibrated repetition (see read_calibration).
 
-    Mode "auto" prefers full calibration for each register size with tables
-    (see read_calibration), else tensor-product rates from the configuration,
-    sliced per register by readout_rates exactly as the simulator does.
+    Modes "auto" and "full" invert each register's full calibration;
+    "tensor" builds the Kronecker product of the configured per-qubit
+    rates, sliced per register by readout_rates exactly as the simulator
+    does; "none" builds no matrix.
     """
     matrices: dict[int, TransitionMatrix] = {}
     for n in REGISTER_SIZES:
-        if mode == FULL_CALIBRATION or (mode == "auto" and n in calibration):
-            matrices[n] = build_transition_matrix(n, FULL_CALIBRATION, calib=calibration.get(n))
-        elif mode in ("auto", TENSOR_PRODUCT):
+        if mode in ("auto", FULL_CALIBRATION):
+            matrices[n] = build_transition_matrix(n, FULL_CALIBRATION, calib=calibration[n])
+        elif mode == TENSOR_PRODUCT:
             rates = readout_rates(readout, n)
-            if rates is not None:
-                matrices[n] = build_transition_matrix(n, TENSOR_PRODUCT, readout=rates)
+            matrices[n] = build_transition_matrix(n, TENSOR_PRODUCT, readout=rates)
         elif mode != "none":
             raise ValueError(f"unknown mitigation mode {mode!r}")
     return MitigationPipeline(matrices)

@@ -35,9 +35,7 @@ PAULI_1Q = {
 # Fixed single-qubit gates, keyed by GateOp kind.
 GATES_1Q = {
     "H": np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2),
-    "S": np.array([[1, 0], [0, 1j]], dtype=complex),
     "Sdg": np.array([[1, 0], [0, -1j]], dtype=complex),
-    "X": PAULI_1Q["X"],
 }
 
 # Single-qubit preparation labels, in the order the cut decomposition
@@ -204,19 +202,6 @@ def conjugate_s(x, z, sign, q):
     """In-place P -> S P S^dag on qubit q (X -> Y, Y -> -X)."""
     sign *= np.where((x[..., q] & z[..., q]) == 1, -1, 1)
     z[..., q] ^= x[..., q]
-    return sign
-
-
-def conjugate_sdg(x, z, sign, q):
-    """In-place P -> S^dag P S on qubit q (X -> -Y, Y -> X)."""
-    sign *= np.where((x[..., q] == 1) & (z[..., q] == 0), -1, 1)
-    z[..., q] ^= x[..., q]
-    return sign
-
-
-def conjugate_x(x, z, sign, q):
-    """In-place P -> X P X on qubit q (Z -> -Z, Y -> -Y)."""
-    sign *= np.where(z[..., q] == 1, -1, 1)
     return sign
 
 

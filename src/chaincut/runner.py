@@ -3,9 +3,9 @@
 Simulates each block state once per (form, input label, noise model) and
 measures it once per setting; repetitions differ only in their seeded
 shot draws and readout flips.  Writes bundles in the on-disk layout
-defined by chaincut.cut.  Also produces readout-calibration bundles
-(every basis state prepared and read out) for the full-calibration
-mitigation mode.
+defined by chaincut.cut.  Also produces the readout-calibration bundles
+(every basis state prepared and read out) of calibrated configs
+(``ExperimentConfig.calibrated``).
 """
 
 from __future__ import annotations

@@ -163,12 +163,8 @@ def circuit_unitary(circuit, n: int) -> np.ndarray:
             u = embed(cz, op.qubits, n) @ u
         elif op.kind == "H":
             u = embed(H, op.qubits, n) @ u
-        elif op.kind == "S":
-            u = embed(S, op.qubits, n) @ u
         elif op.kind == "Sdg":
             u = embed(SDG, op.qubits, n) @ u
-        elif op.kind == "X":
-            u = embed(X, op.qubits, n) @ u
         else:
             raise ValueError(op.kind)
     return u
@@ -214,7 +210,7 @@ def noisy_density(circuit, p1: float, p2: float) -> np.ndarray:
     rho = np.zeros((2**n, 2**n), dtype=complex)
     rho[0, 0] = 1.0
     cz = np.diag([1, 1, 1, -1]).astype(complex)
-    gates = {"H": H, "S": S, "Sdg": SDG, "X": X}
+    gates = {"H": H, "Sdg": SDG}
     for op in circuit.ops:
         if op.kind == "prep":
             v = STATES[op.label]

@@ -307,7 +307,9 @@ class TestBundleIntegrity:
     def assert_rejected(self, out: Path, name: str, capsys) -> None:
         capsys.readouterr()
         assert main(["reconstruct", "--out", str(out)]) == 1
-        assert name in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1 and name in err
+        assert not (out / "reports").exists()
 
     def test_job_file_shots_differ_from_config(self, tmp_path, capsys):
         out = self.bundle(tmp_path, "sampled")
@@ -370,15 +372,32 @@ class TestBundleIntegrity:
         victim.mkdir()
         self.assert_rejected(out, str(victim), capsys)
 
-    def test_full_mitigation_without_calibration_directory(self, tmp_path, capsys):
+    @pytest.mark.parametrize("mitigation", MITIGATION_MODES)
+    def test_missing_calibration_directory(self, tmp_path, capsys, mitigation):
+        # run-jobs writes every register's calibration for a sampled config
+        # with rates, so a bundle without one is malformed under every mode
         out = tmp_path / "run"
         cfg = write_config(
-            tmp_path, mode="sampled", mitigation="full", shots=2000, repetitions=1, k_max=1,
+            tmp_path, mode="sampled", mitigation=mitigation, shots=2000, repetitions=1, k_max=1,
             out_dir=str(out),
         )
         assert main(["run-jobs", "--config", str(cfg)]) == 0
-        shutil.rmtree(out / "reps" / "r00" / "calibration" / "q4")
-        self.assert_rejected(out, str(out / "reps" / "r00" / "calibration" / "q4"), capsys)
+        victim = out / "reps" / "r00" / "calibration" / "q4"
+        shutil.rmtree(victim)
+        self.assert_rejected(out, str(victim) + os.sep, capsys)
+
+    def test_one_repetition_missing_calibration_directory(self, tmp_path, capsys):
+        # rejected, not averaged: mitigating r00 from rates and r01 from its
+        # calibration would mix two processings into one bound
+        out = tmp_path / "run"
+        cfg = write_config(
+            tmp_path, mode="sampled", shots=2000, repetitions=2, k_max=1, seed=7,
+            out_dir=str(out),
+        )
+        assert main(["run-jobs", "--config", str(cfg)]) == 0
+        victim = out / "reps" / "r00" / "calibration" / "q4"
+        shutil.rmtree(victim)
+        self.assert_rejected(out, str(victim) + os.sep, capsys)
 
     def test_partial_calibration_directory_under_tensor(self, tmp_path, capsys):
         # tensor mode builds no matrix from calibration files, but a bundle
@@ -744,8 +763,10 @@ def test_every_accepted_config_runs_and_reconstructs(d):
         err = io.StringIO()
         with contextlib.redirect_stderr(err):
             code = main(["reconstruct", "--out", str(out)])
+        # run-jobs writes calibration exactly for the configs reconstruct reads it for
+        calibrated = config_from_dict(d).calibrated
+        assert calibrated == any((out / "reps").glob("r*/calibration/q*/*.json"))
         # a confusion matrix sampled from a few calibration shots can be singular
-        calibrated = any((out / "reps").glob("r*/calibration/q*/*.json"))
         if code == 2 and calibrated:
             assert err.getvalue().startswith("numerical error:") and err.getvalue().count("\n") == 1
         else:

@@ -150,6 +150,20 @@ class TestDirectReport:
             direct_chain_report(27, NOISELESS, RunConfig("exact"))
 
 
+@pytest.mark.parametrize("rates", [None, []], ids=["null-rates", "empty-rates"])
+def test_sampled_direct_without_readout_rates_draws_shots(tmp_path, rates):
+    """Sampled mode samples whether or not the config has readout rates."""
+    out = tmp_path / "ref"
+    (tmp_path / "config.json").write_text(json.dumps({
+        "mode": "sampled", "shots": 1000, "repetitions": 3, "seed": 3,
+        "f00": rates, "f11": rates, "out_dir": str(out),
+    }))
+    assert main(["direct", "--config", str(tmp_path / "config.json"), "--n", "6"]) == 0
+    witness = json.loads((out / "direct" / "witness_terms.json").read_text())
+    [exact] = direct_chain_report(6, NoiseModel(readout=None), RunConfig("exact"))
+    assert witness["bound_stddev"] > 0.0 and witness["bound"] != exact["bound"]
+
+
 def test_sampled_direct_shares_deterministic_work(tmp_path, monkeypatch):
     """Each setting is simulated once per run, each witness term's sign row built once."""
     calls = {"chain_distribution": 0, "mask_signs": 0}

@@ -240,10 +240,9 @@ class TestPipeline:
         assert pipe.matrices[4].mode == "full"
         assert pipe.matrices[3].mode == "full"
 
-    def test_auto_mode_falls_back_to_tensor(self, tmp_path, default_noise):
-        assert read_calibration(tmp_path, 0, 50_000) == {}
-        pipe = pipeline_for_rep({}, default_noise.readout, mode="auto")
-        assert pipe.matrices[4].mode == "tensor"
+    def test_read_calibration_needs_every_register(self, tmp_path):
+        with pytest.raises(FileNotFoundError, match="calibration/q4/0000.json"):
+            read_calibration(tmp_path, 0, 50_000)
 
     def test_none_mode(self, default_noise):
         pipe = pipeline_for_rep({}, default_noise.readout, mode="none")

@@ -14,8 +14,6 @@ from chaincut.qstate import (
     conjugate_cz,
     conjugate_h,
     conjugate_s,
-    conjugate_sdg,
-    conjugate_x,
     cz_phases,
     partial_trace,
     projector,
@@ -198,8 +196,6 @@ class TestConjugation:
     @pytest.mark.parametrize("gate,conj,matrix", [
         ("H", conjugate_h, oracles.H),
         ("S", conjugate_s, oracles.S),
-        ("Sdg", conjugate_sdg, oracles.SDG),
-        ("X", conjugate_x, oracles.X),
     ])
     def test_single_qubit(self, gate, conj, matrix):
         rng = np.random.default_rng(7)

@@ -7,10 +7,10 @@ directory and runs the same verbs with it and with this checkout's
 ``src/``, each side in its own working directory: ``run-jobs`` then
 ``reconstruct`` on small sampled configs under every mitigation mode, on
 null and empty readout-rate lists, on an exact config, an exact one with
-p2 = 0 and a noiseless exact one, and ``direct`` in sampled, exact, exact
-with p1 = 0 and noiseless mode at n = 9 and sampled at n = 15 with 5
-repetitions (the ``direct_n15`` benchmark's register size and repetition
-count).  The two zero-rate configs each reach a depolarizing rate of 0 in
+p2 = 0 and a noiseless exact one, and ``direct`` in sampled, sampled with
+null readout rates, exact, exact with p1 = 0 and noiseless mode at n = 9
+and sampled at n = 15 with 5 repetitions (the ``direct_n15`` benchmark's
+register size and repetition count).  The two zero-rate configs each reach a depolarizing rate of 0 in
 one engine: p2 = 0 in the dense block simulator, p1 = 0 in the Heisenberg
 reference.  Configs use
 relative ``out_dir``s, so the two sides write the same paths.  Every output
@@ -53,6 +53,7 @@ BUNDLES = {
 # name -> (config fields, chain length); direct --n <length> on each
 DIRECT = {
     "direct-sampled": (SAMPLED, 9),
+    "direct-null-rates": ({**SAMPLED, **NO_RATES}, 9),
     "direct-exact": ({"mode": "exact"}, 9),
     "direct-exact-p1-zero": ({"mode": "exact", "p1": 0.0}, 9),
     "direct-noiseless": (NOISELESS, 9),
