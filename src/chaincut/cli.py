@@ -11,7 +11,11 @@ Every verb accepts --config FILE and --out DIR, plus the overrides it
 reads: --seed and --shots (run-jobs, direct), --exact (run-jobs, direct),
 --k-max (reconstruct), --n (direct).  Exit codes: 0 success, 1 validation
 error, 2 numerical error.  All outputs except wall-clock timing columns are
-byte-reproducible for a fixed config and seed.
+byte-reproducible for a fixed config, seed and BLAS thread count.  The
+thread count matters only to direct at n >= 14: OpenBLAS splits a dot
+product of more than 10,000 entries over its threads, so the last bits of
+its witness values, and of witness_terms.json and summary.csv, depend on
+how many there are.
 
 run-jobs and reconstruct run their repetitions in parallel
 (``_map_reps``): one forked worker per CPU in the affinity mask, at most
@@ -294,18 +298,17 @@ def cmd_direct(args) -> int:
         "bound_stddev": stddev,
     }
     (out / "witness_terms.json").write_text(dump_json(witness))
+    # The mean arrays go to the file as they are: dump_json converts and
+    # writes them a slice at a time, so their text is never held whole.
     dists = {
-        "n": n,
-        "XZ": {
-            kind: np.mean([r["distributions"][kind]["XZ"] for r in reports], axis=0).tolist()
+        setting: {
+            kind: np.mean([r["distributions"][kind][setting] for r in reports], axis=0)
             for kind in ("ideal", "observed", "mitigated")
-        },
-        "ZX": {
-            kind: np.mean([r["distributions"][kind]["ZX"] for r in reports], axis=0).tolist()
-            for kind in ("ideal", "observed", "mitigated")
-        },
+        }
+        for setting in ("XZ", "ZX")
     }
-    (out / "distributions.json").write_text(dump_json(dists))
+    with open(out / "distributions.json", "w") as stream:
+        dump_json({"n": n, **dists}, stream)
     summary = "n,odd_avg,even_avg,bound,bound_stddev\n"
     summary += (
         f"{n},{witness['odd_avg']!r},{witness['even_avg']!r},"

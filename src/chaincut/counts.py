@@ -13,9 +13,11 @@ dense vectors too; only counts_to_dict and counts_from_dict see bitstrings.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
+from typing import TextIO
 
 import numpy as np
 
@@ -58,7 +60,7 @@ class CountsTable:
     def n(self) -> int:
         return num_qubits(len(self.counts))
 
-    @property
+    @functools.cached_property
     def shots(self) -> int:
         return int(self.counts.sum())
 
@@ -153,15 +155,27 @@ def counts_from_dict(d: dict) -> CountsTable:
     """Parse the file form; keys must be n-character 0/1 strings, numbers JSON integers."""
     n = json_int(d["n"], "n")
     vec = np.zeros(2**n, dtype=np.int64)
+    index = _bitstring_index(n)
     for bits, c in d["counts"].items():
-        if len(bits) != n or not set(bits) <= {"0", "1"}:
+        j = index.get(bits)
+        if j is None:
             raise ValueError(f"bad bitstring {bits!r} for n={n}")
-        if not has_json_type(0, c):
+        if type(c) is not int:  # a JSON integer: not a float, nor true/false
             raise ValueError(f"count for {bits!r} must be an integer, got {c!r}")
         if not 0 <= c <= MAX_SHOTS:
             raise ValueError(f"count {c!r} for {bits!r} is negative or too large")
-        vec[int(bits, 2)] = c
+        vec[j] = c
     return counts_from_vector(vec, setting_from_dict(d), json_int(d["shots"], "shots"))
+
+
+@functools.lru_cache(maxsize=8)
+def _bitstring_index(n: int) -> dict[str, int]:
+    """Every n-bit key of the file form, mapped to its basis-state index.
+
+    Bundle files hold 3- and 4-qubit registers, so each table is small and
+    is built once per process.
+    """
+    return {index_to_bits(j, n): j for j in range(2**n)}
 
 
 def dist_to_dict(n: int, meas: str, p: np.ndarray) -> dict:
@@ -176,60 +190,95 @@ def dist_from_dict(d: dict, n: int) -> Distribution:
     return Distribution(n, np.array(p, dtype=float))
 
 
-# A list at least this long whose items are all floats is written by one
-# C-encoder call.  If LONG_LIST items spread over it repeat a value, that
-# call formats each distinct value once: the distributions of
+# A list at least this long whose items are all floats, or a 1-D float64
+# array this long, is written SLICE items at a time, each slice by one
+# C-encoder call.  If LONG_LIST items spread over a slice repeat a value,
+# that call formats each distinct value once: the distributions of
 # `direct --n 15` repeat 16-99 % of their values, while those stitched from
 # a sampled bundle repeat none, where np.unique would only cost time and the
 # resident memory of its sort code.  Shorter lists are written item by
 # item: for 16 floats, np.unique alone costs more than their reprs.
 LONG_LIST = 256
+SLICE = 2**14
 
 
-def dump_json(obj: dict) -> str:
+def dump_json(obj: dict, stream: TextIO | None = None) -> str | None:
     """Canonical JSON used for every on-disk artifact (byte-stable).
 
     Writes exactly what ``json.dumps(obj, sort_keys=True, indent=1) + "\\n"``
-    writes, without the stdlib's pure-Python indenting encoder.  Dict keys
-    must be ``str``: any other key raises TypeError, where json.dumps would
-    write it as a string.
+    writes, without the stdlib's pure-Python indenting encoder: piece by
+    piece to ``stream`` if one is given, else returned as one str.  A value
+    may also be an ndarray, written as its ``tolist()`` would be; a long 1-D
+    float64 one is converted a slice at a time, so its text is never held
+    whole.  Dict keys must be ``str``: any other key raises TypeError, where
+    json.dumps would write it as a string.
     """
-    return _encode(obj, "\n") + "\n"
+    if stream is not None:
+        _encode(obj, "\n", stream.write)
+        stream.write("\n")
+        return None
+    pieces: list[str] = []
+    _encode(obj, "\n", pieces.append)
+    pieces.append("\n")
+    return "".join(pieces)
 
 
-def _encode(o, newline: str) -> str:
-    """``o`` as json.dumps(o, indent=1, sort_keys=True) writes it; ``newline``
-    is the line break and indent of the line ``o`` starts on."""
+def _encode(o, newline: str, write) -> None:
+    """Write ``o`` as json.dumps(o, indent=1, sort_keys=True) writes it;
+    ``newline`` is the line break and indent of the line ``o`` starts on."""
     t = type(o)
     if t is str:
-        return encode_basestring_ascii(o)
-    if t is int:
-        return int.__repr__(o)
-    if t is float and o - o == 0.0:  # finite; json.dumps spells NaN and infinities
-        return float.__repr__(o)
-    if isinstance(o, dict):
+        write(encode_basestring_ascii(o))
+    elif t is int:
+        write(int.__repr__(o))
+    elif t is float and o - o == 0.0:  # finite; json.dumps spells NaN and infinities
+        write(float.__repr__(o))
+    elif isinstance(o, dict):
         if not o:
-            return "{}"
+            write("{}")
+            return
         if not all(isinstance(k, str) for k in o):
             raise TypeError(f"JSON keys must be str: {list(o)!r}")
         inner = newline + " "
-        items = [encode_basestring_ascii(k) + ": " + _encode(o[k], inner) for k in sorted(o)]
-        return "{" + inner + ("," + inner).join(items) + newline + "}"
-    if isinstance(o, (list, tuple)):
-        if not o:
-            return "[]"
+        sep = "{" + inner
+        for k in sorted(o):
+            write(sep + encode_basestring_ascii(k) + ": ")
+            _encode(o[k], inner, write)
+            sep = "," + inner
+        write(newline + "}")
+    elif isinstance(o, np.ndarray) and not (
+        o.ndim == 1 and o.dtype == np.float64 and len(o) >= LONG_LIST
+    ):
+        _encode(o.tolist(), newline, write)
+    elif isinstance(o, (list, tuple, np.ndarray)):
+        if len(o) == 0:
+            write("[]")
+            return
         inner = newline + " "
-        if len(o) >= LONG_LIST and set(map(type, o)) == {float}:
-            sample = o[:: len(o) // LONG_LIST]
-            if len(set(sample)) == len(sample):
-                items = json.dumps(o)[1:-1].split(", ")
-            else:
-                # one repr per distinct bit pattern: -0.0 == 0.0, so the set
-                # above only estimates, and equality must not merge values
-                bits, inverse = np.unique(np.array(o).view(np.int64), return_inverse=True)
-                reprs = json.dumps(bits.view(np.float64).tolist())[1:-1].split(", ")
-                items = np.array(reprs, dtype=object)[inverse].tolist()
+        sep = "[" + inner
+        if len(o) >= LONG_LIST and (isinstance(o, np.ndarray) or set(map(type, o)) == {float}):
+            for start in range(0, len(o), SLICE):
+                chunk = o[start : start + SLICE]
+                items = _float_reprs(chunk.tolist() if isinstance(o, np.ndarray) else chunk)
+                write(sep + ("," + inner).join(items))
+                sep = "," + inner
         else:
-            items = [_encode(x, inner) for x in o]
-        return "[" + inner + ("," + inner).join(items) + newline + "]"
-    return json.dumps(o)
+            for x in o:
+                write(sep)
+                _encode(x, inner, write)
+                sep = "," + inner
+        write(newline + "]")
+    else:
+        write(json.dumps(o))
+
+
+def _float_reprs(o: list[float] | tuple[float, ...]) -> list[str]:
+    """What json.dumps writes for each float of ``o``, formatting a repeated value once."""
+    sample = o[:: max(1, len(o) // LONG_LIST)]
+    if len(set(sample)) == len(sample):
+        return json.dumps(o)[1:-1].split(", ")
+    # one repr per distinct bit pattern: -0.0 == 0.0, so the set above only
+    # estimates, and equality must not merge values
+    bits, inverse = np.unique(np.array(o).view(np.int64), return_inverse=True)
+    reprs = json.dumps(bits.view(np.float64).tolist())[1:-1].split(", ")
+    return np.array(reprs, dtype=object)[inverse].tolist()

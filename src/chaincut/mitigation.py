@@ -182,9 +182,21 @@ def tmem_product_inverse(p: np.ndarray, readout: tuple[tuple[float, float], ...]
     """
     if len(p) != 2 ** len(readout):
         raise ValueError("distribution size does not match readout rates")
+    return apply_per_qubit(np.asarray(p, dtype=float), _inverse_factors(readout))
+
+
+@functools.lru_cache(maxsize=16)
+def _inverse_factors(readout: tuple[tuple[float, float], ...]) -> tuple[np.ndarray, ...]:
+    """Each qubit's inverse confusion matrix, once the product passes checked_cond.
+
+    Built once per rate tuple and shared, so the matrices are read-only.
+    """
     factors = [confusion_1q(f00, f11) for f00, f11 in readout]
     checked_cond(*factors)
-    return apply_per_qubit(np.asarray(p, dtype=float), [np.linalg.inv(m) for m in factors])
+    inverses = tuple(np.linalg.inv(m) for m in factors)
+    for m in inverses:
+        m.flags.writeable = False
+    return inverses
 
 
 # ---------------------------------------------------------------------------

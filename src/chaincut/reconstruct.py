@@ -51,17 +51,17 @@ XP_INDEX = STATE_LABELS.index("Xp")
 
 
 def mask_signs(mask: int | np.ndarray, outcomes: np.ndarray) -> np.ndarray:
-    """(-1)^popcount(index & mask) over the outcome indices, one row per mask.
+    """(-1)^popcount(index & mask) over the outcome indices, one int8 row per mask.
 
-    ``outcomes`` is ``np.arange(2**n, dtype=np.int64)``, built once by a
-    caller that builds many rows.  Masks are in outcome-index bit order:
-    chain site p is bit n-1-p.
+    ``outcomes`` is ``np.arange(2**n, dtype=np.int64)``.  Masks are in
+    outcome-index bit order: chain site p is bit n-1-p.
     """
-    return 1.0 - 2.0 * (np.bitwise_count(np.asarray(mask)[..., None] & outcomes) & 1)
+    parity = np.bitwise_count(np.asarray(mask)[..., None] & outcomes) & 1
+    return 1 - 2 * parity.astype(np.int8)
 
 
 # SIGNS3[mask, outcome] turns outcome-indexed block values into parity-indexed ones.
-SIGNS3 = mask_signs(np.arange(8), np.arange(8, dtype=np.int64))
+SIGNS3 = mask_signs(np.arange(8), np.arange(8, dtype=np.int64)).astype(float)
 
 BLOCK_ENTRY_TOL = 1e-6
 
@@ -417,17 +417,24 @@ def witness_values_from_distribution(p: np.ndarray, n: int, parity: str) -> np.n
     ``p`` is one distribution or a (repetitions, 2^n) stack of them, each
     measured in witness_setting(n, parity), where every term is a parity of
     outcome bits on its support; terms follow witness_terms order, along the
-    last axis of the result.  Each term's sign row is built once and dotted
-    with every distribution in turn, so only one row is held at a time.
+    last axis of the result.  A term's support is the XOR of its
+    stabilizers' supports, so its sign row is the product of theirs: the
+    terms are visited in Gray-code order, each row built from the previous
+    one times one stabilizer's row, and dotted with every distribution in
+    turn.  Only the m stabilizer rows (int8) and one float row are held.
     """
     rows = np.atleast_2d(p)
-    site_masks = np.bitwise_or(*_subset_masks(n, parity))
-    outcomes = np.arange(2**n, dtype=np.int64)
-    values = np.empty((len(rows), len(site_masks)))
-    for t, mask in enumerate(site_masks):
-        signs = mask_signs(mask, outcomes)
+    m = len(parity_indices(n, parity))
+    supports = np.bitwise_or(*_subset_masks(n, parity))[1 << np.arange(m)]
+    stabilizers = mask_signs(supports, np.arange(2**n, dtype=np.int64))
+    values = np.empty((len(rows), 2**m))
+    signs = np.ones(2**n)
+    for k in range(2**m):
+        if k:  # Gray codes k - 1 and k differ in k's lowest set bit
+            signs *= stabilizers[(k & -k).bit_length() - 1]
+        term = k ^ (k >> 1)
         for r, dist in enumerate(rows):
-            values[r, t] = dist @ signs
+            values[r, term] = dist @ signs
     return values if np.ndim(p) > 1 else values[0]
 
 

@@ -286,6 +286,25 @@ def expectation_from_weights(weights: np.ndarray, n: int, pauli_letters: str, me
     return float(weights @ signs)
 
 
+def witness_values_per_term(p: np.ndarray, letters: list[str]) -> np.ndarray:
+    """Each distribution's parity expectation of each Pauli string, a whole sign row per string.
+
+    ``p`` is a (distributions, 2^n) stack.  A string's support is its
+    non-identity sites (qubit q is bit n-1-q); its sign row
+    (-1)^popcount(outcome & support) is built from that mask alone and
+    dotted with every distribution.
+    """
+    n = len(letters[0])
+    index = np.arange(2**n, dtype=np.int64)
+    out = np.empty((len(p), len(letters)))
+    for t, pauli in enumerate(letters):
+        support = int("".join("0" if c == "I" else "1" for c in pauli), 2)
+        signs = 1.0 - 2.0 * (np.bitwise_count(index & support) & 1)
+        for r, dist in enumerate(p):
+            out[r, t] = dist @ signs
+    return out
+
+
 def _block_masks_and_patterns(letters: str, parity: str) -> tuple[int, list, list]:
     """Cut count, per-block 3-bit masks and pattern indices, from raw letters."""
     n = len(letters)

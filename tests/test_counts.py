@@ -1,5 +1,6 @@
 """Counts tables: dense in memory, bitstring-keyed only in the file form."""
 
+import io
 import json
 import math
 
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from chaincut.counts import (
     LONG_LIST,
+    SLICE,
     CountsTable,
     counts_from_dict,
     counts_from_vector,
@@ -139,6 +141,31 @@ def spread_float_lists():
     return st.builds(spread, st.lists(FLOATS, max_size=6), st.integers(0, 2**16))
 
 
+def sliced_float_lists():
+    """Float lists spanning two to three slices: mostly distinct values, with
+    a stretch drawn from a few floats, so some slices repeat values and
+    others do not."""
+
+    def sliced(pool, seed):
+        rng = np.random.default_rng(seed)
+        o = rng.standard_normal(2 * SLICE + seed % (SLICE // 2)).tolist()
+        start = int(rng.integers(len(o)))
+        for i in range(start, min(len(o), start + SLICE)):
+            o[i] = pool[i % len(pool)]
+        return o
+
+    return st.builds(sliced, st.lists(FLOATS, min_size=1, max_size=4), st.integers(0, 2**16))
+
+
+# Values dump_json takes beyond what json.dumps does: numpy arrays, long
+# 1-D float64 ones among them, each written as its tolist() would be.
+ARRAYS = (
+    long_lists(FLOATS).map(np.array)
+    | spread_float_lists().map(np.array)
+    | st.lists(FLOATS, max_size=4).map(np.array)
+    | st.lists(st.integers(-(2**62), 2**62), max_size=4).map(np.array)
+)
+
 JSON_OBJECTS = st.recursive(
     SCALARS
     | long_lists(FLOATS)
@@ -152,6 +179,34 @@ JSON_OBJECTS = st.recursive(
     ),
     max_leaves=12,
 )
+
+OBJECTS_WITH_ARRAYS = st.recursive(
+    SCALARS | ARRAYS,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=8,
+)
+
+
+def plain(o):
+    """``o`` with every ndarray replaced by its tolist()."""
+    if isinstance(o, np.ndarray):
+        return o.tolist()
+    if isinstance(o, dict):
+        return {k: plain(v) for k, v in o.items()}
+    if isinstance(o, (list, tuple)):
+        return type(o)(plain(x) for x in o)
+    return o
+
+
+def assert_dumps_like_json(obj):
+    """Both forms of dump_json, returned and streamed, write json.dumps's text."""
+    want = (json.dumps(plain(obj), sort_keys=True, indent=1) + "\n").split("\n")
+    # compared as lists of lines: pytest explains two unequal long strings
+    # with a full text diff, which makes shrinking a failure take minutes
+    assert dump_json(obj).split("\n") == want
+    stream = io.StringIO()
+    assert dump_json(obj, stream) is None
+    assert stream.getvalue().split("\n") == want
 
 
 class TestDumpJson:
@@ -167,10 +222,22 @@ class TestDumpJson:
     @example([1] * LONG_LIST + [1.0])
     @example([True] + [1] * LONG_LIST)
     def test_writes_what_json_dumps_writes(self, obj):
-        want = json.dumps(obj, sort_keys=True, indent=1) + "\n"
-        # compared as lists of lines: pytest explains two unequal long strings
-        # with a full text diff, which makes shrinking a failure take minutes
-        assert dump_json(obj).split("\n") == want.split("\n")
+        assert_dumps_like_json(obj)
+
+    @settings(max_examples=100, deadline=None, database=None, derandomize=True)
+    @given(OBJECTS_WITH_ARRAYS)
+    @example(np.array([0.0, -0.0] * LONG_LIST))
+    @example({"a": np.zeros(0), "b": np.arange(6).reshape(2, 3), "c": np.float64(0.5)})
+    def test_arrays_are_written_as_their_lists(self, obj):
+        assert_dumps_like_json(obj)
+
+    @settings(max_examples=8, deadline=None, database=None, derandomize=True)
+    @given(sliced_float_lists())
+    @example([0.0, -0.0] * SLICE + [math.nan])
+    @example([float(i) for i in range(SLICE)] + [0.5] * SLICE)
+    def test_lists_spanning_several_slices(self, o):
+        assert len(o) > SLICE
+        assert_dumps_like_json({"list": o, "array": np.array(o)})
 
     @pytest.mark.parametrize("key", [1, 1.5, True, None], ids=repr)
     def test_non_str_key_raises(self, key):

@@ -17,7 +17,7 @@ from chaincut.direct import (
     run_statevector,
     statevector_distribution,
 )
-from chaincut.reconstruct import witness_term_count
+from chaincut.reconstruct import mask_signs
 from chaincut.sim import (
     DEFAULT_READOUT,
     NoiseModel,
@@ -165,8 +165,8 @@ def test_sampled_direct_without_readout_rates_draws_shots(tmp_path, rates):
 
 
 def test_sampled_direct_shares_deterministic_work(tmp_path, monkeypatch):
-    """Each setting is simulated once per run, each witness term's sign row built once."""
-    calls = {"chain_distribution": 0, "mask_signs": 0}
+    """Each setting is simulated once per run, the stabilizer sign rows built once per parity."""
+    calls = {}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -176,18 +176,19 @@ def test_sampled_direct_shares_deterministic_work(tmp_path, monkeypatch):
         return wrapper
 
     monkeypatch.setattr(
-        direct, "chain_distribution", counted("chain_distribution", direct.chain_distribution)
+        direct, "chain_distribution", counted("chain_distribution", chain_distribution)
     )
-    monkeypatch.setattr(reconstruct, "mask_signs", counted("mask_signs", reconstruct.mask_signs))
-    cfg = ExperimentConfig(
-        mode="sampled", shots=1000, repetitions=3, out_dir=str(tmp_path / "ref")
-    )
-    (tmp_path / "config.json").write_text(dump_json(cfg.to_dict()))
-    assert main(["direct", "--config", str(tmp_path / "config.json"), "--n", "9"]) == 0
-    # two settings (XZ, ZX) and 32 + 16 witness terms; 6 and 144 if every
-    # repetition simulated the chain and built the sign rows again
-    assert calls["chain_distribution"] == 2
-    assert calls["mask_signs"] == witness_term_count(9, "odd") + witness_term_count(9, "even")
+    monkeypatch.setattr(reconstruct, "mask_signs", counted("mask_signs", mask_signs))
+    for repetitions in (1, 3):
+        calls.update(chain_distribution=0, mask_signs=0)
+        cfg = ExperimentConfig(
+            mode="sampled", shots=1000, repetitions=repetitions, out_dir=str(tmp_path / "ref")
+        )
+        (tmp_path / "config.json").write_text(dump_json(cfg.to_dict()))
+        assert main(["direct", "--config", str(tmp_path / "config.json"), "--n", "9"]) == 0
+        # two settings (XZ, ZX), and one call per parity for all of its 5 or
+        # 4 stabilizer rows; a call per witness term would be 32 + 16
+        assert calls == {"chain_distribution": 2, "mask_signs": 2}
 
 
 def test_distributions_file_is_what_json_dumps_writes(tmp_path):

@@ -160,9 +160,13 @@ class TestApplyTmem:
             return seen[-1]
 
         monkeypatch.setattr(mitigation, "checked_cond", spy)
+        mitigation._inverse_factors.cache_clear()  # earlier calls checked these rates
         tmem_product_inverse(np.full(16, 1 / 16), TABLE_RATES)
         assert len(seen) == 1
         assert seen[0] == pytest.approx(dense, rel=1e-12)
+        # the check and the inverses are computed once per rate tuple
+        tmem_product_inverse(np.full(16, 1 / 16), TABLE_RATES)
+        assert len(seen) == 1
 
     def test_dense_and_factored_share_the_condition_limit(self):
         # every qubit's determinant is far from 0 (1e-7 for qubit 0), yet the

@@ -280,6 +280,20 @@ class TestWitnessFromDistribution:
             assert np.array_equal(stacked[0], witness_values_from_distribution(p, n, parity))
             assert np.array_equal(stacked[1], witness_values_from_distribution(q, n, parity))
 
+    @pytest.mark.parametrize("n", range(6, 16))
+    def test_gray_code_walk_matches_per_term_rows(self, n):
+        # each term's sign row, built as a product of stabilizer rows, gives
+        # the bits of a row built whole from the term's support
+        rng = np.random.default_rng(100 + n)
+        p = rng.dirichlet(np.full(2**n, 0.5))
+        stack = np.stack([p, p + rng.normal(0.0, 1e-3, 2**n)])
+        for parity in ("odd", "even"):
+            letters = [t.letters for t in witness_terms(n, parity)]
+            want = oracles.witness_values_per_term(stack, letters)
+            assert np.array_equal(witness_values_from_distribution(stack, n, parity), want)
+            for dist, row in zip(stack, want):
+                assert np.array_equal(witness_values_from_distribution(dist, n, parity), row)
+
     @pytest.mark.parametrize("n", [4, 9])
     def test_noiseless_chain_terms_are_one(self, n):
         from chaincut.direct import chain_distribution

@@ -8,14 +8,16 @@ directory and runs the same verbs with it and with this checkout's
 ``reconstruct`` on small sampled configs under every mitigation mode, on
 null and empty readout-rate lists, on an exact config, an exact one with
 p2 = 0 and a noiseless exact one, and ``direct`` in sampled, sampled with
-null readout rates, exact, exact with p1 = 0 and noiseless mode at n = 9
-and sampled at n = 15 with 5 repetitions (the ``direct_n15`` benchmark's
-register size and repetition count).  The two zero-rate configs each reach a depolarizing rate of 0 in
-one engine: p2 = 0 in the dense block simulator, p1 = 0 in the Heisenberg
-reference.  Configs use
-relative ``out_dir``s, so the two sides write the same paths.  Every output
-file is compared byte for byte, with the wall-clock ``time_ms`` column of
-``scaling.csv`` stripped; so are each verb's exit code, stdout and stderr.
+null readout rates, exact, exact with p1 = 0 and noiseless mode at n = 9,
+sampled at n = 15 with 5 repetitions (the ``direct_n15`` benchmark's
+register size and repetition count), and noiseless at n = 18, whose
+distributions are written in several slices and whose witness walks 512
+terms per parity.  The two zero-rate configs each reach a depolarizing
+rate of 0 in one engine: p2 = 0 in the dense block simulator, p1 = 0 in
+the Heisenberg reference.  Configs use relative ``out_dir``s, so the two
+sides write the same paths.  Every output file is compared byte for byte,
+with the wall-clock ``time_ms`` column of ``scaling.csv`` stripped; so are
+each verb's exit code, stdout and stderr.
 Prints the number of files compared and exits 0 when all are identical;
 otherwise exits 1, listing every file that differs or exists on one side
 only.
@@ -58,6 +60,7 @@ DIRECT = {
     "direct-exact-p1-zero": ({"mode": "exact", "p1": 0.0}, 9),
     "direct-noiseless": (NOISELESS, 9),
     "direct-sampled-n15": ({**SAMPLED, "repetitions": 5}, 15),
+    "direct-noiseless-n18": (NOISELESS, 18),
 }
 
 
