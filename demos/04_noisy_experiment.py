@@ -39,7 +39,7 @@ print(f"\n4-qubit cluster block, mitigated fidelity bound: {block['bound']:.4f}"
 bt4, bt3 = build_block_tensors(results, pipeline)
 odd, even = witness_averages(bt4, bt3, 12)
 stitched = fidelity_lower_bound(odd, even)
-direct = direct_chain_report(12, noise, RunConfig("exact"))[0]["bound"]
+[direct] = direct_chain_report(12, noise, RunConfig("exact"))["bound"]
 print(f"12-qubit stitched bound (sampled):  {stitched:.4f}")
 print(f"12-qubit direct-simulation bound:   {direct:.4f}")
 

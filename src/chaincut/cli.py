@@ -191,22 +191,32 @@ def _reconstruct_reports(bundle: Path, cfg: ExperimentConfig) -> list[dict]:
     return _map_reps(functools.partial(_reconstruct_rep, bundle, plan, cfg), reps)
 
 
+def _mean_std(stack) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and sample std (ddof=1) over the leading repetition axis; std 0 for one repetition.
+
+    Reduce per-scaling-row and bound statistics as 1-D vectors: numpy sums
+    8 or more values pairwise along a vector but one by one down axis 0 of
+    a 2-D stack, so stacking them would change the last bits.
+    """
+    stack = np.asarray(stack)
+    mean = stack.mean(axis=0)
+    std = stack.std(axis=0, ddof=1) if len(stack) > 1 else np.zeros_like(mean)
+    return mean, std
+
+
 def _aggregate_scaling(per_rep: list[dict], k_max: int) -> list[dict]:
     rows = []
     for idx in range(k_max):
-        n = per_rep[0]["rows"][idx].n
-        bounds = np.array([r["rows"][idx].bound for r in per_rep])
-        stddev = float(np.std(bounds, ddof=1)) if len(bounds) > 1 else 0.0
+        column = [r["rows"][idx] for r in per_rep]
+        bound, stddev = _mean_std([row.bound for row in column])
         rows.append(
             {
-                "n": n,
-                "odd_avg": float(np.mean([r["rows"][idx].odd_avg for r in per_rep])),
-                "even_avg": float(np.mean([r["rows"][idx].even_avg for r in per_rep])),
-                "bound": float(np.mean(bounds)),
-                "bound_stddev": stddev,
-                "time_ms": float(
-                    np.mean([r["rows"][idx].postprocess_time_s for r in per_rep]) * 1e3
-                ),
+                "n": column[0].n,
+                "odd_avg": float(np.mean([row.odd_avg for row in column])),
+                "even_avg": float(np.mean([row.even_avg for row in column])),
+                "bound": float(bound),
+                "bound_stddev": float(stddev),
+                "time_ms": float(np.mean([row.postprocess_time_s for row in column]) * 1e3),
             }
         )
     return rows
@@ -234,12 +244,13 @@ def _term_entries(n: int, parity: str, means, stds=None) -> list[dict]:
 
 
 def _witness_report(per_rep: list[dict]) -> dict:
+    """Per-term mean and std over the repetitions, and the bound of the mean averages."""
     report = {"n": REPORT_N}
     for parity in ("odd", "even"):
-        stacked = np.stack([r[f"{parity}12"] for r in per_rep])
-        means = stacked.mean(axis=0)
-        stds = stacked.std(axis=0, ddof=1) if stacked.shape[0] > 1 else np.zeros_like(means)
+        means, stds = _mean_std([r[f"{parity}12"] for r in per_rep])
         report[parity] = _term_entries(REPORT_N, parity, means, stds)
+        report[f"{parity}_avg"] = float(np.mean(means))
+    report["bound"] = stitched_lower_bound(report["odd_avg"], report["even_avg"], REPORT_N)
     return report
 
 
@@ -254,16 +265,11 @@ def cmd_reconstruct(args) -> int:
     rows = _aggregate_scaling(per_rep, cfg.k_max)
     (reports / "scaling.csv").write_text(_scaling_csv(rows))
     witness = _witness_report(per_rep)
-    odd_avg = float(np.mean([t["mean"] for t in witness["odd"]]))
-    even_avg = float(np.mean([t["mean"] for t in witness["even"]]))
-    witness["odd_avg"] = odd_avg
-    witness["even_avg"] = even_avg
-    witness["bound"] = stitched_lower_bound(odd_avg, even_avg, REPORT_N)
     (reports / "witness_terms.json").write_text(dump_json(witness))
     dists = {
         "n": REPORT_N,
-        "XZ": np.mean([r["dist_xz"] for r in per_rep], axis=0).tolist(),
-        "ZX": np.mean([r["dist_zx"] for r in per_rep], axis=0).tolist(),
+        "XZ": np.mean([r["dist_xz"] for r in per_rep], axis=0),
+        "ZX": np.mean([r["dist_zx"] for r in per_rep], axis=0),
     }
     (reports / "stitched_distributions.json").write_text(dump_json(dists))
     for n, t in sorted(per_rep[0]["matrices"].items()):
@@ -281,38 +287,33 @@ def cmd_direct(args) -> int:
     n = args.n
     noise = cfg.noise_model()
     run = cfg.run_config()
-    reports = direct_chain_report(n, noise, run, cfg.effective_repetitions)
+    report = direct_chain_report(n, noise, run, cfg.effective_repetitions)
     out = Path(cfg.out_dir) / "direct"
     out.mkdir(parents=True, exist_ok=True)
-    bounds = np.array([r["bound"] for r in reports])
-    stddev = float(np.std(bounds, ddof=1)) if len(bounds) > 1 else 0.0
-    odd = np.mean([r["odd"] for r in reports], axis=0)
-    even = np.mean([r["even"] for r in reports], axis=0)
+    bound, stddev = _mean_std(report["bound"])
+    odd, even = report["odd"].mean(axis=0), report["even"].mean(axis=0)
     witness = {
         "n": n,
         "odd": _term_entries(n, "odd", odd),
         "even": _term_entries(n, "even", even),
         "odd_avg": float(np.mean(odd)),
         "even_avg": float(np.mean(even)),
-        "bound": float(np.mean(bounds)),
-        "bound_stddev": stddev,
+        "bound": float(bound),
+        "bound_stddev": float(stddev),
     }
     (out / "witness_terms.json").write_text(dump_json(witness))
     # The mean arrays go to the file as they are: dump_json converts and
     # writes them a slice at a time, so their text is never held whole.
     dists = {
-        setting: {
-            kind: np.mean([r["distributions"][kind][setting] for r in reports], axis=0)
-            for kind in ("ideal", "observed", "mitigated")
-        }
-        for setting in ("XZ", "ZX")
+        setting: {kind: stack.mean(axis=0) for kind, stack in kinds.items()}
+        for setting, kinds in report["distributions"].items()
     }
     with open(out / "distributions.json", "w") as stream:
         dump_json({"n": n, **dists}, stream)
     summary = "n,odd_avg,even_avg,bound,bound_stddev\n"
     summary += (
         f"{n},{witness['odd_avg']!r},{witness['even_avg']!r},"
-        f"{witness['bound']!r},{stddev!r}\n"
+        f"{witness['bound']!r},{witness['bound_stddev']!r}\n"
     )
     (out / "summary.csv").write_text(summary)
     _write_manifest(out, "direct", cfg)

@@ -190,14 +190,14 @@ def dist_from_dict(d: dict, n: int) -> Distribution:
     return Distribution(n, np.array(p, dtype=float))
 
 
-# A list at least this long whose items are all floats, or a 1-D float64
-# array this long, is written SLICE items at a time, each slice by one
-# C-encoder call.  If LONG_LIST items spread over a slice repeat a value,
-# that call formats each distinct value once: the distributions of
-# `direct --n 15` repeat 16-99 % of their values, while those stitched from
-# a sampled bundle repeat none, where np.unique would only cost time and the
-# resident memory of its sort code.  Shorter lists are written item by
-# item: for 16 floats, np.unique alone costs more than their reprs.
+# A 1-D float64 array at least this long is written SLICE items at a time,
+# each slice by one C-encoder call.  If LONG_LIST items spread over a slice
+# repeat a value, that call formats each distinct value once: the
+# distributions of `direct --n 15` repeat 16-99 % of their values, while
+# those stitched from a sampled bundle repeat none, where np.unique would
+# only cost time and the resident memory of its sort code.  Lists, and
+# shorter arrays, are written item by item: for 16 floats, np.unique alone
+# costs more than their reprs.
 LONG_LIST = 256
 SLICE = 2**14
 
@@ -246,33 +246,32 @@ def _encode(o, newline: str, write) -> None:
             _encode(o[k], inner, write)
             sep = "," + inner
         write(newline + "}")
-    elif isinstance(o, np.ndarray) and not (
-        o.ndim == 1 and o.dtype == np.float64 and len(o) >= LONG_LIST
-    ):
-        _encode(o.tolist(), newline, write)
-    elif isinstance(o, (list, tuple, np.ndarray)):
+    elif isinstance(o, np.ndarray):
+        if o.ndim == 1 and o.dtype == np.float64 and len(o) >= LONG_LIST:
+            inner = newline + " "
+            sep = "[" + inner
+            for start in range(0, len(o), SLICE):
+                write(sep + ("," + inner).join(_float_reprs(o[start : start + SLICE].tolist())))
+                sep = "," + inner
+            write(newline + "]")
+        else:
+            _encode(o.tolist(), newline, write)
+    elif isinstance(o, (list, tuple)):
         if len(o) == 0:
             write("[]")
             return
         inner = newline + " "
         sep = "[" + inner
-        if len(o) >= LONG_LIST and (isinstance(o, np.ndarray) or set(map(type, o)) == {float}):
-            for start in range(0, len(o), SLICE):
-                chunk = o[start : start + SLICE]
-                items = _float_reprs(chunk.tolist() if isinstance(o, np.ndarray) else chunk)
-                write(sep + ("," + inner).join(items))
-                sep = "," + inner
-        else:
-            for x in o:
-                write(sep)
-                _encode(x, inner, write)
-                sep = "," + inner
+        for x in o:
+            write(sep)
+            _encode(x, inner, write)
+            sep = "," + inner
         write(newline + "]")
     else:
         write(json.dumps(o))
 
 
-def _float_reprs(o: list[float] | tuple[float, ...]) -> list[str]:
+def _float_reprs(o: list[float]) -> list[str]:
     """What json.dumps writes for each float of ``o``, formatting a repeated value once."""
     sample = o[:: max(1, len(o) // LONG_LIST)]
     if len(set(sample)) == len(sample):

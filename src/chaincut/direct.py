@@ -37,7 +37,7 @@ from .qstate import (
     prep_unitary,
     state_vector_1q,
 )
-from .reconstruct import witness_report, witness_setting, witness_values_from_distribution
+from .reconstruct import bound_from_distributions, witness_setting
 from .sim import NoiseModel, RunConfig, apply_readout_to_distribution, rng_for, sample_counts
 
 MAX_DIRECT_QUBITS = 24
@@ -165,42 +165,41 @@ def direct_chain_report(
     noise: NoiseModel,
     run: RunConfig,
     repetitions: int = 1,
-) -> list[dict]:
-    """Distributions, witness expectations, and bound of each repetition of the uncut chain.
+) -> dict:
+    """Distributions, witness expectations, and bound of the uncut chain, per repetition.
 
     Readout noise, if the model has rates, is applied exactly to the
     distribution; sampled mode then draws ``run.shots`` shots from it.
     TMEM with the model's per-qubit rates inverts the readout, and the
     result is projected back onto the simplex -- the same processing the
     cut pipeline applies per block.
-    Repetition r draws from its own stream (9000 + r), so its report does
+    Repetitions are the leading axis of every array: ``odd``/``even``
+    (R, 2^m), ``odd_avg``/``even_avg``/``bound`` (R,), and
+    ``distributions[setting][kind]`` (R, 2^n), where ``ideal`` is one
+    read-only distribution broadcast over the R rows.
+    Repetition r draws from its own stream (9000 + r), so its row does
     not depend on how many repetitions are requested.
     """
     if n > MAX_DIRECT_QUBITS:
         raise ValueError(f"direct reference capped at {MAX_DIRECT_QUBITS} qubits")
+    if n < 2:
+        raise ValueError(f"direct reference needs n >= 2 for its witness terms, got {n}")
     readout = readout_rates(noise.readout, n)
-    ideal = {}
-    flipped = {}
+    dists = {}
     for key, parity in (("XZ", "odd"), ("ZX", "even")):
-        ideal[key] = chain_distribution(n, witness_setting(n, parity), noise)
-        flipped[key] = (
-            ideal[key] if readout is None else apply_readout_to_distribution(ideal[key], readout)
-        )
-    per_rep = []
-    for rep in range(repetitions):
-        observed, mitigated = {}, {}
-        for key, p in flipped.items():
+        ideal = chain_distribution(n, witness_setting(n, parity), noise)
+        flipped = ideal if readout is None else apply_readout_to_distribution(ideal, readout)
+        observed = np.empty((repetitions, 2**n))
+        mitigated = np.empty((repetitions, 2**n))
+        for rep in range(repetitions):
+            p = flipped
             if run.mode == "sampled":
                 rng = rng_for(run.seed, 9000 + rep, n, ord(key[0]))
                 p = sample_counts(Distribution(n, p), run.shots, rng, None).frequencies()
-            observed[key] = p
+            observed[rep] = p
             quasi = p if readout is None else tmem_product_inverse(p, readout)
-            mitigated[key] = mle_project(QuasiDistribution(n, quasi)).p
-        per_rep.append({"ideal": ideal, "observed": observed, "mitigated": mitigated})
-    stacked = {key: np.stack([d["mitigated"][key] for d in per_rep]) for key in flipped}
-    odd = witness_values_from_distribution(stacked["XZ"], n, "odd")
-    even = witness_values_from_distribution(stacked["ZX"], n, "even")
-    return [
-        {**witness_report(odd[rep], even[rep], n), "distributions": dists}
-        for rep, dists in enumerate(per_rep)
-    ]
+            mitigated[rep] = mle_project(QuasiDistribution(n, quasi)).p
+        ideal = np.broadcast_to(ideal, observed.shape)  # a read-only view, not R copies
+        dists[key] = {"ideal": ideal, "observed": observed, "mitigated": mitigated}
+    report = bound_from_distributions(dists["XZ"]["mitigated"], dists["ZX"]["mitigated"], n)
+    return {**report, "distributions": dists}

@@ -91,17 +91,18 @@ def test_c2_noiseless_end_to_end_equality():
     plan = plan_chain_jobs()
     results = execute_jobs(plan, RunConfig("exact"), NOISELESS)
     bt4, bt3 = build_block_tensors(results, MitigationPipeline({}))
-    direct = direct_chain_report(12, NOISELESS, RunConfig("exact"))[0]
+    reference = direct_chain_report(12, NOISELESS, RunConfig("exact"))
+    [direct_odd], [direct_even] = reference["odd"], reference["even"]
     worst_unit = 0.0
     worst_cross = 0.0
-    for parity, key in (("odd", "odd"), ("even", "even")):
+    for parity, direct in (("odd", direct_odd), ("even", direct_even)):
         stitched = witness_values(bt4, bt3, 12, parity)
         worst_unit = max(worst_unit, float(np.max(np.abs(stitched - 1.0))))
-        worst_cross = max(worst_cross, float(np.max(np.abs(stitched - direct[key]))))
+        worst_cross = max(worst_cross, float(np.max(np.abs(stitched - direct))))
     worst_tv = 0.0
     for setting in ("XZ", "ZX"):
         stitched_p = stitched_distribution(bt4, bt3, 12, setting)
-        direct_p = direct["distributions"]["mitigated"][setting]
+        [direct_p] = reference["distributions"][setting]["mitigated"]
         worst_tv = max(worst_tv, 0.5 * float(np.sum(np.abs(stitched_p - direct_p))))
     elapsed = time.perf_counter() - t0
     report(
@@ -293,7 +294,7 @@ def test_c7_qualitative_paper_regime():
     odd = float(np.mean(witness_values(bt4, bt3, 12, "odd")))
     even = float(np.mean(witness_values(bt4, bt3, 12, "even")))
     stitched12 = fidelity_lower_bound(odd, even)
-    direct12 = direct_chain_report(12, noise, RunConfig("exact"))[0]["bound"]
+    [direct12] = direct_chain_report(12, noise, RunConfig("exact"))["bound"]
     report(
         "C7 qualitative regime (4q bound bracket, cut beats direct)",
         0.60 <= block4["bound"] <= 0.85 and stitched12 > direct12,
@@ -315,10 +316,12 @@ def test_cut_equals_direct_without_one_qubit_noise(p2):
     odd6, even6 = (float(np.mean(witness_values(bt4, bt3, 6, p))) for p in ("odd", "even"))
     stitched = {6: fidelity_lower_bound(odd6, even6)}
     stitched.update((row.n, row.bound) for row in scaling_sweep(bt4, bt3, 3))
-    gaps = {
-        n: abs(bound - direct_chain_report(n, noise, RunConfig("exact"))[0]["bound"])
-        for n, bound in stitched.items()
-    }
+
+    def direct_bound(n):
+        [bound] = direct_chain_report(n, noise, RunConfig("exact"))["bound"]
+        return bound
+
+    gaps = {n: abs(bound - direct_bound(n)) for n, bound in stitched.items()}
     report(
         f"cut = direct without one-qubit noise (p2 = {p2})",
         sorted(gaps) == [6, 9, 12, 15] and max(gaps.values()) <= 1e-12,

@@ -560,6 +560,15 @@ class TestDirect:
         cfg = write_config(tmp_path, mode="exact", out_dir=str(tmp_path / "x"))
         assert main(["direct", "--config", str(cfg), "--n", "27"]) == 1
 
+    @pytest.mark.parametrize("n", ["1", "0"])
+    def test_direct_too_short_writes_nothing(self, tmp_path, capsys, n):
+        out = tmp_path / "x"
+        cfg = write_config(tmp_path, mode="exact", out_dir=str(out))
+        assert main(["direct", "--config", str(cfg), "--n", n]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1 and "n >= 2" in err
+        assert not (out / "direct").exists()
+
     @pytest.mark.parametrize("mode", ["sampled", "exact"])
     def test_ill_conditioned_readout_is_numerical_error(self, tmp_path, capsys, mode):
         # direct's factored TMEM is held to the block path's condition-number

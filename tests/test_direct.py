@@ -100,23 +100,40 @@ class TestHeisenberg:
 
 class TestDirectReport:
     def test_noiseless_bound_is_one(self):
-        [rep] = direct_chain_report(12, NOISELESS, RunConfig("exact"))
-        assert rep["bound"] == pytest.approx(1.0, abs=1e-12)
-        np.testing.assert_allclose(rep["odd"], 1.0, atol=1e-12)
+        report = direct_chain_report(12, NOISELESS, RunConfig("exact"))
+        [bound], [odd] = report["bound"], report["odd"]
+        assert bound == pytest.approx(1.0, abs=1e-12)
+        np.testing.assert_allclose(odd, 1.0, atol=1e-12)
 
     def test_two_qubit_stabilizers(self):
-        [rep] = direct_chain_report(2, NOISELESS, RunConfig("exact"))
+        report = direct_chain_report(2, NOISELESS, RunConfig("exact"))
+        [odd], [even] = report["odd"], report["even"]
         # <X1 Z2> and <Z1 X2> both appear among the per-term values
-        assert rep["odd"][-1] == pytest.approx(1.0, abs=1e-12)
-        assert rep["even"][-1] == pytest.approx(1.0, abs=1e-12)
+        assert odd[-1] == pytest.approx(1.0, abs=1e-12)
+        assert even[-1] == pytest.approx(1.0, abs=1e-12)
 
     def test_exact_readout_mitigation_is_transparent(self):
         noise = NoiseModel(p1=0.0, p2=0.0)  # readout only
-        [rep] = direct_chain_report(6, noise, RunConfig("exact"))
-        assert rep["bound"] == pytest.approx(1.0, abs=1e-9)
-        flipped = rep["distributions"]["observed"]["XZ"]
-        ideal = rep["distributions"]["ideal"]["XZ"]
+        report = direct_chain_report(6, noise, RunConfig("exact"))
+        [bound] = report["bound"]
+        assert bound == pytest.approx(1.0, abs=1e-9)
+        [flipped] = report["distributions"]["XZ"]["observed"]
+        [ideal] = report["distributions"]["XZ"]["ideal"]
         assert 0.5 * np.sum(np.abs(flipped - ideal)) > 0.05
+
+    def test_repetitions_are_the_leading_axis(self):
+        run = RunConfig("sampled", shots=1000, seed=5)
+        report = direct_chain_report(6, NoiseModel(), run, 3)
+        for key in ("odd_avg", "even_avg", "bound"):
+            assert report[key].shape == (3,)
+        for setting, parity in (("XZ", "odd"), ("ZX", "even")):
+            assert report[parity].shape == (3, reconstruct.witness_term_count(6, parity))
+            kinds = report["distributions"][setting]
+            assert all(kinds[kind].shape == (3, 64) for kind in ("ideal", "observed", "mitigated"))
+            # the ideal distribution is held once and broadcast, not copied
+            assert kinds["ideal"].strides[0] == 0 and not kinds["ideal"].flags.writeable
+            meas = reconstruct.witness_setting(6, parity)
+            assert np.array_equal(kinds["ideal"][0], chain_distribution(6, meas, NoiseModel()))
 
     def test_repetition_does_not_depend_on_how_many_run(self):
         # repetition r draws from its own stream, so asking for more
@@ -124,26 +141,24 @@ class TestDirectReport:
         noise = NoiseModel()
         run = RunConfig("sampled", shots=100_000, seed=5)
         three = direct_chain_report(6, noise, run, 3)
-        assert len(three) == 3
+        assert len(three["bound"]) == 3
         for count in (1, 2):
             fewer = direct_chain_report(6, noise, run, count)
-            assert len(fewer) == count
-            for a, b in zip(fewer, three):
-                assert a["bound"] == b["bound"]
-                assert np.array_equal(a["odd"], b["odd"]) and np.array_equal(a["even"], b["even"])
-                for kind in ("ideal", "observed", "mitigated"):
-                    for key in ("XZ", "ZX"):
-                        assert np.array_equal(
-                            a["distributions"][kind][key], b["distributions"][kind][key]
-                        )
-        assert three[1]["bound"] != three[0]["bound"]
+            assert len(fewer["bound"]) == count
+            for key in ("bound", "odd", "even"):
+                assert np.array_equal(fewer[key], three[key][:count])
+            for kind in ("ideal", "observed", "mitigated"):
+                for key in ("XZ", "ZX"):
+                    a, b = fewer["distributions"][key][kind], three["distributions"][key][kind]
+                    assert len(a) == count and np.array_equal(a, b[:count])
+        assert three["bound"][1] != three["bound"][0]
 
     def test_noisy_bound_below_true_fidelity(self):
         noise = NoiseModel(p1=0.003, p2=0.05, readout=None)
-        [rep] = direct_chain_report(5, noise, RunConfig("exact"))
+        [bound] = direct_chain_report(5, noise, RunConfig("exact"))["bound"]
         rho = run_exact(build_linear_cluster(5), noise)
         fid = oracles.lc_state_fidelity(rho, 5)
-        assert rep["bound"] <= fid + 1e-9
+        assert bound <= fid + 1e-9
 
     def test_cap_enforced(self):
         with pytest.raises(ValueError, match="capped"):
@@ -160,8 +175,8 @@ def test_sampled_direct_without_readout_rates_draws_shots(tmp_path, rates):
     }))
     assert main(["direct", "--config", str(tmp_path / "config.json"), "--n", "6"]) == 0
     witness = json.loads((out / "direct" / "witness_terms.json").read_text())
-    [exact] = direct_chain_report(6, NoiseModel(readout=None), RunConfig("exact"))
-    assert witness["bound_stddev"] > 0.0 and witness["bound"] != exact["bound"]
+    [exact] = direct_chain_report(6, NoiseModel(readout=None), RunConfig("exact"))["bound"]
+    assert witness["bound_stddev"] > 0.0 and witness["bound"] != exact
 
 
 def test_sampled_direct_shares_deterministic_work(tmp_path, monkeypatch):

@@ -347,6 +347,27 @@ class TestBoundAndSweep:
         with pytest.raises(ValueError):
             fidelity_lower_bound(1.5, 0.0)
 
+    def test_range_validation_checks_every_repetition(self):
+        ok = np.array([1.0, 0.5, -1.0])
+        assert np.array_equal(fidelity_lower_bound(ok, ok), ok + ok - 1.0)
+        for bad in (1.5, -1.5, np.nan):
+            with pytest.raises(ValueError, match="outside"):
+                fidelity_lower_bound(ok, np.array([0.0, bad, 0.0]))
+
+    @pytest.mark.parametrize("reps", [1, 3, 9])
+    @pytest.mark.parametrize("n", [4, 6, 9])
+    def test_stacked_distributions_match_each_pair(self, n, reps):
+        # averages of a stack are reduced along each row, as one pair's are,
+        # so every value matches to the bit
+        rng = np.random.default_rng(100 * n + reps)
+        p_xz, p_zx = rng.dirichlet(np.ones(2**n), size=(2, reps))
+        stacked = bound_from_distributions(p_xz, p_zx, n)
+        assert stacked["n"] == n and stacked["bound"].shape == (reps,)
+        for r in range(reps):
+            one = bound_from_distributions(p_xz[r], p_zx[r], n)
+            for key in ("odd", "even", "odd_avg", "even_avg", "bound"):
+                assert stacked[key][r].tobytes() == np.asarray(one[key]).tobytes(), key
+
     def test_stitched_range_is_the_cut_one_norm(self):
         # sampled blocks may stitch to just above 1; the reachable range at
         # k cuts is gamma^k with gamma = sum |c_i| = 4

@@ -12,12 +12,17 @@ null readout rates, exact, exact with p1 = 0 and noiseless mode at n = 9,
 sampled at n = 15 with 5 repetitions (the ``direct_n15`` benchmark's
 register size and repetition count), and noiseless at n = 18, whose
 distributions are written in several slices and whose witness walks 512
-terms per parity.  The two zero-rate configs each reach a depolarizing
-rate of 0 in one engine: p2 = 0 in the dense block simulator, p1 = 0 in
-the Heisenberg reference.  Configs use relative ``out_dir``s, so the two
-sides write the same paths.  Every output file is compared byte for byte,
-with the wall-clock ``time_ms`` column of ``scaling.csv`` stripped; so are
-each verb's exit code, stdout and stderr.
+terms per parity.  The sampled configs use 3 repetitions, apart from one
+bundle and one ``direct --n 9`` at 9 repetitions and again at 1: numpy
+sums 8 or more values pairwise along a vector but one by one down the
+first axis of a stack, so only 8 or more repetitions show a change in
+how the means and stds over repetitions are summed, and 1 repetition
+takes the branch that writes a std of 0.  The two zero-rate configs each
+reach a depolarizing rate of 0 in one engine: p2 = 0 in the dense block
+simulator, p1 = 0 in the Heisenberg reference.  Configs use relative
+``out_dir``s, so the two sides write the same paths.  Every output file is
+compared byte for byte, with the wall-clock ``time_ms`` column of
+``scaling.csv`` stripped; so are each verb's exit code, stdout and stderr.
 Prints the number of files compared and exits 0 when all are identical;
 otherwise exits 1, listing every file that differs or exists on one side
 only.
@@ -51,6 +56,8 @@ BUNDLES = {
     "exact": {"mode": "exact", "k_max": 3},
     "exact-p2-zero": {"mode": "exact", "p2": 0.0, "k_max": 3},
     "noiseless": {**NOISELESS, "k_max": 3},
+    "auto-9-reps": {**SAMPLED, "repetitions": 9},
+    "auto-1-rep": {**SAMPLED, "repetitions": 1},
 }
 # name -> (config fields, chain length); direct --n <length> on each
 DIRECT = {
@@ -61,6 +68,8 @@ DIRECT = {
     "direct-noiseless": (NOISELESS, 9),
     "direct-sampled-n15": ({**SAMPLED, "repetitions": 5}, 15),
     "direct-noiseless-n18": (NOISELESS, 18),
+    "direct-sampled-9-reps": ({**SAMPLED, "repetitions": 9}, 9),
+    "direct-sampled-1-rep": ({**SAMPLED, "repetitions": 1}, 9),
 }
 
 
