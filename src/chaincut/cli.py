@@ -11,11 +11,7 @@ Every verb accepts --config FILE and --out DIR, plus the overrides it
 reads: --seed and --shots (run-jobs, direct), --exact (run-jobs, direct),
 --k-max (reconstruct), --n (direct).  Exit codes: 0 success, 1 validation
 error, 2 numerical error.  All outputs except wall-clock timing columns are
-byte-reproducible for a fixed config, seed and BLAS thread count.  The
-thread count matters only to direct at n >= 14: OpenBLAS splits a dot
-product of more than 10,000 entries over its threads, so the last bits of
-its witness values, and of witness_terms.json and summary.csv, depend on
-how many there are.
+byte-reproducible for a fixed config and seed.
 
 run-jobs and reconstruct run their repetitions in parallel
 (``_map_reps``): one forked worker per CPU in the affinity mask, at most
@@ -302,10 +298,14 @@ def cmd_direct(args) -> int:
         "bound_stddev": float(stddev),
     }
     (out / "witness_terms.json").write_text(dump_json(witness))
-    # The mean arrays go to the file as they are: dump_json converts and
-    # writes them a slice at a time, so their text is never held whole.
+    # The arrays go to the file as they are: dump_json converts and writes
+    # them a slice at a time, so their text is never held whole.
     dists = {
-        setting: {kind: stack.mean(axis=0) for kind, stack in kinds.items()}
+        setting: {
+            "ideal": kinds["ideal"],
+            "observed": kinds["observed"].mean(axis=0),
+            "mitigated": kinds["mitigated"].mean(axis=0),
+        }
         for setting, kinds in report["distributions"].items()
     }
     with open(out / "distributions.json", "w") as stream:

@@ -13,9 +13,9 @@ the processing is not identical: ``mitigation`` is ignored, so TMEM runs
 even under "none"; and TMEM uses the model's true rates where the cut
 under "auto" and "full" uses sampled calibration, understating direct's
 spread.
-Each setting's chain distribution, its readout-flipped form and every
-witness sign row are computed once per run; a repetition only samples,
-mitigates and projects its own copy.
+Each setting's chain distribution and its readout-flipped form are
+computed once per run, and the report keeps that one ideal distribution;
+a repetition only samples, mitigates and projects its own copy.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from .mitigation import mle_project, readout_rates, tmem_product_inverse
 from .qstate import (
     GATES_1Q,
     PAULI_1Q,
+    WALSH_1Q,
     apply_on_axis,
     apply_per_qubit,
     conjugate_cz,
@@ -42,9 +43,6 @@ from .sim import NoiseModel, RunConfig, apply_readout_to_distribution, rng_for, 
 
 MAX_DIRECT_QUBITS = 24
 MAX_NOISY_QUBITS = 16
-
-# One axis of the Walsh-Hadamard transform: parities (<I>, <Z>) -> 2 (P0, P1).
-_WALSH_1Q = np.array([[1.0, 1.0], [1.0, -1.0]])
 
 
 # ---------------------------------------------------------------------------
@@ -143,7 +141,7 @@ def heisenberg_distribution(c: Circuit, meas: str, noise: NoiseModel) -> np.ndar
         z[:, q] = (subsets >> (n - 1 - q)) & 1
     x = np.zeros_like(z)
     chi = _propagate_paulis(c, meas, x, z, noise)
-    p = apply_per_qubit(chi, (_WALSH_1Q,) * n) / 2**n
+    p = apply_per_qubit(chi, (WALSH_1Q,) * n) / 2**n
     p[(p < 0) & (p > -1e-12)] = 0.0
     return p
 
@@ -175,8 +173,9 @@ def direct_chain_report(
     cut pipeline applies per block.
     Repetitions are the leading axis of every array: ``odd``/``even``
     (R, 2^m), ``odd_avg``/``even_avg``/``bound`` (R,), and
-    ``distributions[setting][kind]`` (R, 2^n), where ``ideal`` is one
-    read-only distribution broadcast over the R rows.
+    ``distributions[setting]["observed"|"mitigated"]`` (R, 2^n), while
+    ``distributions[setting]["ideal"]`` is the one (2^n,) distribution
+    that every repetition starts from.
     Repetition r draws from its own stream (9000 + r), so its row does
     not depend on how many repetitions are requested.
     """
@@ -199,7 +198,6 @@ def direct_chain_report(
             observed[rep] = p
             quasi = p if readout is None else tmem_product_inverse(p, readout)
             mitigated[rep] = mle_project(QuasiDistribution(n, quasi)).p
-        ideal = np.broadcast_to(ideal, observed.shape)  # a read-only view, not R copies
         dists[key] = {"ideal": ideal, "observed": observed, "mitigated": mitigated}
     report = bound_from_distributions(dists["XZ"]["mitigated"], dists["ZX"]["mitigated"], n)
     return {**report, "distributions": dists}

@@ -83,22 +83,32 @@ def num_qubits(dim: int) -> int:
 # Kernels on qubit-indexed tensors (one axis of length 2 per qubit)
 
 
+# One axis of the Walsh-Hadamard transform: probabilities (P0, P1) -> parities
+# (<I>, <Z>), and parities -> 2 (P0, P1).  Its entries are +/-1, so each
+# product is exact and each output one rounded a +/- b, however BLAS splits it.
+WALSH_1Q = np.array([[1.0, 1.0], [1.0, -1.0]])
+
+
 def apply_on_axis(t: np.ndarray, m: np.ndarray, axis: int) -> np.ndarray:
     """Contract the 2x2 matrix ``m`` into one qubit axis: t'[..i..] = sum_j m[i, j] t[..j..].
 
     Gates on statevectors and density matrices, readout flips, factor-wise
-    readout inversion and the Walsh-Hadamard transform of the direct
-    reference all go through this one contraction.
+    readout inversion and the Walsh-Hadamard transform (distributions to
+    parities and back) all go through this one contraction.
     """
     return np.moveaxis(np.tensordot(m, t, axes=([1], [axis])), 0, axis)
 
 
 def apply_per_qubit(v: np.ndarray, factors: Sequence[np.ndarray]) -> np.ndarray:
-    """``kron(factors[0], factors[1], ...) @ v``, one 2x2 factor per qubit axis, qubit 0 first."""
-    t = np.reshape(v, (2,) * len(factors))
+    """``kron(factors[0], factors[1], ...) @ v``, one 2x2 factor per qubit axis, qubit 0 first.
+
+    ``v`` may carry leading axes (a stack of vectors); the product acts along its last axis.
+    """
+    lead = np.shape(v)[:-1]
+    t = np.reshape(v, lead + (2,) * len(factors))
     for q, m in enumerate(factors):
-        t = apply_on_axis(t, m, q)
-    return t.reshape(-1)
+        t = apply_on_axis(t, m, len(lead) + q)
+    return t.reshape(np.shape(v))
 
 
 def cz_phases(a: int, b: int, n: int) -> np.ndarray:

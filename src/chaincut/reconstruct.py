@@ -44,24 +44,15 @@ import numpy as np
 from .circuit import FOUR_QUBIT, THREE_QUBIT
 from .cut import CUT_BASES, CUT_PATTERNS, JobResult, JobSpec, decomposition_table, plan_chain_jobs
 from .mitigation import MitigationPipeline
-from .qstate import STATE_LABELS
+from .qstate import STATE_LABELS, WALSH_1Q, apply_per_qubit
 
 PATTERN_INDEX = {"XZX": 0, "ZXZ": 1}
 XP_INDEX = STATE_LABELS.index("Xp")
 
 
-def mask_signs(mask: int | np.ndarray, outcomes: np.ndarray) -> np.ndarray:
-    """(-1)^popcount(index & mask) over the outcome indices, one int8 row per mask.
-
-    ``outcomes`` is ``np.arange(2**n, dtype=np.int64)``.  Masks are in
-    outcome-index bit order: chain site p is bit n-1-p.
-    """
-    parity = np.bitwise_count(np.asarray(mask)[..., None] & outcomes) & 1
-    return 1 - 2 * parity.astype(np.int8)
-
-
-# SIGNS3[mask, outcome] turns outcome-indexed block values into parity-indexed ones.
-SIGNS3 = mask_signs(np.arange(8), np.arange(8, dtype=np.int64)).astype(float)
+# SIGNS3[mask, outcome] = (-1)^popcount(mask & outcome) turns outcome-indexed
+# block values into parity-indexed ones.
+SIGNS3 = apply_per_qubit(np.eye(8), (WALSH_1Q,) * 3)
 
 BLOCK_ENTRY_TOL = 1e-6
 
@@ -416,27 +407,14 @@ def witness_values_from_distribution(p: np.ndarray, n: int, parity: str) -> np.n
     """Per-term expectations of one parity from full-chain distributions.
 
     ``p`` is one distribution or a (repetitions, 2^n) stack of them, each
-    measured in witness_setting(n, parity), where every term is a parity of
-    outcome bits on its support; terms follow witness_terms order, along the
-    last axis of the result.  A term's support is the XOR of its
-    stabilizers' supports, so its sign row is the product of theirs: the
-    terms are visited in Gray-code order, each row built from the previous
-    one times one stabilizer's row, and dotted with every distribution in
-    turn.  Only the m stabilizer rows (int8) and one float row are held.
+    measured in witness_setting(n, parity), where every term is the parity
+    of the outcome bits on its support; terms follow witness_terms order,
+    along the last axis of the result.  One Walsh-Hadamard transform gives
+    the parity of every support, and each term reads its own.
     """
-    rows = np.atleast_2d(p)
-    m = len(parity_indices(n, parity))
-    supports = np.bitwise_or(*_subset_masks(n, parity))[1 << np.arange(m)]
-    stabilizers = mask_signs(supports, np.arange(2**n, dtype=np.int64))
-    values = np.empty((len(rows), 2**m))
-    signs = np.ones(2**n)
-    for k in range(2**m):
-        if k:  # Gray codes k - 1 and k differ in k's lowest set bit
-            signs *= stabilizers[(k & -k).bit_length() - 1]
-        term = k ^ (k >> 1)
-        for r, dist in enumerate(rows):
-            values[r, term] = dist @ signs
-    return values if np.ndim(p) > 1 else values[0]
+    chosen, z_sites = _subset_masks(n, parity)
+    # np.take keeps the result C-ordered, so the mean over terms sums as for one row
+    return np.take(apply_per_qubit(p, (WALSH_1Q,) * n), chosen | z_sites, axis=-1)
 
 
 def bound_from_distributions(p_xz: np.ndarray, p_zx: np.ndarray, n: int) -> dict:

@@ -50,7 +50,7 @@ def read_tree(root: Path, skip_time: bool = True) -> dict[str, bytes]:
 GOLDEN_SAMPLED_BUNDLE_SHA256 = "acf0b8b57ade56ed24b3bd0ebb7b88e3b2da7872bbb0ff4fb453057aa7fb61ee"
 # sha256 of the sampled direct reports in
 # TestDirect.test_sampled_direct_matches_golden_digest.
-GOLDEN_SAMPLED_DIRECT_SHA256 = "e24b79a4a5e4d9661ebb4048c2f4439040c77000dd861f9e5452399adbfa5fa4"
+GOLDEN_SAMPLED_DIRECT_SHA256 = "a6e683dc32a29e0bad257bee57eda74d5f9f36bfa240dc6ebdd9027489aadd86"
 
 
 class TestRunJobs:
@@ -555,6 +555,25 @@ class TestDirect:
         for name in ("witness_terms.json", "distributions.json", "summary.csv"):
             digest.update(name.encode() + b"\0" + (out / "direct" / name).read_bytes() + b"\0")
         assert digest.hexdigest() == GOLDEN_SAMPLED_DIRECT_SHA256
+
+    def test_direct_bytes_do_not_depend_on_blas_threads(self, tmp_path, child_env):
+        # OpenBLAS splits long products over its threads; at n = 15 the
+        # reports must not depend on how it splits them.
+        reports = {}
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads-{threads}"
+            cfg = write_config(tmp_path, mode="sampled", repetitions=5, out_dir=str(out))
+            subprocess.run(
+                [sys.executable, "-m", "chaincut.cli", "direct", "--config", str(cfg), "--n", "15"],
+                env={**child_env, "OPENBLAS_NUM_THREADS": threads},
+                capture_output=True, check=True, timeout=300,
+            )
+            reports[threads] = {
+                name: (out / "direct" / name).read_bytes()
+                for name in ("witness_terms.json", "distributions.json", "summary.csv")
+            }
+        for name, data in reports["1"].items():
+            assert data == reports["2"][name], name
 
     def test_direct_exceeding_cap_fails(self, tmp_path, capsys):
         cfg = write_config(tmp_path, mode="exact", out_dir=str(tmp_path / "x"))

@@ -17,7 +17,6 @@ from chaincut.direct import (
     run_statevector,
     statevector_distribution,
 )
-from chaincut.reconstruct import mask_signs
 from chaincut.sim import (
     DEFAULT_READOUT,
     NoiseModel,
@@ -118,7 +117,7 @@ class TestDirectReport:
         [bound] = report["bound"]
         assert bound == pytest.approx(1.0, abs=1e-9)
         [flipped] = report["distributions"]["XZ"]["observed"]
-        [ideal] = report["distributions"]["XZ"]["ideal"]
+        ideal = report["distributions"]["XZ"]["ideal"]
         assert 0.5 * np.sum(np.abs(flipped - ideal)) > 0.05
 
     def test_repetitions_are_the_leading_axis(self):
@@ -129,11 +128,10 @@ class TestDirectReport:
         for setting, parity in (("XZ", "odd"), ("ZX", "even")):
             assert report[parity].shape == (3, reconstruct.witness_term_count(6, parity))
             kinds = report["distributions"][setting]
-            assert all(kinds[kind].shape == (3, 64) for kind in ("ideal", "observed", "mitigated"))
-            # the ideal distribution is held once and broadcast, not copied
-            assert kinds["ideal"].strides[0] == 0 and not kinds["ideal"].flags.writeable
+            assert all(kinds[kind].shape == (3, 64) for kind in ("observed", "mitigated"))
+            # the ideal distribution is held once, not once per repetition
             meas = reconstruct.witness_setting(6, parity)
-            assert np.array_equal(kinds["ideal"][0], chain_distribution(6, meas, NoiseModel()))
+            assert np.array_equal(kinds["ideal"], chain_distribution(6, meas, NoiseModel()))
 
     def test_repetition_does_not_depend_on_how_many_run(self):
         # repetition r draws from its own stream, so asking for more
@@ -147,10 +145,11 @@ class TestDirectReport:
             assert len(fewer["bound"]) == count
             for key in ("bound", "odd", "even"):
                 assert np.array_equal(fewer[key], three[key][:count])
-            for kind in ("ideal", "observed", "mitigated"):
-                for key in ("XZ", "ZX"):
-                    a, b = fewer["distributions"][key][kind], three["distributions"][key][kind]
-                    assert len(a) == count and np.array_equal(a, b[:count])
+            for key in ("XZ", "ZX"):
+                a, b = fewer["distributions"][key], three["distributions"][key]
+                assert np.array_equal(a["ideal"], b["ideal"])
+                for kind in ("observed", "mitigated"):
+                    assert len(a[kind]) == count and np.array_equal(a[kind], b[kind][:count])
         assert three["bound"][1] != three["bound"][0]
 
     def test_noisy_bound_below_true_fidelity(self):
@@ -180,7 +179,7 @@ def test_sampled_direct_without_readout_rates_draws_shots(tmp_path, rates):
 
 
 def test_sampled_direct_shares_deterministic_work(tmp_path, monkeypatch):
-    """Each setting is simulated once per run, the stabilizer sign rows built once per parity."""
+    """Each setting is simulated once per run, not once per repetition."""
     calls = {}
 
     def counted(name, fn):
@@ -193,17 +192,15 @@ def test_sampled_direct_shares_deterministic_work(tmp_path, monkeypatch):
     monkeypatch.setattr(
         direct, "chain_distribution", counted("chain_distribution", chain_distribution)
     )
-    monkeypatch.setattr(reconstruct, "mask_signs", counted("mask_signs", mask_signs))
     for repetitions in (1, 3):
-        calls.update(chain_distribution=0, mask_signs=0)
+        calls.update(chain_distribution=0)
         cfg = ExperimentConfig(
             mode="sampled", shots=1000, repetitions=repetitions, out_dir=str(tmp_path / "ref")
         )
         (tmp_path / "config.json").write_text(dump_json(cfg.to_dict()))
         assert main(["direct", "--config", str(tmp_path / "config.json"), "--n", "9"]) == 0
-        # two settings (XZ, ZX), and one call per parity for all of its 5 or
-        # 4 stabilizer rows; a call per witness term would be 32 + 16
-        assert calls == {"chain_distribution": 2, "mask_signs": 2}
+        # two settings (XZ, ZX), whatever the number of repetitions
+        assert calls == {"chain_distribution": 2}
 
 
 def test_distributions_file_is_what_json_dumps_writes(tmp_path):

@@ -11,25 +11,36 @@ p2 = 0 and a noiseless exact one, and ``direct`` in sampled, sampled with
 null readout rates, exact, exact with p1 = 0 and noiseless mode at n = 9,
 sampled at n = 15 with 5 repetitions (the ``direct_n15`` benchmark's
 register size and repetition count), and noiseless at n = 18, whose
-distributions are written in several slices and whose witness walks 512
-terms per parity.  The sampled configs use 3 repetitions, apart from one
-bundle and one ``direct --n 9`` at 9 repetitions and again at 1: numpy
-sums 8 or more values pairwise along a vector but one by one down the
-first axis of a stack, so only 8 or more repetitions show a change in
-how the means and stds over repetitions are summed, and 1 repetition
-takes the branch that writes a std of 0.  The two zero-rate configs each
+distributions are written in several slices and whose witness transform
+runs over 2^18 outcomes for 512 terms per parity.  The sampled configs use
+3 repetitions, apart from one bundle and one ``direct --n 9`` at 9
+repetitions and again at 1: numpy sums 8 or more values pairwise along a
+vector but one by one down the first axis of a stack, so only 8 or more
+repetitions show a change in how the means and stds over repetitions are
+summed, and 1 repetition takes the branch that writes a std of 0.  The two zero-rate configs each
 reach a depolarizing rate of 0 in one engine: p2 = 0 in the dense block
 simulator, p1 = 0 in the Heisenberg reference.  Configs use relative
 ``out_dir``s, so the two sides write the same paths.  Every output file is
 compared byte for byte, with the wall-clock ``time_ms`` column of
-``scaling.csv`` stripped; so are each verb's exit code, stdout and stderr.
-Prints the number of files compared and exits 0 when all are identical;
-otherwise exits 1, listing every file that differs or exists on one side
-only.
+``scaling.csv`` stripped; so are each verb's exit code, stdout and stderr
+(``commands.log``).
+
+A change that alters outputs on purpose declares them in
+``tools/expected_changes.txt``, read from this checkout: one path or glob
+(``fnmatch``, relative to the working directory, so ``*`` also matches
+``/``) per line, then whitespace and a one-line reason; blank lines and
+lines starting with ``#`` are skipped.  A file that differs, or exists on
+one side only, is declared when some line matches it.  Prints the declared
+differences apart from the undeclared ones, then the number of files
+compared.  Exits 0 when every difference is declared and every line
+matches at least one difference; otherwise exits 1, listing each
+undeclared file and each line that matched nothing.  With no lines
+declared, any difference fails.
 """
 
 from __future__ import annotations
 
+import fnmatch
 import io
 import json
 import os
@@ -40,6 +51,7 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+EXPECTED = ROOT / "tools" / "expected_changes.txt"
 
 SAMPLED = {"mode": "sampled", "shots": 2000, "repetitions": 3, "seed": 7, "k_max": 3}
 NO_RATES = {"f00": None, "f11": None}
@@ -125,9 +137,26 @@ def extract_src(rev: str, target: Path) -> Path:
     return target / "src"
 
 
+def read_expected(path: Path) -> list[str]:
+    """Declared patterns, one per line, each followed by its reason."""
+    patterns = []
+    for number, line in enumerate(path.read_text().splitlines(), 1):
+        if line.strip() and not line.startswith("#"):
+            pattern, *reason = line.split(None, 1)
+            if not reason:
+                raise ValueError(f"{path.name}:{number}: {pattern} has no reason")
+            patterns.append(pattern)
+    return patterns
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 1:
         print("usage: python3 tools/same_outputs.py BASE_REV", file=sys.stderr)
+        return 2
+    try:
+        patterns = read_expected(EXPECTED) if EXPECTED.exists() else []
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
     with tempfile.TemporaryDirectory(prefix="same-outputs-") as tmp:
         tmp = Path(tmp)
@@ -135,13 +164,23 @@ def main(argv: list[str]) -> int:
         run_side(base_src, tmp / "base")
         run_side(ROOT / "src", tmp / "head")
         base, head = tree(tmp / "base"), tree(tmp / "head")
-    problems = [f"only in {argv[0]}: {name}" for name in sorted(base.keys() - head.keys())]
-    problems += [f"only in this checkout: {name}" for name in sorted(head.keys() - base.keys())]
-    problems += [f"differs: {name}" for name in sorted(base.keys() & head.keys())
-                 if base[name] != head[name]]
+    differences = [(f"only in {argv[0]}", name) for name in sorted(base.keys() - head.keys())]
+    differences += [("only in this checkout", name) for name in sorted(head.keys() - base.keys())]
+    differences += [("differs", name) for name in sorted(base.keys() & head.keys())
+                    if base[name] != head[name]]
+    matched = {p: [n for _, n in differences if fnmatch.fnmatchcase(n, p)] for p in patterns}
+    declared = {n for names in matched.values() for n in names}
+    for kind, name in differences:
+        if name in declared:
+            print(f"{kind} (declared): {name}")
+    problems = [f"{kind}: {name}" for kind, name in differences if name not in declared]
+    problems += [f"declared but unchanged: {p}" for p, names in matched.items() if not names]
     for line in problems:
         print(line)
-    print(f"{len(base.keys() | head.keys())} files compared, {len(problems)} differ")
+    summary = f"{len(base.keys() | head.keys())} files compared, {len(differences)} differ"
+    if patterns:
+        summary += f", {len(declared)} as declared in {EXPECTED.relative_to(ROOT)}"
+    print(summary)
     return 1 if problems else 0
 
 
