@@ -13,8 +13,10 @@ from chaincut.cut import plan_chain_jobs
 from chaincut.direct import chain_distribution
 from chaincut.mitigation import MitigationPipeline
 from chaincut.reconstruct import (
+    SETTINGS,
     build_block_tensors,
     stitched_distribution,
+    witness_setting,
     witness_terms,
     witness_values,
 )
@@ -34,9 +36,9 @@ for parity in ("odd", "even"):
 sample = witness_terms(12, "odd")[37]
 print(f"\nexample term: stabilizer subset {sample.subset} -> Pauli {sample.letters}")
 
-for setting in ("XZ", "ZX"):
-    stitched = stitched_distribution(bt4, bt3, 12, setting)
-    direct = chain_distribution(12, (setting * 6)[:12], NOISELESS)
+for parity, setting in SETTINGS.items():
+    stitched = stitched_distribution(bt4, bt3, 12, parity)
+    direct = chain_distribution(12, witness_setting(12, parity), NOISELESS)
     tv = 0.5 * np.sum(np.abs(stitched - direct))
     print(f"{setting} distribution: 4096 outcomes, total variation vs direct = {tv:.2e}")
 

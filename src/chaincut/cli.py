@@ -53,6 +53,7 @@ from .mitigation import (
     transition_matrix_to_dict,
 )
 from .reconstruct import (
+    SETTINGS,
     build_block_tensors,
     scaling_sweep,
     stitched_distribution,
@@ -173,8 +174,7 @@ def _reconstruct_rep(bundle: Path, plan, cfg: ExperimentConfig, rep: int) -> dic
     return {
         "odd12": witness_values(bt4, bt3, REPORT_N, "odd"),
         "even12": witness_values(bt4, bt3, REPORT_N, "even"),
-        "dist_xz": stitched_distribution(bt4, bt3, REPORT_N, "XZ"),
-        "dist_zx": stitched_distribution(bt4, bt3, REPORT_N, "ZX"),
+        "dists": {p: stitched_distribution(bt4, bt3, REPORT_N, p) for p in SETTINGS},
         "rows": scaling_sweep(bt4, bt3, cfg.k_max),
         "matrices": pipeline.matrices,
     }
@@ -262,11 +262,9 @@ def cmd_reconstruct(args) -> int:
     (reports / "scaling.csv").write_text(_scaling_csv(rows))
     witness = _witness_report(per_rep)
     (reports / "witness_terms.json").write_text(dump_json(witness))
-    dists = {
-        "n": REPORT_N,
-        "XZ": np.mean([r["dist_xz"] for r in per_rep], axis=0),
-        "ZX": np.mean([r["dist_zx"] for r in per_rep], axis=0),
-    }
+    dists = {"n": REPORT_N}
+    for parity, setting in SETTINGS.items():
+        dists[setting] = np.mean([r["dists"][parity] for r in per_rep], axis=0)
     (reports / "stitched_distributions.json").write_text(dump_json(dists))
     for n, t in sorted(per_rep[0]["matrices"].items()):
         (reports / f"transition_q{n}.json").write_text(

@@ -44,7 +44,7 @@ from .counts import (
     json_int,
     setting_from_dict,
 )
-from .qstate import PAULI_1Q, STATE_LABELS, projector, state_vector_1q
+from .qstate import PAULI_1Q, STATE_LABELS, index_to_bits, projector, state_vector_1q
 
 CUT_PATTERNS = ("XZX", "ZXZ")
 CUT_BASES = ("X", "Y", "Z")
@@ -269,6 +269,11 @@ def rep_dir(bundle_dir: Path, rep: int) -> Path:
 def calibration_dir(bundle_dir: Path, rep: int, n: int) -> Path:
     """The n-qubit readout calibration of one repetition: one counts file per basis state."""
     return rep_dir(bundle_dir, rep) / "calibration" / f"q{n}"
+
+
+def calibration_path(bundle_dir: Path, rep: int, n: int, index: int) -> Path:
+    """The calibration counts file of n-qubit basis state ``index``, named by its bits."""
+    return calibration_dir(bundle_dir, rep, n) / f"{index_to_bits(index, n)}.json"
 
 
 def job_path(bundle_dir: Path, rep: int, spec: JobSpec) -> Path:

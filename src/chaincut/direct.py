@@ -38,7 +38,7 @@ from .qstate import (
     prep_unitary,
     state_vector_1q,
 )
-from .reconstruct import bound_from_distributions, witness_setting
+from .reconstruct import SETTINGS, bound_from_distributions, witness_setting
 from .sim import NoiseModel, RunConfig, apply_readout_to_distribution, rng_for, sample_counts
 
 MAX_DIRECT_QUBITS = 24
@@ -185,7 +185,7 @@ def direct_chain_report(
         raise ValueError(f"direct reference needs n >= 2 for its witness terms, got {n}")
     readout = readout_rates(noise.readout, n)
     dists = {}
-    for key, parity in (("XZ", "odd"), ("ZX", "even")):
+    for parity, setting in SETTINGS.items():
         ideal = chain_distribution(n, witness_setting(n, parity), noise)
         flipped = ideal if readout is None else apply_readout_to_distribution(ideal, readout)
         observed = np.empty((repetitions, 2**n))
@@ -193,11 +193,12 @@ def direct_chain_report(
         for rep in range(repetitions):
             p = flipped
             if run.mode == "sampled":
-                rng = rng_for(run.seed, 9000 + rep, n, ord(key[0]))
+                rng = rng_for(run.seed, 9000 + rep, n, ord(setting[0]))
                 p = sample_counts(Distribution(n, p), run.shots, rng, None).frequencies()
             observed[rep] = p
             quasi = p if readout is None else tmem_product_inverse(p, readout)
             mitigated[rep] = mle_project(QuasiDistribution(n, quasi)).p
-        dists[key] = {"ideal": ideal, "observed": observed, "mitigated": mitigated}
-    report = bound_from_distributions(dists["XZ"]["mitigated"], dists["ZX"]["mitigated"], n)
+        dists[setting] = {"ideal": ideal, "observed": observed, "mitigated": mitigated}
+    # odd (XZ) then even (ZX), the order of SETTINGS
+    report = bound_from_distributions(*(d["mitigated"] for d in dists.values()), n)
     return {**report, "distributions": dists}

@@ -23,8 +23,8 @@ import numpy as np
 
 from .circuit import REGISTER_SIZES
 from .counts import CountsTable, Distribution, QuasiDistribution
-from .cut import calibration_dir, checked_counts, read_bundle_file
-from .qstate import apply_per_qubit, index_to_bits
+from .cut import calibration_path, checked_counts, read_bundle_file
+from .qstate import apply_per_qubit
 
 COND_LIMIT = 1e6
 
@@ -233,10 +233,9 @@ def read_calibration(bundle_dir: Path, rep: int, shots: int) -> dict[int, list[C
     """
     tables = {}
     for n in REGISTER_SIZES:
-        target = calibration_dir(bundle_dir, rep, n)
         parse = functools.partial(_calibration_table, n=n, shots=shots)
         tables[n] = [
-            read_bundle_file(target / f"{index_to_bits(j, n)}.json", parse) for j in range(2**n)
+            read_bundle_file(calibration_path(bundle_dir, rep, n, j), parse) for j in range(2**n)
         ]
     return tables
 

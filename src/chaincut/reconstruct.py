@@ -3,22 +3,25 @@
 The chain of length n = 3k + 3 is covered by k four-qubit blocks and a
 final three-qubit block; adjacent blocks share a cut qubit measured
 upstream (observable O_i) and re-prepared downstream (state rho_i).
-Block statistics enter as two tensors:
+Block statistics enter as one outcome table per block form:
 
-* four-qubit: value[pattern, input, cut term, local mask]
-* three-qubit: value[pattern, input, local mask]
+* four-qubit: outcome[pattern, input, cut term, local outcome]
+* three-qubit: outcome[pattern, input, local outcome]
 
-where ``local mask`` selects which of the block's three real qubits
-carry a non-identity witness letter and ``pattern`` is the local
-measurement setting (XZX or ZXZ).  A witness expectation is then a
-chain contraction
+where ``local outcome`` is the 3-bit measurement outcome of the block's
+real qubits and ``pattern`` is the local measurement setting (XZX or
+ZXZ).  The parity table derived from it replaces the outcome by a local
+mask, which selects the real qubits that carry a non-identity witness
+letter.  A witness expectation is then a chain contraction
 
     sum_{i_1..i_k} prod_j c_{i_j} * L[i_1] * M_1[i_1,i_2] * ... * R[i_k]
 
 evaluated as one boundary vector, k-1 applications of a 6x6 transfer
 matrix, and a closing vector -- linear cost in k per term instead of
-6^k.  The same tensors stitched over outcome indices instead of parity
-masks reproduce full measurement distributions.
+6^k.  The same chain over outcome tables instead of parity tables
+reproduces full measurement distributions.  One block walk,
+_chain_blocks, states for all three stitchers which pattern each block
+measures and where the cut coefficients c_i enter.
 
 Witness terms are all subset-products of the odd- (or even-) indexed
 chain stabilizers; every odd product is measurable in the XZXZ...
@@ -37,7 +40,7 @@ reconstruction a purely classical pass over archived data.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -46,7 +49,8 @@ from .cut import CUT_BASES, CUT_PATTERNS, JobResult, JobSpec, decomposition_tabl
 from .mitigation import MitigationPipeline
 from .qstate import STATE_LABELS, WALSH_1Q, apply_per_qubit
 
-PATTERN_INDEX = {"XZX": 0, "ZXZ": 1}
+# Global measurement setting that reads every witness term of each parity.
+SETTINGS = {"odd": "XZ", "even": "ZX"}
 XP_INDEX = STATE_LABELS.index("Xp")
 
 
@@ -61,17 +65,21 @@ BLOCK_ENTRY_TOL = 1e-6
 # Chain stabilizers and witness terms
 
 
-def parity_indices(n: int, parity: str) -> list[int]:
-    if parity not in ("odd", "even"):
+def _start(parity: str) -> int:
+    """0-based site of the parity's first stabilizer, and so block 0's pattern (XZX, ZXZ) index."""
+    if parity not in SETTINGS:
         raise ValueError(f"parity must be 'odd' or 'even', got {parity!r}")
-    rem = 1 if parity == "odd" else 0
-    return [i for i in range(1, n + 1) if i % 2 == rem]
+    return 0 if parity == "odd" else 1
+
+
+def parity_indices(n: int, parity: str) -> list[int]:
+    return list(range(_start(parity) + 1, n + 1, 2))
 
 
 def witness_setting(n: int, parity: str) -> str:
     """Global measurement setting reading every term of one parity."""
-    base = "XZ" if parity == "odd" else "ZX"
-    return (base * ((n + 1) // 2))[:n]
+    _start(parity)  # an unknown parity is a ValueError, not a KeyError
+    return (SETTINGS[parity] * ((n + 1) // 2))[:n]
 
 
 def witness_term_count(n: int, parity: str) -> int:
@@ -128,38 +136,31 @@ def _subset_masks(n: int, parity: str) -> tuple[np.ndarray, np.ndarray]:
     return chosen, z_sites
 
 
-def _local_pattern(block: int, setting: str) -> int:
-    """Pattern index of a block's local measurement for a global setting."""
-    if setting == "XZ":
-        return PATTERN_INDEX["XZX"] if block % 2 == 0 else PATTERN_INDEX["ZXZ"]
-    if setting == "ZX":
-        return PATTERN_INDEX["ZXZ"] if block % 2 == 0 else PATTERN_INDEX["XZX"]
-    raise ValueError(f"unknown setting {setting!r}")
-
-
 # ---------------------------------------------------------------------------
 # Block tensors
 
 
 @dataclass(frozen=True)
 class BlockTensor:
-    """Mitigated per-block statistics, parity- and outcome-indexed.
+    """Mitigated per-block statistics: one outcome table and its parity table.
 
-    ``values`` axes: (pattern, input, cut term, mask) for the four-qubit
-    form and (pattern, input, mask) for the three-qubit form, with the
-    pattern axis ordered (XZX, ZXZ) and inputs in STATE_LABELS order.
-    ``outcomes`` holds the same data indexed by the 3-bit measurement
-    outcome of the block's real qubits instead of the parity mask.
+    ``outcomes`` axes: (pattern, input, cut term, outcome) for the
+    four-qubit form and (pattern, input, outcome) for the three-qubit
+    form, with the pattern axis ordered (XZX, ZXZ), inputs in
+    STATE_LABELS order and the 3-bit measurement outcome of the block's
+    real qubits last.  ``values`` is derived from it: the same axes, with
+    the outcome replaced by the local parity mask.
     """
 
     form: str
-    values: np.ndarray
     outcomes: np.ndarray
+    values: np.ndarray = field(init=False)
 
     def __post_init__(self):
         shape = (2, 6, 6, 8) if self.form == FOUR_QUBIT else (2, 6, 8)
-        if self.values.shape != shape or self.outcomes.shape != shape:
-            raise ValueError(f"tensor shape {self.values.shape} invalid for {self.form}")
+        if self.outcomes.shape != shape:
+            raise ValueError(f"tensor shape {self.outcomes.shape} invalid for {self.form}")
+        object.__setattr__(self, "values", self.outcomes @ SIGNS3)
         limit = 1.0 + BLOCK_ENTRY_TOL
         if np.max(np.abs(self.values)) > limit:
             raise ValueError("block tensor entry outside [-1-eps, 1+eps]")
@@ -191,12 +192,7 @@ def build_block_tensors(
             for t in terms:
                 w4[p_idx, j, t.index] = dists[t.basis].reshape(8, 2) @ np.asarray(t.outcome_weights)
             p3[p_idx, j] = pipeline.physical(payloads[JobSpec(THREE_QUBIT, label, pattern, None)]).p
-    t4 = w4 @ SIGNS3
-    t3 = p3 @ SIGNS3
-    return (
-        BlockTensor(FOUR_QUBIT, t4, w4),
-        BlockTensor(THREE_QUBIT, t3, p3),
-    )
+    return BlockTensor(FOUR_QUBIT, w4), BlockTensor(THREE_QUBIT, p3)
 
 
 # ---------------------------------------------------------------------------
@@ -214,6 +210,21 @@ def chain_cut_count(n: int) -> int:
     return n // 3 - 1
 
 
+def _chain_blocks(t4: np.ndarray, t3: np.ndarray, n: int, parity: str) -> tuple[list, np.ndarray]:
+    """The block sequence of an n-site chain measured in one parity's setting.
+
+    ``t4`` and ``t3`` are a block form's outcome or parity tables.  Block
+    b of the k four-qubit blocks measures pattern (b + start) % 2, and its
+    (input, cut term, last axis) table is weighted by the cut coefficient
+    of its outgoing cut term; the three-qubit closing table, also returned,
+    follows the last cut.
+    """
+    start = _start(parity)
+    k = chain_cut_count(n)
+    weighted = t4 * _coefficients()[:, None]
+    return [weighted[(b + start) % 2] for b in range(k)], t3[(k + start) % 2]
+
+
 def witness_values(bt4: BlockTensor, bt3: BlockTensor, n: int, parity: str) -> np.ndarray:
     """Stitched expectations of every subset term of one parity.
 
@@ -225,44 +236,33 @@ def witness_values(bt4: BlockTensor, bt3: BlockTensor, n: int, parity: str) -> n
     of the pairwise reductions is fixed, so results are reproducible to
     the bit.
     """
-    n_cuts = chain_cut_count(n)
-    setting = "XZ" if parity == "odd" else "ZX"
+    blocks, closing = _chain_blocks(bt4.values, bt3.values, n, parity)
     site_masks = np.bitwise_or(*_subset_masks(n, parity))
     # 3-bit local mask of each block, MSB = the block's first real qubit
-    local = [(site_masks >> (n - 3 - 3 * b)) & 7 for b in range(n_cuts + 1)]
-    c = _coefficients()
-    v = bt4.values[_local_pattern(0, setting), XP_INDEX][:, local[0]].T * c[None, :]
-    for b in range(1, n_cuts):
+    local = [(site_masks >> (n - 3 - 3 * b)) & 7 for b in range(len(blocks) + 1)]
+    v = blocks[0][XP_INDEX][:, local[0]].T
+    for block, masks in zip(blocks[1:], local[1:]):
         out = np.empty_like(v)
         for mask in range(8):
-            rows = local[b] == mask
+            rows = masks == mask
             if np.any(rows):
-                m = bt4.values[_local_pattern(b, setting), :, :, mask] * c[None, :]
-                out[rows] = v[rows] @ m
+                out[rows] = v[rows] @ block[:, :, mask]
         v = out
-    closing = bt3.values[_local_pattern(n_cuts, setting)][:, local[n_cuts]]
-    return np.sum(v * closing.T, axis=1)
+    return np.sum(v * closing[:, local[-1]].T, axis=1)
 
 
-def stitched_distribution(
-    bt4: BlockTensor, bt3: BlockTensor, n: int, setting: str
-) -> np.ndarray:
-    """Full chain outcome quasi-distribution for the XZ or ZX setting.
+def stitched_distribution(bt4: BlockTensor, bt3: BlockTensor, n: int, parity: str) -> np.ndarray:
+    """Full chain outcome quasi-distribution in one parity's setting.
 
     Contracts outcome-indexed block tables instead of parity masks; the
     result sums to one exactly (cut-term weights cancel per block) but
     may carry small negative entries for sampled data.
     """
-    n_cuts = chain_cut_count(n)
-    c = _coefficients()
-    w4 = bt4.outcomes
-    left = w4[_local_pattern(0, setting), XP_INDEX].T * c[None, :]
-    acc = left
-    for b in range(1, n_cuts):
-        m = np.moveaxis(w4[_local_pattern(b, setting)], 2, 0) * c[None, None, :]
-        acc = np.tensordot(acc, m, axes=([-1], [1]))
-    closing = bt3.outcomes[_local_pattern(n_cuts, setting)].T
-    acc = np.tensordot(acc, closing, axes=([-1], [1]))
+    blocks, closing = _chain_blocks(bt4.outcomes, bt3.outcomes, n, parity)
+    acc = blocks[0][XP_INDEX].T
+    for block in blocks[1:]:
+        acc = np.tensordot(acc, np.moveaxis(block, 2, 0), axes=([-1], [1]))
+    acc = np.tensordot(acc, closing.T, axes=([-1], [1]))
     return acc.reshape(-1)
 
 
@@ -322,7 +322,7 @@ def _choice_weights(n: int, parity: str, block: int) -> np.ndarray:
     blocks have no left or right neighbour, so there l or r stays 0.
     """
     n_cuts = chain_cut_count(n)
-    first = 0 if parity == "odd" else 1
+    first = _start(parity)
     base = 3 * block
     sites = [p for p in range(base - 1, base + 4) if 0 <= p < n and p % 2 == first]
     left = next((p for p in sites if p <= base), None) if block > 0 else None
@@ -350,24 +350,18 @@ def _parity_average(bt4: BlockTensor, bt3: BlockTensor, n: int, parity: str) -> 
     two (both the local pattern and the stabilizer sites alternate), so
     each parity needs at most two middle matrices.
     """
-    n_cuts = chain_cut_count(n)
-    setting = "XZ" if parity == "odd" else "ZX"
-    c = _coefficients()
+    blocks, closing = _chain_blocks(bt4.values, bt3.values, n, parity)
+    n_cuts = len(blocks)
 
-    def transfer(block: int) -> np.ndarray:
-        values = bt4.values[_local_pattern(block, setting)] * c[None, :, None]
-        weights = _choice_weights(n, parity, block)
-        return np.einsum("ijm,lrm->iljr", values, weights).reshape(12, 12)
+    def transfer(b: int) -> np.ndarray:
+        weights = _choice_weights(n, parity, b)
+        return np.einsum("ijm,lrm->iljr", blocks[b], weights).reshape(12, 12)
 
     v = transfer(0)[2 * XP_INDEX]  # state (input Xp, no left stabilizer)
     middles = {b % 2: transfer(b) for b in range(1, min(n_cuts, 3))}
     for b in range(1, n_cuts):
         v = v @ middles[b % 2]
-    closing = np.einsum(
-        "im,lrm->il",
-        bt3.values[_local_pattern(n_cuts, setting)],
-        _choice_weights(n, parity, n_cuts),
-    )
+    closing = np.einsum("im,lrm->il", closing, _choice_weights(n, parity, n_cuts))
     return float(v @ closing.reshape(12))
 
 

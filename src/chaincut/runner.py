@@ -17,9 +17,8 @@ import numpy as np
 
 from .circuit import REGISTER_SIZES, build_block_subcircuit
 from .counts import CountsTable, Distribution, counts_to_dict, dump_json
-from .cut import JobResult, JobSpec, calibration_dir
+from .cut import JobResult, JobSpec, calibration_dir, calibration_path
 from .mitigation import readout_rates
-from .qstate import index_to_bits
 from .sim import NoiseModel, RunConfig, measure_distribution, rng_for, run_exact, sample_counts
 
 # Stream path tags keeping job sampling and calibration draws disjoint.
@@ -96,7 +95,6 @@ def write_calibration(bundle_dir: Path, rep: int, run: RunConfig, noise: NoiseMo
     for n in REGISTER_SIZES:
         readout = readout_rates(noise.readout, n)
         rng = rng_for(run.seed, rep, _CALIB_STREAM, n)
-        target = calibration_dir(bundle_dir, rep, n)
-        target.mkdir(parents=True, exist_ok=True)
+        calibration_dir(bundle_dir, rep, n).mkdir(parents=True, exist_ok=True)
         for j, table in enumerate(calibration_counts(n, readout, run.shots, rng)):
-            (target / f"{index_to_bits(j, n)}.json").write_text(dump_json(counts_to_dict(table)))
+            calibration_path(bundle_dir, rep, n, j).write_text(dump_json(counts_to_dict(table)))

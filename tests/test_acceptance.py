@@ -30,6 +30,7 @@ from chaincut.mitigation import (
 )
 from chaincut.counts import Distribution, QuasiDistribution
 from chaincut.reconstruct import (
+    SETTINGS,
     bound_from_distributions,
     build_block_tensors,
     fidelity_lower_bound,
@@ -100,8 +101,8 @@ def test_c2_noiseless_end_to_end_equality():
         worst_unit = max(worst_unit, float(np.max(np.abs(stitched - 1.0))))
         worst_cross = max(worst_cross, float(np.max(np.abs(stitched - direct))))
     worst_tv = 0.0
-    for setting in ("XZ", "ZX"):
-        stitched_p = stitched_distribution(bt4, bt3, 12, setting)
+    for parity, setting in SETTINGS.items():
+        stitched_p = stitched_distribution(bt4, bt3, 12, parity)
         [direct_p] = reference["distributions"][setting]["mitigated"]
         worst_tv = max(worst_tv, 0.5 * float(np.sum(np.abs(stitched_p - direct_p))))
     elapsed = time.perf_counter() - t0

@@ -10,8 +10,10 @@ from chaincut.circuit import build_linear_cluster
 from chaincut.cut import decomposition_table
 from chaincut.mitigation import MitigationPipeline
 from chaincut.reconstruct import (
+    SETTINGS,
     SIGNS3,
     BlockTensor,
+    _choice_weights,
     bound_from_distributions,
     build_block_tensors,
     chain_cut_count,
@@ -116,15 +118,22 @@ def random_tensors(rng) -> tuple[BlockTensor, BlockTensor]:
     w4[:, :, 1, :] = marg * (1.0 - split)
     w4[:, :, 3, :] = w4[:, :, 2, :]
     w4[:, :, 5, :] = w4[:, :, 4, :]
-    signs = np.array(
-        [[-1.0 if bin(m & o).count("1") % 2 else 1.0 for o in range(8)] for m in range(8)]
-    )
-    t4 = w4 @ signs
-    t3 = p3 @ signs
-    return (
-        BlockTensor("4q", t4, w4),
-        BlockTensor("3q", t3, p3),
-    )
+    return BlockTensor("4q", w4), BlockTensor("3q", p3)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: witness_setting(4, "bogus"),
+        lambda: witness_values(*random_tensors(np.random.default_rng(0)), 6, "bogus"),
+        lambda: stitched_distribution(*random_tensors(np.random.default_rng(0)), 6, "bogus"),
+        lambda: _choice_weights(9, "bogus", 1),
+    ],
+    ids=["witness_setting", "witness_values", "stitched_distribution", "choice_weights"],
+)
+def test_unknown_parity_rejected(call):
+    with pytest.raises(ValueError, match="'bogus'"):
+        call()
 
 
 class TestStitching:
@@ -226,23 +235,22 @@ class TestStitchedDistribution:
         bt4, bt3 = exact_tensors
         from chaincut.direct import chain_distribution
 
-        for setting in ("XZ", "ZX"):
-            meas = (setting * 6)[:12]
-            got = stitched_distribution(bt4, bt3, 12, setting)
-            want = chain_distribution(12, meas, NOISELESS)
+        for parity in SETTINGS:
+            got = stitched_distribution(bt4, bt3, 12, parity)
+            want = chain_distribution(12, witness_setting(12, parity), NOISELESS)
             assert 0.5 * np.sum(np.abs(got - want)) <= 1e-9
 
     def test_sums_to_one_even_for_random_tensors(self):
         rng = np.random.default_rng(60)
         bt4, bt3 = random_tensors(rng)
-        for n, setting in ((6, "XZ"), (9, "ZX"), (12, "XZ")):
-            p = stitched_distribution(bt4, bt3, n, setting)
+        for n, parity in ((6, "odd"), (9, "even"), (12, "odd")):
+            p = stitched_distribution(bt4, bt3, n, parity)
             assert p.sum() == pytest.approx(1.0, abs=1e-9)
             assert len(p) == 2**n
 
     def test_consistent_with_term_stitching(self, noisy_exact_tensors):
         bt4, bt3 = noisy_exact_tensors
-        p = stitched_distribution(bt4, bt3, 12, "XZ")
+        p = stitched_distribution(bt4, bt3, 12, "odd")
         vals = witness_values(bt4, bt3, 12, "odd")
         meas = witness_setting(12, "odd")
         for term, want in zip(witness_terms(12, "odd"), vals):
@@ -283,11 +291,10 @@ class TestWitnessFromDistribution:
             assert np.array_equal(stacked[1], witness_values_from_distribution(q, n, parity))
 
     @pytest.mark.parametrize("n", range(6, 16))
-    def test_gray_code_walk_matches_per_term_rows(self, n):
-        # The name (kept so the test ids stay stable) is that of the sign-row
-        # walk this once checked.  The transform gives each term the parity
-        # that a sign row built whole from its support gives: to the bit on
-        # dyadic counts, within rounding on other inputs.
+    def test_transform_matches_per_term_rows(self, n):
+        # The transform gives each term the parity that a sign row built
+        # whole from its support gives: to the bit on dyadic counts, within
+        # rounding on other inputs.
         rng = np.random.default_rng(100 + n)
         p = rng.dirichlet(np.full(2**n, 0.5))
         stack = np.stack([p, p + rng.normal(0.0, 1e-3, 2**n)])
@@ -344,7 +351,7 @@ class TestBlockTensors:
         bad = np.zeros((2, 6, 6, 8))
         bad[0, 0, 0, 0] = 1.5
         with pytest.raises(ValueError, match="outside"):
-            BlockTensor("4q", bad, np.zeros((2, 6, 6, 8)))
+            BlockTensor("4q", bad)
 
 
 class TestBoundAndSweep:

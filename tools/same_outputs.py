@@ -7,7 +7,9 @@ directory and runs the same verbs with it and with this checkout's
 ``src/``, each side in its own working directory: ``run-jobs`` then
 ``reconstruct`` on small sampled configs under every mitigation mode, on
 null and empty readout-rate lists, on an exact config, an exact one with
-p2 = 0 and a noiseless exact one, and ``direct`` in sampled, sampled with
+p2 = 0 and a noiseless exact one, and on one sampled config at k_max 9,
+the only case whose sweep reaches n = 18 to 33 (the others stop at
+k_max 3, n = 15); and ``direct`` in sampled, sampled with
 null readout rates, exact, exact with p1 = 0 and noiseless mode at n = 9,
 sampled at n = 15 with 5 repetitions (the ``direct_n15`` benchmark's
 register size and repetition count), and noiseless at n = 18, whose
@@ -70,6 +72,7 @@ BUNDLES = {
     "noiseless": {**NOISELESS, "k_max": 3},
     "auto-9-reps": {**SAMPLED, "repetitions": 9},
     "auto-1-rep": {**SAMPLED, "repetitions": 1},
+    "auto-k9": {**SAMPLED, "k_max": 9},
 }
 # name -> (config fields, chain length); direct --n <length> on each
 DIRECT = {
