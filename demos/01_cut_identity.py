@@ -3,27 +3,24 @@
 
 Cutting a wire means: measure an observable O_i upstream, prepare a
 state rho_i downstream, and weight each of the six combinations with a
-coefficient c_i.  The table is only trustworthy because it satisfies a
-reconstruction identity for *every* input state, which this script
-checks on random density matrices.
+coefficient c_i.  Each O_i is a readout in the X, Y or Z basis with a
+weight for each of its two outcomes.  The table is only trustworthy
+because it satisfies a reconstruction identity for *every* input state,
+which this script checks on random density matrices.
 """
 
 import numpy as np
 
-from chaincut.cut import (
-    decomposition_table,
-    reconstruction_error_1q,
-    reconstruction_error_2q,
-    sampling_overhead,
-)
+from chaincut.cut import decomposition_table, reconstruction_error
 
-print("term   coeff   observable   prepared state")
+print("term   coeff   readout basis   outcome weights   prepared state")
 for t in decomposition_table():
-    print(f"  {t.index}    {t.coeff:+.1f}      {t.observable:<4}         {t.prep}")
+    weights = "({:g}, {:g})".format(*t.outcome_weights)
+    print(f"  {t.index}    {t.coeff:+.1f}      {t.basis:<15} {weights:<17} {t.prep}")
 
 one_norm = sum(abs(t.coeff) for t in decomposition_table())
 print(f"\n1-norm of the coefficients: {one_norm}  (sampling-overhead base per cut)")
-print(f"combinations for 3 cuts: {sampling_overhead(3)}, for 9 cuts: {sampling_overhead(9):,}")
+print(f"combinations for 3 cuts: {6 ** 3}, for 9 cuts: {6 ** 9:,}")
 
 rng = np.random.default_rng(1)
 
@@ -34,8 +31,8 @@ def random_density(dim):
     return rho / rho.trace()
 
 
-worst1 = max(reconstruction_error_1q(random_density(2)) for _ in range(200))
-worst2 = max(reconstruction_error_2q(random_density(4)) for _ in range(50))
+worst1 = max(reconstruction_error(random_density(2)) for _ in range(200))
+worst2 = max(reconstruction_error(random_density(4)) for _ in range(50))
 print(f"\nreconstruction identity, 200 random single-qubit states: max error {worst1:.3e}")
 print(f"reconstruction identity,  50 random two-qubit states:    max error {worst2:.3e}")
 print("\nthe identity, not the table, is the contract: any equivalent table must pass it.")

@@ -9,7 +9,7 @@ the simplex, then the cut-vs-direct comparison at 12 qubits.
 
 from chaincut.cut import plan_chain_jobs
 from chaincut.direct import direct_chain_report
-from chaincut.mitigation import MitigationPipeline, build_transition_matrix, readout_rates
+from chaincut.mitigation import MitigationPipeline, pipeline_for_rep
 from chaincut.reconstruct import (
     bound_from_distributions,
     build_block_tensors,
@@ -25,10 +25,9 @@ print(f"noise: p1={noise.p1}, p2={noise.p2}, f00={[r[0] for r in noise.readout]}
 
 results = execute_jobs(plan_chain_jobs(), run, noise)
 
-t4 = build_transition_matrix(4, "tensor", readout=readout_rates(noise.readout, 4))
-t3 = build_transition_matrix(3, "tensor", readout=readout_rates(noise.readout, 3))
+pipeline = pipeline_for_rep({}, noise.readout, "tensor")
+t4, t3 = pipeline.matrices[4], pipeline.matrices[3]
 print(f"confusion matrices: cond(T4)={t4.cond:.3f}, cond(T3)={t3.cond:.3f}")
-pipeline = MitigationPipeline({4: t4, 3: t3})
 
 by_id = {r.spec.job_id: r for r in results}
 p_xz = pipeline.physical(by_id["4q-Xp-XZX-Z"].counts).p

@@ -9,10 +9,9 @@ from pathlib import Path
 
 from .counts import has_json_type
 from .cut import read_bundle_file
-from .mitigation import FULL_CALIBRATION, TENSOR_PRODUCT
 from .sim import DEFAULT_P1, DEFAULT_P2, DEFAULT_READOUT, NoiseModel, RunConfig
 
-MITIGATION_MODES = ("auto", TENSOR_PRODUCT, FULL_CALIBRATION, "none")
+MITIGATION_MODES = ("auto", "tensor", "full", "none")
 
 
 @dataclass(frozen=True)

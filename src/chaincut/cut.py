@@ -13,7 +13,10 @@ outcomes are reused) is:
 The table's defining property is the reconstruction identity
 ``sum_i c_i Tr_b(rho O_i^b) (x) rho_i = rho`` for every state; the
 planner refuses to emit jobs until that identity has been checked on a
-Pauli operator basis, which proves it for every state.  Its 1-norm sum
+Pauli operator basis, which proves it for every state.  Each O_i is
+stored as the readout that realizes it (a basis and two outcome weights)
+and its matrix is derived from those, so the check covers the readout the
+reconstruction applies.  Its 1-norm sum
 |c_i| = 4 sets the per-cut sampling overhead of this projector-reuse
 variant, while the number of weighted term combinations grows as 6^k in
 the number of cuts.
@@ -49,81 +52,57 @@ from .qstate import PAULI_1Q, STATE_LABELS, index_to_bits, projector, state_vect
 CUT_PATTERNS = ("XZX", "ZXZ")
 CUT_BASES = ("X", "Y", "Z")
 
-# Readout basis and outcome weights realizing each cut observable:
-# projectors are indicator-weighted Z outcomes, X/Y are outcome parities.
-OBSERVABLE_BASIS = {"P0": "Z", "P1": "Z", "X": "X", "Y": "Y"}
-OBSERVABLE_WEIGHTS = {
-    "P0": (1.0, 0.0),
-    "P1": (0.0, 1.0),
-    "X": (1.0, -1.0),
-    "Y": (1.0, -1.0),
-}
-
 
 @dataclass(frozen=True)
 class CutTerm:
-    """One measure-and-prepare term (c_i, O_i, rho_i)."""
+    """One measure-and-prepare term (c_i, O_i, rho_i).
+
+    O_i is read out in ``basis``, weighting outcome 0 by w0 and outcome 1 by
+    w1 (``outcome_weights``): projectors are indicator-weighted Z outcomes,
+    X/Y are outcome parities.  The reconstruction uses exactly these fields.
+    """
 
     index: int
     coeff: float
-    observable: str
+    basis: str
+    outcome_weights: tuple[float, float]
     prep: str
 
     def observable_matrix(self) -> np.ndarray:
-        if self.observable == "P0":
-            return projector(state_vector_1q("Z0"))
-        if self.observable == "P1":
-            return projector(state_vector_1q("Z1"))
-        return PAULI_1Q[self.observable].copy()
-
-    @property
-    def basis(self) -> str:
-        return OBSERVABLE_BASIS[self.observable]
-
-    @property
-    def outcome_weights(self) -> tuple[float, float]:
-        return OBSERVABLE_WEIGHTS[self.observable]
+        """O_i = w0 P_0 + w1 P_1 in the readout basis: ((w0 + w1) I + (w0 - w1) P) / 2."""
+        w0, w1 = self.outcome_weights
+        return ((w0 + w1) * PAULI_1Q["I"] + (w0 - w1) * PAULI_1Q[self.basis]) / 2
 
 
 def decomposition_table() -> tuple[CutTerm, ...]:
-    """The six (coefficient, observable, prepared state) cut terms.
+    """The six (coefficient, readout, prepared state) cut terms.
 
     Prepared states appear in STATE_LABELS order, so a term's index is
     also the input-label index of the block that consumes its output.
     """
     return (
-        CutTerm(0, 1.0, "P0", "Z0"),
-        CutTerm(1, 1.0, "P1", "Z1"),
-        CutTerm(2, 0.5, "X", "Xp"),
-        CutTerm(3, -0.5, "X", "Xm"),
-        CutTerm(4, 0.5, "Y", "Yp"),
-        CutTerm(5, -0.5, "Y", "Ym"),
+        CutTerm(0, 1.0, "Z", (1.0, 0.0), "Z0"),
+        CutTerm(1, 1.0, "Z", (0.0, 1.0), "Z1"),
+        CutTerm(2, 0.5, "X", (1.0, -1.0), "Xp"),
+        CutTerm(3, -0.5, "X", (1.0, -1.0), "Xm"),
+        CutTerm(4, 0.5, "Y", (1.0, -1.0), "Yp"),
+        CutTerm(5, -0.5, "Y", (1.0, -1.0), "Ym"),
     )
 
 
-def reconstruction_error_1q(rho: np.ndarray, terms=None) -> float:
-    terms = terms or decomposition_table()
-    acc = np.zeros((2, 2), dtype=complex)
-    for t in terms:
-        weight = np.trace(rho @ t.observable_matrix())
-        acc += t.coeff * weight * projector(state_vector_1q(t.prep))
-    return float(np.max(np.abs(acc - rho)))
+def reconstruction_error(rho: np.ndarray, terms=None) -> float:
+    """Error of sum_i c_i Tr_b(rho O_i^b) (x) rho_i against rho.
 
-
-def reconstruction_error_2q(rho_ab: np.ndarray, terms=None) -> float:
-    """Error of sum_i c_i Tr_b(rho^ab O_i^b) (x) rho_i against rho^ab.
-
-    Qubit a is the first (most significant) qubit, b the cut qubit.
+    The cut qubit b is rho's last (least significant) qubit; the others are kept.
     """
     terms = terms or decomposition_table()
-    acc = np.zeros((4, 4), dtype=complex)
+    d = rho.shape[0] // 2
+    acc = np.zeros(rho.shape, dtype=complex)
     for t in terms:
-        obs = np.kron(np.eye(2), t.observable_matrix())
-        m = rho_ab @ obs
-        # Tr_b keeping qubit a: sum over the b indices of the 2x2x2x2 tensor.
-        cond = np.trace(m.reshape(2, 2, 2, 2), axis1=1, axis2=3)
+        # Tr_b(rho (I (x) O)): contract b's row and column indices through O.
+        cond = np.einsum("aibj,ji->ab", rho.reshape(d, 2, d, 2), t.observable_matrix())
         acc += t.coeff * np.kron(cond, projector(state_vector_1q(t.prep)))
-    return float(np.max(np.abs(acc - rho_ab)))
+    return float(np.max(np.abs(acc - rho)))
 
 
 _VERIFIED = False
@@ -133,10 +112,11 @@ def verify_decomposition() -> None:
     """Prove the cut table exact before any downstream use.
 
     The reconstruction identity is linear in rho, so checking it on the
-    4 one-qubit and 16 two-qubit Pauli operators (bases of the operator
-    spaces) to 1e-12 proves it for every state; the 1-norm sum
-    |c_i| = 4 is checked too.  Raises on failure; caches success for the
-    process lifetime.
+    16 two-qubit Pauli operators (a basis of the operator space; the I (x) P
+    cases carry the one-qubit identity) to 1e-12 proves it for every state,
+    for the readout bases and outcome weights the block tensors use.  The
+    1-norm sum |c_i| = 4 is checked too.  Raises on failure; caches success
+    for the process lifetime.
     """
     global _VERIFIED
     if _VERIFIED:
@@ -145,20 +125,14 @@ def verify_decomposition() -> None:
     one_norm = sum(abs(t.coeff) for t in terms)
     if abs(one_norm - 4.0) > 1e-12:
         raise AssertionError(f"cut-table 1-norm {one_norm} != 4")
-    worst = max(reconstruction_error_1q(p, terms) for p in PAULI_1Q.values())
-    for a in PAULI_1Q.values():
-        for b in PAULI_1Q.values():
-            worst = max(worst, reconstruction_error_2q(np.kron(a, b), terms))
+    worst = max(
+        reconstruction_error(np.kron(a, b), terms)
+        for a in PAULI_1Q.values()
+        for b in PAULI_1Q.values()
+    )
     if worst > 1e-12:
         raise AssertionError(f"cut reconstruction identity violated: {worst:.3e}")
     _VERIFIED = True
-
-
-def sampling_overhead(k_cuts: int) -> int:
-    """Number of weighted term combinations for k cut points: 6^k."""
-    if k_cuts < 0:
-        raise ValueError("cut count must be non-negative")
-    return 6**k_cuts
 
 
 # ---------------------------------------------------------------------------

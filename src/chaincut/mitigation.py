@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -27,9 +27,6 @@ from .cut import calibration_path, checked_counts, read_bundle_file
 from .qstate import apply_per_qubit
 
 COND_LIMIT = 1e6
-
-TENSOR_PRODUCT = "tensor"
-FULL_CALIBRATION = "full"
 
 
 class NumericalError(RuntimeError):
@@ -43,13 +40,13 @@ class TransitionMatrix:
     Column j holds the distribution of observed bitstrings given true
     bitstring j.  The 1-norm condition number is computed at build time
     and surfaced rather than hidden; past COND_LIMIT the matrix is
-    rejected as unusable.
+    rejected as unusable, so no unchecked matrix exists.
     """
 
     n: int
     mode: str
     matrix: np.ndarray
-    cond: float
+    cond: float = field(init=False)
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=float)
@@ -61,6 +58,7 @@ class TransitionMatrix:
         colsums = m.sum(axis=0)
         if np.max(np.abs(colsums - 1.0)) > 1e-9:
             raise ValueError("columns must sum to 1")
+        object.__setattr__(self, "cond", checked_cond(m))
 
 
 def confusion_1q(f00: float, f11: float) -> np.ndarray:
@@ -91,34 +89,6 @@ def checked_cond(*factors: np.ndarray) -> float:
     if not np.isfinite(cond) or cond > COND_LIMIT:
         raise NumericalError(f"confusion matrix condition number {cond:.3e} exceeds {COND_LIMIT:.0e}")
     return cond
-
-
-def build_transition_matrix(
-    n: int,
-    mode: str = TENSOR_PRODUCT,
-    readout: tuple[tuple[float, float], ...] | None = None,
-    calib: list[CountsTable] | None = None,
-) -> TransitionMatrix:
-    """Confusion matrix from per-qubit rates or from calibration counts.
-
-    Tensor-product mode takes per-qubit (f00, f11) and returns the
-    Kronecker product of the 2x2 single-qubit confusion matrices.
-    Full-calibration mode estimates column j empirically from calib[j],
-    the counts of prepared basis state j; all 2^n states must be present.
-    """
-    if mode == TENSOR_PRODUCT:
-        if readout is None or len(readout) != n:
-            raise ValueError("tensor-product mode needs per-qubit rates for each qubit")
-        matrix = confusion_matrix(readout)
-    elif mode == FULL_CALIBRATION:
-        if calib is None:
-            raise ValueError("full-calibration mode needs calibration count tables")
-        if len(calib) != 2**n:
-            raise ValueError(f"calibration states missing: {len(calib)} of {2**n} given")
-        matrix = np.stack([t.frequencies() for t in calib], axis=1)
-    else:
-        raise ValueError(f"unknown mitigation mode {mode!r}")
-    return TransitionMatrix(n, mode, matrix, checked_cond(matrix))
 
 
 def apply_tmem(data: CountsTable | np.ndarray, t: TransitionMatrix) -> QuasiDistribution:
@@ -253,20 +223,22 @@ def pipeline_for_rep(
     readout: tuple[tuple[float, float], ...],
     mode: str,
 ) -> MitigationPipeline:
-    """The mitigation pipeline of one calibrated repetition (see read_calibration).
+    """The mitigation pipeline of one repetition: each register's confusion matrix under ``mode``.
 
-    Modes "auto" and "full" invert each register's full calibration;
-    "tensor" builds the Kronecker product of the configured per-qubit
-    rates, sliced per register by readout_rates exactly as the simulator
-    does; "none" builds no matrix.
+    Modes "auto" and "full" estimate column j of each register's matrix
+    from the counts of prepared basis state j (``calibration``, see
+    read_calibration); "tensor" builds the Kronecker product of the
+    configured per-qubit rates, sliced per register by readout_rates
+    exactly as the simulator does, and reads no calibration; "none"
+    builds no matrix.
     """
     matrices: dict[int, TransitionMatrix] = {}
     for n in REGISTER_SIZES:
-        if mode in ("auto", FULL_CALIBRATION):
-            matrices[n] = build_transition_matrix(n, FULL_CALIBRATION, calib=calibration[n])
-        elif mode == TENSOR_PRODUCT:
-            rates = readout_rates(readout, n)
-            matrices[n] = build_transition_matrix(n, TENSOR_PRODUCT, readout=rates)
+        if mode in ("auto", "full"):
+            full = np.stack([t.frequencies() for t in calibration[n]], axis=1)
+            matrices[n] = TransitionMatrix(n, "full", full)
+        elif mode == "tensor":
+            matrices[n] = TransitionMatrix(n, mode, confusion_matrix(readout_rates(readout, n)))
         elif mode != "none":
             raise ValueError(f"unknown mitigation mode {mode!r}")
     return MitigationPipeline(matrices)

@@ -177,7 +177,7 @@ def measure_distribution(rho: np.ndarray, meas: str) -> Distribution:
 def sample_counts(
     dist: Distribution,
     shots: int,
-    seed_or_rng: int | np.random.Generator,
+    rng: np.random.Generator,
     readout: tuple[tuple[float, float], ...] | None = None,
     meas: str | None = None,
 ) -> CountsTable:
@@ -191,11 +191,6 @@ def sample_counts(
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
-    rng = (
-        seed_or_rng
-        if isinstance(seed_or_rng, np.random.Generator)
-        else np.random.default_rng(seed_or_rng)
-    )
     meas = meas or "Z" * dist.n
     raw = rng.multinomial(shots, dist.p / dist.p.sum())
     if readout is None:

@@ -10,7 +10,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 import chaincut
 from chaincut.cut import plan_chain_jobs
-from chaincut.mitigation import MitigationPipeline, build_transition_matrix, readout_rates
+from chaincut.mitigation import MitigationPipeline, pipeline_for_rep
 from chaincut.reconstruct import build_block_tensors
 from chaincut.runner import execute_jobs
 from chaincut.sim import NoiseModel, RunConfig
@@ -75,9 +75,7 @@ def sampled_noiseless_tensors(plan):
 
 @pytest.fixture(scope="session")
 def sampled_pipeline(default_noise):
-    t4 = build_transition_matrix(4, "tensor", readout=readout_rates(default_noise.readout, 4))
-    t3 = build_transition_matrix(3, "tensor", readout=readout_rates(default_noise.readout, 3))
-    return MitigationPipeline({4: t4, 3: t3})
+    return pipeline_for_rep({}, default_noise.readout, "tensor")
 
 
 @pytest.fixture(scope="session")

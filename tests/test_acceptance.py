@@ -17,15 +17,14 @@ from chaincut.counts import dump_json
 from chaincut.cut import (
     decomposition_table,
     plan_chain_jobs,
-    reconstruction_error_1q,
-    reconstruction_error_2q,
+    reconstruction_error,
 )
 from chaincut.direct import direct_chain_report
 from chaincut.mitigation import (
     MitigationPipeline,
     apply_tmem,
-    build_transition_matrix,
     mle_project,
+    pipeline_for_rep,
     readout_rates,
 )
 from chaincut.counts import Distribution, QuasiDistribution
@@ -76,9 +75,9 @@ def test_c1_cut_identity_exactness():
     rng = np.random.default_rng(2024)
     worst = 0.0
     for _ in range(100):
-        worst = max(worst, reconstruction_error_1q(random_density(rng, 2)))
+        worst = max(worst, reconstruction_error(random_density(rng, 2)))
     for _ in range(20):
-        worst = max(worst, reconstruction_error_2q(random_density(rng, 4)))
+        worst = max(worst, reconstruction_error(random_density(rng, 4)))
     elapsed = time.perf_counter() - t0
     report(
         "C1 cut-identity exactness",
@@ -207,7 +206,7 @@ def test_c5_witness_soundness():
     n = 4
     rho_true = run_exact(build_linear_cluster(n), noise)
     fid_true = oracles.lc_state_fidelity(rho_true, n)
-    t4 = build_transition_matrix(4, "tensor", readout=readout_rates(noise.readout, 4))
+    t4 = pipeline_for_rep({}, noise.readout, "tensor").matrices[4]
     bounds = []
     for rep in range(25):
         rng_rep = np.random.default_rng(np.random.SeedSequence(777, spawn_key=(rep,)))
@@ -239,7 +238,7 @@ def test_c5_witness_soundness():
 
 def test_c6_mitigation_pipeline():
     rng = np.random.default_rng(31415)
-    t4 = build_transition_matrix(4, "tensor", readout=TABLE_RATES)
+    t4 = pipeline_for_rep({}, TABLE_RATES, "tensor").matrices[4]
 
     # exact recovery through simulated readout
     worst_exact = 0.0
@@ -254,7 +253,7 @@ def test_c6_mitigation_pipeline():
     p = rng.random(16)
     p /= p.sum()
     observed = apply_readout_to_distribution(p, TABLE_RATES)
-    counts = sample_counts(Distribution(4, observed), 1_000_000, 2718)
+    counts = sample_counts(Distribution(4, observed), 1_000_000, np.random.default_rng(2718))
     rec = mle_project(apply_tmem(counts, t4))
     tv = 0.5 * float(np.sum(np.abs(rec.p - p)))
 

@@ -14,9 +14,7 @@ from chaincut.cut import (
     plan_chain_jobs,
     read_job_result,
     read_plan,
-    reconstruction_error_1q,
-    reconstruction_error_2q,
-    sampling_overhead,
+    reconstruction_error,
     verify_decomposition,
     write_job_result,
     write_plan,
@@ -45,19 +43,19 @@ class TestDecomposition:
         assert sum(abs(t.coeff) for t in decomposition_table()) == pytest.approx(4.0)
 
     def test_z_eigenstate_hits_only_projector_term(self):
-        assert reconstruction_error_1q(projector(oracles.ket("0"))) < 1e-15
+        assert reconstruction_error(projector(oracles.ket("0"))) < 1e-15
 
     def test_identity_on_random_single_qubit_states(self):
         rng = np.random.default_rng(100)
         worst = max(
-            reconstruction_error_1q(random_density(rng, 2)) for _ in range(100)
+            reconstruction_error(random_density(rng, 2)) for _ in range(100)
         )
         assert worst <= 1e-12
 
     def test_identity_on_random_two_qubit_states(self):
         rng = np.random.default_rng(101)
         worst = max(
-            reconstruction_error_2q(random_density(rng, 4)) for _ in range(20)
+            reconstruction_error(random_density(rng, 4)) for _ in range(20)
         )
         assert worst <= 1e-12
 
@@ -66,7 +64,14 @@ class TestDecomposition:
 
     @pytest.mark.parametrize(
         "index, field, value",
-        [(3, "coeff", 0.5), (0, "coeff", 1.0 + 1e-9), (2, "prep", "Xm"), (5, "prep", "Yp")],
+        [
+            (3, "coeff", 0.5),
+            (0, "coeff", 1.0 + 1e-9),
+            (2, "prep", "Xm"),
+            (5, "prep", "Yp"),
+            (2, "outcome_weights", (1.0, 1.0)),
+            (1, "basis", "X"),
+        ],
     )
     def test_verify_decomposition_rejects_perturbed_table(self, monkeypatch, index, field, value):
         table = list(decomposition_table())
@@ -80,18 +85,9 @@ class TestDecomposition:
         terms = decomposition_table()
         np.testing.assert_array_equal(terms[0].observable_matrix(), np.diag([1.0, 0.0]))
         np.testing.assert_array_equal(terms[2].observable_matrix(), oracles.X)
+        np.testing.assert_array_equal(terms[1].observable_matrix(), np.diag([0.0, 1.0]))
+        np.testing.assert_array_equal(terms[5].observable_matrix(), oracles.Y)
         assert terms[0].basis == "Z" and terms[4].basis == "Y"
-
-
-class TestSamplingOverhead:
-    def test_values(self):
-        assert sampling_overhead(0) == 1
-        assert sampling_overhead(3) == 216
-        assert sampling_overhead(9) == 10_077_696
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            sampling_overhead(-1)
 
 
 class TestPlan:

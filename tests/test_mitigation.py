@@ -8,14 +8,15 @@ from chaincut.counts import CountsTable, Distribution, QuasiDistribution, counts
 from chaincut.mitigation import (
     MitigationPipeline,
     NumericalError,
+    TransitionMatrix,
     apply_tmem,
-    build_transition_matrix,
     checked_cond,
     confusion_matrix,
     mle_project,
     pipeline_for_rep,
     project_to_simplex,
     read_calibration,
+    readout_rates,
     tmem_product_inverse,
     transition_matrix_to_dict,
 )
@@ -31,16 +32,16 @@ NEAR_SINGULAR_RATES = ((0.5000001, 0.5), (0.95, 0.9), (0.95, 0.9), (0.95, 0.9))
 
 class TestTransitionMatrix:
     def test_perfect_readout_is_identity(self):
-        t = build_transition_matrix(2, "tensor", readout=((1.0, 1.0), (1.0, 1.0)))
+        t = TransitionMatrix(2, "tensor", confusion_matrix(((1.0, 1.0), (1.0, 1.0))))
         np.testing.assert_array_equal(t.matrix, np.eye(4))
 
     def test_single_qubit_definition(self):
-        t = build_transition_matrix(1, "tensor", readout=((0.95, 0.90),))
+        t = TransitionMatrix(1, "tensor", confusion_matrix(((0.95, 0.90),)))
         np.testing.assert_allclose(t.matrix, [[0.95, 0.10], [0.05, 0.90]])
 
     def test_two_qubit_kronecker_vs_entrywise_oracle(self):
         rates = TABLE_RATES[:2]
-        t = build_transition_matrix(2, "tensor", readout=rates)
+        t = TransitionMatrix(2, "tensor", confusion_matrix(rates))
         singles = [
             np.array([[f00, 1 - f11], [1 - f00, f11]]) for f00, f11 in rates
         ]
@@ -71,30 +72,58 @@ class TestTransitionMatrix:
             m[0, 0] = 0.0
 
     def test_columns_stochastic(self):
-        t = build_transition_matrix(4, "tensor", readout=TABLE_RATES)
+        t = TransitionMatrix(4, "tensor", confusion_matrix(TABLE_RATES))
         np.testing.assert_allclose(t.matrix.sum(axis=0), np.ones(16), atol=1e-12)
         assert t.cond < 10
 
     def test_full_calibration_estimates_columns(self):
         rng = np.random.default_rng(17)
-        calib = calibration_counts(2, TABLE_RATES[:2], 200_000, rng)
-        t = build_transition_matrix(2, "full", calib=calib)
-        ref = build_transition_matrix(2, "tensor", readout=TABLE_RATES[:2])
-        assert np.max(np.abs(t.matrix - ref.matrix)) < 5e-3
+        calibration = {
+            n: calibration_counts(n, readout_rates(TABLE_RATES, n), 200_000, rng) for n in (3, 4)
+        }
+        full = pipeline_for_rep(calibration, TABLE_RATES, "full").matrices
+        ref = pipeline_for_rep({}, TABLE_RATES, "tensor").matrices
+        for n in (3, 4):
+            assert full[n].mode == "full"
+            assert np.max(np.abs(full[n].matrix - ref[n].matrix)) < 5e-3
 
     def test_full_calibration_missing_state(self):
         rng = np.random.default_rng(18)
-        calib = calibration_counts(2, TABLE_RATES[:2], 1000, rng)
-        del calib[3]
-        with pytest.raises(ValueError, match="missing"):
-            build_transition_matrix(2, "full", calib=calib)
+        calibration = {
+            n: calibration_counts(n, readout_rates(TABLE_RATES, n), 1000, rng) for n in (3, 4)
+        }
+        del calibration[4][15]
+        with pytest.raises(ValueError, match=r"matrix shape \(16, 15\) does not match n=4"):
+            pipeline_for_rep(calibration, TABLE_RATES, "full")
+
+    @pytest.mark.parametrize(
+        "rates, qubits",
+        [
+            # more rates than qubits: a register takes the last n
+            (TABLE_RATES, {3: (1, 2, 3), 4: (0, 1, 2, 3)}),
+            # fewer: a register cycles the list
+            (TABLE_RATES[:3], {3: (0, 1, 2), 4: (0, 1, 2, 0)}),
+            (TABLE_RATES[:1], {3: (0, 0, 0), 4: (0, 0, 0, 0)}),
+        ],
+    )
+    def test_tensor_pipeline_is_kronecker_of_sliced_and_cycled_rates(self, rates, qubits):
+        matrices = pipeline_for_rep({}, rates, "tensor").matrices
+        assert sorted(matrices) == [3, 4]
+        for n, t in matrices.items():
+            want = np.eye(1)
+            for q in qubits[n]:
+                f00, f11 = rates[q]
+                want = np.kron(want, np.array([[f00, 1 - f11], [1 - f00, f11]]))
+            assert t.mode == "tensor"
+            np.testing.assert_allclose(t.matrix, want, rtol=0, atol=1e-15)
+            assert t.cond == pytest.approx(np.linalg.cond(want, 1), rel=1e-12)
 
     def test_singular_matrix_is_hard_error(self):
         with pytest.raises(NumericalError, match="condition number"):
-            build_transition_matrix(1, "tensor", readout=((0.5, 0.5),))
+            TransitionMatrix(1, "tensor", confusion_matrix(((0.5, 0.5),)))
 
     def test_export_shape(self):
-        t = build_transition_matrix(1, "tensor", readout=((0.95, 0.9),))
+        t = TransitionMatrix(1, "tensor", confusion_matrix(((0.95, 0.9),)))
         d = transition_matrix_to_dict(t)
         assert d["n"] == 1 and d["mode"] == "tensor"
         np.testing.assert_allclose(d["matrix"], [[0.95, 0.10], [0.05, 0.90]], atol=1e-15)
@@ -103,7 +132,7 @@ class TestTransitionMatrix:
 
 class TestApplyTmem:
     def test_identity_matrix_returns_normalized_counts(self):
-        t = build_transition_matrix(1, "tensor", readout=((1.0, 1.0),))
+        t = TransitionMatrix(1, "tensor", confusion_matrix(((1.0, 1.0),)))
         counts = CountsTable("Z", [3, 1])
         q = apply_tmem(counts, t)
         np.testing.assert_allclose(q.w, [0.75, 0.25])
@@ -112,7 +141,7 @@ class TestApplyTmem:
         rng = np.random.default_rng(23)
         p = rng.random(16)
         p /= p.sum()
-        t = build_transition_matrix(4, "tensor", readout=TABLE_RATES)
+        t = TransitionMatrix(4, "tensor", confusion_matrix(TABLE_RATES))
         observed = t.matrix @ p
         q = apply_tmem(observed, t)
         assert np.max(np.abs(q.w - p)) <= 1e-12
@@ -121,16 +150,16 @@ class TestApplyTmem:
         rng = np.random.default_rng(24)
         p = rng.random(16)
         p /= p.sum()
-        t = build_transition_matrix(4, "tensor", readout=TABLE_RATES)
+        t = TransitionMatrix(4, "tensor", confusion_matrix(TABLE_RATES))
         flipped = apply_readout_to_distribution(p, TABLE_RATES)
-        counts = sample_counts(Distribution(4, flipped), 1_000_000, 77)
+        counts = sample_counts(Distribution(4, flipped), 1_000_000, np.random.default_rng(77))
         rec = mle_project(apply_tmem(counts, t))
         tv = 0.5 * np.sum(np.abs(rec.p - p))
         assert tv <= 5e-3
 
     def test_weight_sum_preserved(self):
         rng = np.random.default_rng(25)
-        t = build_transition_matrix(3, "tensor", readout=TABLE_RATES[:3])
+        t = TransitionMatrix(3, "tensor", confusion_matrix(TABLE_RATES[:3]))
         for _ in range(20):
             vec = rng.multinomial(10_000, np.full(8, 1 / 8))
             counts = counts_from_vector(vec, "ZZZ", 10_000)
@@ -138,7 +167,7 @@ class TestApplyTmem:
             assert abs(q.w.sum() - 1.0) <= 1e-9
 
     def test_size_mismatch(self):
-        t = build_transition_matrix(2, "tensor", readout=TABLE_RATES[:2])
+        t = TransitionMatrix(2, "tensor", confusion_matrix(TABLE_RATES[:2]))
         with pytest.raises(ValueError):
             apply_tmem(np.ones(8) / 8, t)
 
@@ -146,13 +175,13 @@ class TestApplyTmem:
         rng = np.random.default_rng(26)
         p = rng.random(16)
         p /= p.sum()
-        t = build_transition_matrix(4, "tensor", readout=TABLE_RATES)
+        t = TransitionMatrix(4, "tensor", confusion_matrix(TABLE_RATES))
         dense = apply_tmem(p, t).w
         fast = tmem_product_inverse(p, TABLE_RATES)
         np.testing.assert_allclose(fast, dense, atol=1e-12)
 
     def test_product_inverse_condition_number_matches_dense(self, monkeypatch):
-        dense = build_transition_matrix(4, "tensor", readout=TABLE_RATES).cond
+        dense = TransitionMatrix(4, "tensor", confusion_matrix(TABLE_RATES)).cond
         seen = []
 
         def spy(*factors):
@@ -172,7 +201,7 @@ class TestApplyTmem:
         # every qubit's determinant is far from 0 (1e-7 for qubit 0), yet the
         # register is past COND_LIMIT on both paths
         with pytest.raises(NumericalError, match="condition number 1.885e"):
-            build_transition_matrix(4, "tensor", readout=NEAR_SINGULAR_RATES)
+            TransitionMatrix(4, "tensor", confusion_matrix(NEAR_SINGULAR_RATES))
         with pytest.raises(NumericalError, match="condition number 1.885e"):
             tmem_product_inverse(np.full(16, 1 / 16), NEAR_SINGULAR_RATES)
 

@@ -6,7 +6,8 @@ Extracts the ``src/`` tree of BASE_REV (``git archive``) into a temporary
 directory and runs the same verbs with it and with this checkout's
 ``src/``, each side in its own working directory: ``run-jobs`` then
 ``reconstruct`` on small sampled configs under every mitigation mode, on
-null and empty readout-rate lists, on an exact config, an exact one with
+``tensor`` mitigation from one readout-rate pair (which every register
+cycles), on null and empty readout-rate lists, on an exact config, an exact one with
 p2 = 0 and a noiseless exact one, and on one sampled config at k_max 9,
 the only case whose sweep reaches n = 18 to 33 (the others stop at
 k_max 3, n = 15); and ``direct`` in sampled, sampled with
@@ -63,6 +64,7 @@ NOISELESS = {"mode": "exact", "p1": 0.0, "p2": 0.0, **NO_RATES, "mitigation": "n
 BUNDLES = {
     "auto": SAMPLED,
     "tensor": {**SAMPLED, "mitigation": "tensor"},
+    "tensor-one-rate": {**SAMPLED, "mitigation": "tensor", "f00": [0.95], "f11": [0.9]},
     "full": {**SAMPLED, "mitigation": "full"},
     "none": {**SAMPLED, "mitigation": "none"},
     "null-rates": {**SAMPLED, **NO_RATES},
