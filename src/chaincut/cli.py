@@ -168,7 +168,7 @@ def _reconstruct_rep(bundle: Path, plan, cfg: ExperimentConfig, rep: int) -> dic
     # Exact distributions model pre-readout statistics: like uncalibrated counts, no TMEM.
     pipeline = MitigationPipeline({})
     if cfg.calibrated:
-        calibration = read_calibration(bundle, rep, cfg.shots)
+        calibration = read_calibration(bundle, rep, cfg.shots, cfg.mitigation)
         pipeline = pipeline_for_rep(calibration, cfg.readout, cfg.mitigation)
     bt4, bt3 = build_block_tensors(results, pipeline)
     return {

@@ -6,6 +6,9 @@ observables are back-propagated through the circuit (Heisenberg picture),
 damped by (1-p) at each insertion of ``NoiseModel.schedule`` that meets
 their support; the parities of all 2^n outcomes then give the exact
 distribution by a Walsh-Hadamard transform, with no density matrix.
+Each observable's Pauli frame is one x and one z bit mask in outcome-index
+order (see qstate), so the frames take two int64 arrays of length 2^n.
+Both paths share one cap, ``MAX_DIRECT_QUBITS``.
 
 This stands in for the uncut chain on hardware.  Like the block jobs, its
 distributions get readout flips, factored TMEM and simplex projection, but
@@ -42,7 +45,6 @@ from .reconstruct import SETTINGS, bound_from_distributions, witness_setting
 from .sim import NoiseModel, RunConfig, apply_readout_to_distribution, rng_for, sample_counts
 
 MAX_DIRECT_QUBITS = 24
-MAX_NOISY_QUBITS = 16
 
 
 # ---------------------------------------------------------------------------
@@ -52,8 +54,6 @@ MAX_NOISY_QUBITS = 16
 def run_statevector(c: Circuit) -> np.ndarray:
     """Final state of a noiseless circuit (measurement not applied)."""
     n = c.n_qubits
-    if n > MAX_DIRECT_QUBITS:
-        raise ValueError(f"{n} qubits exceeds statevector cap {MAX_DIRECT_QUBITS}")
     psi = np.zeros(2**n, dtype=complex)
     psi[0] = 1.0
     for g in c.ops:
@@ -85,20 +85,22 @@ def _initial_values(label: str | None) -> np.ndarray:
     return np.asarray(vals)
 
 
-def _propagate_paulis(
-    c: Circuit, meas: str, x: np.ndarray, z: np.ndarray, noise: NoiseModel
-) -> np.ndarray:
-    """Expectations of a batch of Z-frame observables after the circuit.
+def heisenberg_distribution(c: Circuit, meas: str, noise: NoiseModel) -> np.ndarray:
+    """Exact measured distribution of a noisy Clifford circuit.
 
-    ``x``/``z`` are (batch, n) bit arrays of observables measured after
-    the basis rotations of ``meas``.  The ops of ``noise.schedule``, then
-    the noiseless readout rotations, conjugate the batch in reverse order;
-    each depolarizing insertion first multiplies the damping factor of
-    every observable whose current support meets the insertion's.
+    Computes <Z_T> for every outcome-parity subset T, then converts
+    parities to probabilities with a Walsh-Hadamard transform.  Subset T's
+    frame starts as x = 0 and z = T, its outcome index read as a bit mask
+    (see qstate).  The ops of ``noise.schedule``, then the noiseless
+    readout rotations, conjugate every frame in reverse order; each
+    depolarizing insertion first multiplies the damping factor of every
+    frame whose current support meets the insertion's.
     """
     n = c.n_qubits
-    sign = np.ones(x.shape[0])
-    factor = np.ones(x.shape[0])
+    z = np.arange(2**n, dtype=np.int64)
+    x = np.zeros_like(z)
+    sign = np.ones(2**n)
+    factor = np.ones(2**n)
     prep_labels: dict[int, str] = {}
     sequence = noise.schedule(c) + [(g, ()) for g in basis_change_ops(meas, n)]
     for g, insertions in reversed(sequence):
@@ -106,41 +108,22 @@ def _propagate_paulis(
             prep_labels[g.qubits[0]] = g.label
             continue
         for qubits, p in insertions:
-            touched = np.zeros(x.shape[0], dtype=bool)
-            for q in qubits:
-                touched |= (x[:, q] | z[:, q]) == 1
-            factor[touched] *= 1.0 - p
+            support = sum(1 << (n - 1 - q) for q in qubits)
+            factor[((x | z) & support) != 0] *= 1.0 - p
+        bits = [1 << (n - 1 - q) for q in g.qubits]
         if g.kind == "CZ":
-            sign = conjugate_cz(x, z, sign, g.qubits[0], g.qubits[1])
+            conjugate_cz(x, z, sign, *bits)
         elif g.kind == "H":
-            sign = conjugate_h(x, z, sign, g.qubits[0])
+            conjugate_h(x, z, sign, *bits)
         elif g.kind == "Sdg":
             # the adjoint channel of Sdg conjugates with S
-            sign = conjugate_s(x, z, sign, g.qubits[0])
+            conjugate_s(x, z, sign, *bits)
         else:
             raise ValueError(f"cannot propagate through {g.kind}")
-    value = sign * factor
+    chi = sign * factor
     for q in range(n):
         vals = _initial_values(prep_labels.get(q))
-        value = value * vals[2 * z[:, q] + x[:, q]]
-    return value
-
-
-def heisenberg_distribution(c: Circuit, meas: str, noise: NoiseModel) -> np.ndarray:
-    """Exact measured distribution of a noisy Clifford circuit.
-
-    Computes <Z_T> for every outcome-parity subset T, then converts
-    parities to probabilities with a Walsh-Hadamard transform.
-    """
-    n = c.n_qubits
-    if n > MAX_NOISY_QUBITS:
-        raise ValueError(f"{n} qubits exceeds noisy-propagation cap {MAX_NOISY_QUBITS}")
-    subsets = np.arange(2**n, dtype=np.int64)
-    z = np.zeros((2**n, n), dtype=np.uint8)
-    for q in range(n):
-        z[:, q] = (subsets >> (n - 1 - q)) & 1
-    x = np.zeros_like(z)
-    chi = _propagate_paulis(c, meas, x, z, noise)
+        chi = chi * vals[2 * ((z >> (n - 1 - q)) & 1) + ((x >> (n - 1 - q)) & 1)]
     p = apply_per_qubit(chi, (WALSH_1Q,) * n) / 2**n
     p[(p < 0) & (p > -1e-12)] = 0.0
     return p

@@ -14,8 +14,10 @@ probability simplex, computed in closed form by sorted water-filling.
 
 from __future__ import annotations
 
+import errno
 import functools
 import math
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -27,6 +29,8 @@ from .cut import calibration_path, checked_counts, read_bundle_file
 from .qstate import apply_per_qubit
 
 COND_LIMIT = 1e6
+# Mitigation modes that estimate each confusion matrix from calibration counts.
+CALIBRATION_MODES = ("auto", "full")
 
 
 class NumericalError(RuntimeError):
@@ -195,18 +199,27 @@ class MitigationPipeline:
         return mle_project(q)
 
 
-def read_calibration(bundle_dir: Path, rep: int, shots: int) -> dict[int, list[CountsTable]]:
+def read_calibration(
+    bundle_dir: Path, rep: int, shots: int, mode: str
+) -> dict[int, list[CountsTable]]:
     """The calibration count tables of one repetition, per register size, in basis-state order.
 
-    Every register's directory is read whole; a missing file or directory
-    is an error naming the first file that cannot be read.
+    Every register's directory must be whole under every mode; a missing
+    file or directory is an error naming the first file that cannot be
+    read.  Only the modes in CALIBRATION_MODES build matrices from the
+    counts, so only they parse the files; the others check that each file
+    exists and get no tables.
     """
     tables = {}
     for n in REGISTER_SIZES:
+        paths = [calibration_path(bundle_dir, rep, n, j) for j in range(2**n)]
+        if mode not in CALIBRATION_MODES:
+            for path in paths:
+                if not path.is_file():
+                    raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), str(path))
+            continue
         parse = functools.partial(_calibration_table, n=n, shots=shots)
-        tables[n] = [
-            read_bundle_file(calibration_path(bundle_dir, rep, n, j), parse) for j in range(2**n)
-        ]
+        tables[n] = [read_bundle_file(path, parse) for path in paths]
     return tables
 
 
@@ -234,7 +247,7 @@ def pipeline_for_rep(
     """
     matrices: dict[int, TransitionMatrix] = {}
     for n in REGISTER_SIZES:
-        if mode in ("auto", "full"):
+        if mode in CALIBRATION_MODES:
             full = np.stack([t.frequencies() for t in calibration[n]], axis=1)
             matrices[n] = TransitionMatrix(n, "full", full)
         elif mode == "tensor":

@@ -5,8 +5,9 @@ evaluation) works with plain numpy arrays produced and validated here:
 
 * state vectors     -- complex vectors of length 2^n, unit L2 norm
 * density operators -- Hermitian, unit-trace, PSD 2^n x 2^n matrices
-* Pauli strings     -- (x, z) bit arrays plus a +/-1 sign, conjugated
-                       through Clifford gates in place
+* Pauli strings     -- one x and one z bit mask each (qubit q is bit
+                       n-1-q) plus a +/-1 sign, conjugated through
+                       Clifford gates in place
 
 Bit convention used across the whole package: qubit 0 is the leftmost
 qubit of the chain and the most significant bit of every basis-state
@@ -194,32 +195,29 @@ def index_to_bits(index: int, n: int) -> str:
 
 # ---------------------------------------------------------------------------
 # Symplectic (x, z) representation used for Heisenberg propagation of
-# Pauli strings through Clifford gates.  Arrays of shape (..., n) of
-# uint8 bits; sign tracked as a +/-1 array (conjugation by H, S, CZ can
-# only flip signs, never introduce factors of i).
+# Pauli strings through Clifford gates.  Each string is one integer x mask
+# and one z mask in outcome-index order (qubit q is bit n-1-q, as in
+# index_to_bits), held in int64 arrays; its sign is tracked as a +/-1
+# array (conjugation by H, S, CZ can only flip signs, never introduce
+# factors of i).  Gates name their qubits by the same one-bit masks.
 
 
 def conjugate_h(x, z, sign, q):
-    """In-place P -> H P H on qubit q (batched over leading axes)."""
-    sign *= np.where((x[..., q] & z[..., q]) == 1, -1, 1)
-    xq = x[..., q].copy()
-    x[..., q] = z[..., q]
-    z[..., q] = xq
-    return sign
+    """In-place P -> H P H on the qubit of bit mask q."""
+    sign[(x & z & q) != 0] *= -1
+    swap = (x ^ z) & q
+    x ^= swap
+    z ^= swap
 
 
 def conjugate_s(x, z, sign, q):
-    """In-place P -> S P S^dag on qubit q (X -> Y, Y -> -X)."""
-    sign *= np.where((x[..., q] & z[..., q]) == 1, -1, 1)
-    z[..., q] ^= x[..., q]
-    return sign
+    """In-place P -> S P S^dag on the qubit of bit mask q (X -> Y, Y -> -X)."""
+    sign[(x & z & q) != 0] *= -1
+    z ^= x & q
 
 
 def conjugate_cz(x, z, sign, a, b):
-    """In-place P -> CZ P CZ on qubits (a, b)."""
-    sign *= np.where(
-        (x[..., a] & x[..., b] & (z[..., a] ^ z[..., b])) == 1, -1, 1
-    )
-    z[..., a] ^= x[..., b]
-    z[..., b] ^= x[..., a]
-    return sign
+    """In-place P -> CZ P CZ on the qubits of bit masks a and b."""
+    xa, xb = (x & a) != 0, (x & b) != 0
+    sign[xa & xb & (((z & a) != 0) != ((z & b) != 0))] *= -1
+    z ^= np.where(xb, a, 0) | np.where(xa, b, 0)

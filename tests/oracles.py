@@ -120,15 +120,21 @@ def expectation(rho: np.ndarray, p: tuple[int, str]) -> float:
     return val.real
 
 
-def pauli_to_xz(p: tuple[int, str]) -> tuple[np.ndarray, np.ndarray, int]:
-    """Symplectic bits of a signed Pauli string: x marks X/Y letters, z marks Z/Y."""
-    x = np.array([c in "XY" for c in p[1]], dtype=np.uint8)
-    z = np.array([c in "ZY" for c in p[1]], dtype=np.uint8)
-    return x, z, p[0]
+def pauli_to_masks(letters: str) -> tuple[int, int]:
+    """Symplectic bit masks of a Pauli string, qubit q at bit n-1-q.
+
+    x marks X/Y letters, z marks Z/Y.
+    """
+    n = len(letters)
+    x = sum(1 << (n - 1 - q) for q, c in enumerate(letters) if c in "XY")
+    z = sum(1 << (n - 1 - q) for q, c in enumerate(letters) if c in "ZY")
+    return x, z
 
 
-def xz_to_pauli(x: np.ndarray, z: np.ndarray, sign: int) -> tuple[int, str]:
-    return int(sign), "".join("IXZY"[2 * int(b) + int(a)] for a, b in zip(x, z))
+def masks_to_pauli(x: int, z: int, n: int) -> str:
+    """Letters of the n-qubit Pauli string with bit masks x and z; inverse of pauli_to_masks."""
+    bits = [(int(x) >> (n - 1 - q) & 1, int(z) >> (n - 1 - q) & 1) for q in range(n)]
+    return "".join("IXZY"[2 * zb + xb] for xb, zb in bits)
 
 
 def embed(op: np.ndarray, qubits: tuple[int, ...], n: int) -> np.ndarray:

@@ -412,6 +412,22 @@ class TestBundleIntegrity:
         victim.unlink()
         self.assert_rejected(out, str(victim), capsys)
 
+    @pytest.mark.parametrize("mitigation", ["tensor", "none"])
+    def test_unparsable_calibration_file_unused_by_mode(self, tmp_path, capsys, mitigation):
+        # these modes build no matrix from calibration counts: each file must
+        # exist, but none is parsed, so the reports keep their bytes
+        out = tmp_path / "run"
+        cfg = write_config(
+            tmp_path, mode="sampled", mitigation=mitigation, shots=2000, repetitions=1, k_max=1,
+            out_dir=str(out),
+        )
+        assert main(["run-jobs", "--config", str(cfg)]) == 0
+        assert main(["reconstruct", "--out", str(out)]) == 0
+        intact = read_tree(out / "reports")
+        (out / "reps" / "r00" / "calibration" / "q4" / "0011.json").write_text("not json")
+        assert main(["reconstruct", "--out", str(out)]) == 0
+        assert read_tree(out / "reports") == intact
+
     @pytest.mark.parametrize("case", sorted(COERCIBLE))
     def test_bundle_numbers_are_checked_not_coerced(self, tmp_path, capsys, case):
         mode, field, change = COERCIBLE[case]
@@ -578,6 +594,24 @@ class TestDirect:
     def test_direct_exceeding_cap_fails(self, tmp_path, capsys):
         cfg = write_config(tmp_path, mode="exact", out_dir=str(tmp_path / "x"))
         assert main(["direct", "--config", str(cfg), "--n", "27"]) == 1
+
+    @pytest.mark.parametrize("noise", [{}, {"p1": 0.0, "p2": 0.0}], ids=["noisy", "noiseless"])
+    def test_direct_one_past_cap_fails(self, tmp_path, capsys, noise):
+        # noisy and noiseless direct share the one cap of 24 qubits
+        out = tmp_path / "x"
+        cfg = write_config(tmp_path, mode="exact", out_dir=str(out), **noise)
+        assert main(["direct", "--config", str(cfg), "--n", "25"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1 and "24 qubits" in err
+        assert not out.exists()
+
+    def test_noisy_direct_runs_past_sixteen_qubits(self, tmp_path):
+        out = tmp_path / "ref"
+        cfg = write_config(tmp_path, out_dir=str(out))
+        assert main(["direct", "--config", str(cfg), "--exact", "--n", "17"]) == 0
+        witness = json.loads((out / "direct" / "witness_terms.json").read_text())
+        # the bound falls below 0 from 15 qubits at default noise
+        assert witness["n"] == 17 and -1.0 < witness["bound"] < 0.0
 
     @pytest.mark.parametrize("n", ["1", "0"])
     def test_direct_too_short_writes_nothing(self, tmp_path, capsys, n):

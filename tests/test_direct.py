@@ -9,6 +9,7 @@ from chaincut import direct, reconstruct
 from chaincut.circuit import build_block_subcircuit, build_linear_cluster
 from chaincut.cli import main
 from chaincut.config import ExperimentConfig
+from chaincut.cut import plan_chain_jobs
 from chaincut.counts import LONG_LIST, dump_json
 from chaincut.direct import (
     chain_distribution,
@@ -77,6 +78,19 @@ class TestHeisenberg:
         got = heisenberg_distribution(c, "XZXZX", noise)
         want = measure_distribution(run_exact(c, noise), "XZXZX").p
         np.testing.assert_allclose(got, want, atol=1e-12)
+
+    @pytest.mark.parametrize("noise", [
+        NoiseModel(readout=None),
+        NoiseModel(p2=0.2, readout=None),
+        NOISELESS,
+    ], ids=["default", "p2-0.2", "noiseless"])
+    def test_every_block_job_matches_density_sim(self, noise):
+        # the only circuits with prep gates and Y-basis (Sdg) readout
+        for spec in plan_chain_jobs():
+            c = build_block_subcircuit(spec.form, spec.input)
+            got = heisenberg_distribution(c, spec.meas, noise)
+            want = measure_distribution(run_exact(c, noise), spec.meas).p
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12, err_msg=spec.job_id)
 
     def test_noiseless_agrees_with_statevector(self):
         c = build_linear_cluster(6)

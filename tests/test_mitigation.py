@@ -267,7 +267,7 @@ class TestPipeline:
         from chaincut.sim import RunConfig
 
         write_calibration(tmp_path, 0, RunConfig("sampled", shots=50_000, seed=4), default_noise)
-        calibration = read_calibration(tmp_path, 0, 50_000)
+        calibration = read_calibration(tmp_path, 0, 50_000, "auto")
         assert sorted(calibration) == [3, 4] and len(calibration[4]) == 16
         pipe = pipeline_for_rep(calibration, default_noise.readout, mode="auto")
         assert pipe.matrices[4].mode == "full"
@@ -275,7 +275,7 @@ class TestPipeline:
 
     def test_read_calibration_needs_every_register(self, tmp_path):
         with pytest.raises(FileNotFoundError, match="calibration/q4/0000.json"):
-            read_calibration(tmp_path, 0, 50_000)
+            read_calibration(tmp_path, 0, 50_000, "auto")
 
     def test_none_mode(self, default_noise):
         pipe = pipeline_for_rep({}, default_noise.readout, mode="none")

@@ -4,6 +4,8 @@ The signed Pauli-string algebra (product, matrix, expectation) lives in
 tests/oracles.py as a reference; it is checked here against dense matrices.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -21,7 +23,14 @@ from chaincut.qstate import (
 )
 
 import oracles
-from oracles import expectation, ket, pauli_matrix, pauli_product, pauli_to_xz, xz_to_pauli
+from oracles import (
+    expectation,
+    ket,
+    masks_to_pauli,
+    pauli_matrix,
+    pauli_product,
+    pauli_to_masks,
+)
 
 
 class TestPauliMatrix:
@@ -191,42 +200,39 @@ class TestValidators:
 
 
 class TestConjugation:
-    """Symplectic conjugation agrees with dense matrix conjugation."""
+    """Symplectic conjugation agrees with dense matrix conjugation on every 3-qubit Pauli."""
+
+    LETTERS = ["".join(t) for t in itertools.product("IXYZ", repeat=3)]
+
+    def conjugated(self, conj, *qubits) -> list[tuple[int, str]]:
+        """All 64 strings conjugated as one batch, the gate naming ``qubits`` by bit mask."""
+        x, z = (np.array(m, dtype=np.int64) for m in zip(*map(pauli_to_masks, self.LETTERS)))
+        sign = np.ones(len(self.LETTERS))
+        conj(x, z, sign, *(1 << (2 - q) for q in qubits))
+        return [(int(s), masks_to_pauli(xi, zi, 3)) for s, xi, zi in zip(sign, x, z)]
+
+    def assert_conjugates(self, got, gate: np.ndarray) -> None:
+        for letters, p in zip(self.LETTERS, got):
+            want = gate @ pauli_matrix((1, letters)) @ gate.conj().T
+            np.testing.assert_allclose(pauli_matrix(p), want, atol=1e-14, err_msg=letters)
 
     @pytest.mark.parametrize("gate,conj,matrix", [
         ("H", conjugate_h, oracles.H),
         ("S", conjugate_s, oracles.S),
     ])
     def test_single_qubit(self, gate, conj, matrix):
-        rng = np.random.default_rng(7)
-        for _ in range(10):
-            letters = "".join(rng.choice(list("IXYZ"), size=3))
-            p = (1, letters)
-            q = int(rng.integers(0, 3))
-            x, z, sign = pauli_to_xz(p)
-            sign = conj(x[None, :], z[None, :], np.array([sign]), q)
-            got = xz_to_pauli(x, z, int(sign[0]))
-            full = oracles.embed(matrix, (q,), 3)
-            np.testing.assert_allclose(
-                pauli_matrix(got), full @ pauli_matrix(p) @ full.conj().T, atol=1e-14
-            )
+        for q in range(3):
+            self.assert_conjugates(self.conjugated(conj, q), oracles.embed(matrix, (q,), 3))
 
     def test_cz(self):
-        rng = np.random.default_rng(8)
         cz = np.diag([1, 1, 1, -1]).astype(complex)
-        for _ in range(15):
-            letters = "".join(rng.choice(list("IXYZ"), size=3))
-            p = (1, letters)
-            a, b = rng.choice(3, size=2, replace=False)
-            x, z, sign = pauli_to_xz(p)
-            sign = conjugate_cz(x[None, :], z[None, :], np.array([sign]), int(a), int(b))
-            got = xz_to_pauli(x, z, int(sign[0]))
-            full = oracles.embed(cz, (int(a), int(b)), 3)
-            np.testing.assert_allclose(
-                pauli_matrix(got), full @ pauli_matrix(p) @ full.conj().T, atol=1e-14
-            )
+        for a, b in itertools.permutations(range(3), 2):
+            got = self.conjugated(conjugate_cz, a, b)
+            self.assert_conjugates(got, oracles.embed(cz, (a, b), 3))
 
     def test_identity_roundtrip(self):
-        p = (1, "IIII")
-        x, z, sign = pauli_to_xz(p)
-        assert xz_to_pauli(x, z, sign) == p
+        # every 4-qubit string survives letters -> masks -> letters; I...I is (0, 0)
+        assert pauli_to_masks("IIII") == (0, 0)
+        for t in itertools.product("IXYZ", repeat=4):
+            letters = "".join(t)
+            assert masks_to_pauli(*pauli_to_masks(letters), 4) == letters

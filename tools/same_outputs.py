@@ -13,9 +13,11 @@ the only case whose sweep reaches n = 18 to 33 (the others stop at
 k_max 3, n = 15); and ``direct`` in sampled, sampled with
 null readout rates, exact, exact with p1 = 0 and noiseless mode at n = 9,
 sampled at n = 15 with 5 repetitions (the ``direct_n15`` benchmark's
-register size and repetition count), and noiseless at n = 18, whose
+register size and repetition count), noiseless at n = 18, whose
 distributions are written in several slices and whose witness transform
-runs over 2^18 outcomes for 512 terms per parity.  The sampled configs use
+runs over 2^18 outcomes for 512 terms per parity, and exact at n = 16, the
+largest register that the Heisenberg engine ran before its 16-qubit cap
+went.  The sampled configs use
 3 repetitions, apart from one bundle and one ``direct --n 9`` at 9
 repetitions and again at 1: numpy sums 8 or more values pairwise along a
 vector but one by one down the first axis of a stack, so only 8 or more
@@ -85,6 +87,7 @@ DIRECT = {
     "direct-noiseless": (NOISELESS, 9),
     "direct-sampled-n15": ({**SAMPLED, "repetitions": 5}, 15),
     "direct-noiseless-n18": (NOISELESS, 18),
+    "direct-exact-n16": ({"mode": "exact"}, 16),
     "direct-sampled-9-reps": ({**SAMPLED, "repetitions": 9}, 9),
     "direct-sampled-1-rep": ({**SAMPLED, "repetitions": 1}, 9),
 }
