@@ -26,9 +26,9 @@ print("\nthe |+>-input block is the 4-qubit linear-cluster circuit itself:")
 print(" ", [(g.kind, g.qubits, g.label) for g in circ.ops])
 
 results = execute_jobs(plan, RunConfig("exact"), NoiseModel(0.0, 0.0, None))
-job = next(r for r in results if r.spec.job_id == "4q-Xp-XZX-Z")
+dist = next(d for spec, d in results.items() if spec.job_id == "4q-Xp-XZX-Z")
 print("\nexact XZXZ outcome distribution of that block (16 bitstrings):")
-p = job.dist.p
+p = dist.p
 for i, prob in enumerate(p):
     bits = format(i, "04b")
     bar = "#" * int(round(prob * 160))
@@ -38,6 +38,6 @@ print("\nfour outcomes at 1/4 each: the two parity constraints of the cluster")
 print("state in this basis kill the other twelve bitstrings.")
 
 pipeline = MitigationPipeline({})  # nothing to mitigate in exact mode
-phys = pipeline.physical(job.dist)
+phys = pipeline.physical(dist)
 print("mitigation pipeline is the identity here: max change",
       np.max(np.abs(phys.p - p)))

@@ -29,9 +29,9 @@ pipeline = pipeline_for_rep({}, noise.readout, "tensor")
 t4, t3 = pipeline.matrices[4], pipeline.matrices[3]
 print(f"confusion matrices: cond(T4)={t4.cond:.3f}, cond(T3)={t3.cond:.3f}")
 
-by_id = {r.spec.job_id: r for r in results}
-p_xz = pipeline.physical(by_id["4q-Xp-XZX-Z"].counts).p
-p_zx = pipeline.physical(by_id["4q-Xp-ZXZ-X"].counts).p
+by_id = {spec.job_id: counts for spec, counts in results.items()}
+p_xz = pipeline.physical(by_id["4q-Xp-XZX-Z"]).p
+p_zx = pipeline.physical(by_id["4q-Xp-ZXZ-X"]).p
 block = bound_from_distributions(p_xz, p_zx, 4)
 print(f"\n4-qubit cluster block, mitigated fidelity bound: {block['bound']:.4f}")
 

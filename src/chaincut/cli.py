@@ -27,6 +27,7 @@ import functools
 import math
 import os
 import re
+import shutil
 import sys
 from pathlib import Path
 
@@ -111,8 +112,8 @@ def _map_reps(fn, reps) -> list:
 
 
 def _run_rep(out: Path, plan, run, noise, calibrated: bool, rep: int) -> None:
-    for result in execute_jobs(plan, run, noise, rep=rep):
-        write_job_result(out, rep, result)
+    for spec, payload in execute_jobs(plan, run, noise, rep=rep).items():
+        write_job_result(out, rep, spec, payload)
     if calibrated:
         write_calibration(out, rep, run, noise)
 
@@ -121,8 +122,14 @@ def cmd_run_jobs(args) -> int:
     cfg = _load_effective_config(args)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    # manifest.json marks a whole bundle: it goes first and comes back last,
+    # so a run that dies partway leaves a bundle that reconstruct rejects.
+    # An earlier run's repetitions go with it, and its reports lose their
+    # mark: they were built from the bundle this run replaces.
+    (out / "manifest.json").unlink(missing_ok=True)
+    (out / "reports" / "manifest.json").unlink(missing_ok=True)
+    shutil.rmtree(out / "reps", ignore_errors=True)
     (out / "config.json").write_text(dump_json(cfg.to_dict()))
-    _write_manifest(out, "run-jobs", cfg)
     plan = plan_chain_jobs()
     write_plan(out, plan)
     noise = cfg.noise_model()
@@ -132,6 +139,7 @@ def cmd_run_jobs(args) -> int:
         block_distribution(spec, noise)
     reps = range(cfg.effective_repetitions)
     _map_reps(functools.partial(_run_rep, out, plan, run, noise, cfg.calibrated), reps)
+    _write_manifest(out, "run-jobs", cfg)
     print(f"wrote {len(reps)} repetition(s) of {len(plan)} jobs to {out}")
     return 0
 
@@ -164,13 +172,13 @@ def _check_rep_dirs(bundle: Path, repetitions: int) -> None:
 
 def _reconstruct_rep(bundle: Path, plan, cfg: ExperimentConfig, rep: int) -> dict:
     shots = cfg.shots if cfg.mode == "sampled" else None
-    results = [read_job_result(bundle, rep, spec, shots) for spec in plan]
+    payloads = {spec: read_job_result(bundle, rep, spec, shots) for spec in plan}
     # Exact distributions model pre-readout statistics: like uncalibrated counts, no TMEM.
     pipeline = MitigationPipeline({})
     if cfg.calibrated:
         calibration = read_calibration(bundle, rep, cfg.shots, cfg.mitigation)
         pipeline = pipeline_for_rep(calibration, cfg.readout, cfg.mitigation)
-    bt4, bt3 = build_block_tensors(results, pipeline)
+    bt4, bt3 = build_block_tensors(payloads, pipeline)
     return {
         "odd12": witness_values(bt4, bt3, REPORT_N, "odd"),
         "even12": witness_values(bt4, bt3, REPORT_N, "even"),
@@ -257,7 +265,10 @@ def cmd_reconstruct(args) -> int:
     cfg = _load_bundle_config(bundle, args)
     per_rep = _reconstruct_reports(bundle, cfg)
     reports = bundle / "reports"
-    reports.mkdir(parents=True, exist_ok=True)
+    # As in run-jobs, manifest.json marks whole reports: an earlier run's
+    # reports go first, manifest.json with them, and it comes back last.
+    shutil.rmtree(reports, ignore_errors=True)
+    reports.mkdir(parents=True)
     rows = _aggregate_scaling(per_rep, cfg.k_max)
     (reports / "scaling.csv").write_text(_scaling_csv(rows))
     witness = _witness_report(per_rep)

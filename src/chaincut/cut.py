@@ -174,20 +174,8 @@ class JobSpec:
         return "-".join(filter(None, (self.form, self.input, self.pattern, self.cut_basis)))
 
 
-@dataclass(frozen=True)
-class JobResult:
-    """Execution payload for one job: sampled counts or an exact distribution."""
-
-    spec: JobSpec
-    counts: CountsTable | None = None
-    dist: Distribution | None = None
-
-    def __post_init__(self):
-        if (self.counts is None) == (self.dist is None):
-            raise ValueError("exactly one of counts/dist must be set")
-        payload_n = self.counts.n if self.counts is not None else self.dist.n
-        if payload_n != self.spec.n_qubits:
-            raise ValueError("payload register size does not match job spec")
+# A job's result: sampled counts or an exact distribution, over the spec's register.
+Payload = CountsTable | Distribution
 
 
 def plan_chain_jobs() -> tuple[JobSpec, ...]:
@@ -280,14 +268,14 @@ def read_plan(bundle_dir: Path) -> tuple[JobSpec, ...]:
     return read_bundle_file(Path(bundle_dir) / "plan.json", parse)
 
 
-def write_job_result(bundle_dir: Path, rep: int, result: JobResult) -> None:
-    path = job_path(bundle_dir, rep, result.spec)
+def write_job_result(bundle_dir: Path, rep: int, spec: JobSpec, payload: Payload) -> None:
+    path = job_path(bundle_dir, rep, spec)
     path.parent.mkdir(parents=True, exist_ok=True)
-    if result.counts is not None:
-        payload = counts_to_dict(result.counts)
+    if isinstance(payload, CountsTable):
+        d = counts_to_dict(payload)
     else:
-        payload = dist_to_dict(result.dist.n, result.spec.meas, result.dist.p)
-    path.write_text(dump_json(payload))
+        d = dist_to_dict(payload.n, spec.meas, payload.p)
+    path.write_text(dump_json(d))
 
 
 def checked_counts(d: dict, n: int, shots: int) -> CountsTable:
@@ -300,14 +288,14 @@ def checked_counts(d: dict, n: int, shots: int) -> CountsTable:
     return table
 
 
-def read_job_result(bundle_dir: Path, rep: int, spec: JobSpec, shots: int | None) -> JobResult:
+def read_job_result(bundle_dir: Path, rep: int, spec: JobSpec, shots: int | None) -> Payload:
     """One job file, checked against its plan entry and config.json's ``shots``.
 
     ``shots`` is None for an exact bundle.  ``meas`` and ``n`` are checked
     first, so that a wrong ``n`` never sizes an allocation.
     """
 
-    def parse(d: dict) -> JobResult:
+    def parse(d: dict) -> Payload:
         meas, n = setting_from_dict(d), json_int(d["n"], "n")
         if meas != spec.meas or n != spec.n_qubits:
             raise ValueError(
@@ -318,7 +306,7 @@ def read_job_result(bundle_dir: Path, rep: int, spec: JobSpec, shots: int | None
             mode = "exact" if shots is None else "sampled"
             raise ValueError(f"does not hold {mode} data, as config.json says")
         if shots is None:
-            return JobResult(spec, dist=dist_from_dict(d, n))
-        return JobResult(spec, counts=checked_counts(d, n, shots))
+            return dist_from_dict(d, n)
+        return checked_counts(d, n, shots)
 
     return read_bundle_file(job_path(bundle_dir, rep, spec), parse)

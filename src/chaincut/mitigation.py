@@ -25,7 +25,7 @@ import numpy as np
 
 from .circuit import REGISTER_SIZES
 from .counts import CountsTable, Distribution, QuasiDistribution
-from .cut import calibration_path, checked_counts, read_bundle_file
+from .cut import Payload, calibration_path, checked_counts, read_bundle_file
 from .qstate import apply_per_qubit
 
 COND_LIMIT = 1e6
@@ -188,7 +188,7 @@ class MitigationPipeline:
 
     matrices: dict[int, TransitionMatrix]
 
-    def physical(self, payload: CountsTable | Distribution) -> Distribution:
+    def physical(self, payload: Payload) -> Distribution:
         if isinstance(payload, Distribution):
             return mle_project(QuasiDistribution(payload.n, payload.p))
         t = self.matrices.get(payload.n)

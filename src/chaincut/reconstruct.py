@@ -45,7 +45,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .circuit import FOUR_QUBIT, THREE_QUBIT
-from .cut import CUT_BASES, CUT_PATTERNS, JobResult, JobSpec, decomposition_table, plan_chain_jobs
+from .cut import CUT_BASES, CUT_PATTERNS, JobSpec, Payload, decomposition_table, plan_chain_jobs
 from .mitigation import MitigationPipeline
 from .qstate import STATE_LABELS, WALSH_1Q, apply_per_qubit
 
@@ -92,7 +92,6 @@ class WitnessTerm:
 
     subset: tuple[int, ...]
     letters: str
-    parity: str
 
 
 def witness_terms(n: int, parity: str) -> list[WitnessTerm]:
@@ -113,7 +112,7 @@ def witness_terms(n: int, parity: str) -> list[WitnessTerm]:
     codes = ((chosen[:, None] >> bits) & 1) + 2 * ((z_sites[:, None] >> bits) & 1)
     letters = np.array(list("IXZ"))[codes]
     return [
-        WitnessTerm(tuple(i for t, i in enumerate(indices) if (s >> t) & 1), "".join(row), parity)
+        WitnessTerm(tuple(i for t, i in enumerate(indices) if (s >> t) & 1), "".join(row))
         for s, row in enumerate(letters)
     ]
 
@@ -167,17 +166,17 @@ class BlockTensor:
 
 
 def build_block_tensors(
-    results: list[JobResult], pipeline: MitigationPipeline
+    payloads: dict[JobSpec, Payload], pipeline: MitigationPipeline
 ) -> tuple[BlockTensor, BlockTensor]:
-    """Mitigate every job and assemble the two block tensors.
+    """Mitigate every job's payload and assemble the two block tensors.
 
+    ``payloads`` maps each job of the grid to its counts or distribution.
     Four-qubit entries combine the physical distribution's last-qubit
     outcome with each cut observable's outcome weights (projector terms
     read the Z marginal, X/Y terms the parity), then transform outcome
     weights into parity values for the 8 local masks.
     """
     terms = decomposition_table()
-    payloads = {r.spec: r.counts if r.counts is not None else r.dist for r in results}
     missing = sorted(s.job_id for s in plan_chain_jobs() if s not in payloads)
     if missing:
         raise ValueError(f"job grid incomplete, missing: {missing}")

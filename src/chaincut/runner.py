@@ -17,7 +17,7 @@ import numpy as np
 
 from .circuit import REGISTER_SIZES, build_block_subcircuit
 from .counts import CountsTable, Distribution, counts_to_dict, dump_json
-from .cut import JobResult, JobSpec, calibration_dir, calibration_path
+from .cut import JobSpec, Payload, calibration_dir, calibration_path
 from .mitigation import readout_rates
 from .sim import NoiseModel, RunConfig, measure_distribution, rng_for, run_exact, sample_counts
 
@@ -50,34 +50,33 @@ def execute_jobs(
     run: RunConfig,
     noise: NoiseModel,
     rep: int = 0,
-) -> list[JobResult]:
-    """Run every job in the plan; one result per spec, in plan order.
+) -> dict[JobSpec, Payload]:
+    """Run every job in the plan; each spec's payload, in plan order.
 
     Exact mode stores the exact outcome distribution; sampled mode draws
     ``run.shots`` shots from a generator derived from (seed, rep, job
     index), then applies readout flips if the noise model has them.
     Results are independent of execution order by construction.
     """
-    results = []
+    payloads = {}
     for idx, spec in enumerate(plan):
         try:
-            results.append(_execute_one(spec, idx, run, noise, rep))
+            payloads[spec] = _execute_one(spec, idx, run, noise, rep)
         except Exception as exc:
             raise RuntimeError(f"job {spec.job_id} failed: {exc}") from exc
-    return results
+    return payloads
 
 
 def _execute_one(
     spec: JobSpec, idx: int, run: RunConfig, noise: NoiseModel, rep: int
-) -> JobResult:
+) -> Payload:
     dist = block_distribution(spec, noise)
     if run.mode == "exact":
-        return JobResult(spec, dist=dist)
+        return dist
     readout = readout_rates(noise.readout, spec.n_qubits)
-    counts = sample_counts(
+    return sample_counts(
         dist, run.shots, rng_for(run.seed, rep, _JOB_STREAM, idx), readout, meas=spec.meas
     )
-    return JobResult(spec, counts=counts)
 
 
 def calibration_counts(

@@ -356,7 +356,7 @@ CUT_COEFFS = np.array([1.0, 1.0, 0.5, -0.5, 0.5, -0.5])
 XP_INDEX = 2
 
 
-def stitch_expectation(term, bt4, bt3, n_cuts: int) -> float:
+def stitch_expectation(letters: str, parity: str, bt4, bt3, n_cuts: int) -> float:
     """Expectation of one witness term by explicit 6x6 transfer matrices.
 
     Left boundary: the four-qubit tensor at input Xp (the open chain end
@@ -365,8 +365,7 @@ def stitch_expectation(term, bt4, bt3, n_cuts: int) -> float:
     chain.  Masks and patterns come from the term's letters, as in
     stitch_brute_force, not from the library's bit tricks.
     """
-    letters = term.letters
-    k, masks, patterns = _block_masks_and_patterns(letters, term.parity)
+    k, masks, patterns = _block_masks_and_patterns(letters, parity)
     assert k == n_cuts, f"term on {len(letters)} qubits, chain has {3 * n_cuts + 3}"
     v = CUT_COEFFS * bt4.values[patterns[0], XP_INDEX, :, masks[0]]
     for b in range(1, k):

@@ -132,7 +132,7 @@ def test_c3_contraction_vs_brute_force():
                 ref = oracles.stitch_brute_force(
                     terms[idx].letters, parity, bt4.values, bt3.values, coeffs
                 )
-                got = oracles.stitch_expectation(terms[idx], bt4, bt3, k)
+                got = oracles.stitch_expectation(terms[idx].letters, parity, bt4, bt3, k)
                 worst = max(worst, abs(got - ref), abs(batch[idx] - ref))
     elapsed = time.perf_counter() - t0
     report(
@@ -287,9 +287,9 @@ def test_c7_qualitative_paper_regime():
     plan = plan_chain_jobs()
     results = execute_jobs(plan, RunConfig("exact"), noise)
     bt4, bt3 = build_block_tensors(results, MitigationPipeline({}))
-    by_key = {r.spec.job_id: r for r in results}
-    p_xz = by_key["4q-Xp-XZX-Z"].dist.p
-    p_zx = by_key["4q-Xp-ZXZ-X"].dist.p
+    by_id = {s.job_id: dist for s, dist in results.items()}
+    p_xz = by_id["4q-Xp-XZX-Z"].p
+    p_zx = by_id["4q-Xp-ZXZ-X"].p
     block4 = bound_from_distributions(p_xz, p_zx, 4)
     odd = float(np.mean(witness_values(bt4, bt3, 12, "odd")))
     even = float(np.mean(witness_values(bt4, bt3, 12, "even")))

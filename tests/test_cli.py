@@ -18,6 +18,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from chaincut import cli
 from chaincut.circuit import build_linear_cluster
 from chaincut.cli import _map_reps, main
 from chaincut.config import MITIGATION_MODES, ExperimentConfig, config_from_dict, load_config
@@ -242,18 +243,14 @@ class TestReconstruct:
         assert main(["reconstruct", "--out", str(tmp_path / "nothing")]) == 1
 
     def test_stale_repetition_is_rejected(self, tmp_path, capsys):
-        # a smaller run into the same out_dir leaves the first run's r02 behind;
-        # averaging it in would mix two configs into one bound
+        # run-jobs removes the repetitions it did not write, but one copied in
+        # by hand is rejected, not averaged in
         out = tmp_path / "run"
-        first = write_config(
-            tmp_path, mode="sampled", repetitions=3, shots=1000, k_max=1, out_dir=str(out)
+        cfg = write_config(
+            tmp_path, mode="sampled", repetitions=2, shots=1000, k_max=1, out_dir=str(out)
         )
-        assert main(["run-jobs", "--config", str(first)]) == 0
-        second = write_config(
-            tmp_path, mode="sampled", repetitions=2, shots=1000, k_max=1, seed=99,
-            out_dir=str(out),
-        )
-        assert main(["run-jobs", "--config", str(second)]) == 0
+        assert main(["run-jobs", "--config", str(cfg)]) == 0
+        shutil.copytree(out / "reps" / "r01", out / "reps" / "r02")
         capsys.readouterr()
         assert main(["reconstruct", "--out", str(out)]) == 1
         err = capsys.readouterr().err
@@ -270,6 +267,99 @@ class TestReconstruct:
         capsys.readouterr()
         assert main(["reconstruct", "--out", str(out)]) == 1
         assert "missing r01" in capsys.readouterr().err
+
+
+class TestWholeOutputs:
+    """manifest.json goes first and comes back last, so it marks a verb's whole output.
+
+    A rerun into an old directory also deletes what the earlier run wrote
+    and this one did not.
+    """
+
+    SAMPLED = dict(mode="sampled", shots=1000, k_max=1)
+
+    def test_killed_rerun_cannot_be_reconstructed(self, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "run"
+        fields = dict(self.SAMPLED, repetitions=5, out_dir=str(out))
+        assert main(["run-jobs", "--config", str(write_config(tmp_path, seed=1, **fields))]) == 0
+        write = cli.write_job_result
+
+        def dies_at_rep_3(bundle_dir, rep, *job):
+            if rep == 3:
+                raise OSError("killed at repetition 3")
+            write(bundle_dir, rep, *job)
+
+        # forked workers inherit the patch
+        monkeypatch.setattr(cli, "write_job_result", dies_at_rep_3)
+        assert main(["run-jobs", "--config", str(write_config(tmp_path, seed=2, **fields))]) == 1
+        monkeypatch.undo()
+        capsys.readouterr()
+        assert main(["reconstruct", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert str(out / "manifest.json") in err
+
+    def test_smaller_rerun_reconstructs_from_its_own_repetitions(self, tmp_path):
+        out, fresh = tmp_path / "run", tmp_path / "fresh"
+        first = write_config(tmp_path, **self.SAMPLED, repetitions=3, out_dir=str(out))
+        assert main(["run-jobs", "--config", str(first)]) == 0
+        second = write_config(tmp_path, **self.SAMPLED, repetitions=2, seed=99, out_dir=str(out))
+        assert main(["run-jobs", "--config", str(second)]) == 0
+        assert sorted(p.name for p in (out / "reps").iterdir()) == ["r00", "r01"]
+        assert main(["reconstruct", "--out", str(out)]) == 0
+        # the same as the same run into an empty directory
+        assert main(["run-jobs", "--config", str(second), "--out", str(fresh)]) == 0
+        assert main(["reconstruct", "--out", str(fresh)]) == 0
+        assert read_tree(out / "reps") == read_tree(fresh / "reps")
+        reports, fresh_reports = read_tree(out / "reports"), read_tree(fresh / "reports")
+        del reports["manifest.json"], fresh_reports["manifest.json"]  # out_dir is hashed
+        assert reports == fresh_reports
+
+    def test_rerun_without_calibration_removes_it(self, tmp_path):
+        out = tmp_path / "run"
+        sampled = write_config(tmp_path, **self.SAMPLED, repetitions=2, out_dir=str(out))
+        assert main(["run-jobs", "--config", str(sampled)]) == 0
+        assert (out / "reps" / "r00" / "calibration").is_dir()
+        exact = write_config(tmp_path, mode="exact", k_max=1, out_dir=str(out))
+        assert main(["run-jobs", "--config", str(exact)]) == 0
+        assert [p.name for p in (out / "reps").iterdir()] == ["r00"]
+        assert not (out / "reps" / "r00" / "calibration").exists()
+        assert main(["reconstruct", "--out", str(out)]) == 0
+
+    def test_rerun_without_matrices_leaves_no_transition_file(self, tmp_path):
+        out = tmp_path / "run"
+        for mitigation, files in (("auto", 2), ("none", 0)):
+            cfg = write_config(
+                tmp_path, **self.SAMPLED, repetitions=1, mitigation=mitigation, out_dir=str(out)
+            )
+            assert main(["run-jobs", "--config", str(cfg)]) == 0
+            assert main(["reconstruct", "--out", str(out)]) == 0
+            assert len(list((out / "reports").glob("transition_q*.json"))) == files
+
+    def test_rerun_unmarks_the_earlier_reports(self, tmp_path):
+        # reports built from the bundle a rerun replaces are no longer whole
+        out = tmp_path / "run"
+        cfg = write_config(tmp_path, **self.SAMPLED, repetitions=1, out_dir=str(out))
+        assert main(["run-jobs", "--config", str(cfg)]) == 0
+        assert main(["reconstruct", "--out", str(out)]) == 0
+        assert main(["run-jobs", "--config", str(cfg), "--seed", "2"]) == 0
+        assert (out / "manifest.json").exists()
+        assert not (out / "reports" / "manifest.json").exists()
+
+    def test_failed_reconstruct_leaves_reports_unmarked(self, tmp_path, monkeypatch):
+        out = tmp_path / "run"
+        cfg = write_config(tmp_path, **self.SAMPLED, repetitions=1, out_dir=str(out))
+        assert main(["run-jobs", "--config", str(cfg)]) == 0
+        assert main(["reconstruct", "--out", str(out)]) == 0
+        assert (out / "reports" / "manifest.json").exists()
+
+        def fails(per_rep):
+            raise OSError("killed while writing reports")
+
+        monkeypatch.setattr(cli, "_witness_report", fails)
+        assert main(["reconstruct", "--out", str(out)]) == 1
+        assert (out / "reports" / "scaling.csv").exists()
+        assert not (out / "reports" / "manifest.json").exists()
 
 
 # (mode, field, edit): job-file edits that int(), float() or "".join() would

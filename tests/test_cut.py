@@ -6,9 +6,7 @@ import numpy as np
 import pytest
 
 from chaincut import cut
-from chaincut.counts import Distribution
 from chaincut.cut import (
-    JobResult,
     JobSpec,
     decomposition_table,
     plan_chain_jobs,
@@ -138,8 +136,8 @@ class TestExecution:
         want = oracles.measured_distribution(
             oracles.statevector(build_linear_cluster(4)), "XZXZ"
         )
-        job = next(r for r in exact_results if r.spec.job_id == "4q-Xp-XZX-Z")
-        np.testing.assert_allclose(job.dist.p, want, atol=1e-13)
+        job = next(p for s, p in exact_results.items() if s.job_id == "4q-Xp-XZX-Z")
+        np.testing.assert_allclose(job.p, want, atol=1e-13)
 
     def test_zero_shots_rejected(self):
         with pytest.raises(ValueError):
@@ -147,14 +145,10 @@ class TestExecution:
 
     def test_rerun_with_same_seed_is_identical(self, plan, default_noise):
         run = RunConfig("sampled", shots=5000, seed=99)
-        a = execute_jobs(plan, run, default_noise)
-        b = execute_jobs(plan, run, default_noise)
-        for ra, rb in zip(a, b):
-            assert ra.spec == rb.spec
-            assert ra.counts == rb.counts
+        assert execute_jobs(plan, run, default_noise) == execute_jobs(plan, run, default_noise)
 
     def test_results_align_with_plan(self, plan, exact_results):
-        assert [r.spec for r in exact_results] == list(plan)
+        assert list(exact_results) == list(plan)
 
 
 class TestBundle:
@@ -164,22 +158,17 @@ class TestBundle:
 
     def test_result_roundtrip_counts(self, tmp_path, plan, default_noise):
         run = RunConfig("sampled", shots=2000, seed=3)
-        results = execute_jobs(plan[:2], run, default_noise)
-        for r in results:
-            write_job_result(tmp_path, 0, r)
-        for r in results:
-            again = read_job_result(tmp_path, 0, r.spec, 2000)
-            assert again.counts == r.counts
-            assert again.counts.meas == r.spec.meas
+        payloads = execute_jobs(plan[:2], run, default_noise)
+        for spec, counts in payloads.items():
+            write_job_result(tmp_path, 0, spec, counts)
+        for spec, counts in payloads.items():
+            again = read_job_result(tmp_path, 0, spec, 2000)
+            assert again == counts
+            assert again.meas == spec.meas
 
     def test_result_roundtrip_exact(self, tmp_path, plan):
-        results = execute_jobs(plan[:1], RunConfig("exact"), NoiseModel(0.0, 0.0, None))
-        write_job_result(tmp_path, 0, results[0])
-        again = read_job_result(tmp_path, 0, results[0].spec, None)
-        np.testing.assert_allclose(again.dist.p, results[0].dist.p, rtol=0, atol=0)
-
-    def test_payload_type_enforced(self, plan):
-        with pytest.raises(ValueError, match="exactly one"):
-            JobResult(plan[0])
-        with pytest.raises(ValueError, match="register size"):
-            JobResult(plan[0], dist=Distribution(3, np.full(8, 1 / 8)))
+        payloads = execute_jobs(plan[:1], RunConfig("exact"), NoiseModel(0.0, 0.0, None))
+        [(spec, dist)] = payloads.items()
+        write_job_result(tmp_path, 0, spec, dist)
+        again = read_job_result(tmp_path, 0, spec, None)
+        np.testing.assert_allclose(again.p, dist.p, rtol=0, atol=0)

@@ -161,7 +161,7 @@ class TestStitching:
         for parity in ("odd", "even"):
             batch = witness_values(bt4, bt3, 12, parity)
             for term, want in zip(witness_terms(12, parity), batch):
-                got = oracles.stitch_expectation(term, bt4, bt3, 3)
+                got = oracles.stitch_expectation(term.letters, parity, bt4, bt3, 3)
                 assert got == pytest.approx(want, abs=1e-12)
 
     def test_all_identity_term_is_one_for_normalized_data(self, sampled_tensors):
@@ -170,7 +170,7 @@ class TestStitching:
             n = 3 * n_cuts + 3
             term = witness_terms(n, parity)[0]
             assert term.subset == ()
-            val = oracles.stitch_expectation(term, bt4, bt3, n_cuts)
+            val = oracles.stitch_expectation(term.letters, parity, bt4, bt3, n_cuts)
             assert val == pytest.approx(1.0, abs=1e-9)
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
@@ -188,7 +188,7 @@ class TestStitching:
                 ref = oracles.stitch_brute_force(
                     term.letters, parity, bt4.values, bt3.values, coeffs
                 )
-                got = oracles.stitch_expectation(term, bt4, bt3, k)
+                got = oracles.stitch_expectation(term.letters, parity, bt4, bt3, k)
                 assert got == pytest.approx(ref, abs=1e-12)
                 assert batch[idx] == pytest.approx(ref, abs=1e-12)
 
@@ -197,7 +197,7 @@ class TestStitching:
         coeffs = np.array([t.coeff for t in decomposition_table()])
         term = next(t for t in witness_terms(12, "odd") if t.subset == (1,))
         ref = oracles.stitch_brute_force(term.letters, "odd", bt4.values, bt3.values, coeffs)
-        assert oracles.stitch_expectation(term, bt4, bt3, 3) == pytest.approx(ref, abs=1e-12)
+        assert oracles.stitch_expectation(term.letters, "odd", bt4, bt3, 3) == pytest.approx(ref, abs=1e-12)
 
     @staticmethod
     def assert_averages_equal_term_mean(bt4, bt3, n_max):
@@ -259,7 +259,7 @@ class TestStitchedDistribution:
 
 
 class TestWitnessFromDistribution:
-    def test_mask_signs_match_popcount_loop(self):
+    def test_signs3_match_popcount_loop(self):
         want = [[(-1.0) ** bin(mask & b).count("1") for b in range(8)] for mask in range(8)]
         np.testing.assert_array_equal(SIGNS3, want)
 
@@ -343,7 +343,7 @@ class TestBlockTensors:
         assert np.max(np.abs(s3.values - e3.values)) <= 3e-3
 
     def test_incomplete_grid_reported(self, plan, exact_results):
-        partial = [r for r in exact_results if r.spec.job_id != "4q-Xp-XZX-Z"]
+        partial = {s: p for s, p in exact_results.items() if s.job_id != "4q-Xp-XZX-Z"}
         with pytest.raises(ValueError, match="missing.*4q-Xp-XZX"):
             build_block_tensors(partial, MitigationPipeline({}))
 
@@ -409,9 +409,9 @@ class TestBoundAndSweep:
         self, sampled_results, sampled_pipeline
     ):
         # the measured-and-mitigated cluster block itself, one million shots
-        by_id = {r.spec.job_id: r for r in sampled_results}
-        p_xz = sampled_pipeline.physical(by_id["4q-Xp-XZX-Z"].counts).p
-        p_zx = sampled_pipeline.physical(by_id["4q-Xp-ZXZ-X"].counts).p
+        by_id = {s.job_id: counts for s, counts in sampled_results.items()}
+        p_xz = sampled_pipeline.physical(by_id["4q-Xp-XZX-Z"]).p
+        p_zx = sampled_pipeline.physical(by_id["4q-Xp-ZXZ-X"]).p
         rep = bound_from_distributions(p_xz, p_zx, 4)
         assert 0.60 <= rep["bound"] <= 0.85
 

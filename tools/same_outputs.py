@@ -10,8 +10,12 @@ directory and runs the same verbs with it and with this checkout's
 cycles), on null and empty readout-rate lists, on an exact config, an exact one with
 p2 = 0 and a noiseless exact one, and on one sampled config at k_max 9,
 the only case whose sweep reaches n = 18 to 33 (the others stop at
-k_max 3, n = 15); and ``direct`` in sampled, sampled with
-null readout rates, exact, exact with p1 = 0 and noiseless mode at n = 9,
+k_max 3, n = 15); then a user's rerun into an existing bundle: the
+sampled config under ``auto`` and then under ``none``, both into
+``rerun``, so the second run replaces the first's outputs and shows what
+it leaves of those it no longer writes (``auto``'s transition matrices);
+and ``direct`` in sampled, sampled with null readout rates, exact, exact
+with p1 = 0 and noiseless mode at n = 9,
 sampled at n = 15 with 5 repetitions (the ``direct_n15`` benchmark's
 register size and repetition count), noiseless at n = 18, whose
 distributions are written in several slices and whose witness transform
@@ -25,7 +29,8 @@ repetitions show a change in how the means and stds over repetitions are
 summed, and 1 repetition takes the branch that writes a std of 0.  The two zero-rate configs each
 reach a depolarizing rate of 0 in one engine: p2 = 0 in the dense block
 simulator, p1 = 0 in the Heisenberg reference.  Configs use relative
-``out_dir``s, so the two sides write the same paths.  Every output file is
+``out_dir``s, so the two sides write the same paths; a case's ``out_dir``
+is its name unless its fields name another.  Every output file is
 compared byte for byte, with the wall-clock ``time_ms`` column of
 ``scaling.csv`` stripped; so are each verb's exit code, stdout and stderr
 (``commands.log``).
@@ -62,7 +67,8 @@ SAMPLED = {"mode": "sampled", "shots": 2000, "repetitions": 3, "seed": 7, "k_max
 NO_RATES = {"f00": None, "f11": None}
 NOISELESS = {"mode": "exact", "p1": 0.0, "p2": 0.0, **NO_RATES, "mitigation": "none"}
 
-# name -> config fields; run-jobs + reconstruct on each
+# name -> config fields; run-jobs + reconstruct on each, in order, into its
+# out_dir (by default its name)
 BUNDLES = {
     "auto": SAMPLED,
     "tensor": {**SAMPLED, "mitigation": "tensor"},
@@ -77,6 +83,9 @@ BUNDLES = {
     "auto-9-reps": {**SAMPLED, "repetitions": 9},
     "auto-1-rep": {**SAMPLED, "repetitions": 1},
     "auto-k9": {**SAMPLED, "k_max": 9},
+    # a rerun into an existing bundle (the benchmark times only empty out_dirs)
+    "rerun-auto": {**SAMPLED, "out_dir": "rerun"},
+    "rerun-none": {**SAMPLED, "mitigation": "none", "out_dir": "rerun"},
 }
 # name -> (config fields, chain length); direct --n <length> on each
 DIRECT = {
@@ -96,9 +105,9 @@ DIRECT = {
 def commands() -> list[list[str]]:
     """Verb argvs in run order; each config is written as configs/<name>.json."""
     steps = []
-    for name in BUNDLES:
+    for name, fields in BUNDLES.items():
         steps.append(["run-jobs", "--config", f"configs/{name}.json"])
-        steps.append(["reconstruct", "--out", name])
+        steps.append(["reconstruct", "--out", fields.get("out_dir", name)])
     for name, (_, n) in DIRECT.items():
         steps.append(["direct", "--config", f"configs/{name}.json", "--n", str(n)])
     return steps
@@ -109,7 +118,7 @@ def run_side(src: Path, work: Path) -> None:
     (work / "configs").mkdir(parents=True)
     configs = {**BUNDLES, **{name: fields for name, (fields, _) in DIRECT.items()}}
     for name, fields in configs.items():
-        (work / "configs" / f"{name}.json").write_text(json.dumps({**fields, "out_dir": name}))
+        (work / "configs" / f"{name}.json").write_text(json.dumps({"out_dir": name, **fields}))
     env = {**os.environ, "PYTHONPATH": str(src)}
     log = []
     for argv in commands():
