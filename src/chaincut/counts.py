@@ -7,8 +7,10 @@ produced) data can be processed without a quantum backend in sight.
 Counts file (JSON): ``{"n": 4, "shots": 1000000, "meas": ["X","Z","X","Z"],
 "counts": {"0101": 12345, ...}}`` with bitstrings qubit-0-leftmost.
 Exact results use ``"dist": [p_0, ..., p_{2^n-1}]`` in place of
-``shots``/``counts``, indexed by basis-state integer.  In memory, counts are
-dense vectors too; only counts_to_dict and counts_from_dict see bitstrings.
+``shots``/``counts``, indexed by basis-state integer.  In memory, a payload
+is its dense vector alone; the setting is the job's.  payload_to_dict and
+payload_from_dict are the one writer and the one checked reader of the
+file form, and only they (through counts_from_dict) see bitstrings.
 """
 
 from __future__ import annotations
@@ -36,21 +38,21 @@ MAX_SHOTS = 2**62 - 1
 
 @dataclass(frozen=True, eq=False)
 class CountsTable:
-    """Sampled counts for one measurement setting.
+    """Sampled counts of one result.
 
     ``counts`` is a read-only int64 vector over the 2^n outcomes, indexed
     by basis-state integer; ``n`` and ``shots`` follow from it.
     """
 
-    meas: str
     counts: np.ndarray
 
     def __post_init__(self):
         counts = np.array(self.counts, dtype=np.int64)
         counts.flags.writeable = False
         object.__setattr__(self, "counts", counts)
-        if counts.ndim != 1 or len(self.meas) != num_qubits(len(counts)):
-            raise ValueError(f"{counts.shape} counts do not match setting {self.meas!r}")
+        if counts.ndim != 1:
+            raise ValueError(f"{counts.shape} counts are not a vector")
+        num_qubits(len(counts))
         if np.any(counts < 0):
             raise ValueError("negative count")
         if self.shots <= 0:
@@ -70,12 +72,12 @@ class CountsTable:
     def __eq__(self, other):
         if not isinstance(other, CountsTable):
             return NotImplemented
-        return self.meas == other.meas and np.array_equal(self.counts, other.counts)
+        return np.array_equal(self.counts, other.counts)
 
 
-def counts_from_vector(vec: np.ndarray, meas: str, shots: int) -> CountsTable:
+def counts_from_vector(vec: np.ndarray, shots: int) -> CountsTable:
     """Counts table from a dense count vector that must sum to ``shots``."""
-    t = CountsTable(meas, vec)
+    t = CountsTable(vec)
     if t.shots != shots:
         raise ValueError(f"counts sum to {t.shots}, shots say {shots}")
     return t
@@ -85,42 +87,47 @@ def counts_from_vector(vec: np.ndarray, meas: str, shots: int) -> CountsTable:
 class Distribution:
     """A physical probability vector over 2^n outcomes."""
 
-    n: int
     p: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "p", np.asarray(self.p, dtype=float))
-        if len(self.p) != 2**self.n:
-            raise ValueError("length does not match register size")
         assert_distribution(self.p)
+
+    @property
+    def n(self) -> int:
+        return num_qubits(len(self.p))
 
 
 @dataclass(frozen=True)
 class QuasiDistribution:
     """A real vector summing to 1 whose entries may be negative."""
 
-    n: int
     w: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "w", np.asarray(self.w, dtype=float))
-        if len(self.w) != 2**self.n:
-            raise ValueError("length does not match register size")
         assert_quasi_distribution(self.w)
+
+
+# A result: sampled counts or an exact distribution, over the register its setting reads.
+Payload = CountsTable | Distribution
 
 
 # ---------------------------------------------------------------------------
 # File format
 
 
-def counts_to_dict(t: CountsTable) -> dict:
-    """The file form: nonzero counts keyed by bitstring."""
-    n = t.n
+def payload_to_dict(meas: str, payload: Payload) -> dict:
+    """The file form of a result measured in setting ``meas``: the one writer of result files."""
+    n = payload.n
+    if isinstance(payload, Distribution):
+        return {"n": n, "meas": list(meas), "dist": payload.p.tolist()}
+    counts = payload.counts
     return {
         "n": n,
-        "shots": t.shots,
-        "meas": list(t.meas),
-        "counts": {index_to_bits(int(j), n): int(t.counts[j]) for j in np.flatnonzero(t.counts)},
+        "shots": payload.shots,
+        "meas": list(meas),
+        "counts": {index_to_bits(int(j), n): int(counts[j]) for j in np.flatnonzero(counts)},
     }
 
 
@@ -144,15 +151,32 @@ def json_int(value, name: str) -> int:
     return value
 
 
-def setting_from_dict(d: dict) -> str:
-    """The measurement setting of a file form: a list of basis letters."""
-    if not isinstance(d.get("meas"), list):
-        raise ValueError(f"meas must be a list of basis letters, got {d.get('meas')!r}")
-    return "".join(d["meas"])
+def payload_from_dict(d: dict, meas: str, shots: int | None) -> Payload:
+    """The payload of a result file that must hold setting ``meas``: the one checked reader.
+
+    ``shots`` is None for exact data, else the shot count the counts must
+    sum to.  ``meas`` and ``n`` are checked first, so that a wrong ``n``
+    never sizes an allocation.
+    """
+    n = json_int(d["n"], "n")
+    if d["meas"] != list(meas) or n != len(meas):
+        raise ValueError(f"holds meas={d['meas']!r} n={n}, needs meas={list(meas)!r} n={len(meas)}")
+    if ("counts" in d) != (shots is not None):
+        mode = "exact" if shots is None else "sampled"
+        raise ValueError(f"does not hold {mode} data, as config.json says")
+    if shots is None:
+        p = d["dist"]
+        if p is None or not has_json_type([], p) or len(p) != 2**n:
+            raise ValueError(f"dist must be a list of {2**n} numbers")
+        return Distribution(np.array(p, dtype=float))
+    table = counts_from_dict(d)
+    if table.shots != shots:
+        raise ValueError(f"holds shots={table.shots}, but config.json says {shots}")
+    return table
 
 
 def counts_from_dict(d: dict) -> CountsTable:
-    """Parse the file form; keys must be n-character 0/1 strings, numbers JSON integers."""
+    """The counts of a sampled file form; keys must be n-character 0/1 strings, numbers JSON integers."""
     n = json_int(d["n"], "n")
     vec = np.zeros(2**n, dtype=np.int64)
     index = _bitstring_index(n)
@@ -165,7 +189,7 @@ def counts_from_dict(d: dict) -> CountsTable:
         if not 0 <= c <= MAX_SHOTS:
             raise ValueError(f"count {c!r} for {bits!r} is negative or too large")
         vec[j] = c
-    return counts_from_vector(vec, setting_from_dict(d), json_int(d["shots"], "shots"))
+    return counts_from_vector(vec, json_int(d["shots"], "shots"))
 
 
 @functools.lru_cache(maxsize=8)
@@ -176,18 +200,6 @@ def _bitstring_index(n: int) -> dict[str, int]:
     is built once per process.
     """
     return {index_to_bits(j, n): j for j in range(2**n)}
-
-
-def dist_to_dict(n: int, meas: str, p: np.ndarray) -> dict:
-    return {"n": n, "meas": list(meas), "dist": [float(x) for x in p]}
-
-
-def dist_from_dict(d: dict, n: int) -> Distribution:
-    """The distribution of an exact file form, whose ``dist`` must hold JSON numbers."""
-    p = d["dist"]
-    if p is None or not has_json_type([], p):
-        raise ValueError("dist must be a list of numbers")
-    return Distribution(n, np.array(p, dtype=float))
 
 
 # A 1-D float64 array at least this long is written SLICE items at a time,

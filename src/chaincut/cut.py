@@ -29,24 +29,15 @@ reconstruction can run on archived or externally produced data.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .circuit import BLOCK_FORMS, FOUR_QUBIT, THREE_QUBIT
-from .counts import (
-    CountsTable,
-    Distribution,
-    counts_from_dict,
-    counts_to_dict,
-    dist_from_dict,
-    dist_to_dict,
-    dump_json,
-    json_int,
-    setting_from_dict,
-)
+from .circuit import BLOCK_FORMS, FOUR_QUBIT, REGISTER_SIZES, THREE_QUBIT
+from .counts import Payload, dump_json, payload_from_dict, payload_to_dict
 from .qstate import PAULI_1Q, STATE_LABELS, index_to_bits, projector, state_vector_1q
 
 CUT_PATTERNS = ("XZX", "ZXZ")
@@ -163,7 +154,7 @@ class JobSpec:
 
     @property
     def n_qubits(self) -> int:
-        return 4 if self.form == FOUR_QUBIT else 3
+        return REGISTER_SIZES[BLOCK_FORMS.index(self.form)]
 
     @property
     def meas(self) -> str:
@@ -172,10 +163,6 @@ class JobSpec:
     @property
     def job_id(self) -> str:
         return "-".join(filter(None, (self.form, self.input, self.pattern, self.cut_basis)))
-
-
-# A job's result: sampled counts or an exact distribution, over the spec's register.
-Payload = CountsTable | Distribution
 
 
 def plan_chain_jobs() -> tuple[JobSpec, ...]:
@@ -209,9 +196,10 @@ def plan_chain_jobs() -> tuple[JobSpec, ...]:
 def read_bundle_file(path: Path, parse):
     """``parse(obj)`` for the JSON object in one bundle (or config) file: the one reader.
 
-    Invalid JSON, a value that is not an object, and anything ``parse`` finds
-    missing, mistyped or out of range become a ValueError naming the file; a
-    file that cannot be opened stays the OSError (FileNotFoundError, ...) naming it.
+    Invalid or too deeply nested JSON, a value that is not an object, and
+    anything ``parse`` finds missing, mistyped or out of range become a
+    ValueError naming the file; a file that cannot be opened stays the
+    OSError (FileNotFoundError, ...) naming it.
     """
     try:
         d = json.loads(Path(path).read_text())
@@ -220,7 +208,7 @@ def read_bundle_file(path: Path, parse):
         return parse(d)
     except KeyError as exc:
         raise ValueError(f"{path}: no field {exc}") from exc
-    except (ValueError, TypeError, AttributeError, OverflowError) as exc:
+    except (ValueError, TypeError, AttributeError, OverflowError, RecursionError) as exc:
         raise ValueError(f"{path}: {exc}") from exc
 
 
@@ -271,42 +259,13 @@ def read_plan(bundle_dir: Path) -> tuple[JobSpec, ...]:
 def write_job_result(bundle_dir: Path, rep: int, spec: JobSpec, payload: Payload) -> None:
     path = job_path(bundle_dir, rep, spec)
     path.parent.mkdir(parents=True, exist_ok=True)
-    if isinstance(payload, CountsTable):
-        d = counts_to_dict(payload)
-    else:
-        d = dist_to_dict(payload.n, spec.meas, payload.p)
-    path.write_text(dump_json(d))
-
-
-def checked_counts(d: dict, n: int, shots: int) -> CountsTable:
-    """The counts table of a parsed counts file that must hold ``n`` and config.json's ``shots``."""
-    if d.get("n") != n:
-        raise ValueError(f"holds n={d.get('n')!r}, needs n={n}")
-    table = counts_from_dict(d)
-    if table.shots != shots:
-        raise ValueError(f"holds shots={table.shots}, but config.json says {shots}")
-    return table
+    path.write_text(dump_json(payload_to_dict(spec.meas, payload)))
 
 
 def read_job_result(bundle_dir: Path, rep: int, spec: JobSpec, shots: int | None) -> Payload:
-    """One job file, checked against its plan entry and config.json's ``shots``.
+    """One job file, checked against its plan entry's setting and config.json's ``shots``.
 
-    ``shots`` is None for an exact bundle.  ``meas`` and ``n`` are checked
-    first, so that a wrong ``n`` never sizes an allocation.
+    ``shots`` is None for an exact bundle.
     """
-
-    def parse(d: dict) -> Payload:
-        meas, n = setting_from_dict(d), json_int(d["n"], "n")
-        if meas != spec.meas or n != spec.n_qubits:
-            raise ValueError(
-                f"holds meas={meas!r} n={n!r}, "
-                f"but job {spec.job_id} needs meas={spec.meas!r} n={spec.n_qubits}"
-            )
-        if ("counts" in d) != (shots is not None):
-            mode = "exact" if shots is None else "sampled"
-            raise ValueError(f"does not hold {mode} data, as config.json says")
-        if shots is None:
-            return dist_from_dict(d, n)
-        return checked_counts(d, n, shots)
-
+    parse = functools.partial(payload_from_dict, meas=spec.meas, shots=shots)
     return read_bundle_file(job_path(bundle_dir, rep, spec), parse)

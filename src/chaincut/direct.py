@@ -177,10 +177,10 @@ def direct_chain_report(
             p = flipped
             if run.mode == "sampled":
                 rng = rng_for(run.seed, 9000 + rep, n, ord(setting[0]))
-                p = sample_counts(Distribution(n, p), run.shots, rng, None).frequencies()
+                p = sample_counts(Distribution(p), run.shots, rng).frequencies()
             observed[rep] = p
             quasi = p if readout is None else tmem_product_inverse(p, readout)
-            mitigated[rep] = mle_project(QuasiDistribution(n, quasi)).p
+            mitigated[rep] = mle_project(QuasiDistribution(quasi)).p
         dists[setting] = {"ideal": ideal, "observed": observed, "mitigated": mitigated}
     # odd (XZ) then even (ZX), the order of SETTINGS
     report = bound_from_distributions(*(d["mitigated"] for d in dists.values()), n)

@@ -24,8 +24,8 @@ from pathlib import Path
 import numpy as np
 
 from .circuit import REGISTER_SIZES
-from .counts import CountsTable, Distribution, QuasiDistribution
-from .cut import Payload, calibration_path, checked_counts, read_bundle_file
+from .counts import CountsTable, Distribution, Payload, QuasiDistribution, payload_from_dict
+from .cut import calibration_path, read_bundle_file
 from .qstate import apply_per_qubit
 
 COND_LIMIT = 1e6
@@ -104,7 +104,7 @@ def apply_tmem(data: CountsTable | np.ndarray, t: TransitionMatrix) -> QuasiDist
         q = np.linalg.solve(t.matrix, freq)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"singular transition matrix: {exc}") from exc
-    return QuasiDistribution(t.n, q)
+    return QuasiDistribution(q)
 
 
 def project_to_simplex(v: np.ndarray) -> np.ndarray:
@@ -125,7 +125,7 @@ def mle_project(q: QuasiDistribution) -> Distribution:
     diagonal, so the result is exactly the Euclidean projection.  q sums
     to one already: QuasiDistribution checks that when it is built.
     """
-    return Distribution(q.n, project_to_simplex(q.w))
+    return Distribution(project_to_simplex(q.w))
 
 
 def readout_rates(
@@ -190,10 +190,10 @@ class MitigationPipeline:
 
     def physical(self, payload: Payload) -> Distribution:
         if isinstance(payload, Distribution):
-            return mle_project(QuasiDistribution(payload.n, payload.p))
+            return mle_project(QuasiDistribution(payload.p))
         t = self.matrices.get(payload.n)
         if t is None:
-            q = QuasiDistribution(payload.n, payload.frequencies())
+            q = QuasiDistribution(payload.frequencies())
         else:
             q = apply_tmem(payload, t)
         return mle_project(q)
@@ -218,17 +218,10 @@ def read_calibration(
                 if not path.is_file():
                     raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), str(path))
             continue
-        parse = functools.partial(_calibration_table, n=n, shots=shots)
+        # calibration reads every qubit of the register in Z
+        parse = functools.partial(payload_from_dict, meas="Z" * n, shots=shots)
         tables[n] = [read_bundle_file(path, parse) for path in paths]
     return tables
-
-
-def _calibration_table(d: dict, n: int, shots: int) -> CountsTable:
-    """One calibration file's counts: a Z-basis readout of all n qubits."""
-    table = checked_counts(d, n, shots)
-    if table.meas != "Z" * n:
-        raise ValueError(f"holds meas={table.meas!r}, but calibration reads every qubit in Z")
-    return table
 
 
 def pipeline_for_rep(

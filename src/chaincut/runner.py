@@ -16,8 +16,8 @@ from pathlib import Path
 import numpy as np
 
 from .circuit import REGISTER_SIZES, build_block_subcircuit
-from .counts import CountsTable, Distribution, counts_to_dict, dump_json
-from .cut import JobSpec, Payload, calibration_dir, calibration_path
+from .counts import CountsTable, Distribution, Payload, dump_json, payload_to_dict
+from .cut import JobSpec, calibration_dir, calibration_path
 from .mitigation import readout_rates
 from .sim import NoiseModel, RunConfig, measure_distribution, rng_for, run_exact, sample_counts
 
@@ -74,9 +74,7 @@ def _execute_one(
     if run.mode == "exact":
         return dist
     readout = readout_rates(noise.readout, spec.n_qubits)
-    return sample_counts(
-        dist, run.shots, rng_for(run.seed, rep, _JOB_STREAM, idx), readout, meas=spec.meas
-    )
+    return sample_counts(dist, run.shots, rng_for(run.seed, rep, _JOB_STREAM, idx), readout)
 
 
 def calibration_counts(
@@ -86,7 +84,7 @@ def calibration_counts(
     rng: np.random.Generator,
 ) -> list[CountsTable]:
     """Readout calibration data: sampled counts for each prepared basis state, in index order."""
-    return [sample_counts(Distribution(n, p), shots, rng, readout) for p in np.eye(2**n)]
+    return [sample_counts(Distribution(p), shots, rng, readout) for p in np.eye(2**n)]
 
 
 def write_calibration(bundle_dir: Path, rep: int, run: RunConfig, noise: NoiseModel) -> None:
@@ -96,4 +94,5 @@ def write_calibration(bundle_dir: Path, rep: int, run: RunConfig, noise: NoiseMo
         rng = rng_for(run.seed, rep, _CALIB_STREAM, n)
         calibration_dir(bundle_dir, rep, n).mkdir(parents=True, exist_ok=True)
         for j, table in enumerate(calibration_counts(n, readout, run.shots, rng)):
-            calibration_path(bundle_dir, rep, n, j).write_text(dump_json(counts_to_dict(table)))
+            path = calibration_path(bundle_dir, rep, n, j)
+            path.write_text(dump_json(payload_to_dict("Z" * n, table)))

@@ -167,7 +167,7 @@ def measure_distribution(rho: np.ndarray, meas: str) -> Distribution:
         rho = _apply_1q_unitary(rho, GATES_1Q[g.kind], g.qubits[0], n)
     p = np.real(np.diag(rho)).copy()
     p[(p < 0) & (p > -1e-12)] = 0.0
-    return Distribution(n, p)
+    return Distribution(p)
 
 
 # ---------------------------------------------------------------------------
@@ -179,27 +179,23 @@ def sample_counts(
     shots: int,
     rng: np.random.Generator,
     readout: tuple[tuple[float, float], ...] | None = None,
-    meas: str | None = None,
 ) -> CountsTable:
     """Multinomial sampling, then per-bit classical readout flips.
 
     Readout flips are applied shot-wise: all shots landing on a true
     bitstring are redistributed over observed bitstrings by a second
-    multinomial draw from that bitstring's confusion column.  ``meas``
-    labels the frame the distribution was measured in (metadata only);
-    it defaults to the native Z frame.
+    multinomial draw from that bitstring's confusion column.
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
-    meas = meas or "Z" * dist.n
     raw = rng.multinomial(shots, dist.p / dist.p.sum())
     if readout is None:
-        return counts_from_vector(raw, meas, shots)
+        return counts_from_vector(raw, shots)
     if len(readout) != dist.n:
         raise ValueError("readout rates do not match register size")
     nz = np.flatnonzero(raw)
     observed = rng.multinomial(raw[nz], confusion_matrix(readout)[:, nz].T).sum(axis=0)
-    return counts_from_vector(observed, meas, shots)
+    return counts_from_vector(observed, shots)
 
 
 def apply_readout_to_distribution(

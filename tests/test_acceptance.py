@@ -215,7 +215,7 @@ def test_c5_witness_soundness():
             meas = witness_setting(n, parity)
             p = measure_distribution(rho_true, meas).p
             counts = sample_counts(
-                Distribution(n, p), 1_000_000, rng_rep, readout_rates(noise.readout, 4)
+                Distribution(p), 1_000_000, rng_rep, readout_rates(noise.readout, 4)
             )
             phys = mle_project(apply_tmem(counts, t4))
             vals = [
@@ -253,7 +253,7 @@ def test_c6_mitigation_pipeline():
     p = rng.random(16)
     p /= p.sum()
     observed = apply_readout_to_distribution(p, TABLE_RATES)
-    counts = sample_counts(Distribution(4, observed), 1_000_000, np.random.default_rng(2718))
+    counts = sample_counts(Distribution(observed), 1_000_000, np.random.default_rng(2718))
     rec = mle_project(apply_tmem(counts, t4))
     tv = 0.5 * float(np.sum(np.abs(rec.p - p)))
 
@@ -267,7 +267,7 @@ def test_c6_mitigation_pipeline():
             n = int(rng.integers(1, 5))
             w = rng.normal(2.0**-n, 0.6, size=2**n)
             w += (1.0 - w.sum()) / len(w)
-            got = mle_project(QuasiDistribution(n, w)).p
+            got = mle_project(QuasiDistribution(w)).p
         else:
             d = int(rng.integers(2, 17))
             w = rng.normal(1.0 / d, 0.6, size=d)

@@ -437,6 +437,15 @@ class TestBundleIntegrity:
         ))
         self.assert_rejected(out, "3q-Xp-XZX.json", capsys)
 
+    def test_exact_job_file_dist_of_wrong_length(self, tmp_path, capsys):
+        # a 3-qubit distribution in the file of a 4-qubit job
+        out = self.bundle(tmp_path, "exact")
+        victim = out / "reps" / "r00" / "jobs" / "4q-Xp-XZX-Z.json"
+        d = json.loads(victim.read_text())
+        d["dist"] = [0.125] * 8
+        victim.write_text(dump_json(d))
+        self.assert_rejected(out, str(victim), capsys)
+
     def test_config_does_not_match_manifest_hash(self, tmp_path, capsys):
         out = self.bundle(tmp_path, "exact")
         cfg = json.loads((out / "config.json").read_text())
@@ -777,6 +786,15 @@ class TestErrors:
         bad.write_text("{not json")
         assert main(["run-jobs", "--config", str(bad)]) == 1
 
+    @pytest.mark.parametrize("verb", ["run-jobs", "direct"])
+    def test_deeply_nested_config_is_one_error_line(self, tmp_path, capsys, verb):
+        bad = tmp_path / "nested.json"
+        bad.write_bytes(NESTED)
+        assert main([verb, "--config", str(bad), "--out", str(tmp_path / "run")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1 and str(bad) in err
+        assert not (tmp_path / "run").exists()
+
     def test_largest_shot_count_reconstructs(self, tmp_path):
         # every count of a calibration file stays readable (<= MAX_SHOTS)
         out = tmp_path / "run"
@@ -957,12 +975,17 @@ CHANGES = (
     st.tuples(st.just("value"), JSON_VALUES)
     | st.tuples(st.just("truncate"), st.floats(0.0, 1.0, exclude_max=True))
     | st.tuples(st.just("field"), st.sampled_from(FIELDS), st.just(DELETE) | JSON_VALUES)
+    | st.tuples(st.just("bytes"), st.binary(max_size=64))
 )
+# valid JSON nested past the parser's recursion limit
+NESTED = b"[" * 100_000 + b"]" * 100_000
 
 
 def _changed(original: bytes, change: tuple) -> bytes:
     if change[0] == "value":
         return json.dumps(change[1]).encode()
+    if change[0] == "bytes":
+        return change[1]
     if change[0] == "truncate":
         # every bundle file ends in "}\n", so no proper prefix short of it is valid JSON
         return original[: int(change[1] * (len(original) - 1))]
@@ -977,6 +1000,7 @@ def _changed(original: bytes, change: tuple) -> bytes:
 @settings(max_examples=100, deadline=None, database=None, derandomize=True)
 @given(name=st.sampled_from(MALFORMABLE), change=CHANGES)
 @example(name=JOB, change=("value", []))
+@example(name=JOB, change=("bytes", NESTED))
 @example(name=JOB, change=("value", {"n": 3, "meas": 5}))
 @example(name=JOB, change=("value", {"n": 4, "meas": ["X", "Z", "X", "Z"]}))
 @example(name=JOB, change=("field", "shots", DELETE))
@@ -992,10 +1016,10 @@ def _changed(original: bytes, change: tuple) -> bytes:
 def test_malformed_bundle_file_is_one_error_line(malformable_bundle, name, change):
     """A changed bundle file gives exit 1 and one error line naming it, never a traceback.
 
-    An arbitrary value or a truncation is always rejected; a changed field
-    may also leave a file that reconstructs (an unchecked manifest field, or
-    a value that happens to be valid), or calibration counts that give a
-    singular confusion matrix.
+    An arbitrary value, arbitrary bytes or a truncation is always rejected;
+    a changed field may also leave a file that reconstructs (an unchecked
+    manifest field, or a value that happens to be valid), or calibration
+    counts that give a singular confusion matrix.
     """
     target = malformable_bundle / name
     original = target.read_bytes()

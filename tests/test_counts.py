@@ -13,65 +13,94 @@ from chaincut.counts import (
     LONG_LIST,
     SLICE,
     CountsTable,
+    Distribution,
     counts_from_dict,
     counts_from_vector,
-    counts_to_dict,
     dump_json,
+    payload_from_dict,
+    payload_to_dict,
 )
 
 
-def sampled_table(n: int, seed: int) -> CountsTable:
+def sampled_table(n: int, seed: int) -> tuple[str, CountsTable]:
+    """A random setting and a table of 1000 shots measured in it."""
     rng = np.random.default_rng(seed)
     vec = rng.multinomial(1000, rng.dirichlet(np.full(2**n, 0.3)))
-    return counts_from_vector(vec, "".join(rng.choice(list("XYZ"), n)), 1000)
+    return "".join(rng.choice(list("XYZ"), n)), counts_from_vector(vec, 1000)
 
 
 class TestCountsTable:
     def test_n_and_shots_follow_from_vector(self):
-        t = CountsTable("XZ", [3, 0, 0, 5])
+        t = CountsTable([3, 0, 0, 5])
         assert t.n == 2 and t.shots == 8
         assert t.counts.dtype == np.int64
         np.testing.assert_array_equal(t.frequencies(), [3 / 8, 0, 0, 5 / 8])
 
     def test_vector_is_read_only_copy(self):
         vec = np.array([1, 2], dtype=np.int64)
-        t = CountsTable("Z", vec)
+        t = CountsTable(vec)
         vec[0] = 7
         assert t.counts[0] == 1
         with pytest.raises(ValueError):
             t.counts[0] = 5
 
-    def test_equality_compares_meas_and_vector(self):
-        assert CountsTable("ZZ", [1, 0, 0, 1]) == CountsTable("ZZ", np.array([1, 0, 0, 1]))
-        assert CountsTable("ZZ", [1, 0, 0, 1]) != CountsTable("ZX", [1, 0, 0, 1])
-        assert CountsTable("ZZ", [1, 0, 0, 1]) != CountsTable("ZZ", [0, 1, 0, 1])
+    def test_equality_compares_vector(self):
+        assert CountsTable([1, 0, 0, 1]) == CountsTable(np.array([1, 0, 0, 1]))
+        assert CountsTable([1, 0, 0, 1]) != CountsTable([0, 1, 0, 1])
+        assert CountsTable([1, 0, 0, 1]) != CountsTable([1, 0, 0, 1, 0, 0, 0, 0])
 
     @pytest.mark.parametrize(
-        "meas, vec",
-        [("Z", [1, -1, 1]), ("ZZ", [1, 1]), ("Z", [2, -1]), ("Z", [0, 0])],
-        ids=["not-power-of-two", "setting-length", "negative", "no-shots"],
+        "vec",
+        [[1, 1, 1], [2, -1], [0, 0]],
+        ids=["not-power-of-two", "negative", "no-shots"],
     )
-    def test_invalid_tables_rejected(self, meas, vec):
+    def test_invalid_tables_rejected(self, vec):
         with pytest.raises(ValueError):
-            CountsTable(meas, vec)
+            CountsTable(vec)
 
     def test_from_vector_checks_shots(self):
         with pytest.raises(ValueError, match="shots say 5"):
-            counts_from_vector(np.array([1, 3]), "Z", 5)
+            counts_from_vector(np.array([1, 3]), 5)
 
 
 class TestFileForm:
     @pytest.mark.parametrize("n", [1, 3, 4, 7])
     def test_round_trip(self, n):
-        t = sampled_table(n, seed=n)
-        again = counts_from_dict(counts_to_dict(t))
+        meas, t = sampled_table(n, seed=n)
+        d = payload_to_dict(meas, t)
+        assert d["meas"] == list(meas)
+        again = payload_from_dict(d, meas, t.shots)
         np.testing.assert_array_equal(again.counts, t.counts)
-        assert again.meas == t.meas and again.shots == t.shots
-        assert again == t
+        assert again.shots == t.shots and again == t
+
+    def test_round_trip_exact(self):
+        p = np.random.default_rng(5).dirichlet(np.ones(16))
+        d = payload_to_dict("XZXY", Distribution(p))
+        assert d == {"n": 4, "meas": ["X", "Z", "X", "Y"], "dist": p.tolist()}
+        again = payload_from_dict(json.loads(json.dumps(d)), "XZXY", None)
+        np.testing.assert_array_equal(again.p, p)
+
+    def test_round_trip_calibration(self):
+        # a calibration file reads every qubit of its register in Z
+        _, t = sampled_table(3, seed=11)
+        d = payload_to_dict("ZZZ", t)
+        assert d["meas"] == ["Z", "Z", "Z"] and d["shots"] == 1000
+        assert payload_from_dict(d, "ZZZ", 1000) == t
 
     def test_keys_are_sorted_nonzero_bitstrings(self):
-        d = counts_to_dict(CountsTable("XZX", [0, 4, 0, 0, 0, 0, 1, 0]))
+        d = payload_to_dict("XZX", CountsTable([0, 4, 0, 0, 0, 0, 1, 0]))
         assert d == {"n": 3, "shots": 5, "meas": ["X", "Z", "X"], "counts": {"001": 4, "110": 1}}
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("meas", ["Z", "X"]), ("meas", ["Z"]), ("n", 3), ("n", 10**9)],
+        ids=["other-setting", "setting-length", "other-n", "huge-n"],
+    )
+    def test_reader_checks_setting_and_n_first(self, field, value):
+        # a huge n is rejected before it sizes the count vector
+        d = payload_to_dict("ZZ", CountsTable([0, 1, 3, 0]))
+        with pytest.raises(ValueError, match="holds meas"):
+            payload_from_dict({**d, field: value}, "ZZ", 4)
 
     @pytest.mark.parametrize(
         "counts, shots, match",
@@ -108,9 +137,9 @@ class TestFileForm:
     def test_numbers_are_json_integers_not_coerced(self, field, value):
         # each edit would read back as the valid table below under int()/join()
         d = {"n": 2, "shots": 4, "meas": ["Z", "Z"], "counts": {"01": 1, "10": 3}}
-        counts_from_dict(d)
-        with pytest.raises(ValueError, match="integer|list"):
-            counts_from_dict({**d, field: value})
+        payload_from_dict(d, "ZZ", 4)
+        with pytest.raises(ValueError, match="integer|holds meas"):
+            payload_from_dict({**d, field: value}, "ZZ", 4)
 
 
 FLOATS = st.floats() | st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324])

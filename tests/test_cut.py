@@ -1,6 +1,7 @@
 """Cut decomposition identity, job grid, execution, and bundle round-trip."""
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from chaincut import cut
 from chaincut.cut import (
     JobSpec,
     decomposition_table,
+    job_path,
     plan_chain_jobs,
     read_job_result,
     read_plan,
@@ -164,7 +166,7 @@ class TestBundle:
         for spec, counts in payloads.items():
             again = read_job_result(tmp_path, 0, spec, 2000)
             assert again == counts
-            assert again.meas == spec.meas
+            assert json.loads(job_path(tmp_path, 0, spec).read_text())["meas"] == list(spec.meas)
 
     def test_result_roundtrip_exact(self, tmp_path, plan):
         payloads = execute_jobs(plan[:1], RunConfig("exact"), NoiseModel(0.0, 0.0, None))

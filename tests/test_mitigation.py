@@ -133,7 +133,7 @@ class TestTransitionMatrix:
 class TestApplyTmem:
     def test_identity_matrix_returns_normalized_counts(self):
         t = TransitionMatrix(1, "tensor", confusion_matrix(((1.0, 1.0),)))
-        counts = CountsTable("Z", [3, 1])
+        counts = CountsTable([3, 1])
         q = apply_tmem(counts, t)
         np.testing.assert_allclose(q.w, [0.75, 0.25])
 
@@ -152,7 +152,7 @@ class TestApplyTmem:
         p /= p.sum()
         t = TransitionMatrix(4, "tensor", confusion_matrix(TABLE_RATES))
         flipped = apply_readout_to_distribution(p, TABLE_RATES)
-        counts = sample_counts(Distribution(4, flipped), 1_000_000, np.random.default_rng(77))
+        counts = sample_counts(Distribution(flipped), 1_000_000, np.random.default_rng(77))
         rec = mle_project(apply_tmem(counts, t))
         tv = 0.5 * np.sum(np.abs(rec.p - p))
         assert tv <= 5e-3
@@ -162,7 +162,7 @@ class TestApplyTmem:
         t = TransitionMatrix(3, "tensor", confusion_matrix(TABLE_RATES[:3]))
         for _ in range(20):
             vec = rng.multinomial(10_000, np.full(8, 1 / 8))
-            counts = counts_from_vector(vec, "ZZZ", 10_000)
+            counts = counts_from_vector(vec, 10_000)
             q = apply_tmem(counts, t)
             assert abs(q.w.sum() - 1.0) <= 1e-9
 
@@ -208,11 +208,11 @@ class TestApplyTmem:
 
 class TestMleProject:
     def test_physical_input_is_fixed_point(self):
-        q = QuasiDistribution(2, np.array([0.4, 0.3, 0.2, 0.1]))
+        q = QuasiDistribution(np.array([0.4, 0.3, 0.2, 0.1]))
         np.testing.assert_allclose(mle_project(q).p, q.w, atol=1e-15)
 
     def test_two_point_closed_form(self):
-        q = QuasiDistribution(1, np.array([1.2, -0.2]))
+        q = QuasiDistribution(np.array([1.2, -0.2]))
         np.testing.assert_allclose(mle_project(q).p, [1.0, 0.0], atol=1e-15)
 
     def test_matches_qp_oracle_on_random_inputs(self):
@@ -221,7 +221,7 @@ class TestMleProject:
         for _ in range(200):
             w = rng.normal(0.125, 0.5, size=8)
             w += (1.0 - w.sum()) / 8
-            got = mle_project(QuasiDistribution(3, w)).p
+            got = mle_project(QuasiDistribution(w)).p
             ref = oracles.project_simplex_qp(w)
             worst = max(worst, float(np.max(np.abs(got - ref))))
         assert worst <= 1e-9
@@ -231,7 +231,7 @@ class TestMleProject:
         for _ in range(50):
             w = rng.normal(1 / 16, 1.0, size=16)
             w += (1.0 - w.sum()) / 16
-            p = mle_project(QuasiDistribution(4, w)).p
+            p = mle_project(QuasiDistribution(w)).p
             assert np.all(p >= 0.0)
             assert abs(p.sum() - 1.0) < 1e-12
 
@@ -248,18 +248,18 @@ class TestMleProject:
     def test_badly_unnormalized_rejected(self):
         # the container itself enforces normalization on construction
         with pytest.raises(ValueError, match="sum"):
-            QuasiDistribution(1, np.array([0.9, 0.2]))
+            QuasiDistribution(np.array([0.9, 0.2]))
 
 
 class TestPipeline:
     def test_identity_pipeline_on_physical_counts(self):
         pipe = MitigationPipeline({})
-        counts = CountsTable("Z", [9000, 1000])
+        counts = CountsTable([9000, 1000])
         np.testing.assert_allclose(pipe.physical(counts).p, [0.9, 0.1], atol=1e-15)
 
     def test_exact_payload_passthrough(self):
         pipe = MitigationPipeline({})
-        d = Distribution(1, np.array([0.7, 0.3]))
+        d = Distribution(np.array([0.7, 0.3]))
         np.testing.assert_allclose(pipe.physical(d).p, d.p, atol=1e-15)
 
     def test_auto_mode_prefers_full_calibration(self, tmp_path, default_noise):

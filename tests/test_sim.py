@@ -126,24 +126,24 @@ class TestMeasureDistribution:
 
 class TestSampleCounts:
     def test_deterministic_outcome(self):
-        d = Distribution(1, np.array([1.0, 0.0]))
+        d = Distribution(np.array([1.0, 0.0]))
         t = sample_counts(d, 1000, np.random.default_rng(5))
         np.testing.assert_array_equal(t.counts, [1000, 0])
 
     def test_binomial_within_five_sigma(self):
-        d = Distribution(1, np.array([0.5, 0.5]))
+        d = Distribution(np.array([0.5, 0.5]))
         t = sample_counts(d, 1_000_000, np.random.default_rng(42))
         sigma = np.sqrt(1_000_000 * 0.25)
         assert abs(t.counts[0] - 500_000) < 5 * sigma
 
     def test_readout_flip_rate_within_five_sigma(self):
-        d = Distribution(1, np.array([1.0, 0.0]))
+        d = Distribution(np.array([1.0, 0.0]))
         t = sample_counts(d, 1_000_000, np.random.default_rng(9), readout=((0.95, 0.9),))
         sigma = np.sqrt(1_000_000 * 0.05 * 0.95)
         assert abs(t.counts[1] - 50_000) < 5 * sigma
 
     def test_reproducible_for_fixed_seed(self):
-        d = Distribution(2, np.array([0.4, 0.3, 0.2, 0.1]))
+        d = Distribution(np.array([0.4, 0.3, 0.2, 0.1]))
         kwargs = dict(shots=10_000, readout=((0.95, 0.9), (0.97, 0.92)))
         a = sample_counts(d, rng=np.random.default_rng(77), **kwargs)
         b = sample_counts(d, rng=np.random.default_rng(77), **kwargs)
@@ -160,7 +160,7 @@ class TestSampleCounts:
         p /= p.sum()
         shots = (1, 10, 1_000_000)[seed % 3]
         rng = rng_for(seed, 2)
-        got = sample_counts(Distribution(n, p), shots, rng, readout)
+        got = sample_counts(Distribution(p), shots, rng, readout)
         ref = rng_for(seed, 2)
         raw = ref.multinomial(shots, p / p.sum())
         want = np.zeros(2**n, dtype=np.int64)
@@ -170,7 +170,7 @@ class TestSampleCounts:
         assert rng.integers(1 << 62) == ref.integers(1 << 62)
 
     def test_shots_validated(self):
-        d = Distribution(1, np.array([1.0, 0.0]))
+        d = Distribution(np.array([1.0, 0.0]))
         with pytest.raises(ValueError):
             sample_counts(d, 0, np.random.default_rng(1))
 
@@ -180,7 +180,7 @@ class TestSampleCounts:
         p /= p.sum()
         readout = ((0.95, 0.9), (0.93, 0.91), (0.96, 0.9))
         flipped = apply_readout_to_distribution(p, readout)
-        t = sample_counts(Distribution(3, p), 2_000_000, np.random.default_rng(3), readout=readout)
+        t = sample_counts(Distribution(p), 2_000_000, np.random.default_rng(3), readout=readout)
         np.testing.assert_allclose(t.frequencies(), flipped, atol=2e-3)
 
 
