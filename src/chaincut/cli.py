@@ -112,8 +112,7 @@ def _map_reps(fn, reps) -> list:
 
 
 def _run_rep(out: Path, plan, run, noise, calibrated: bool, rep: int) -> None:
-    for spec, payload in execute_jobs(plan, run, noise, rep=rep).items():
-        write_job_result(out, rep, spec, payload)
+    write_job_result(out, rep, execute_jobs(plan, run, noise, rep=rep))
     if calibrated:
         write_calibration(out, rep, run, noise)
 
@@ -172,7 +171,7 @@ def _check_rep_dirs(bundle: Path, repetitions: int) -> None:
 
 def _reconstruct_rep(bundle: Path, plan, cfg: ExperimentConfig, rep: int) -> dict:
     shots = cfg.shots if cfg.mode == "sampled" else None
-    payloads = {spec: read_job_result(bundle, rep, spec, shots) for spec in plan}
+    payloads = read_job_result(bundle, rep, plan, shots)
     # Exact distributions model pre-readout statistics: like uncalibrated counts, no TMEM.
     pipeline = MitigationPipeline({})
     if cfg.calibrated:

@@ -83,7 +83,7 @@ def counts_from_vector(vec: np.ndarray, shots: int) -> CountsTable:
     return t
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Distribution:
     """A physical probability vector over 2^n outcomes."""
 
@@ -97,8 +97,13 @@ class Distribution:
     def n(self) -> int:
         return num_qubits(len(self.p))
 
+    def __eq__(self, other):
+        if not isinstance(other, Distribution):
+            return NotImplemented
+        return np.array_equal(self.p, other.p)
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, eq=False)
 class QuasiDistribution:
     """A real vector summing to 1 whose entries may be negative."""
 
@@ -107,6 +112,11 @@ class QuasiDistribution:
     def __post_init__(self):
         object.__setattr__(self, "w", np.asarray(self.w, dtype=float))
         assert_quasi_distribution(self.w)
+
+    def __eq__(self, other):
+        if not isinstance(other, QuasiDistribution):
+            return NotImplemented
+        return np.array_equal(self.w, other.w)
 
 
 # A result: sampled counts or an exact distribution, over the register its setting reads.

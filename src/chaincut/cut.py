@@ -38,7 +38,7 @@ import numpy as np
 
 from .circuit import BLOCK_FORMS, FOUR_QUBIT, REGISTER_SIZES, THREE_QUBIT
 from .counts import Payload, dump_json, payload_from_dict, payload_to_dict
-from .qstate import PAULI_1Q, STATE_LABELS, index_to_bits, projector, state_vector_1q
+from .qstate import PAULI_1Q, STATE_LABELS, projector, state_vector_1q
 
 CUT_PATTERNS = ("XZX", "ZXZ")
 CUT_BASES = ("X", "Y", "Z")
@@ -190,7 +190,7 @@ def plan_chain_jobs() -> tuple[JobSpec, ...]:
 
 
 # ---------------------------------------------------------------------------
-# On-disk bundle: plan.json + reps/rXX/jobs/<job_id>.json (+ calibration)
+# On-disk bundle: plan.json + reps/rXX/jobs.json (+ reps/rXX/calibration.json)
 
 
 def read_bundle_file(path: Path, parse):
@@ -201,33 +201,51 @@ def read_bundle_file(path: Path, parse):
     ValueError naming the file; a file that cannot be opened stays the
     OSError (FileNotFoundError, ...) naming it.
     """
+    return _parse_object(path, lambda: json.loads(Path(path).read_text()), parse)
+
+
+def read_entries(d: dict, parsers: dict) -> list:
+    """``parsers[key](d[key])`` for each key, in order: the entries of one bundle object.
+
+    ``d`` must hold exactly those keys, each a JSON object; an error names
+    the entry's key.
+    """
+    extra = sorted(d.keys() - parsers.keys())
+    if extra:
+        raise ValueError(f"holds an unexpected entry {extra[0]!r}")
+    for key in parsers:
+        if key not in d:
+            raise ValueError(f"no entry {key!r}")
+    return [
+        _parse_object(f"entry {key!r}", lambda: d[key], parse) for key, parse in parsers.items()
+    ]
+
+
+def _parse_object(where, load, parse):
+    """``parse(load())``, where ``load()`` must give a JSON object; errors name ``where``."""
     try:
-        d = json.loads(Path(path).read_text())
+        d = load()
         if not isinstance(d, dict):
             raise ValueError("not a JSON object")
         return parse(d)
     except KeyError as exc:
-        raise ValueError(f"{path}: no field {exc}") from exc
+        raise ValueError(f"{where}: no field {exc}") from exc
     except (ValueError, TypeError, AttributeError, OverflowError, RecursionError) as exc:
-        raise ValueError(f"{path}: {exc}") from exc
+        raise ValueError(f"{where}: {exc}") from exc
 
 
 def rep_dir(bundle_dir: Path, rep: int) -> Path:
     return Path(bundle_dir) / "reps" / f"r{rep:02d}"
 
 
-def calibration_dir(bundle_dir: Path, rep: int, n: int) -> Path:
-    """The n-qubit readout calibration of one repetition: one counts file per basis state."""
-    return rep_dir(bundle_dir, rep) / "calibration" / f"q{n}"
+def calibration_file(bundle_dir: Path, rep: int) -> Path:
+    """The readout calibration of one repetition: ``{"qN": {"<bits>": <counts form>}}``."""
+    return rep_dir(bundle_dir, rep) / "calibration.json"
 
 
-def calibration_path(bundle_dir: Path, rep: int, n: int, index: int) -> Path:
-    """The calibration counts file of n-qubit basis state ``index``, named by its bits."""
-    return calibration_dir(bundle_dir, rep, n) / f"{index_to_bits(index, n)}.json"
-
-
-def job_path(bundle_dir: Path, rep: int, spec: JobSpec) -> Path:
-    return rep_dir(bundle_dir, rep) / "jobs" / f"{spec.job_id}.json"
+def jobs_file(bundle_dir: Path, rep: int) -> Path:
+    """The job results of one repetition: ``{"<job-id>": <counts form>}``."""
+    return rep_dir(bundle_dir, rep) / "jobs.json"
 
 
 def write_plan(bundle_dir: Path, plan: tuple[JobSpec, ...]) -> None:
@@ -256,16 +274,27 @@ def read_plan(bundle_dir: Path) -> tuple[JobSpec, ...]:
     return read_bundle_file(Path(bundle_dir) / "plan.json", parse)
 
 
-def write_job_result(bundle_dir: Path, rep: int, spec: JobSpec, payload: Payload) -> None:
-    path = job_path(bundle_dir, rep, spec)
+def write_job_result(bundle_dir: Path, rep: int, payloads: dict[JobSpec, Payload]) -> None:
+    """Write one repetition's jobs.json: each job's result under its id."""
+    path = jobs_file(bundle_dir, rep)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(dump_json(payload_to_dict(spec.meas, payload)))
+    path.write_text(dump_json({s.job_id: payload_to_dict(s.meas, p) for s, p in payloads.items()}))
 
 
-def read_job_result(bundle_dir: Path, rep: int, spec: JobSpec, shots: int | None) -> Payload:
-    """One job file, checked against its plan entry's setting and config.json's ``shots``.
+def read_job_result(
+    bundle_dir: Path, rep: int, plan: tuple[JobSpec, ...], shots: int | None
+) -> dict[JobSpec, Payload]:
+    """One repetition's jobs.json, one entry per plan job, in plan order.
 
-    ``shots`` is None for an exact bundle.
+    Each entry is checked against its job's setting and config.json's
+    ``shots`` (None for an exact bundle); an id the plan does not list is
+    an error.
     """
-    parse = functools.partial(payload_from_dict, meas=spec.meas, shots=shots)
-    return read_bundle_file(job_path(bundle_dir, rep, spec), parse)
+    parsers = {
+        s.job_id: functools.partial(payload_from_dict, meas=s.meas, shots=shots) for s in plan
+    }
+
+    def parse(d: dict) -> dict[JobSpec, Payload]:
+        return dict(zip(plan, read_entries(d, parsers)))
+
+    return read_bundle_file(jobs_file(bundle_dir, rep), parse)

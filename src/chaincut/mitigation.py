@@ -25,8 +25,8 @@ import numpy as np
 
 from .circuit import REGISTER_SIZES
 from .counts import CountsTable, Distribution, Payload, QuasiDistribution, payload_from_dict
-from .cut import calibration_path, read_bundle_file
-from .qstate import apply_per_qubit
+from .cut import calibration_file, read_bundle_file, read_entries
+from .qstate import apply_per_qubit, index_to_bits
 
 COND_LIMIT = 1e6
 # Mitigation modes that estimate each confusion matrix from calibration counts.
@@ -204,24 +204,27 @@ def read_calibration(
 ) -> dict[int, list[CountsTable]]:
     """The calibration count tables of one repetition, per register size, in basis-state order.
 
-    Every register's directory must be whole under every mode; a missing
-    file or directory is an error naming the first file that cannot be
-    read.  Only the modes in CALIBRATION_MODES build matrices from the
-    counts, so only they parse the files; the others check that each file
-    exists and get no tables.
+    The repetition's calibration.json must be a file under every mode.
+    Only the modes in CALIBRATION_MODES build matrices from the counts, so
+    only they parse it, and it must then hold every register's every basis
+    state and nothing else; the other modes get no tables.
     """
-    tables = {}
-    for n in REGISTER_SIZES:
-        paths = [calibration_path(bundle_dir, rep, n, j) for j in range(2**n)]
-        if mode not in CALIBRATION_MODES:
-            for path in paths:
-                if not path.is_file():
-                    raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), str(path))
-            continue
+    path = calibration_file(bundle_dir, rep)
+    if mode not in CALIBRATION_MODES:
+        if not path.is_file():
+            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), str(path))
+        return {}
+
+    def register(n: int):
         # calibration reads every qubit of the register in Z
         parse = functools.partial(payload_from_dict, meas="Z" * n, shots=shots)
-        tables[n] = [read_bundle_file(path, parse) for path in paths]
-    return tables
+        return lambda d: read_entries(d, {index_to_bits(j, n): parse for j in range(2**n)})
+
+    def parse(d: dict) -> dict[int, list[CountsTable]]:
+        tables = read_entries(d, {f"q{n}": register(n) for n in REGISTER_SIZES})
+        return dict(zip(REGISTER_SIZES, tables))
+
+    return read_bundle_file(path, parse)
 
 
 def pipeline_for_rep(

@@ -2,9 +2,10 @@
 
 Simulates each block state once per (form, input label, noise model) and
 measures it once per setting; repetitions differ only in their seeded
-shot draws and readout flips.  Writes bundles in the on-disk layout
-defined by chaincut.cut.  Also produces the readout-calibration bundles
-(every basis state prepared and read out) of calibrated configs
+shot draws and readout flips.  Its results go to a bundle in the on-disk
+layout defined by chaincut.cut (one jobs.json per repetition).  Also
+writes the readout calibration (every basis state prepared and read out,
+one calibration.json per repetition) of calibrated configs
 (``ExperimentConfig.calibrated``).
 """
 
@@ -17,8 +18,9 @@ import numpy as np
 
 from .circuit import REGISTER_SIZES, build_block_subcircuit
 from .counts import CountsTable, Distribution, Payload, dump_json, payload_to_dict
-from .cut import JobSpec, calibration_dir, calibration_path
+from .cut import JobSpec, calibration_file
 from .mitigation import readout_rates
+from .qstate import index_to_bits
 from .sim import NoiseModel, RunConfig, measure_distribution, rng_for, run_exact, sample_counts
 
 # Stream path tags keeping job sampling and calibration draws disjoint.
@@ -88,11 +90,19 @@ def calibration_counts(
 
 
 def write_calibration(bundle_dir: Path, rep: int, run: RunConfig, noise: NoiseModel) -> None:
-    """Write per-register calibration bundles under reps/rXX/calibration/qN/<bits>.json."""
+    """Write one repetition's calibration.json.
+
+    Entry ``["qN"]["<bits>"]`` holds the n-qubit register's counts read out
+    from prepared basis state <bits>.
+    """
+    registers = {}
     for n in REGISTER_SIZES:
         readout = readout_rates(noise.readout, n)
         rng = rng_for(run.seed, rep, _CALIB_STREAM, n)
-        calibration_dir(bundle_dir, rep, n).mkdir(parents=True, exist_ok=True)
-        for j, table in enumerate(calibration_counts(n, readout, run.shots, rng)):
-            path = calibration_path(bundle_dir, rep, n, j)
-            path.write_text(dump_json(payload_to_dict("Z" * n, table)))
+        tables = calibration_counts(n, readout, run.shots, rng)
+        registers[f"q{n}"] = {
+            index_to_bits(j, n): payload_to_dict("Z" * n, table) for j, table in enumerate(tables)
+        }
+    path = calibration_file(bundle_dir, rep)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(dump_json(registers))

@@ -23,6 +23,7 @@ from chaincut.circuit import build_linear_cluster
 from chaincut.cli import _map_reps, main
 from chaincut.config import MITIGATION_MODES, ExperimentConfig, config_from_dict, load_config
 from chaincut.counts import MAX_SHOTS, dump_json
+from chaincut.cut import plan_chain_jobs
 from chaincut.sim import NoiseModel
 
 
@@ -46,9 +47,62 @@ def read_tree(root: Path, skip_time: bool = True) -> dict[str, bytes]:
     return out
 
 
+def rep_files(run: Path, rep: str = "r00") -> tuple[dict, dict]:
+    """The parsed jobs.json and calibration.json (empty if absent) of one repetition."""
+    files = [run / "reps" / rep / name for name in ("jobs.json", "calibration.json")]
+    return tuple(json.loads(f.read_text()) if f.exists() else {} for f in files)
+
+
+def entry_files(tree: dict[str, bytes]) -> dict[str, bytes]:
+    """Each jobs.json and calibration.json entry of a read_tree, written alone as a file.
+
+    Keyed by the file's path in the layout of one file per job
+    (reps/rNN/jobs/<id>.json) and per calibration state
+    (reps/rNN/calibration/qN/<bits>.json).
+    """
+    files = {}
+    for name, data in tree.items():
+        parent, _, base = name.rpartition("/")
+        if base == "jobs.json":
+            for job_id, entry in json.loads(data).items():
+                files[f"{parent}/jobs/{job_id}.json"] = dump_json(entry).encode()
+        elif base == "calibration.json":
+            for register, states in json.loads(data).items():
+                for bits, entry in states.items():
+                    path = f"{parent}/calibration/{register}/{bits}.json"
+                    files[path] = dump_json(entry).encode()
+    return files
+
+
+DELETE = object()
+
+
+def edit_entry(path: Path, keys: tuple[str, ...], change, dump=dump_json) -> None:
+    """Replace the entry at ``keys`` of a bundle file by ``change(entry)``; DELETE removes it."""
+    d = json.loads(path.read_text())
+    *outer, last = keys
+    parent = functools.reduce(dict.__getitem__, outer, d)
+    value = change(parent[last])
+    if value is DELETE:
+        del parent[last]
+    else:
+        parent[last] = value
+    path.write_text(dump(d))
+
+
+def sha256_of(tree: dict[str, bytes]) -> str:
+    digest = hashlib.sha256()
+    for name, data in sorted(tree.items()):
+        digest.update(name.encode() + b"\0" + data + b"\0")
+    return digest.hexdigest()
+
+
 # sha256 of the default-noise sampled bundle in
-# TestRunJobs.test_sampled_bundle_matches_golden_digest.
+# TestRunJobs.test_sampled_bundle_matches_golden_digest: plan.json and every
+# jobs.json and calibration.json entry written alone (entry_files).
 GOLDEN_SAMPLED_BUNDLE_SHA256 = "acf0b8b57ade56ed24b3bd0ebb7b88e3b2da7872bbb0ff4fb453057aa7fb61ee"
+# sha256 of the same bundle's plan.json, jobs.json and calibration.json files.
+GOLDEN_SAMPLED_BUNDLE_FILES_SHA256 = "f18c34859b2dbd0887c31cfde37b96e488c05dacbe34796cb5990e453ab30375"
 # sha256 of the sampled direct reports in
 # TestDirect.test_sampled_direct_matches_golden_digest.
 GOLDEN_SAMPLED_DIRECT_SHA256 = "a6e683dc32a29e0bad257bee57eda74d5f9f36bfa240dc6ebdd9027489aadd86"
@@ -58,12 +112,10 @@ class TestRunJobs:
     def test_exact_bundle_layout(self, tmp_path):
         cfg = write_config(tmp_path, mode="exact", out_dir=str(tmp_path / "run"))
         assert main(["run-jobs", "--config", str(cfg)]) == 0
-        run = tmp_path / "run"
-        assert (run / "plan.json").exists()
-        assert (run / "config.json").exists()
-        assert (run / "manifest.json").exists()
-        jobs = list((run / "reps" / "r00" / "jobs").glob("*.json"))
-        assert len(jobs) == 48
+        jobs, calibration = rep_files(tmp_path / "run")
+        assert list(jobs) == sorted(spec.job_id for spec in plan_chain_jobs())
+        assert all("dist" in entry for entry in jobs.values())
+        assert calibration == {}
 
     def test_sampled_writes_calibration(self, tmp_path):
         cfg = write_config(
@@ -72,9 +124,32 @@ class TestRunJobs:
         )
         assert main(["run-jobs", "--config", str(cfg)]) == 0
         for rep in ("r00", "r01"):
-            assert len(list((tmp_path / "run" / "reps" / rep / "jobs").glob("*.json"))) == 48
-            assert len(list((tmp_path / "run" / "reps" / rep / "calibration" / "q4").glob("*.json"))) == 16
-            assert len(list((tmp_path / "run" / "reps" / rep / "calibration" / "q3").glob("*.json"))) == 8
+            jobs, calibration = rep_files(tmp_path / "run", rep)
+            assert len(jobs) == 48
+            assert sorted(calibration) == ["q3", "q4"]
+            assert list(calibration["q3"]) == [f"{j:03b}" for j in range(8)]
+            assert list(calibration["q4"]) == [f"{j:04b}" for j in range(16)]
+
+    @pytest.mark.parametrize(
+        "fields, calibrated",
+        [
+            ({"mode": "exact"}, False),
+            ({"mode": "sampled", "repetitions": 3}, True),
+            ({"mode": "sampled", "repetitions": 2, "f00": None, "f11": None}, False),
+        ],
+        ids=["exact", "sampled", "sampled-no-rates"],
+    )
+    def test_bundle_holds_two_files_per_repetition(self, tmp_path, fields, calibrated):
+        out = tmp_path / "run"
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"shots": 1000, "out_dir": str(out), **fields}))
+        assert main(["run-jobs", "--config", str(cfg)]) == 0
+        expected = ["config.json", "manifest.json", "plan.json"]
+        for rep in range(load_config(cfg).effective_repetitions):
+            expected.append(f"reps/r{rep:02d}/jobs.json")
+            if calibrated:
+                expected.append(f"reps/r{rep:02d}/calibration.json")
+        assert sorted(read_tree(out)) == sorted(expected)
 
     def test_sampled_rerun_is_byte_identical(self, tmp_path):
         cfg = write_config(
@@ -89,7 +164,8 @@ class TestRunJobs:
     def test_sampled_bundle_matches_golden_digest(self, tmp_path):
         # Pins the job and calibration RNG streams across code changes, not
         # only across reruns.  config.json holds out_dir and manifest.json its
-        # hash, so both are left out; plan.json and every rep file are hashed.
+        # hash, so both are left out.  plan.json and each entry of every rep
+        # file, written alone, are hashed, and so are the rep files.
         out = tmp_path / "run"
         cfg = write_config(
             tmp_path, mode="sampled", mitigation="auto", shots=10_000, repetitions=2,
@@ -98,11 +174,11 @@ class TestRunJobs:
         assert main(["run-jobs", "--config", str(cfg)]) == 0
         tree = read_tree(out)
         del tree["config.json"], tree["manifest.json"]
-        assert len(tree) == 1 + 2 * (48 + 16 + 8)
-        digest = hashlib.sha256()
-        for name, data in sorted(tree.items()):
-            digest.update(name.encode() + b"\0" + data + b"\0")
-        assert digest.hexdigest() == GOLDEN_SAMPLED_BUNDLE_SHA256
+        assert len(tree) == 1 + 2 * 2
+        entries = {"plan.json": tree["plan.json"], **entry_files(tree)}
+        assert len(entries) == 1 + 2 * (48 + 16 + 8)
+        assert sha256_of(entries) == GOLDEN_SAMPLED_BUNDLE_SHA256
+        assert sha256_of(tree) == GOLDEN_SAMPLED_BUNDLE_FILES_SHA256
 
     def test_flag_overrides(self, tmp_path):
         cfg = write_config(tmp_path, mode="sampled", shots=1000, out_dir="ignored")
@@ -152,12 +228,41 @@ class TestReconstruct:
         out = tmp_path / "run"
         cfg = write_config(tmp_path, mode="exact", k_max=1, out_dir=str(out))
         assert main(["run-jobs", "--config", str(cfg)]) == 0
-        victim = out / "reps" / "r00" / "jobs" / "3q-Xp-XZX.json"
-        victim.unlink()
+        victim = out / "reps" / "r00" / "jobs.json"
+        edit_entry(victim, ("3q-Xp-XZX",), lambda entry: DELETE)
         assert main(["reconstruct", "--out", str(out)]) == 1
         err = capsys.readouterr().err
-        assert str(victim) in err and "Traceback" not in err
+        assert str(victim) in err and "'3q-Xp-XZX'" in err and "Traceback" not in err
         assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_job_the_plan_does_not_list_is_named(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        cfg = write_config(tmp_path, mode="exact", k_max=1, out_dir=str(out))
+        assert main(["run-jobs", "--config", str(cfg)]) == 0
+        victim = out / "reps" / "r00" / "jobs.json"
+        d = json.loads(victim.read_text())
+        d["3q-Xp-XZX-X"] = d["3q-Xp-XZX"]
+        victim.write_text(dump_json(d))
+        assert main(["reconstruct", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert str(victim) in err and "'3q-Xp-XZX-X'" in err
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_bundle_of_one_file_per_job_is_rejected(self, tmp_path, capsys):
+        # a repetition's job results are one jobs.json; a jobs/ directory of
+        # one file per job is not read
+        out = tmp_path / "run"
+        cfg = write_config(tmp_path, mode="exact", k_max=1, out_dir=str(out))
+        assert main(["run-jobs", "--config", str(cfg)]) == 0
+        rep = out / "reps" / "r00"
+        (rep / "jobs").mkdir()
+        for job_id, entry in json.loads((rep / "jobs.json").read_text()).items():
+            (rep / "jobs" / f"{job_id}.json").write_text(dump_json(entry))
+        (rep / "jobs.json").unlink()
+        assert main(["reconstruct", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert str(rep / "jobs.json") in err
 
     def test_short_readout_list_reconstructs(self, tmp_path):
         # two rates for four-qubit registers: mitigation must cycle the list
@@ -208,7 +313,7 @@ class TestReconstruct:
             "k_max": 1, "out_dir": str(out), **fields,
         }))
         assert main(["run-jobs", "--config", str(cfg)]) == 0
-        assert not (out / "reps" / "r00" / "calibration").exists()
+        assert not (out / "reps" / "r00" / "calibration.json").exists()
         assert main(["reconstruct", "--out", str(out)]) == 0
         assert not list((out / "reports").glob("transition_q*.json"))
 
@@ -216,13 +321,13 @@ class TestReconstruct:
         out = tmp_path / "run"
         cfg = write_config(tmp_path, mode="exact", k_max=1, out_dir=str(out))
         assert main(["run-jobs", "--config", str(cfg)]) == 0
-        jobs = out / "reps" / "r00" / "jobs"
-        x_file, z_file = jobs / "4q-Xp-XZX-X.json", jobs / "4q-Xp-XZX-Z.json"
-        x_bytes, z_bytes = x_file.read_bytes(), z_file.read_bytes()
-        x_file.write_bytes(z_bytes)
-        z_file.write_bytes(x_bytes)
+        jobs = out / "reps" / "r00" / "jobs.json"
+        d = json.loads(jobs.read_text())
+        d["4q-Xp-XZX-X"], d["4q-Xp-XZX-Z"] = d["4q-Xp-XZX-Z"], d["4q-Xp-XZX-X"]
+        jobs.write_text(dump_json(d))
         assert main(["reconstruct", "--out", str(out)]) == 1
-        assert "4q-Xp-XZX-X.json" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert str(jobs) in err and "'4q-Xp-XZX-X'" in err
 
     def test_sampled_full_calibration_pipeline(self, tmp_path):
         out = tmp_path / "run"
@@ -319,11 +424,11 @@ class TestWholeOutputs:
         out = tmp_path / "run"
         sampled = write_config(tmp_path, **self.SAMPLED, repetitions=2, out_dir=str(out))
         assert main(["run-jobs", "--config", str(sampled)]) == 0
-        assert (out / "reps" / "r00" / "calibration").is_dir()
+        assert (out / "reps" / "r00" / "calibration.json").is_file()
         exact = write_config(tmp_path, mode="exact", k_max=1, out_dir=str(out))
         assert main(["run-jobs", "--config", str(exact)]) == 0
         assert [p.name for p in (out / "reps").iterdir()] == ["r00"]
-        assert not (out / "reps" / "r00" / "calibration").exists()
+        assert not (out / "reps" / "r00" / "calibration.json").exists()
         assert main(["reconstruct", "--out", str(out)]) == 0
 
     def test_rerun_without_matrices_leaves_no_transition_file(self, tmp_path):
@@ -375,115 +480,126 @@ COERCIBLE = {
 
 
 class TestBundleIntegrity:
-    """Files that disagree with the bundle's config.json are rejected, naming the file."""
+    """Entries that disagree with the bundle's config.json are rejected, naming file and entry."""
 
     @staticmethod
-    def bundle(tmp_path: Path, mode: str) -> Path:
+    def bundle(tmp_path: Path, mode: str, **fields) -> Path:
         out = tmp_path / "run"
         cfg = write_config(
-            tmp_path, mode=mode, shots=2000, repetitions=1, k_max=1, seed=4, out_dir=str(out)
+            tmp_path, mode=mode, shots=2000, repetitions=1, k_max=1, seed=4, out_dir=str(out),
+            **fields,
         )
         assert main(["run-jobs", "--config", str(cfg)]) == 0
         return out
 
     @staticmethod
-    def double_shots(path: Path) -> None:
-        # still a valid counts file, with the same frequencies
-        d = json.loads(path.read_text())
-        d["shots"] *= 2
-        d["counts"] = {b: 2 * c for b, c in d["counts"].items()}
-        path.write_text(dump_json(d))
+    def double_shots(entry: dict) -> dict:
+        # still a valid counts entry, with the same frequencies
+        return {**entry, "shots": 2 * entry["shots"],
+                "counts": {b: 2 * c for b, c in entry["counts"].items()}}
 
-    def assert_rejected(self, out: Path, name: str, capsys) -> None:
+    def assert_rejected(self, out: Path, capsys, *names: str) -> None:
         capsys.readouterr()
         assert main(["reconstruct", "--out", str(out)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error:") and err.count("\n") == 1 and name in err
+        assert err.startswith("error:") and err.count("\n") == 1
+        for name in names:
+            assert name in err, (name, err)
         assert not (out / "reports").exists()
 
     def test_job_file_shots_differ_from_config(self, tmp_path, capsys):
         out = self.bundle(tmp_path, "sampled")
-        self.double_shots(out / "reps" / "r00" / "jobs" / "4q-Xp-XZX-Z.json")
-        self.assert_rejected(out, "4q-Xp-XZX-Z.json", capsys)
+        victim = out / "reps" / "r00" / "jobs.json"
+        edit_entry(victim, ("4q-Xp-XZX-Z",), self.double_shots)
+        self.assert_rejected(out, capsys, str(victim), "'4q-Xp-XZX-Z'")
 
     def test_calibration_file_shots_differ_from_config(self, tmp_path, capsys):
         out = self.bundle(tmp_path, "sampled")
-        self.double_shots(out / "reps" / "r00" / "calibration" / "q4" / "0101.json")
-        self.assert_rejected(out, "0101.json", capsys)
+        victim = out / "reps" / "r00" / "calibration.json"
+        edit_entry(victim, ("q4", "0101"), self.double_shots)
+        self.assert_rejected(out, capsys, str(victim), "'q4'", "'0101'")
 
     def test_calibration_file_meas_is_not_z(self, tmp_path, capsys):
-        # every calibration file is a Z-basis readout of a prepared basis state
+        # every calibration entry is a Z-basis readout of a prepared basis state
         out = self.bundle(tmp_path, "sampled")
-        victim = out / "reps" / "r00" / "calibration" / "q4" / "0101.json"
+        victim = out / "reps" / "r00" / "calibration.json"
+        edit_entry(victim, ("q4", "0101"), lambda e: {**e, "meas": ["X", "Y", "X", "Y"]})
+        self.assert_rejected(out, capsys, str(victim), "'0101'")
+
+    @pytest.mark.parametrize(
+        "keys", [("q4",), ("q3",), ("q4", "0000"), ("q4", "0011"), ("q3", "111")],
+        ids=lambda keys: "-".join(keys),
+    )
+    def test_calibration_file_missing_entry(self, tmp_path, capsys, keys):
+        # a register or a basis state missing from calibration.json, under
+        # auto mitigation: the confusion matrix needs every column
+        out = self.bundle(tmp_path, "sampled")
+        victim = out / "reps" / "r00" / "calibration.json"
+        edit_entry(victim, keys, lambda entry: DELETE)
+        self.assert_rejected(out, capsys, str(victim), f"no entry {keys[-1]!r}")
+
+    @pytest.mark.parametrize("keys", [("q5",), ("q4", "01010")], ids=["register", "state"])
+    def test_calibration_file_extra_entry(self, tmp_path, capsys, keys):
+        out = self.bundle(tmp_path, "sampled", mitigation="full")
+        victim = out / "reps" / "r00" / "calibration.json"
         d = json.loads(victim.read_text())
-        d["meas"] = ["X", "Y", "X", "Y"]
+        (d if len(keys) == 1 else d[keys[0]])[keys[-1]] = {}
         victim.write_text(dump_json(d))
-        capsys.readouterr()
-        assert main(["reconstruct", "--out", str(out)]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and err.count("\n") == 1 and str(victim) in err
+        self.assert_rejected(out, capsys, str(victim), repr(keys[-1]))
 
     def test_exact_bundle_holding_counts(self, tmp_path, capsys):
         out = self.bundle(tmp_path, "exact")
-        (out / "reps" / "r00" / "jobs" / "3q-Xp-XZX.json").write_text(dump_json(
-            {"n": 3, "meas": ["X", "Z", "X"], "shots": 8, "counts": {"000": 8}}
-        ))
-        self.assert_rejected(out, "3q-Xp-XZX.json", capsys)
+        victim = out / "reps" / "r00" / "jobs.json"
+        counts = {"n": 3, "meas": ["X", "Z", "X"], "shots": 8, "counts": {"000": 8}}
+        edit_entry(victim, ("3q-Xp-XZX",), lambda entry: counts)
+        self.assert_rejected(out, capsys, str(victim), "'3q-Xp-XZX'")
 
     def test_sampled_bundle_holding_dist(self, tmp_path, capsys):
         out = self.bundle(tmp_path, "sampled")
-        (out / "reps" / "r00" / "jobs" / "3q-Xp-XZX.json").write_text(dump_json(
-            {"n": 3, "meas": ["X", "Z", "X"], "dist": [0.125] * 8}
-        ))
-        self.assert_rejected(out, "3q-Xp-XZX.json", capsys)
+        victim = out / "reps" / "r00" / "jobs.json"
+        dist = {"n": 3, "meas": ["X", "Z", "X"], "dist": [0.125] * 8}
+        edit_entry(victim, ("3q-Xp-XZX",), lambda entry: dist)
+        self.assert_rejected(out, capsys, str(victim), "'3q-Xp-XZX'")
 
     def test_exact_job_file_dist_of_wrong_length(self, tmp_path, capsys):
-        # a 3-qubit distribution in the file of a 4-qubit job
+        # a 3-qubit distribution in the entry of a 4-qubit job
         out = self.bundle(tmp_path, "exact")
-        victim = out / "reps" / "r00" / "jobs" / "4q-Xp-XZX-Z.json"
-        d = json.loads(victim.read_text())
-        d["dist"] = [0.125] * 8
-        victim.write_text(dump_json(d))
-        self.assert_rejected(out, str(victim), capsys)
+        victim = out / "reps" / "r00" / "jobs.json"
+        edit_entry(victim, ("4q-Xp-XZX-Z",), lambda e: {**e, "dist": [0.125] * 8})
+        self.assert_rejected(out, capsys, str(victim), "'4q-Xp-XZX-Z'")
 
     def test_config_does_not_match_manifest_hash(self, tmp_path, capsys):
         out = self.bundle(tmp_path, "exact")
         cfg = json.loads((out / "config.json").read_text())
         cfg["seed"] += 1
         (out / "config.json").write_text(dump_json(cfg))
-        self.assert_rejected(out, "config.json does not match the config_sha256", capsys)
+        self.assert_rejected(out, capsys, "config.json does not match the config_sha256")
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_non_finite_probability_in_exact_job_file(self, tmp_path, capsys, value):
         # Python's json reads NaN and Infinity; a distribution holding one
         # must be rejected, not passed on to the simplex projection
         out = self.bundle(tmp_path, "exact")
-        victim = out / "reps" / "r00" / "jobs" / "3q-Xp-XZX.json"
-        d = json.loads(victim.read_text())
-        d["dist"][0] = value
-        victim.write_text(json.dumps(d))
-        self.assert_rejected(out, str(victim), capsys)
+        victim = out / "reps" / "r00" / "jobs.json"
+        edit_entry(victim, ("3q-Xp-XZX",), lambda e: {**e, "dist": [value, *e["dist"][1:]]},
+                   dump=json.dumps)
+        self.assert_rejected(out, capsys, str(victim), "'3q-Xp-XZX'")
 
     def test_directory_in_place_of_job_file(self, tmp_path, capsys):
         out = self.bundle(tmp_path, "sampled")
-        victim = out / "reps" / "r00" / "jobs" / "3q-Xp-XZX.json"
+        victim = out / "reps" / "r00" / "jobs.json"
         victim.unlink()
         victim.mkdir()
-        self.assert_rejected(out, str(victim), capsys)
+        self.assert_rejected(out, capsys, str(victim))
 
     @pytest.mark.parametrize("mitigation", MITIGATION_MODES)
     def test_missing_calibration_directory(self, tmp_path, capsys, mitigation):
-        # run-jobs writes every register's calibration for a sampled config
-        # with rates, so a bundle without one is malformed under every mode
-        out = tmp_path / "run"
-        cfg = write_config(
-            tmp_path, mode="sampled", mitigation=mitigation, shots=2000, repetitions=1, k_max=1,
-            out_dir=str(out),
-        )
-        assert main(["run-jobs", "--config", str(cfg)]) == 0
-        victim = out / "reps" / "r00" / "calibration" / "q4"
-        shutil.rmtree(victim)
-        self.assert_rejected(out, str(victim) + os.sep, capsys)
+        # run-jobs writes a calibration.json for each repetition of a sampled
+        # config with rates, so a bundle without one is malformed under every mode
+        out = self.bundle(tmp_path, "sampled", mitigation=mitigation)
+        victim = out / "reps" / "r00" / "calibration.json"
+        victim.unlink()
+        self.assert_rejected(out, capsys, str(victim))
 
     def test_one_repetition_missing_calibration_directory(self, tmp_path, capsys):
         # rejected, not averaged: mitigating r00 from rates and r01 from its
@@ -494,36 +610,18 @@ class TestBundleIntegrity:
             out_dir=str(out),
         )
         assert main(["run-jobs", "--config", str(cfg)]) == 0
-        victim = out / "reps" / "r00" / "calibration" / "q4"
-        shutil.rmtree(victim)
-        self.assert_rejected(out, str(victim) + os.sep, capsys)
-
-    def test_partial_calibration_directory_under_tensor(self, tmp_path, capsys):
-        # tensor mode builds no matrix from calibration files, but a bundle
-        # holding an incomplete calibration directory is still malformed
-        out = tmp_path / "run"
-        cfg = write_config(
-            tmp_path, mode="sampled", mitigation="tensor", shots=2000, repetitions=1, k_max=1,
-            out_dir=str(out),
-        )
-        assert main(["run-jobs", "--config", str(cfg)]) == 0
-        victim = out / "reps" / "r00" / "calibration" / "q4" / "0011.json"
+        victim = out / "reps" / "r00" / "calibration.json"
         victim.unlink()
-        self.assert_rejected(out, str(victim), capsys)
+        self.assert_rejected(out, capsys, str(victim))
 
     @pytest.mark.parametrize("mitigation", ["tensor", "none"])
     def test_unparsable_calibration_file_unused_by_mode(self, tmp_path, capsys, mitigation):
-        # these modes build no matrix from calibration counts: each file must
-        # exist, but none is parsed, so the reports keep their bytes
-        out = tmp_path / "run"
-        cfg = write_config(
-            tmp_path, mode="sampled", mitigation=mitigation, shots=2000, repetitions=1, k_max=1,
-            out_dir=str(out),
-        )
-        assert main(["run-jobs", "--config", str(cfg)]) == 0
+        # these modes build no matrix from calibration counts: calibration.json
+        # must be a file, but it is not parsed, so the reports keep their bytes
+        out = self.bundle(tmp_path, "sampled", mitigation=mitigation)
         assert main(["reconstruct", "--out", str(out)]) == 0
         intact = read_tree(out / "reports")
-        (out / "reps" / "r00" / "calibration" / "q4" / "0011.json").write_text("not json")
+        (out / "reps" / "r00" / "calibration.json").write_text("not json")
         assert main(["reconstruct", "--out", str(out)]) == 0
         assert read_tree(out / "reports") == intact
 
@@ -531,19 +629,15 @@ class TestBundleIntegrity:
     def test_bundle_numbers_are_checked_not_coerced(self, tmp_path, capsys, case):
         mode, field, change = COERCIBLE[case]
         out = self.bundle(tmp_path, mode)
-        victim = out / "reps" / "r00" / "jobs" / "3q-Xp-XZX.json"
-        d = json.loads(victim.read_text())
-        d[field] = change(d[field])
-        victim.write_text(json.dumps(d))
-        capsys.readouterr()
-        assert main(["reconstruct", "--out", str(out)]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and err.count("\n") == 1 and str(victim) in err
+        victim = out / "reps" / "r00" / "jobs.json"
+        edit_entry(victim, ("3q-Xp-XZX",), lambda e: {**e, field: change(e[field])},
+                   dump=json.dumps)
+        self.assert_rejected(out, capsys, str(victim), "'3q-Xp-XZX'")
 
     def test_each_bundle_file_is_parsed_once(self, tmp_path, monkeypatch):
         out = self.bundle(tmp_path, "sampled")
         bundle_files = {p.relative_to(out) for p in out.rglob("*.json")}
-        assert len(bundle_files) == 3 + 48 + 16 + 8
+        assert len(bundle_files) == 3 + 2
         reads = collections.Counter()
         path_open = Path.open
 
@@ -594,34 +688,32 @@ class TestParallelRepetitions:
                 proc = self.chaincut(work, child_env, *argv, cpus=cpus)
                 assert proc.returncode == 0, proc.stderr
             trees.append(read_tree(work / "run"))
-        assert len(trees[0]) == 3 + 3 * (48 + 16 + 8) + 6
+        assert len(trees[0]) == 3 + 3 * 2 + 6
         assert trees[0] == trees[1]
 
     def test_bad_job_file_in_last_repetition(self, tmp_path, child_env):
         write_config(tmp_path, **self.SAMPLED)
         assert self.chaincut(tmp_path, child_env, "run-jobs", "--config", "config.json").returncode == 0
-        victim = tmp_path / "run" / "reps" / "r02" / "jobs" / "4q-Xp-XZX-Z.json"
-        d = json.loads(victim.read_text())
-        d["meas"] = ["X", "X", "X", "X"]
-        victim.write_text(dump_json(d))
+        victim = tmp_path / "run" / "reps" / "r02" / "jobs.json"
+        edit_entry(victim, ("4q-Xp-XZX-Z",), lambda e: {**e, "meas": ["X", "X", "X", "X"]})
         proc = self.chaincut(tmp_path, child_env, "reconstruct", "--out", "run")
         assert proc.returncode == 1
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
-        assert str(Path("run") / "reps" / "r02" / "jobs" / "4q-Xp-XZX-Z.json") in proc.stderr
+        assert str(Path("run") / "reps" / "r02" / "jobs.json") in proc.stderr
+        assert "'4q-Xp-XZX-Z'" in proc.stderr
 
     def test_first_failing_repetition_is_reported(self, tmp_path, capsys):
         out = tmp_path / "run"
         cfg = write_config(tmp_path, **{**self.SAMPLED, "out_dir": str(out)})
         assert main(["run-jobs", "--config", str(cfg)]) == 0
+        dist = {"n": 3, "meas": ["Z", "Z", "Z"], "dist": [0.125] * 8}
         for rep in ("r01", "r02"):
-            (out / "reps" / rep / "jobs" / "3q-Xp-XZX.json").write_text(dump_json(
-                {"n": 3, "meas": ["Z", "Z", "Z"], "dist": [0.125] * 8}
-            ))
+            edit_entry(out / "reps" / rep / "jobs.json", ("3q-Xp-XZX",), lambda entry: dist)
         capsys.readouterr()
         assert main(["reconstruct", "--out", str(out)]) == 1
         err = capsys.readouterr().err.replace(str(tmp_path), "")
-        assert str(Path("r01") / "jobs" / "3q-Xp-XZX.json") in err and "r02" not in err
+        assert str(Path("r01") / "jobs.json") in err and "r02" not in err
 
     def test_singular_calibration_in_workers(self, tmp_path, child_env):
         write_config(
@@ -935,7 +1027,7 @@ def test_every_accepted_config_runs_and_reconstructs(d):
             code = main(["reconstruct", "--out", str(out)])
         # run-jobs writes calibration exactly for the configs reconstruct reads it for
         calibrated = config_from_dict(d).calibrated
-        assert calibrated == any((out / "reps").glob("r*/calibration/q*/*.json"))
+        assert calibrated == any((out / "reps").glob("r*/calibration.json"))
         # a confusion matrix sampled from a few calibration shots can be singular
         if code == 2 and calibrated:
             assert err.getvalue().startswith("numerical error:") and err.getvalue().count("\n") == 1
@@ -943,13 +1035,18 @@ def test_every_accepted_config_runs_and_reconstructs(d):
             assert code == 0, (d, err.getvalue())
 
 
-# Bundle files a malformation test overwrites: every kind reconstruct reads.
+# What a malformation test changes: a bundle file, and the entry in it that
+# a "value" or "field" change hits (() for the file's top level).  Every kind
+# of file and entry that reconstruct reads.
 MALFORMABLE = (
-    "config.json",
-    "manifest.json",
-    "plan.json",
-    "reps/r00/jobs/4q-Xp-XZX-Z.json",
-    "reps/r00/calibration/q4/0101.json",
+    ("config.json", ()),
+    ("manifest.json", ()),
+    ("plan.json", ()),
+    ("reps/r00/jobs.json", ()),
+    ("reps/r00/jobs.json", ("4q-Xp-XZX-Z",)),
+    ("reps/r00/calibration.json", ()),
+    ("reps/r00/calibration.json", ("q4",)),
+    ("reps/r00/calibration.json", ("q4", "0101")),
 )
 
 
@@ -964,12 +1061,11 @@ def malformable_bundle(tmp_path_factory) -> Path:
     return out
 
 
-DELETE = object()
-JOB, CALIBRATION = MALFORMABLE[3], MALFORMABLE[4]
-# Every top-level field of the files in MALFORMABLE, so that a change can hit any of them.
+JOBS, JOB, CALIBRATION, STATE = MALFORMABLE[3], MALFORMABLE[4], MALFORMABLE[5], MALFORMABLE[7]
+# Every field or entry key of the objects in MALFORMABLE, so that a change can hit any of them.
 FIELDS = sorted(
     {*ExperimentConfig().to_dict(), "command", "package", "version", "config_sha256", "jobs",
-     "n", "meas", "shots", "counts", "dist"}
+     "n", "meas", "shots", "counts", "dist", "4q-Xp-XZX-Z", "q3", "q4", "0101", "000"}
 )
 CHANGES = (
     st.tuples(st.just("value"), JSON_VALUES)
@@ -981,55 +1077,69 @@ CHANGES = (
 NESTED = b"[" * 100_000 + b"]" * 100_000
 
 
-def _changed(original: bytes, change: tuple) -> bytes:
-    if change[0] == "value":
-        return json.dumps(change[1]).encode()
+def _changed(original: bytes, keys: tuple[str, ...], change: tuple) -> bytes:
+    """The file's bytes after ``change``: its entry at ``keys`` changed, or the whole file."""
     if change[0] == "bytes":
         return change[1]
     if change[0] == "truncate":
         # every bundle file ends in "}\n", so no proper prefix short of it is valid JSON
         return original[: int(change[1] * (len(original) - 1))]
+    if change[0] == "value" and not keys:
+        return json.dumps(change[1]).encode()
     d = json.loads(original)
-    if change[2] is DELETE:
-        d.pop(change[1], None)
+    if change[0] == "value":
+        *outer, last = keys
+        functools.reduce(dict.__getitem__, outer, d)[last] = change[1]
     else:
-        d[change[1]] = change[2]
+        entry = functools.reduce(dict.__getitem__, keys, d)
+        if change[2] is DELETE:
+            entry.pop(change[1], None)
+        else:
+            entry[change[1]] = change[2]
     return json.dumps(d).encode()
 
 
 @settings(max_examples=100, deadline=None, database=None, derandomize=True)
-@given(name=st.sampled_from(MALFORMABLE), change=CHANGES)
-@example(name=JOB, change=("value", []))
-@example(name=JOB, change=("bytes", NESTED))
-@example(name=JOB, change=("value", {"n": 3, "meas": 5}))
-@example(name=JOB, change=("value", {"n": 4, "meas": ["X", "Z", "X", "Z"]}))
-@example(name=JOB, change=("field", "shots", DELETE))
-@example(name=JOB, change=("field", "counts", [1]))
-@example(name=JOB, change=("field", "counts", {"0000": None}))
-@example(name=JOB, change=("field", "n", 10**9))
-@example(name=CALIBRATION, change=("value", []))
-@example(name=CALIBRATION, change=("field", "shots", DELETE))
-@example(name="manifest.json", change=("value", []))
-@example(name="plan.json", change=("value", []))
-@example(name="plan.json", change=("field", "jobs", []))
-@example(name="plan.json", change=("truncate", 0.5))
-def test_malformed_bundle_file_is_one_error_line(malformable_bundle, name, change):
+@given(target=st.sampled_from(MALFORMABLE), change=CHANGES)
+@example(target=JOB, change=("value", []))
+@example(target=JOB, change=("bytes", NESTED))
+@example(target=JOB, change=("value", {"n": 3, "meas": 5}))
+@example(target=JOB, change=("value", {"n": 4, "meas": ["X", "Z", "X", "Z"]}))
+@example(target=JOB, change=("field", "shots", DELETE))
+@example(target=JOB, change=("field", "counts", [1]))
+@example(target=JOB, change=("field", "counts", {"0000": None}))
+@example(target=JOB, change=("field", "n", 10**9))
+@example(target=JOBS, change=("value", []))
+@example(target=JOBS, change=("field", "4q-Xp-XZX-Z", DELETE))
+@example(target=JOBS, change=("field", "q4", {}))
+@example(target=CALIBRATION, change=("field", "q4", DELETE))
+@example(target=MALFORMABLE[6], change=("field", "0101", DELETE))
+@example(target=STATE, change=("value", []))
+@example(target=STATE, change=("field", "shots", DELETE))
+@example(target=STATE, change=("field", "counts", {"0101": 1}))
+@example(target=("manifest.json", ()), change=("value", []))
+@example(target=("plan.json", ()), change=("value", []))
+@example(target=("plan.json", ()), change=("field", "jobs", []))
+@example(target=("plan.json", ()), change=("truncate", 0.5))
+def test_malformed_bundle_file_is_one_error_line(malformable_bundle, target, change):
     """A changed bundle file gives exit 1 and one error line naming it, never a traceback.
 
-    An arbitrary value, arbitrary bytes or a truncation is always rejected;
-    a changed field may also leave a file that reconstructs (an unchecked
-    manifest field, or a value that happens to be valid), or calibration
-    counts that give a singular confusion matrix.
+    The line also names the changed entry.  An arbitrary value, arbitrary
+    bytes or a truncation is always rejected; a changed field may also
+    leave a file that reconstructs (an unchecked manifest field, or a value
+    that happens to be valid), or calibration counts that give a singular
+    confusion matrix.
     """
-    target = malformable_bundle / name
-    original = target.read_bytes()
-    target.write_bytes(_changed(original, change))
+    name, keys = target
+    path = malformable_bundle / name
+    original = path.read_bytes()
+    path.write_bytes(_changed(original, keys, change))
     err = io.StringIO()
     try:
         with contextlib.redirect_stderr(err):
             code = main(["reconstruct", "--out", str(malformable_bundle)])
     finally:
-        target.write_bytes(original)
+        path.write_bytes(original)
     err = err.getvalue()
     if change[0] == "field" and code == 0:
         return
@@ -1038,4 +1148,6 @@ def test_malformed_bundle_file_is_one_error_line(malformable_bundle, name, chang
         return
     assert code == 1, (change, err)
     assert err.startswith("error:") and err.count("\n") == 1, err
-    assert str(target) in err, err
+    assert str(path) in err, err
+    if change[0] in ("value", "field"):
+        assert all(repr(key) in err for key in keys), err

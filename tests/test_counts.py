@@ -14,6 +14,7 @@ from chaincut.counts import (
     SLICE,
     CountsTable,
     Distribution,
+    QuasiDistribution,
     counts_from_dict,
     counts_from_vector,
     dump_json,
@@ -48,6 +49,15 @@ class TestCountsTable:
         assert CountsTable([1, 0, 0, 1]) == CountsTable(np.array([1, 0, 0, 1]))
         assert CountsTable([1, 0, 0, 1]) != CountsTable([0, 1, 0, 1])
         assert CountsTable([1, 0, 0, 1]) != CountsTable([1, 0, 0, 1, 0, 0, 0, 0])
+
+    @pytest.mark.parametrize("cls", [Distribution, QuasiDistribution])
+    def test_distributions_compare_by_vector(self, cls):
+        half = cls(np.array([0.5, 0.5]))
+        assert half == cls(np.array([0.5, 0.5]))
+        assert half != cls(np.array([0.25, 0.75]))
+        assert half != cls(np.full(4, 0.25))
+        assert half != CountsTable([1, 1])
+        assert Distribution(np.array([0.5, 0.5])) != QuasiDistribution(np.array([0.5, 0.5]))
 
     @pytest.mark.parametrize(
         "vec",

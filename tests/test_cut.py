@@ -10,7 +10,7 @@ from chaincut import cut
 from chaincut.cut import (
     JobSpec,
     decomposition_table,
-    job_path,
+    jobs_file,
     plan_chain_jobs,
     read_job_result,
     read_plan,
@@ -160,17 +160,15 @@ class TestBundle:
 
     def test_result_roundtrip_counts(self, tmp_path, plan, default_noise):
         run = RunConfig("sampled", shots=2000, seed=3)
-        payloads = execute_jobs(plan[:2], run, default_noise)
-        for spec, counts in payloads.items():
-            write_job_result(tmp_path, 0, spec, counts)
-        for spec, counts in payloads.items():
-            again = read_job_result(tmp_path, 0, spec, 2000)
-            assert again == counts
-            assert json.loads(job_path(tmp_path, 0, spec).read_text())["meas"] == list(spec.meas)
+        payloads = execute_jobs(plan, run, default_noise)
+        write_job_result(tmp_path, 0, payloads)
+        again = read_job_result(tmp_path, 0, plan, 2000)
+        assert list(again) == list(plan) and again == payloads
+        entries = json.loads(jobs_file(tmp_path, 0).read_text())
+        assert sorted(entries) == sorted(spec.job_id for spec in plan)
+        assert all(entries[spec.job_id]["meas"] == list(spec.meas) for spec in plan)
 
-    def test_result_roundtrip_exact(self, tmp_path, plan):
-        payloads = execute_jobs(plan[:1], RunConfig("exact"), NoiseModel(0.0, 0.0, None))
-        [(spec, dist)] = payloads.items()
-        write_job_result(tmp_path, 0, spec, dist)
-        again = read_job_result(tmp_path, 0, spec, None)
-        np.testing.assert_allclose(again.p, dist.p, rtol=0, atol=0)
+    def test_result_roundtrip_exact(self, tmp_path, plan, default_noise):
+        payloads = execute_jobs(plan, RunConfig("exact"), default_noise)
+        write_job_result(tmp_path, 0, payloads)
+        assert read_job_result(tmp_path, 0, plan, None) == payloads

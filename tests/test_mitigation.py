@@ -1,5 +1,7 @@
 """Readout mitigation, transition matrices, and simplex projection."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -273,9 +275,25 @@ class TestPipeline:
         assert pipe.matrices[4].mode == "full"
         assert pipe.matrices[3].mode == "full"
 
-    def test_read_calibration_needs_every_register(self, tmp_path):
-        with pytest.raises(FileNotFoundError, match="calibration/q4/0000.json"):
-            read_calibration(tmp_path, 0, 50_000, "auto")
+    @pytest.mark.parametrize("mode", ["auto", "tensor"])
+    def test_read_calibration_needs_the_file(self, tmp_path, mode):
+        with pytest.raises(FileNotFoundError, match="r00/calibration.json"):
+            read_calibration(tmp_path, 0, 50_000, mode)
+
+    def test_read_calibration_needs_every_register(self, tmp_path, default_noise):
+        from chaincut.cut import calibration_file
+        from chaincut.runner import write_calibration
+        from chaincut.sim import RunConfig
+
+        write_calibration(tmp_path, 0, RunConfig("sampled", shots=1000, seed=4), default_noise)
+        path = calibration_file(tmp_path, 0)
+        d = json.loads(path.read_text())
+        del d["q4"]
+        path.write_text(json.dumps(d))
+        with pytest.raises(ValueError, match=r"calibration.json: no entry 'q4'"):
+            read_calibration(tmp_path, 0, 1000, "auto")
+        # tensor builds no matrix from the counts, so it does not parse them
+        assert read_calibration(tmp_path, 0, 1000, "tensor") == {}
 
     def test_none_mode(self, default_noise):
         pipe = pipeline_for_rep({}, default_noise.readout, mode="none")

@@ -1,5 +1,7 @@
 """Shared block simulations: one dense simulation per block state per run."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -59,7 +61,7 @@ def test_run_jobs_simulates_each_block_once(tmp_path, monkeypatch):
     )
     (tmp_path / "config.json").write_text(dump_json(cfg.to_dict()))
     assert main(["run-jobs", "--config", str(tmp_path / "config.json")]) == 0
-    assert len(list((tmp_path / "run" / "reps" / "r02" / "jobs").glob("*.json"))) == 48
+    assert len(json.loads((tmp_path / "run" / "reps" / "r02" / "jobs.json").read_text())) == 48
     # 12 block states (2 forms x 6 input labels), 48 settings; 144 of each
     # if every job of every repetition simulated its block again.
     assert 0 < calls["run_exact"] <= 12
