@@ -25,7 +25,7 @@ circ = build_block_subcircuit("4q", "Xp")
 print("\nthe |+>-input block is the 4-qubit linear-cluster circuit itself:")
 print(" ", [(g.kind, g.qubits, g.label) for g in circ.ops])
 
-results = execute_jobs(plan, RunConfig("exact"), NoiseModel(0.0, 0.0, None))
+results = execute_jobs(RunConfig("exact"), NoiseModel(0.0, 0.0, None))
 dist = next(d for spec, d in results.items() if spec.job_id == "4q-Xp-XZX-Z")
 print("\nexact XZXZ outcome distribution of that block (16 bitstrings):")
 p = dist.p

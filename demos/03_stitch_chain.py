@@ -9,7 +9,6 @@ distributions match a direct statevector simulation.
 
 import numpy as np
 
-from chaincut.cut import plan_chain_jobs
 from chaincut.direct import chain_distribution
 from chaincut.mitigation import MitigationPipeline
 from chaincut.reconstruct import (
@@ -25,7 +24,7 @@ from chaincut.sim import NoiseModel, RunConfig
 
 NOISELESS = NoiseModel(0.0, 0.0, None)
 
-results = execute_jobs(plan_chain_jobs(), RunConfig("exact"), NOISELESS)
+results = execute_jobs(RunConfig("exact"), NOISELESS)
 bt4, bt3 = build_block_tensors(results, MitigationPipeline({}))
 
 for parity in ("odd", "even"):

@@ -7,7 +7,6 @@ mitigation from the true rates, maximum-likelihood projection back onto
 the simplex, then the cut-vs-direct comparison at 12 qubits.
 """
 
-from chaincut.cut import plan_chain_jobs
 from chaincut.direct import direct_chain_report
 from chaincut.mitigation import MitigationPipeline, pipeline_for_rep
 from chaincut.reconstruct import (
@@ -23,7 +22,7 @@ noise = NoiseModel()
 run = RunConfig("sampled", shots=1_000_000, seed=2024)
 print(f"noise: p1={noise.p1}, p2={noise.p2}, f00={[r[0] for r in noise.readout]}")
 
-results = execute_jobs(plan_chain_jobs(), run, noise)
+results = execute_jobs(run, noise)
 
 pipeline = pipeline_for_rep({}, noise.readout, "tensor")
 t4, t3 = pipeline.matrices[4], pipeline.matrices[3]
@@ -44,7 +43,7 @@ print(f"12-qubit direct-simulation bound:   {direct:.4f}")
 
 # shot noise (~1e-3 here) hides the deterministic margin; rerun the
 # stitching on exact block statistics to see it cleanly
-exact_results = execute_jobs(plan_chain_jobs(), RunConfig("exact"), noise)
+exact_results = execute_jobs(RunConfig("exact"), noise)
 e4, e3 = build_block_tensors(exact_results, MitigationPipeline({}))
 odd_e, even_e = witness_averages(e4, e3, 12)
 stitched_exact = fidelity_lower_bound(odd_e, even_e)

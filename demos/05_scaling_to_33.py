@@ -8,14 +8,13 @@ though the witness term count grows as 2^(n/2)-ish, and under noise the
 fidelity bound decays with n.
 """
 
-from chaincut.cut import plan_chain_jobs
 from chaincut.mitigation import MitigationPipeline
 from chaincut.reconstruct import build_block_tensors, scaling_sweep, witness_term_count
 from chaincut.runner import execute_jobs
 from chaincut.sim import NoiseModel, RunConfig
 
 noise = NoiseModel()
-results = execute_jobs(plan_chain_jobs(), RunConfig("exact"), noise)
+results = execute_jobs(RunConfig("exact"), noise)
 bt4, bt3 = build_block_tensors(results, MitigationPipeline({}))
 
 print("  n  cuts  6^cuts        terms   bound     time")

@@ -3,6 +3,7 @@
 Verbs:
     run-jobs     execute the 48-job block grid and persist the bundle,
                  with readout calibration for sampled configs with rates
+                 under "auto" or "full" mitigation
     reconstruct  turn a bundle into witness/bound/distribution reports,
                  including the chain-length sweep to n = 6 + 3 k_max
     direct       simulate the uncut chain as a reference
@@ -12,6 +13,10 @@ reads: --seed and --shots (run-jobs, direct), --exact (run-jobs, direct),
 --k-max (reconstruct), --n (direct).  Exit codes: 0 success, 1 validation
 error, 2 numerical error.  All outputs except wall-clock timing columns are
 byte-reproducible for a fixed config and seed.
+
+A bundle is config.json, manifest.json and, per repetition, jobs.json,
+plus calibration.json when ``ExperimentConfig.calibrated`` holds.  The job
+grid is ``cut.plan_chain_jobs()``, a code constant, so no file stores it.
 
 run-jobs and reconstruct run their repetitions in parallel
 (``_map_reps``): one forked worker per CPU in the affinity mask, at most
@@ -36,15 +41,7 @@ import numpy as np
 from . import __version__
 from .config import ExperimentConfig, load_config, override_config
 from .counts import dump_json
-from .cut import (
-    plan_chain_jobs,
-    read_bundle_file,
-    read_job_result,
-    read_plan,
-    rep_dir,
-    write_job_result,
-    write_plan,
-)
+from .cut import plan_chain_jobs, read_bundle_file, read_job_result, rep_dir, write_job_result
 from .direct import direct_chain_report
 from .mitigation import (
     MitigationPipeline,
@@ -111,8 +108,8 @@ def _map_reps(fn, reps) -> list:
         return list(pool.map(fn, reps, chunksize=math.ceil(len(reps) / workers)))
 
 
-def _run_rep(out: Path, plan, run, noise, calibrated: bool, rep: int) -> None:
-    write_job_result(out, rep, execute_jobs(plan, run, noise, rep=rep))
+def _run_rep(out: Path, run, noise, calibrated: bool, rep: int) -> None:
+    write_job_result(out, rep, execute_jobs(run, noise, rep=rep))
     if calibrated:
         write_calibration(out, rep, run, noise)
 
@@ -129,17 +126,16 @@ def cmd_run_jobs(args) -> int:
     (out / "reports" / "manifest.json").unlink(missing_ok=True)
     shutil.rmtree(out / "reps", ignore_errors=True)
     (out / "config.json").write_text(dump_json(cfg.to_dict()))
-    plan = plan_chain_jobs()
-    write_plan(out, plan)
     noise = cfg.noise_model()
     run = cfg.run_config()
     # Simulated once here, the block distributions reach the workers by fork.
-    for spec in plan:
+    grid = plan_chain_jobs()
+    for spec in grid:
         block_distribution(spec, noise)
     reps = range(cfg.effective_repetitions)
-    _map_reps(functools.partial(_run_rep, out, plan, run, noise, cfg.calibrated), reps)
+    _map_reps(functools.partial(_run_rep, out, run, noise, cfg.calibrated), reps)
     _write_manifest(out, "run-jobs", cfg)
-    print(f"wrote {len(reps)} repetition(s) of {len(plan)} jobs to {out}")
+    print(f"wrote {len(reps)} repetition(s) of {len(grid)} jobs to {out}")
     return 0
 
 
@@ -169,13 +165,14 @@ def _check_rep_dirs(bundle: Path, repetitions: int) -> None:
         )
 
 
-def _reconstruct_rep(bundle: Path, plan, cfg: ExperimentConfig, rep: int) -> dict:
-    shots = cfg.shots if cfg.mode == "sampled" else None
-    payloads = read_job_result(bundle, rep, plan, shots)
-    # Exact distributions model pre-readout statistics: like uncalibrated counts, no TMEM.
+def _reconstruct_rep(bundle: Path, cfg: ExperimentConfig, rep: int) -> dict:
+    sampled = cfg.mode == "sampled"
+    payloads = read_job_result(bundle, rep, cfg.shots if sampled else None)
+    # Exact distributions model pre-readout statistics: like counts without
+    # readout rates, no TMEM.
     pipeline = MitigationPipeline({})
-    if cfg.calibrated:
-        calibration = read_calibration(bundle, rep, cfg.shots, cfg.mitigation)
+    if sampled and cfg.readout is not None:
+        calibration = read_calibration(bundle, rep, cfg.shots) if cfg.calibrated else {}
         pipeline = pipeline_for_rep(calibration, cfg.readout, cfg.mitigation)
     bt4, bt3 = build_block_tensors(payloads, pipeline)
     return {
@@ -188,10 +185,9 @@ def _reconstruct_rep(bundle: Path, plan, cfg: ExperimentConfig, rep: int) -> dic
 
 
 def _reconstruct_reports(bundle: Path, cfg: ExperimentConfig) -> list[dict]:
-    plan = read_plan(bundle)
     reps = range(cfg.effective_repetitions)
     _check_rep_dirs(bundle, len(reps))
-    return _map_reps(functools.partial(_reconstruct_rep, bundle, plan, cfg), reps)
+    return _map_reps(functools.partial(_reconstruct_rep, bundle, cfg), reps)
 
 
 def _mean_std(stack) -> tuple[np.ndarray, np.ndarray]:

@@ -9,6 +9,7 @@ from pathlib import Path
 
 from .counts import has_json_type
 from .cut import read_bundle_file
+from .mitigation import CALIBRATION_MODES
 from .sim import DEFAULT_P1, DEFAULT_P2, DEFAULT_READOUT, NoiseModel, RunConfig
 
 MITIGATION_MODES = ("auto", "tensor", "full", "none")
@@ -53,8 +54,9 @@ class ExperimentConfig:
 
     @property
     def calibrated(self) -> bool:
-        """Sampled with readout rates: run-jobs writes, and reconstruct reads, calibration."""
-        return self.mode == "sampled" and self.readout is not None
+        """Sampled with rates, mitigated from counts: the bundle holds calibration."""
+        sampled_with_rates = self.mode == "sampled" and self.readout is not None
+        return sampled_with_rates and self.mitigation in CALIBRATION_MODES
 
     def noise_model(self) -> NoiseModel:
         return NoiseModel(self.p1, self.p2, self.readout)

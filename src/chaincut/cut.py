@@ -21,7 +21,7 @@ reconstruction applies.  Its 1-norm sum
 variant, while the number of weighted term combinations grows as 6^k in
 the number of cuts.
 
-This module carries no simulator dependency: job specs, plans, and the
+This module carries no simulator dependency: the job grid and the
 on-disk bundle format defined here are the contract between execution
 (chaincut.runner) and reconstruction (chaincut.reconstruct), so
 reconstruction can run on archived or externally produced data.
@@ -190,7 +190,7 @@ def plan_chain_jobs() -> tuple[JobSpec, ...]:
 
 
 # ---------------------------------------------------------------------------
-# On-disk bundle: plan.json + reps/rXX/jobs.json (+ reps/rXX/calibration.json)
+# On-disk bundle: reps/rXX/jobs.json (+ reps/rXX/calibration.json)
 
 
 def read_bundle_file(path: Path, parse):
@@ -248,32 +248,6 @@ def jobs_file(bundle_dir: Path, rep: int) -> Path:
     return rep_dir(bundle_dir, rep) / "jobs.json"
 
 
-def write_plan(bundle_dir: Path, plan: tuple[JobSpec, ...]) -> None:
-    path = Path(bundle_dir) / "plan.json"
-    path.parent.mkdir(parents=True, exist_ok=True)
-    jobs = [
-        {"id": s.job_id, "form": s.form, "input": s.input, "pattern": s.pattern,
-         "cut_basis": s.cut_basis}
-        for s in plan
-    ]
-    path.write_text(dump_json({"jobs": jobs}))
-
-
-def read_plan(bundle_dir: Path) -> tuple[JobSpec, ...]:
-    """The job specs of plan.json, which must list every job of the grid once."""
-
-    def parse(d: dict) -> tuple[JobSpec, ...]:
-        plan = tuple(
-            JobSpec(j["form"], j["input"], j["pattern"], j.get("cut_basis")) for j in d["jobs"]
-        )
-        grid = plan_chain_jobs()
-        if len(plan) != len(grid) or set(plan) != set(grid):
-            raise ValueError(f"does not list the {len(grid)} jobs of the block grid once each")
-        return plan
-
-    return read_bundle_file(Path(bundle_dir) / "plan.json", parse)
-
-
 def write_job_result(bundle_dir: Path, rep: int, payloads: dict[JobSpec, Payload]) -> None:
     """Write one repetition's jobs.json: each job's result under its id."""
     path = jobs_file(bundle_dir, rep)
@@ -281,20 +255,19 @@ def write_job_result(bundle_dir: Path, rep: int, payloads: dict[JobSpec, Payload
     path.write_text(dump_json({s.job_id: payload_to_dict(s.meas, p) for s, p in payloads.items()}))
 
 
-def read_job_result(
-    bundle_dir: Path, rep: int, plan: tuple[JobSpec, ...], shots: int | None
-) -> dict[JobSpec, Payload]:
-    """One repetition's jobs.json, one entry per plan job, in plan order.
+def read_job_result(bundle_dir: Path, rep: int, shots: int | None) -> dict[JobSpec, Payload]:
+    """One repetition's jobs.json, one entry per job of the grid, in plan_chain_jobs order.
 
     Each entry is checked against its job's setting and config.json's
-    ``shots`` (None for an exact bundle); an id the plan does not list is
+    ``shots`` (None for an exact bundle); an id the grid does not list is
     an error.
     """
+    grid = plan_chain_jobs()
     parsers = {
-        s.job_id: functools.partial(payload_from_dict, meas=s.meas, shots=shots) for s in plan
+        s.job_id: functools.partial(payload_from_dict, meas=s.meas, shots=shots) for s in grid
     }
 
     def parse(d: dict) -> dict[JobSpec, Payload]:
-        return dict(zip(plan, read_entries(d, parsers)))
+        return dict(zip(grid, read_entries(d, parsers)))
 
     return read_bundle_file(jobs_file(bundle_dir, rep), parse)

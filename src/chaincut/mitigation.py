@@ -14,10 +14,8 @@ probability simplex, computed in closed form by sorted water-filling.
 
 from __future__ import annotations
 
-import errno
 import functools
 import math
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -37,7 +35,7 @@ class NumericalError(RuntimeError):
     """Numerically unusable input: singular or ill-conditioned matrices."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TransitionMatrix:
     """Column-stochastic readout confusion matrix for one register.
 
@@ -63,6 +61,12 @@ class TransitionMatrix:
         if np.max(np.abs(colsums - 1.0)) > 1e-9:
             raise ValueError("columns must sum to 1")
         object.__setattr__(self, "cond", checked_cond(m))
+
+    def __eq__(self, other):
+        if not isinstance(other, TransitionMatrix):
+            return NotImplemented
+        same_register = (self.n, self.mode) == (other.n, other.mode)
+        return same_register and np.array_equal(self.matrix, other.matrix)
 
 
 def confusion_1q(f00: float, f11: float) -> np.ndarray:
@@ -199,21 +203,13 @@ class MitigationPipeline:
         return mle_project(q)
 
 
-def read_calibration(
-    bundle_dir: Path, rep: int, shots: int, mode: str
-) -> dict[int, list[CountsTable]]:
+def read_calibration(bundle_dir: Path, rep: int, shots: int) -> dict[int, list[CountsTable]]:
     """The calibration count tables of one repetition, per register size, in basis-state order.
 
-    The repetition's calibration.json must be a file under every mode.
-    Only the modes in CALIBRATION_MODES build matrices from the counts, so
-    only they parse it, and it must then hold every register's every basis
-    state and nothing else; the other modes get no tables.
+    The repetition's calibration.json must hold every register's every
+    basis state and nothing else.  Only calibrated configs
+    (``ExperimentConfig.calibrated``) have one, and only they read it.
     """
-    path = calibration_file(bundle_dir, rep)
-    if mode not in CALIBRATION_MODES:
-        if not path.is_file():
-            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), str(path))
-        return {}
 
     def register(n: int):
         # calibration reads every qubit of the register in Z
@@ -224,7 +220,7 @@ def read_calibration(
         tables = read_entries(d, {f"q{n}": register(n) for n in REGISTER_SIZES})
         return dict(zip(REGISTER_SIZES, tables))
 
-    return read_bundle_file(path, parse)
+    return read_bundle_file(calibration_file(bundle_dir, rep), parse)
 
 
 def pipeline_for_rep(

@@ -139,7 +139,7 @@ def _subset_masks(n: int, parity: str) -> tuple[np.ndarray, np.ndarray]:
 # Block tensors
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BlockTensor:
     """Mitigated per-block statistics: one outcome table and its parity table.
 
@@ -163,6 +163,11 @@ class BlockTensor:
         limit = 1.0 + BLOCK_ENTRY_TOL
         if np.max(np.abs(self.values)) > limit:
             raise ValueError("block tensor entry outside [-1-eps, 1+eps]")
+
+    def __eq__(self, other):
+        if not isinstance(other, BlockTensor):
+            return NotImplemented
+        return self.form == other.form and np.array_equal(self.outcomes, other.outcomes)
 
 
 def build_block_tensors(

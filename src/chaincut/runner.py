@@ -6,7 +6,8 @@ shot draws and readout flips.  Its results go to a bundle in the on-disk
 layout defined by chaincut.cut (one jobs.json per repetition).  Also
 writes the readout calibration (every basis state prepared and read out,
 one calibration.json per repetition) of calibrated configs
-(``ExperimentConfig.calibrated``).
+(``ExperimentConfig.calibrated``: sampled, with readout rates, under a
+mitigation mode that estimates its matrices from calibration counts).
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 
 from .circuit import REGISTER_SIZES, build_block_subcircuit
 from .counts import CountsTable, Distribution, Payload, dump_json, payload_to_dict
-from .cut import JobSpec, calibration_file
+from .cut import JobSpec, calibration_file, plan_chain_jobs
 from .mitigation import readout_rates
 from .qstate import index_to_bits
 from .sim import NoiseModel, RunConfig, measure_distribution, rng_for, run_exact, sample_counts
@@ -28,7 +29,7 @@ _JOB_STREAM = 0
 _CALIB_STREAM = 1
 
 
-# The memos hold the 12 block states and 48 job distributions of one plan
+# The memos hold the 12 block states and 48 job distributions of the grid
 # (cut.plan_chain_jobs) for two noise models at once: an LRU smaller than the
 # keys one repetition cycles through would never hit.
 @functools.lru_cache(maxsize=2 * 12)
@@ -47,13 +48,8 @@ def block_distribution(spec: JobSpec, noise: NoiseModel) -> Distribution:
     return dist
 
 
-def execute_jobs(
-    plan: tuple[JobSpec, ...],
-    run: RunConfig,
-    noise: NoiseModel,
-    rep: int = 0,
-) -> dict[JobSpec, Payload]:
-    """Run every job in the plan; each spec's payload, in plan order.
+def execute_jobs(run: RunConfig, noise: NoiseModel, rep: int = 0) -> dict[JobSpec, Payload]:
+    """Run every job of the grid; each spec's payload, in plan_chain_jobs order.
 
     Exact mode stores the exact outcome distribution; sampled mode draws
     ``run.shots`` shots from a generator derived from (seed, rep, job
@@ -61,7 +57,7 @@ def execute_jobs(
     Results are independent of execution order by construction.
     """
     payloads = {}
-    for idx, spec in enumerate(plan):
+    for idx, spec in enumerate(plan_chain_jobs()):
         try:
             payloads[spec] = _execute_one(spec, idx, run, noise, rep)
         except Exception as exc:

@@ -36,8 +36,8 @@ def plan():
 
 
 @pytest.fixture(scope="session")
-def exact_results(plan):
-    return execute_jobs(plan, RunConfig("exact"), NOISELESS)
+def exact_results():
+    return execute_jobs(RunConfig("exact"), NOISELESS)
 
 
 @pytest.fixture(scope="session")
@@ -51,8 +51,8 @@ def default_noise():
 
 
 @pytest.fixture(scope="session")
-def noisy_exact_results(plan, default_noise):
-    return execute_jobs(plan, RunConfig("exact"), default_noise)
+def noisy_exact_results(default_noise):
+    return execute_jobs(RunConfig("exact"), default_noise)
 
 
 @pytest.fixture(scope="session")
@@ -61,15 +61,15 @@ def noisy_exact_tensors(noisy_exact_results):
 
 
 @pytest.fixture(scope="session")
-def sampled_results(plan, default_noise):
+def sampled_results(default_noise):
     run = RunConfig("sampled", shots=1_000_000, seed=20240917)
-    return execute_jobs(plan, run, default_noise)
+    return execute_jobs(run, default_noise)
 
 
 @pytest.fixture(scope="session")
-def sampled_noiseless_tensors(plan):
+def sampled_noiseless_tensors():
     run = RunConfig("sampled", shots=1_000_000, seed=31)
-    results = execute_jobs(plan, run, NOISELESS)
+    results = execute_jobs(run, NOISELESS)
     return build_block_tensors(results, MitigationPipeline({}))
 
 

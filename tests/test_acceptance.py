@@ -14,11 +14,7 @@ from chaincut.circuit import build_linear_cluster
 from chaincut.cli import main
 from chaincut.config import ExperimentConfig
 from chaincut.counts import dump_json
-from chaincut.cut import (
-    decomposition_table,
-    plan_chain_jobs,
-    reconstruction_error,
-)
+from chaincut.cut import decomposition_table, reconstruction_error
 from chaincut.direct import direct_chain_report
 from chaincut.mitigation import (
     MitigationPipeline,
@@ -88,8 +84,7 @@ def test_c1_cut_identity_exactness():
 
 def test_c2_noiseless_end_to_end_equality():
     t0 = time.perf_counter()
-    plan = plan_chain_jobs()
-    results = execute_jobs(plan, RunConfig("exact"), NOISELESS)
+    results = execute_jobs(RunConfig("exact"), NOISELESS)
     bt4, bt3 = build_block_tensors(results, MitigationPipeline({}))
     reference = direct_chain_report(12, NOISELESS, RunConfig("exact"))
     [direct_odd], [direct_even] = reference["odd"], reference["even"]
@@ -143,8 +138,7 @@ def test_c3_contraction_vs_brute_force():
 
 
 def test_c4_scaling_exactness_and_cost():
-    plan = plan_chain_jobs()
-    results = execute_jobs(plan, RunConfig("exact"), NOISELESS)
+    results = execute_jobs(RunConfig("exact"), NOISELESS)
     bt4, bt3 = build_block_tensors(results, MitigationPipeline({}))
     t0 = time.perf_counter()
     rows = scaling_sweep(bt4, bt3, 9)
@@ -284,8 +278,7 @@ def test_c6_mitigation_pipeline():
 
 def test_c7_qualitative_paper_regime():
     noise = NoiseModel()  # documented default calibration
-    plan = plan_chain_jobs()
-    results = execute_jobs(plan, RunConfig("exact"), noise)
+    results = execute_jobs(RunConfig("exact"), noise)
     bt4, bt3 = build_block_tensors(results, MitigationPipeline({}))
     by_id = {s.job_id: dist for s, dist in results.items()}
     p_xz = by_id["4q-Xp-XZX-Z"].p
@@ -311,7 +304,7 @@ def test_cut_equals_direct_without_one_qubit_noise(p2):
     # (dense simulator, transfer matrices) and the Heisenberg reference
     # compute it independently, so each checks the other.
     noise = NoiseModel(0.0, p2, None)
-    results = execute_jobs(plan_chain_jobs(), RunConfig("exact"), noise)
+    results = execute_jobs(RunConfig("exact"), noise)
     bt4, bt3 = build_block_tensors(results, MitigationPipeline({}))
     odd6, even6 = (float(np.mean(witness_values(bt4, bt3, 6, p))) for p in ("odd", "even"))
     stitched = {6: fidelity_lower_bound(odd6, even6)}

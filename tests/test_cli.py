@@ -24,6 +24,8 @@ from chaincut.cli import _map_reps, main
 from chaincut.config import MITIGATION_MODES, ExperimentConfig, config_from_dict, load_config
 from chaincut.counts import MAX_SHOTS, dump_json
 from chaincut.cut import plan_chain_jobs
+from chaincut.mitigation import CALIBRATION_MODES
+from chaincut.runner import write_calibration
 from chaincut.sim import NoiseModel
 
 
@@ -98,11 +100,11 @@ def sha256_of(tree: dict[str, bytes]) -> str:
 
 
 # sha256 of the default-noise sampled bundle in
-# TestRunJobs.test_sampled_bundle_matches_golden_digest: plan.json and every
-# jobs.json and calibration.json entry written alone (entry_files).
-GOLDEN_SAMPLED_BUNDLE_SHA256 = "acf0b8b57ade56ed24b3bd0ebb7b88e3b2da7872bbb0ff4fb453057aa7fb61ee"
-# sha256 of the same bundle's plan.json, jobs.json and calibration.json files.
-GOLDEN_SAMPLED_BUNDLE_FILES_SHA256 = "f18c34859b2dbd0887c31cfde37b96e488c05dacbe34796cb5990e453ab30375"
+# TestRunJobs.test_sampled_bundle_matches_golden_digest: every jobs.json and
+# calibration.json entry written alone (entry_files).
+GOLDEN_SAMPLED_BUNDLE_SHA256 = "97cd02017ce117f872502e03239deae1d8d93ec1f5cd141bd1d04232ea164498"
+# sha256 of the same bundle's jobs.json and calibration.json files.
+GOLDEN_SAMPLED_BUNDLE_FILES_SHA256 = "fe5ea198338ddf6214a05bb35abb3f1d60cd21a378eab5feae0e68675fa65d25"
 # sha256 of the sampled direct reports in
 # TestDirect.test_sampled_direct_matches_golden_digest.
 GOLDEN_SAMPLED_DIRECT_SHA256 = "a6e683dc32a29e0bad257bee57eda74d5f9f36bfa240dc6ebdd9027489aadd86"
@@ -136,15 +138,19 @@ class TestRunJobs:
             ({"mode": "exact"}, False),
             ({"mode": "sampled", "repetitions": 3}, True),
             ({"mode": "sampled", "repetitions": 2, "f00": None, "f11": None}, False),
+            # these modes read no calibration counts, so none are written
+            ({"mode": "sampled", "repetitions": 2, "mitigation": "tensor"}, False),
+            ({"mode": "sampled", "repetitions": 2, "mitigation": "none"}, False),
         ],
-        ids=["exact", "sampled", "sampled-no-rates"],
+        ids=["exact", "sampled", "sampled-no-rates", "tensor", "none"],
     )
     def test_bundle_holds_two_files_per_repetition(self, tmp_path, fields, calibrated):
         out = tmp_path / "run"
         cfg = tmp_path / "config.json"
         cfg.write_text(json.dumps({"shots": 1000, "out_dir": str(out), **fields}))
         assert main(["run-jobs", "--config", str(cfg)]) == 0
-        expected = ["config.json", "manifest.json", "plan.json"]
+        assert load_config(cfg).calibrated == calibrated
+        expected = ["config.json", "manifest.json"]
         for rep in range(load_config(cfg).effective_repetitions):
             expected.append(f"reps/r{rep:02d}/jobs.json")
             if calibrated:
@@ -164,8 +170,8 @@ class TestRunJobs:
     def test_sampled_bundle_matches_golden_digest(self, tmp_path):
         # Pins the job and calibration RNG streams across code changes, not
         # only across reruns.  config.json holds out_dir and manifest.json its
-        # hash, so both are left out.  plan.json and each entry of every rep
-        # file, written alone, are hashed, and so are the rep files.
+        # hash, so both are left out.  Each entry of every rep file, written
+        # alone, is hashed, and so are the rep files.
         out = tmp_path / "run"
         cfg = write_config(
             tmp_path, mode="sampled", mitigation="auto", shots=10_000, repetitions=2,
@@ -174,9 +180,9 @@ class TestRunJobs:
         assert main(["run-jobs", "--config", str(cfg)]) == 0
         tree = read_tree(out)
         del tree["config.json"], tree["manifest.json"]
-        assert len(tree) == 1 + 2 * 2
-        entries = {"plan.json": tree["plan.json"], **entry_files(tree)}
-        assert len(entries) == 1 + 2 * (48 + 16 + 8)
+        assert len(tree) == 2 * 2
+        entries = entry_files(tree)
+        assert len(entries) == 2 * (48 + 16 + 8)
         assert sha256_of(entries) == GOLDEN_SAMPLED_BUNDLE_SHA256
         assert sha256_of(tree) == GOLDEN_SAMPLED_BUNDLE_FILES_SHA256
 
@@ -263,6 +269,33 @@ class TestReconstruct:
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
         assert str(rep / "jobs.json") in err
+
+    @pytest.mark.parametrize("mitigation", ["auto", "tensor"])
+    def test_bundle_of_the_earlier_layout_reconstructs(self, tmp_path, mitigation):
+        # Earlier bundles also hold the job grid as plan.json and, under
+        # tensor and none, a calibration.json of each repetition.  Neither is
+        # read, so such a bundle gives the same reports.
+        out = tmp_path / "run"
+        cfg = write_config(
+            tmp_path, mode="sampled", mitigation=mitigation, shots=1000, repetitions=2,
+            k_max=1, out_dir=str(out),
+        )
+        assert main(["run-jobs", "--config", str(cfg)]) == 0
+        assert main(["reconstruct", "--out", str(out)]) == 0
+        reports = read_tree(out / "reports")
+        jobs = [
+            {"id": s.job_id, "form": s.form, "input": s.input, "pattern": s.pattern,
+             "cut_basis": s.cut_basis}
+            for s in plan_chain_jobs()
+        ]
+        (out / "plan.json").write_text(dump_json({"jobs": jobs}))
+        config = load_config(cfg)
+        if not config.calibrated:
+            for rep in range(config.repetitions):
+                write_calibration(out, rep, config.run_config(), config.noise_model())
+        assert len(list((out / "reps").glob("r*/calibration.json"))) == 2
+        assert main(["reconstruct", "--out", str(out)]) == 0
+        assert read_tree(out / "reports") == reports
 
     def test_short_readout_list_reconstructs(self, tmp_path):
         # two rates for four-qubit registers: mitigation must cycle the list
@@ -592,10 +625,10 @@ class TestBundleIntegrity:
         victim.mkdir()
         self.assert_rejected(out, capsys, str(victim))
 
-    @pytest.mark.parametrize("mitigation", MITIGATION_MODES)
+    @pytest.mark.parametrize("mitigation", CALIBRATION_MODES)
     def test_missing_calibration_directory(self, tmp_path, capsys, mitigation):
         # run-jobs writes a calibration.json for each repetition of a sampled
-        # config with rates, so a bundle without one is malformed under every mode
+        # config with rates under these modes, so a bundle without one is malformed
         out = self.bundle(tmp_path, "sampled", mitigation=mitigation)
         victim = out / "reps" / "r00" / "calibration.json"
         victim.unlink()
@@ -616,8 +649,9 @@ class TestBundleIntegrity:
 
     @pytest.mark.parametrize("mitigation", ["tensor", "none"])
     def test_unparsable_calibration_file_unused_by_mode(self, tmp_path, capsys, mitigation):
-        # these modes build no matrix from calibration counts: calibration.json
-        # must be a file, but it is not parsed, so the reports keep their bytes
+        # these modes build no matrix from calibration counts: run-jobs writes
+        # no calibration.json, and a stray one is not read, so the reports
+        # keep their bytes
         out = self.bundle(tmp_path, "sampled", mitigation=mitigation)
         assert main(["reconstruct", "--out", str(out)]) == 0
         intact = read_tree(out / "reports")
@@ -637,7 +671,7 @@ class TestBundleIntegrity:
     def test_each_bundle_file_is_parsed_once(self, tmp_path, monkeypatch):
         out = self.bundle(tmp_path, "sampled")
         bundle_files = {p.relative_to(out) for p in out.rglob("*.json")}
-        assert len(bundle_files) == 3 + 2
+        assert len(bundle_files) == 2 + 2
         reads = collections.Counter()
         path_open = Path.open
 
@@ -688,7 +722,7 @@ class TestParallelRepetitions:
                 proc = self.chaincut(work, child_env, *argv, cpus=cpus)
                 assert proc.returncode == 0, proc.stderr
             trees.append(read_tree(work / "run"))
-        assert len(trees[0]) == 3 + 3 * 2 + 6
+        assert len(trees[0]) == 2 + 3 * 2 + 6
         assert trees[0] == trees[1]
 
     def test_bad_job_file_in_last_repetition(self, tmp_path, child_env):
@@ -1026,10 +1060,11 @@ def test_every_accepted_config_runs_and_reconstructs(d):
         with contextlib.redirect_stderr(err):
             code = main(["reconstruct", "--out", str(out)])
         # run-jobs writes calibration exactly for the configs reconstruct reads it for
-        calibrated = config_from_dict(d).calibrated
-        assert calibrated == any((out / "reps").glob("r*/calibration.json"))
-        # a confusion matrix sampled from a few calibration shots can be singular
-        if code == 2 and calibrated:
+        config = config_from_dict(d)
+        assert config.calibrated == any((out / "reps").glob("r*/calibration.json"))
+        # a confusion matrix sampled from a few calibration shots, or built
+        # from the configured rates, can be singular
+        if code == 2 and config.mode == "sampled" and config.readout is not None:
             assert err.getvalue().startswith("numerical error:") and err.getvalue().count("\n") == 1
         else:
             assert code == 0, (d, err.getvalue())
@@ -1041,7 +1076,6 @@ def test_every_accepted_config_runs_and_reconstructs(d):
 MALFORMABLE = (
     ("config.json", ()),
     ("manifest.json", ()),
-    ("plan.json", ()),
     ("reps/r00/jobs.json", ()),
     ("reps/r00/jobs.json", ("4q-Xp-XZX-Z",)),
     ("reps/r00/calibration.json", ()),
@@ -1061,10 +1095,10 @@ def malformable_bundle(tmp_path_factory) -> Path:
     return out
 
 
-JOBS, JOB, CALIBRATION, STATE = MALFORMABLE[3], MALFORMABLE[4], MALFORMABLE[5], MALFORMABLE[7]
+JOBS, JOB, CALIBRATION, STATE = MALFORMABLE[2], MALFORMABLE[3], MALFORMABLE[4], MALFORMABLE[6]
 # Every field or entry key of the objects in MALFORMABLE, so that a change can hit any of them.
 FIELDS = sorted(
-    {*ExperimentConfig().to_dict(), "command", "package", "version", "config_sha256", "jobs",
+    {*ExperimentConfig().to_dict(), "command", "package", "version", "config_sha256",
      "n", "meas", "shots", "counts", "dist", "4q-Xp-XZX-Z", "q3", "q4", "0101", "000"}
 )
 CHANGES = (
@@ -1113,14 +1147,11 @@ def _changed(original: bytes, keys: tuple[str, ...], change: tuple) -> bytes:
 @example(target=JOBS, change=("field", "4q-Xp-XZX-Z", DELETE))
 @example(target=JOBS, change=("field", "q4", {}))
 @example(target=CALIBRATION, change=("field", "q4", DELETE))
-@example(target=MALFORMABLE[6], change=("field", "0101", DELETE))
+@example(target=MALFORMABLE[5], change=("field", "0101", DELETE))
 @example(target=STATE, change=("value", []))
 @example(target=STATE, change=("field", "shots", DELETE))
 @example(target=STATE, change=("field", "counts", {"0101": 1}))
 @example(target=("manifest.json", ()), change=("value", []))
-@example(target=("plan.json", ()), change=("value", []))
-@example(target=("plan.json", ()), change=("field", "jobs", []))
-@example(target=("plan.json", ()), change=("truncate", 0.5))
 def test_malformed_bundle_file_is_one_error_line(malformable_bundle, target, change):
     """A changed bundle file gives exit 1 and one error line naming it, never a traceback.
 

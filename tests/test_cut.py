@@ -13,11 +13,9 @@ from chaincut.cut import (
     jobs_file,
     plan_chain_jobs,
     read_job_result,
-    read_plan,
     reconstruction_error,
     verify_decomposition,
     write_job_result,
-    write_plan,
 )
 from chaincut.qstate import projector
 from chaincut.runner import execute_jobs
@@ -132,7 +130,7 @@ class TestPlan:
 
 
 class TestExecution:
-    def test_exact_cluster_job_matches_statevector_oracle(self, plan, exact_results):
+    def test_exact_cluster_job_matches_statevector_oracle(self, exact_results):
         from chaincut.circuit import build_linear_cluster
 
         want = oracles.measured_distribution(
@@ -145,30 +143,26 @@ class TestExecution:
         with pytest.raises(ValueError):
             RunConfig("sampled", shots=0)
 
-    def test_rerun_with_same_seed_is_identical(self, plan, default_noise):
+    def test_rerun_with_same_seed_is_identical(self, default_noise):
         run = RunConfig("sampled", shots=5000, seed=99)
-        assert execute_jobs(plan, run, default_noise) == execute_jobs(plan, run, default_noise)
+        assert execute_jobs(run, default_noise) == execute_jobs(run, default_noise)
 
     def test_results_align_with_plan(self, plan, exact_results):
         assert list(exact_results) == list(plan)
 
 
 class TestBundle:
-    def test_plan_roundtrip(self, tmp_path, plan):
-        write_plan(tmp_path, plan)
-        assert read_plan(tmp_path) == plan
-
     def test_result_roundtrip_counts(self, tmp_path, plan, default_noise):
         run = RunConfig("sampled", shots=2000, seed=3)
-        payloads = execute_jobs(plan, run, default_noise)
+        payloads = execute_jobs(run, default_noise)
         write_job_result(tmp_path, 0, payloads)
-        again = read_job_result(tmp_path, 0, plan, 2000)
+        again = read_job_result(tmp_path, 0, 2000)
         assert list(again) == list(plan) and again == payloads
         entries = json.loads(jobs_file(tmp_path, 0).read_text())
         assert sorted(entries) == sorted(spec.job_id for spec in plan)
         assert all(entries[spec.job_id]["meas"] == list(spec.meas) for spec in plan)
 
-    def test_result_roundtrip_exact(self, tmp_path, plan, default_noise):
-        payloads = execute_jobs(plan, RunConfig("exact"), default_noise)
+    def test_result_roundtrip_exact(self, tmp_path, default_noise):
+        payloads = execute_jobs(RunConfig("exact"), default_noise)
         write_job_result(tmp_path, 0, payloads)
-        assert read_job_result(tmp_path, 0, plan, None) == payloads
+        assert read_job_result(tmp_path, 0, None) == payloads

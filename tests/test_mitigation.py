@@ -73,6 +73,15 @@ class TestTransitionMatrix:
         with pytest.raises(ValueError):
             m[0, 0] = 0.0
 
+    def test_matrices_compare_by_value(self):
+        t = TransitionMatrix(1, "full", np.eye(2))
+        assert t == TransitionMatrix(1, "full", np.eye(2))
+        assert t != TransitionMatrix(1, "tensor", np.eye(2))
+        assert t != TransitionMatrix(1, "full", confusion_matrix(((0.95, 0.9),)))
+        assert t != TransitionMatrix(2, "full", np.eye(4))
+        same = TransitionMatrix(1, "full", np.eye(2))
+        assert MitigationPipeline({1: t}) == MitigationPipeline({1: same})
+
     def test_columns_stochastic(self):
         t = TransitionMatrix(4, "tensor", confusion_matrix(TABLE_RATES))
         np.testing.assert_allclose(t.matrix.sum(axis=0), np.ones(16), atol=1e-12)
@@ -269,16 +278,15 @@ class TestPipeline:
         from chaincut.sim import RunConfig
 
         write_calibration(tmp_path, 0, RunConfig("sampled", shots=50_000, seed=4), default_noise)
-        calibration = read_calibration(tmp_path, 0, 50_000, "auto")
+        calibration = read_calibration(tmp_path, 0, 50_000)
         assert sorted(calibration) == [3, 4] and len(calibration[4]) == 16
         pipe = pipeline_for_rep(calibration, default_noise.readout, mode="auto")
         assert pipe.matrices[4].mode == "full"
         assert pipe.matrices[3].mode == "full"
 
-    @pytest.mark.parametrize("mode", ["auto", "tensor"])
-    def test_read_calibration_needs_the_file(self, tmp_path, mode):
+    def test_read_calibration_needs_the_file(self, tmp_path):
         with pytest.raises(FileNotFoundError, match="r00/calibration.json"):
-            read_calibration(tmp_path, 0, 50_000, mode)
+            read_calibration(tmp_path, 0, 50_000)
 
     def test_read_calibration_needs_every_register(self, tmp_path, default_noise):
         from chaincut.cut import calibration_file
@@ -291,9 +299,7 @@ class TestPipeline:
         del d["q4"]
         path.write_text(json.dumps(d))
         with pytest.raises(ValueError, match=r"calibration.json: no entry 'q4'"):
-            read_calibration(tmp_path, 0, 1000, "auto")
-        # tensor builds no matrix from the counts, so it does not parse them
-        assert read_calibration(tmp_path, 0, 1000, "tensor") == {}
+            read_calibration(tmp_path, 0, 1000)
 
     def test_none_mode(self, default_noise):
         pipe = pipeline_for_rep({}, default_noise.readout, mode="none")

@@ -347,6 +347,12 @@ class TestBlockTensors:
         with pytest.raises(ValueError, match="missing.*4q-Xp-XZX"):
             build_block_tensors(partial, MitigationPipeline({}))
 
+    def test_tensors_compare_by_outcomes(self, exact_tensors):
+        bt4, bt3 = exact_tensors
+        assert bt4 == BlockTensor("4q", bt4.outcomes.copy())
+        assert bt4 != BlockTensor("4q", np.zeros_like(bt4.outcomes))
+        assert bt4 != bt3
+
     def test_entry_bound_enforced(self):
         bad = np.zeros((2, 6, 6, 8))
         bad[0, 0, 0, 0] = 1.5
