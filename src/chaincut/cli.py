@@ -18,10 +18,11 @@ A bundle is config.json, manifest.json and, per repetition, jobs.json,
 plus calibration.json when ``ExperimentConfig.calibrated`` holds.  The job
 grid is ``cut.plan_chain_jobs()``, a code constant, so no file stores it.
 
-run-jobs and reconstruct run their repetitions in parallel
-(``_map_reps``): one forked worker per CPU in the affinity mask, at most
-one per repetition.  Each repetition draws from its own seeded stream, so
-the outputs do not depend on the worker count, and the first failing
+run-jobs runs its repetitions in parallel (``_map_reps``): one forked
+worker per CPU in the affinity mask, at most one per repetition.  Each
+repetition draws from its own seeded stream, so the outputs do not depend
+on the worker count.  reconstruct reads a repetition's two files in its
+own process, one repetition after another.  Either way, the first failing
 repetition, in repetition order, is the error reported.
 """
 
@@ -57,7 +58,7 @@ from .reconstruct import (
     stitched_distribution,
     stitched_lower_bound,
     witness_terms,
-    witness_values,
+    witness_values_from_distribution,
 )
 from .runner import block_distribution, execute_jobs, write_calibration
 
@@ -90,8 +91,9 @@ def _load_effective_config(args) -> ExperimentConfig:
 def _map_reps(fn, reps) -> list:
     """``[fn(rep) for rep in reps]``, with the repetitions spread over forked workers.
 
-    One worker per CPU in the affinity mask, at most one per repetition;
-    the repetitions go out in one contiguous chunk per worker.  Results
+    It serves run-jobs, whose seeded draws are the work it splits.  One
+    worker per CPU in the affinity mask, at most one per repetition; the
+    repetitions go out in one contiguous chunk per worker.  Results
     come back in repetition order, and of the exceptions raised in the
     workers, the one of the first failing repetition is re-raised here.
     """
@@ -175,10 +177,11 @@ def _reconstruct_rep(bundle: Path, cfg: ExperimentConfig, rep: int) -> dict:
         calibration = read_calibration(bundle, rep, cfg.shots) if cfg.calibrated else {}
         pipeline = pipeline_for_rep(calibration, cfg.readout, cfg.mitigation)
     bt4, bt3 = build_block_tensors(payloads, pipeline)
+    dists = {p: stitched_distribution(bt4, bt3, REPORT_N, p) for p in SETTINGS}
     return {
-        "odd12": witness_values(bt4, bt3, REPORT_N, "odd"),
-        "even12": witness_values(bt4, bt3, REPORT_N, "even"),
-        "dists": {p: stitched_distribution(bt4, bt3, REPORT_N, p) for p in SETTINGS},
+        "odd12": witness_values_from_distribution(dists["odd"], REPORT_N, "odd"),
+        "even12": witness_values_from_distribution(dists["even"], REPORT_N, "even"),
+        "dists": dists,
         "rows": scaling_sweep(bt4, bt3, cfg.k_max),
         "matrices": pipeline.matrices,
     }
@@ -187,7 +190,7 @@ def _reconstruct_rep(bundle: Path, cfg: ExperimentConfig, rep: int) -> dict:
 def _reconstruct_reports(bundle: Path, cfg: ExperimentConfig) -> list[dict]:
     reps = range(cfg.effective_repetitions)
     _check_rep_dirs(bundle, len(reps))
-    return _map_reps(functools.partial(_reconstruct_rep, bundle, cfg), reps)
+    return [_reconstruct_rep(bundle, cfg, rep) for rep in reps]
 
 
 def _mean_std(stack) -> tuple[np.ndarray, np.ndarray]:

@@ -373,6 +373,38 @@ def stitch_expectation(letters: str, parity: str, bt4, bt3, n_cuts: int) -> floa
     return float(v @ bt3.values[patterns[k], :, masks[k]])
 
 
+def stitch_all_terms(bt4, bt3, n: int, parity: str) -> np.ndarray:
+    """Every subset term of one parity by transfer matrices, all terms advancing together.
+
+    Entry s is the subset whose bit t selects the t-th stabilizer of the
+    parity (1-based sites 1, 3, ... for odd, 2, 4, ... for even).  Its
+    support, with site q at bit n-1-q, is the chosen X sites plus the Z
+    sites that exactly one chosen neighbour reaches.  The chain is then
+    contracted as in stitch_expectation, one row per term, the rows grouped
+    by their 3-bit block mask at each block; memory follows the 2^(n/2)
+    term count, not the 2^n outcomes.
+    """
+    first = 1 if parity == "odd" else 2
+    sites = range(first, n + 1, 2)
+    subsets = np.arange(2 ** len(sites), dtype=np.int64)
+    chosen = np.zeros_like(subsets)
+    for t, i in enumerate(sites):
+        chosen |= ((subsets >> t) & 1) << (n - i)
+    support = chosen | (((chosen >> 1) ^ (chosen << 1)) & ((1 << n) - 1))
+    k = n // 3 - 1
+    masks = [(support >> (n - 3 - 3 * b)) & 7 for b in range(k + 1)]
+    patterns = [(b + first - 1) % 2 for b in range(k + 1)]
+    weighted = bt4.values * CUT_COEFFS[:, None]
+    v = weighted[patterns[0], XP_INDEX][:, masks[0]].T
+    for b in range(1, k):
+        out = np.empty_like(v)
+        for mask in range(8):
+            rows = masks[b] == mask
+            out[rows] = v[rows] @ weighted[patterns[b]][:, :, mask]
+        v = out
+    return np.sum(v * bt3.values[patterns[k]][:, masks[k]].T, axis=1)
+
+
 def project_simplex_qp(q: np.ndarray) -> np.ndarray:
     """Euclidean projection onto the simplex as a generic constrained QP."""
     d = len(q)

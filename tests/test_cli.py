@@ -230,6 +230,18 @@ class TestReconstruct:
         assert len(csv) == 10
         assert csv[-1].startswith("33,")
 
+    def test_sweep_past_the_float_range_of_gamma_k(self, tmp_path):
+        # At k = 511 the cut one-norm 4^512 overflows a float; the sweep
+        # still ends in reports with finite rows.
+        out = tmp_path / "run"
+        cfg = write_config(tmp_path, mode="exact", k_max=1, out_dir=str(out))
+        assert main(["run-jobs", "--config", str(cfg)]) == 0
+        assert main(["reconstruct", "--out", str(out), "--k-max", "511"]) == 0
+        csv = (out / "reports" / "scaling.csv").read_text().splitlines()
+        assert len(csv) == 512
+        n, *values = csv[-1].split(",")
+        assert n == "1539" and all(math.isfinite(float(v)) for v in values)
+
     def test_missing_job_is_named(self, tmp_path, capsys):
         out = tmp_path / "run"
         cfg = write_config(tmp_path, mode="exact", k_max=1, out_dir=str(out))
@@ -692,7 +704,11 @@ def _fail_from_rep_2(rep: int) -> int:
 
 
 class TestParallelRepetitions:
-    """Repetitions run in forked workers; outputs and errors do not depend on it."""
+    """run-jobs spreads repetitions over forked workers and reconstruct runs them in-process.
+
+    Neither the outputs nor the error reported depend on the CPU count; the
+    reconstruct cases pin the errors of its in-process repetitions.
+    """
 
     SAMPLED = dict(mode="sampled", repetitions=3, shots=2000, k_max=2, seed=5, out_dir="run")
 

@@ -173,7 +173,7 @@ class TestStitching:
             val = oracles.stitch_expectation(term.letters, parity, bt4, bt3, n_cuts)
             assert val == pytest.approx(1.0, abs=1e-9)
 
-    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
     def test_transfer_matches_brute_force_on_random_tensors(self, k):
         rng = np.random.default_rng(50 + k)
         bt4, bt3 = random_tensors(rng)
@@ -183,6 +183,10 @@ class TestStitching:
             terms = witness_terms(n, parity)
             pick = rng.choice(len(terms), size=min(6, len(terms)), replace=False)
             batch = witness_values(bt4, bt3, n, parity)
+            # every term, read off the stitched distribution, against the
+            # transfer-matrix oracle
+            oracle = oracles.stitch_all_terms(bt4, bt3, n, parity)
+            np.testing.assert_allclose(batch, oracle, rtol=0, atol=1e-15)
             for idx in pick:
                 term = terms[idx]
                 ref = oracles.stitch_brute_force(
@@ -204,7 +208,7 @@ class TestStitching:
         for n in range(6, n_max + 1, 3):
             got = witness_averages(bt4, bt3, n)
             for parity, avg in zip(("odd", "even"), got):
-                want = np.mean(witness_values(bt4, bt3, n, parity))
+                want = np.mean(oracles.stitch_all_terms(bt4, bt3, n, parity))
                 assert abs(avg - want) <= 1e-15, (n, parity)
 
     @pytest.mark.parametrize("seed", [71, 72, 73])
@@ -397,6 +401,12 @@ class TestBoundAndSweep:
         for bad in (16.1, float("nan"), float("inf")):
             with pytest.raises(ValueError, match="outside"):
                 stitched_lower_bound(bad, 1.0, 9)
+        # 4^512 at n = 1539 is past the float range: every finite average
+        # passes there, and a non-finite one still fails
+        assert stitched_lower_bound(1e300, -1e300, 1539) == -1.0
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="outside"):
+                stitched_lower_bound(bad, 1.0, 1539)
 
     def test_noiseless_sweep_is_exact(self, exact_tensors):
         bt4, bt3 = exact_tensors
