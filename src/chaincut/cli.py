@@ -18,20 +18,17 @@ A bundle is config.json, manifest.json and, per repetition, jobs.json,
 plus calibration.json when ``ExperimentConfig.calibrated`` holds.  The job
 grid is ``cut.plan_chain_jobs()``, a code constant, so no file stores it.
 
-run-jobs runs its repetitions in parallel (``_map_reps``): one forked
-worker per CPU in the affinity mask, at most one per repetition.  Each
-repetition draws from its own seeded stream, so the outputs do not depend
-on the worker count.  reconstruct reads a repetition's two files in its
-own process, one repetition after another.  Either way, the first failing
-repetition, in repetition order, is the error reported.
+Every verb runs its repetitions one after another in its own process.
+Each run-jobs repetition draws from its own seeded streams, one
+multinomial per job and per calibration state, and reconstruct reads a
+repetition's two files; either way the first failing repetition is the
+error reported.  A repetition is too little work to pay for a worker
+process, and in one process a trace of the verb sees every layer it calls.
 """
 
 from __future__ import annotations
 
 import argparse
-import functools
-import math
-import os
 import re
 import shutil
 import sys
@@ -60,7 +57,7 @@ from .reconstruct import (
     witness_terms,
     witness_values_from_distribution,
 )
-from .runner import block_distribution, execute_jobs, write_calibration
+from .runner import execute_jobs, write_calibration
 
 REPORT_N = 12  # chain length of the per-term witness report
 
@@ -88,34 +85,6 @@ def _load_effective_config(args) -> ExperimentConfig:
     )
 
 
-def _map_reps(fn, reps) -> list:
-    """``[fn(rep) for rep in reps]``, with the repetitions spread over forked workers.
-
-    It serves run-jobs, whose seeded draws are the work it splits.  One
-    worker per CPU in the affinity mask, at most one per repetition; the
-    repetitions go out in one contiguous chunk per worker.  Results
-    come back in repetition order, and of the exceptions raised in the
-    workers, the one of the first failing repetition is re-raised here.
-    """
-    reps = list(reps)
-    workers = min(len(reps), len(os.sched_getaffinity(0)))
-    if workers <= 1:
-        return list(map(fn, reps))
-    # Imported here: at module level they slow every `import chaincut.cli`.
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    context = multiprocessing.get_context("fork")
-    with ProcessPoolExecutor(workers, mp_context=context) as pool:
-        return list(pool.map(fn, reps, chunksize=math.ceil(len(reps) / workers)))
-
-
-def _run_rep(out: Path, run, noise, calibrated: bool, rep: int) -> None:
-    write_job_result(out, rep, execute_jobs(run, noise, rep=rep))
-    if calibrated:
-        write_calibration(out, rep, run, noise)
-
-
 def cmd_run_jobs(args) -> int:
     cfg = _load_effective_config(args)
     out = Path(cfg.out_dir)
@@ -130,14 +99,13 @@ def cmd_run_jobs(args) -> int:
     (out / "config.json").write_text(dump_json(cfg.to_dict()))
     noise = cfg.noise_model()
     run = cfg.run_config()
-    # Simulated once here, the block distributions reach the workers by fork.
-    grid = plan_chain_jobs()
-    for spec in grid:
-        block_distribution(spec, noise)
     reps = range(cfg.effective_repetitions)
-    _map_reps(functools.partial(_run_rep, out, run, noise, cfg.calibrated), reps)
+    for rep in reps:
+        write_job_result(out, rep, execute_jobs(run, noise, rep=rep))
+        if cfg.calibrated:
+            write_calibration(out, rep, run, noise)
     _write_manifest(out, "run-jobs", cfg)
-    print(f"wrote {len(reps)} repetition(s) of {len(grid)} jobs to {out}")
+    print(f"wrote {len(reps)} repetition(s) of {len(plan_chain_jobs())} jobs to {out}")
     return 0
 
 

@@ -2,7 +2,8 @@
 
 Simulates each block state once per (form, input label, noise model) and
 measures it once per setting; repetitions differ only in their seeded
-shot draws and readout flips.  Its results go to a bundle in the on-disk
+draws, one multinomial per job from the readout-flipped distribution
+(sim.sample_counts).  Its results go to a bundle in the on-disk
 layout defined by chaincut.cut (one jobs.json per repetition).  Also
 writes the readout calibration (every basis state prepared and read out,
 one calibration.json per repetition) of calibrated configs
@@ -52,8 +53,8 @@ def execute_jobs(run: RunConfig, noise: NoiseModel, rep: int = 0) -> dict[JobSpe
     """Run every job of the grid; each spec's payload, in plan_chain_jobs order.
 
     Exact mode stores the exact outcome distribution; sampled mode draws
-    ``run.shots`` shots from a generator derived from (seed, rep, job
-    index), then applies readout flips if the noise model has them.
+    ``run.shots`` shots, read out through the noise model's readout flips
+    if it has them, from a generator derived from (seed, rep, job index).
     Results are independent of execution order by construction.
     """
     payloads = {}
@@ -81,7 +82,10 @@ def calibration_counts(
     shots: int,
     rng: np.random.Generator,
 ) -> list[CountsTable]:
-    """Readout calibration data: sampled counts for each prepared basis state, in index order."""
+    """Readout calibration data: sampled counts for each prepared basis state, in index order.
+
+    Basis state j reads out by column j of the confusion matrix.
+    """
     return [sample_counts(Distribution(p), shots, rng, readout) for p in np.eye(2**n)]
 
 

@@ -2,7 +2,9 @@
 
 Noise model: gate-local depolarizing noise, placed by NoiseModel.schedule
 (the one statement of placement, iterated here and in chaincut.direct),
-and classical readout bit-flips applied per sampled bit.  Decoherence is
+and classical readout bit-flips, independent per bit and per shot.  Since
+every shot is flipped independently, sampling draws the counts once from
+the readout-flipped distribution C p (see sample_counts).  Decoherence is
 not modelled as time evolution; p1/p2 are effective per-gate knobs.
 ``NoiseModel(0.0, 0.0, None)`` is the noiseless model.
 
@@ -158,7 +160,7 @@ def measure_distribution(rho: np.ndarray, meas: str) -> Distribution:
     """Outcome distribution of measuring ``rho`` in the given bases.
 
     Basis rotations here model ideal readout optics; readout error is a
-    classical process applied at sampling time (see sample_counts).
+    classical process applied when the shots are drawn (see sample_counts).
     """
     n = qstate.num_qubits(rho.shape[0])
     if len(meas) != n:
@@ -180,22 +182,23 @@ def sample_counts(
     rng: np.random.Generator,
     readout: tuple[tuple[float, float], ...] | None = None,
 ) -> CountsTable:
-    """Multinomial sampling, then per-bit classical readout flips.
+    """``shots`` shots of ``dist``, read out through the register's readout flips.
 
-    Readout flips are applied shot-wise: all shots landing on a true
-    bitstring are redistributed over observed bitstrings by a second
-    multinomial draw from that bitstring's confusion column.
+    Each shot's bits flip independently, so a shot is read out as
+    outcome i with probability (C p)_i, where C is the register's
+    confusion matrix (column j: the readout law of true outcome j).
+    The shots are independent, so their counts are one
+    Multinomial(shots, C p) draw: the same law as drawing the true
+    outcomes first and then flipping each shot's bits.
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
-    raw = rng.multinomial(shots, dist.p / dist.p.sum())
-    if readout is None:
-        return counts_from_vector(raw, shots)
-    if len(readout) != dist.n:
-        raise ValueError("readout rates do not match register size")
-    nz = np.flatnonzero(raw)
-    observed = rng.multinomial(raw[nz], confusion_matrix(readout)[:, nz].T).sum(axis=0)
-    return counts_from_vector(observed, shots)
+    p = dist.p
+    if readout is not None:
+        if len(readout) != dist.n:
+            raise ValueError("readout rates do not match register size")
+        p = confusion_matrix(readout) @ p
+    return counts_from_vector(rng.multinomial(shots, p / p.sum()), shots)
 
 
 def apply_readout_to_distribution(

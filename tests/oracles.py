@@ -311,6 +311,26 @@ def witness_values_per_term(p: np.ndarray, letters: list[str]) -> np.ndarray:
     return out
 
 
+def sample_with_readout_flips(p: np.ndarray, shots: int, readout, rng) -> np.ndarray:
+    """Counts of ``shots`` shots, each drawn from p and then read out bit by bit.
+
+    The readout model's two stages, one shot at a time: a true outcome from
+    p, then each bit kept with probability f00 (true 0) or f11 (true 1) and
+    flipped otherwise.  Qubit 0 is the leftmost bit.
+    """
+    n = len(readout)
+    counts = np.zeros(2**n, dtype=np.int64)
+    for true in rng.choice(2**n, size=shots, p=p / p.sum()):
+        observed = 0
+        for q, (f00, f11) in enumerate(readout):
+            bit = (int(true) >> (n - 1 - q)) & 1
+            if rng.random() >= (f11 if bit else f00):
+                bit ^= 1
+            observed |= bit << (n - 1 - q)
+        counts[observed] += 1
+    return counts
+
+
 def _block_masks_and_patterns(letters: str, parity: str) -> tuple[int, list, list]:
     """Cut count, per-block 3-bit masks and pattern indices, from raw letters."""
     n = len(letters)

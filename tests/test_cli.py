@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from chaincut import cli
 from chaincut.circuit import build_linear_cluster
-from chaincut.cli import _map_reps, main
+from chaincut.cli import main
 from chaincut.config import MITIGATION_MODES, ExperimentConfig, config_from_dict, load_config
 from chaincut.counts import MAX_SHOTS, dump_json
 from chaincut.cut import plan_chain_jobs
@@ -102,9 +102,9 @@ def sha256_of(tree: dict[str, bytes]) -> str:
 # sha256 of the default-noise sampled bundle in
 # TestRunJobs.test_sampled_bundle_matches_golden_digest: every jobs.json and
 # calibration.json entry written alone (entry_files).
-GOLDEN_SAMPLED_BUNDLE_SHA256 = "97cd02017ce117f872502e03239deae1d8d93ec1f5cd141bd1d04232ea164498"
+GOLDEN_SAMPLED_BUNDLE_SHA256 = "b4fa9fb39b5001f5da61cf9b0bd8858fc579bf069f83cf4fd58daf8833fe4fe6"
 # sha256 of the same bundle's jobs.json and calibration.json files.
-GOLDEN_SAMPLED_BUNDLE_FILES_SHA256 = "fe5ea198338ddf6214a05bb35abb3f1d60cd21a378eab5feae0e68675fa65d25"
+GOLDEN_SAMPLED_BUNDLE_FILES_SHA256 = "6caf547e2f3b8778f6d5c6d339f9eeee995f39ae24a047619a68a30ea8256e89"
 # sha256 of the sampled direct reports in
 # TestDirect.test_sampled_direct_matches_golden_digest.
 GOLDEN_SAMPLED_DIRECT_SHA256 = "a6e683dc32a29e0bad257bee57eda74d5f9f36bfa240dc6ebdd9027489aadd86"
@@ -439,7 +439,7 @@ class TestWholeOutputs:
                 raise OSError("killed at repetition 3")
             write(bundle_dir, rep, *job)
 
-        # forked workers inherit the patch
+        # the repetitions run in this process, so they see the patch
         monkeypatch.setattr(cli, "write_job_result", dies_at_rep_3)
         assert main(["run-jobs", "--config", str(write_config(tmp_path, seed=2, **fields))]) == 1
         monkeypatch.undo()
@@ -697,17 +697,11 @@ class TestBundleIntegrity:
         assert dict(reads) == dict.fromkeys(bundle_files, 1)
 
 
-def _fail_from_rep_2(rep: int) -> int:
-    if rep >= 2:
-        raise ValueError(f"repetition {rep} failed")
-    return rep
-
-
 class TestParallelRepetitions:
-    """run-jobs spreads repetitions over forked workers and reconstruct runs them in-process.
+    """Every verb runs its repetitions one after another in its own process.
 
-    Neither the outputs nor the error reported depend on the CPU count; the
-    reconstruct cases pin the errors of its in-process repetitions.
+    Neither the outputs nor the error reported depend on the CPUs the
+    process may use, and an error in any repetition is one message line.
     """
 
     SAMPLED = dict(mode="sampled", repetitions=3, shots=2000, k_max=2, seed=5, out_dir="run")
@@ -719,14 +713,6 @@ class TestParallelRepetitions:
             [sys.executable, "-m", "chaincut.cli", *argv], cwd=cwd, env=env,
             capture_output=True, text=True, timeout=120, preexec_fn=pin,
         )
-
-    def test_map_reps_keeps_repetition_order(self):
-        assert _map_reps(functools.partial(pow, 2), range(7)) == [1, 2, 4, 8, 16, 32, 64]
-        assert _map_reps(functools.partial(pow, 2), [3]) == [8]
-
-    def test_map_reps_raises_the_first_failing_repetition(self):
-        with pytest.raises(ValueError, match="repetition 2 failed"):
-            _map_reps(_fail_from_rep_2, range(6))
 
     def test_same_bytes_on_one_cpu_and_on_all(self, tmp_path, child_env):
         trees = []
@@ -765,7 +751,7 @@ class TestParallelRepetitions:
         err = capsys.readouterr().err.replace(str(tmp_path), "")
         assert str(Path("r01") / "jobs.json") in err and "r02" not in err
 
-    def test_singular_calibration_in_workers(self, tmp_path, child_env):
+    def test_singular_calibration_in_one_process(self, tmp_path, child_env):
         write_config(
             tmp_path, **{**self.SAMPLED, "f00": (0.5,) * 4, "f11": (0.5,) * 4},
             mitigation="tensor",

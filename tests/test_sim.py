@@ -149,25 +149,50 @@ class TestSampleCounts:
         b = sample_counts(d, rng=np.random.default_rng(77), **kwargs)
         assert a == b
 
-    @pytest.mark.parametrize("seed", range(12))
-    def test_readout_draw_matches_per_outcome_loop(self, seed):
-        # One multinomial per observed true outcome, in index order, from the
-        # same generator: the draws and the generator's final state must agree.
+    @staticmethod
+    def seeded_case(seed: int) -> tuple[np.ndarray, tuple]:
+        """A 3- or 4-qubit distribution with every third outcome impossible, and its rates."""
         n = 3 + seed % 2
-        readout = DEFAULT_READOUT[-n:]
         p = rng_for(seed, 1).random(2**n)
         p[seed % 3 :: 3] = 0.0
-        p /= p.sum()
+        return p / p.sum(), DEFAULT_READOUT[-n:]
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_readout_draw_is_one_multinomial_of_flipped_distribution(self, seed):
+        # The counts and the generator's final state are those of one
+        # multinomial draw from C p on an identical generator.
+        p, readout = self.seeded_case(seed)
         shots = (1, 10, 1_000_000)[seed % 3]
         rng = rng_for(seed, 2)
         got = sample_counts(Distribution(p), shots, rng, readout)
         ref = rng_for(seed, 2)
-        raw = ref.multinomial(shots, p / p.sum())
-        want = np.zeros(2**n, dtype=np.int64)
-        for j in np.flatnonzero(raw):
-            want += ref.multinomial(int(raw[j]), confusion_matrix(readout)[:, j])
-        np.testing.assert_array_equal(got.counts, want)
+        flipped = confusion_matrix(readout) @ p
+        np.testing.assert_array_equal(got.counts, ref.multinomial(shots, flipped / flipped.sum()))
         assert rng.integers(1 << 62) == ref.integers(1 << 62)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_readout_draw_matches_per_outcome_loop(self, seed):
+        # In law: over many 10-shot draws, the counts' mean and covariance
+        # match those of the per-shot two-stage sampler (each shot's true
+        # outcome, then its bit flips), entry by entry within 5 sigma.
+        p, readout = self.seeded_case(seed)
+        draws, shots = 2000, 10
+        rng, ref = rng_for(seed, 2), rng_for(seed, 3)
+        got = np.array(
+            [sample_counts(Distribution(p), shots, rng, readout).counts for _ in range(draws)]
+        )
+        want = np.array(
+            [oracles.sample_with_readout_flips(p, shots, readout, ref) for _ in range(draws)]
+        )
+
+        def moments(x):
+            """Mean and covariance estimates of the rows of x, each with its standard error."""
+            d = x - x.mean(axis=0)
+            prods = d[:, :, None] * d[:, None, :]
+            return [(m.mean(axis=0), m.std(axis=0) / np.sqrt(len(x))) for m in (x, prods)]
+
+        for (a, sa), (b, sb) in zip(moments(got), moments(want)):
+            assert np.all(np.abs(a - b) <= 5 * np.hypot(sa, sb))
 
     def test_shots_validated(self):
         d = Distribution(np.array([1.0, 0.0]))
