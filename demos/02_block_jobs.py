@@ -1,10 +1,12 @@
 #!/usr/bin/env python3
-"""The fixed 48-job grid and what one block's statistics look like.
+"""The fixed 24-job grid and what one block's statistics look like.
 
 Two circuit templates cover every chain: a 4-qubit block (prepared
-input, H column, CZ staircase, last qubit read in X/Y/Z for the cut)
-and a 3-qubit closing block.  6 inputs x 2 witness patterns x 3 cut
-bases gives 36 four-qubit jobs; 6 x 2 gives 12 three-qubit jobs.
+input, H column, CZ staircase, last qubit read in X or Z for the cut)
+and a 3-qubit closing block.  The inputs are the preps of the four cut
+terms read in X or Z (Z0, Z1, Xp, Xm): the two Y terms cancel on these
+blocks, which the planner proves.  4 inputs x 2 witness patterns x 2 cut
+bases gives 16 four-qubit jobs; 4 x 2 gives 8 three-qubit jobs.
 """
 
 import numpy as np

@@ -6,9 +6,9 @@ whichever function measures it.  Preparation of a labelled
 single-qubit state is an op of kind ``prep`` resolved by the simulator;
 there is no pulse- or gate-level decomposition of state preparation.
 
-Measurement-basis changes map X/Y readout onto the native Z readout:
-X -> H, Y -> Sdg then H.  With that convention the expectation of a
-basis letter is always P(0) - P(1) of the rotated qubit.
+Measurement-basis changes map X readout onto the native Z readout
+(X -> H).  With that convention the expectation of a basis letter is
+always P(0) - P(1) of the rotated qubit.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .qstate import STATE_LABELS
 
-GATE_KINDS = ("prep", "H", "Sdg", "CZ")
+GATE_KINDS = ("prep", "H", "CZ")
 
 # Four-qubit block: prepared input + 3 fresh qubits.  Three-qubit block:
 # prepared input + 2 fresh qubits.  The prepared qubit is the downstream
@@ -85,17 +85,13 @@ class Circuit:
 def basis_change_ops(meas: str, n_qubits: int | None = None) -> list[GateOp]:
     """Pre-measurement rotations mapping each requested basis onto Z.
 
-    X -> H; Y -> Sdg, H; Z -> nothing.  Applied right before the terminal
-    Z-basis readout.
+    X -> H; Z -> nothing.  Applied right before the terminal Z-basis readout.
     """
     if n_qubits is not None and len(meas) != n_qubits:
         raise ValueError(f"measurement setting {meas!r} invalid for {n_qubits} qubits")
     ops = []
     for q, basis in enumerate(meas):
         if basis == "X":
-            ops.append(GateOp("H", (q,)))
-        elif basis == "Y":
-            ops.append(GateOp("Sdg", (q,)))
             ops.append(GateOp("H", (q,)))
         elif basis != "Z":
             raise ValueError(f"bad basis {basis!r}")

@@ -1,7 +1,7 @@
 """Batch experiment driver.
 
 Verbs:
-    run-jobs     execute the 48-job block grid and persist the bundle,
+    run-jobs     execute the 24-job block grid and persist the bundle,
                  with readout calibration for sampled configs with rates
                  under "auto" or "full" mitigation
     reconstruct  turn a bundle into witness/bound/distribution reports,
@@ -320,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
         for option in options:
             p.add_argument(option, **flags[option])
 
-    verb("run-jobs", "execute the 48-job block grid", "--seed", "--shots", "--exact")
+    verb("run-jobs", "execute the 24-job block grid", "--seed", "--shots", "--exact")
     verb("reconstruct", "build reports from a job bundle", "--k-max")
     verb("direct", "simulate the uncut chain directly", "--seed", "--shots", "--exact", "--n")
     return parser

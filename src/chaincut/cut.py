@@ -16,10 +16,14 @@ planner refuses to emit jobs until that identity has been checked on a
 Pauli operator basis, which proves it for every state.  Each O_i is
 stored as the readout that realizes it (a basis and two outcome weights)
 and its matrix is derived from those, so the check covers the readout the
-reconstruction applies.  Its 1-norm sum
-|c_i| = 4 sets the per-cut sampling overhead of this projector-reuse
-variant, while the number of weighted term combinations grows as 6^k in
-the number of cuts.
+reconstruction applies.
+
+The job grid reads only Z0, Z1, Xp and Xm (GRID_TERMS: sum |c_i| = 3, 4^k
+term combinations for k cuts).  The Y terms cancel: the planner proves that
+no parity a job measures, pulled back through its readout rotations and
+Clifford block, reads Y on the input qubit, so Yp and Ym (which differ only
+in <Y>) give equal rows under every NoiseModel: depolarizing noise is
+Pauli-diagonal, and readout flips and TMEM act within one setting.
 
 This module carries no simulator dependency: the job grid and the
 on-disk bundle format defined here are the contract between execution
@@ -36,12 +40,13 @@ from pathlib import Path
 
 import numpy as np
 
+from . import circuit
 from .circuit import BLOCK_FORMS, FOUR_QUBIT, REGISTER_SIZES, THREE_QUBIT
 from .counts import Payload, dump_json, payload_from_dict, payload_to_dict
-from .qstate import PAULI_1Q, STATE_LABELS, projector, state_vector_1q
+from .qstate import PAULI_1Q, STATE_LABELS, conjugate_cz, conjugate_h, projector, state_vector_1q
 
 CUT_PATTERNS = ("XZX", "ZXZ")
-CUT_BASES = ("X", "Y", "Z")
+CUT_BASES = ("X", "Z")
 
 
 @dataclass(frozen=True)
@@ -79,6 +84,9 @@ def decomposition_table() -> tuple[CutTerm, ...]:
         CutTerm(4, 0.5, "Y", (1.0, -1.0), "Yp"),
         CutTerm(5, -0.5, "Y", (1.0, -1.0), "Ym"),
     )
+
+
+GRID_TERMS = tuple(t for t in decomposition_table() if t.basis in CUT_BASES)
 
 
 def reconstruction_error(rho: np.ndarray, terms=None) -> float:
@@ -148,7 +156,7 @@ class JobSpec:
             raise ValueError(f"bad pattern {self.pattern!r}")
         if self.form == FOUR_QUBIT:
             if self.cut_basis not in CUT_BASES:
-                raise ValueError("4q jobs need a cut basis of X, Y, or Z")
+                raise ValueError("4q jobs need a cut basis of X or Z")
         elif self.cut_basis is not None:
             raise ValueError("3q jobs carry no cut basis")
 
@@ -165,28 +173,43 @@ class JobSpec:
         return "-".join(filter(None, (self.form, self.input, self.pattern, self.cut_basis)))
 
 
+@functools.cache
 def plan_chain_jobs() -> tuple[JobSpec, ...]:
-    """The 48-job grid covering every cut chain built from the two blocks.
+    """The 24-job grid covering every cut chain built from the two blocks.
 
-    36 four-qubit jobs (6 inputs x 2 witness patterns x 3 cut bases) and
-    12 three-qubit jobs (6 inputs x 2 patterns).  The cut bases X, Y, Z
-    on the last qubit cover every observable in the decomposition table
-    (projector outcomes come from the Z marginal).  Pure function with a
-    fixed ordering; the cut table is re-verified on every call.
+    16 four-qubit jobs (4 inputs x 2 witness patterns x 2 cut bases) and
+    8 three-qubit jobs (4 inputs x 2 patterns): the inputs are the preps of
+    GRID_TERMS, whose observables the cut bases X, Z on the last qubit cover
+    (projector outcomes come from the Z marginal).  Fixed ordering, computed
+    once per process after the cut table and the Y cancellation are proven.
     """
     verify_decomposition()
+    labels = [t.prep for t in GRID_TERMS]
     jobs = [
         JobSpec(FOUR_QUBIT, label, pattern, basis)
-        for label in STATE_LABELS
+        for label in labels
         for pattern in CUT_PATTERNS
         for basis in CUT_BASES
     ]
     jobs += [
-        JobSpec(THREE_QUBIT, label, pattern, None)
-        for label in STATE_LABELS
-        for pattern in CUT_PATTERNS
+        JobSpec(THREE_QUBIT, label, pattern, None) for label in labels for pattern in CUT_PATTERNS
     ]
+    for spec in jobs:
+        _check_input_reads_no_y(spec)
     return tuple(jobs)
+
+
+def _check_input_reads_no_y(spec: JobSpec) -> None:
+    """Raise if a parity Z_T that ``spec`` measures, pulled back to its input qubit, reads Y."""
+    n = spec.n_qubits
+    z = np.arange(2**n, dtype=np.int64)  # every T, with x = 0; signs do not matter
+    x, sign = np.zeros_like(z), np.ones(2**n)
+    gates = circuit.build_block_subcircuit(spec.form, spec.input).ops[1:]  # after the prep
+    for g in reversed(gates + tuple(circuit.basis_change_ops(spec.meas))):
+        conj = conjugate_cz if g.kind == "CZ" else conjugate_h
+        conj(x, z, sign, *(1 << (n - 1 - q) for q in g.qubits))
+    if np.any(x & z & (1 << (n - 1))):
+        raise AssertionError(f"job {spec.job_id} reads Y on its input qubit")
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,6 @@ from .qstate import (
     apply_per_qubit,
     conjugate_cz,
     conjugate_h,
-    conjugate_s,
     cz_phases,
     prep_unitary,
     state_vector_1q,
@@ -115,9 +114,6 @@ def heisenberg_distribution(c: Circuit, meas: str, noise: NoiseModel) -> np.ndar
             conjugate_cz(x, z, sign, *bits)
         elif g.kind == "H":
             conjugate_h(x, z, sign, *bits)
-        elif g.kind == "Sdg":
-            # the adjoint channel of Sdg conjugates with S
-            conjugate_s(x, z, sign, *bits)
         else:
             raise ValueError(f"cannot propagate through {g.kind}")
     chi = sign * factor

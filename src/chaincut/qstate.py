@@ -34,10 +34,7 @@ PAULI_1Q = {
 }
 
 # Fixed single-qubit gates, keyed by GateOp kind.
-GATES_1Q = {
-    "H": np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2),
-    "Sdg": np.array([[1, 0], [0, -1j]], dtype=complex),
-}
+GATES_1Q = {"H": np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)}
 
 # Single-qubit preparation labels, in the order the cut decomposition
 # enumerates its prepared states.  Downstream arrays indexed by "input
@@ -198,7 +195,7 @@ def index_to_bits(index: int, n: int) -> str:
 # Pauli strings through Clifford gates.  Each string is one integer x mask
 # and one z mask in outcome-index order (qubit q is bit n-1-q, as in
 # index_to_bits), held in int64 arrays; its sign is tracked as a +/-1
-# array (conjugation by H, S, CZ can only flip signs, never introduce
+# array (conjugation by H and CZ can only flip signs, never introduce
 # factors of i).  Gates name their qubits by the same one-bit masks.
 
 
@@ -208,12 +205,6 @@ def conjugate_h(x, z, sign, q):
     swap = (x ^ z) & q
     x ^= swap
     z ^= swap
-
-
-def conjugate_s(x, z, sign, q):
-    """In-place P -> S P S^dag on the qubit of bit mask q (X -> Y, Y -> -X)."""
-    sign[(x & z & q) != 0] *= -1
-    z ^= x & q
 
 
 def conjugate_cz(x, z, sign, a, b):

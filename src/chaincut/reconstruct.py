@@ -16,8 +16,9 @@ letter.  A chain expectation is then a contraction
 
     sum_{i_1..i_k} prod_j c_{i_j} * L[i_1] * M_1[i_1,i_2] * ... * R[i_k]
 
-evaluated as one boundary vector, k-1 applications of a 6x6 transfer
-matrix, and a closing vector -- linear cost in k instead of 6^k.  The
+over the four cut terms the job grid reads (cut.GRID_TERMS), evaluated
+as one boundary vector, k-1 applications of a 4x4 transfer matrix, and a
+closing vector -- linear cost in k instead of 4^k.  The
 same chain over outcome tables reproduces full measurement
 distributions.  One block walk, _chain_blocks, states for both stitchers
 which pattern each block measures and where the cut coefficients c_i
@@ -27,7 +28,7 @@ Witness terms are all subset-products of the odd- (or even-) indexed
 chain stabilizers; every odd product is measurable in the XZXZ...
 setting and every even product in ZXZX....  The fidelity bound needs
 only their mean, the expectation of the projector prod (I + s_i)/2, so
-witness_averages contracts that projector through a 12-dim transfer
+witness_averages contracts that projector through an 8-dim transfer
 state (cut term x chosen bit of the stabilizer straddling the block
 boundary) at a cost linear in n, never enumerating the ~2^(n/2) terms.
 Per-term values (witness_values) are read off the stitched distribution
@@ -39,19 +40,20 @@ reconstruction a purely classical pass over archived data.
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .circuit import FOUR_QUBIT, THREE_QUBIT
-from .cut import CUT_BASES, CUT_PATTERNS, JobSpec, Payload, decomposition_table, plan_chain_jobs
+from .cut import CUT_BASES, CUT_PATTERNS, GRID_TERMS, JobSpec, Payload, plan_chain_jobs
 from .mitigation import MitigationPipeline
-from .qstate import STATE_LABELS, WALSH_1Q, apply_per_qubit
+from .qstate import WALSH_1Q, apply_per_qubit
 
 # Global measurement setting that reads every witness term of each parity.
 SETTINGS = {"odd": "XZ", "even": "ZX"}
-XP_INDEX = STATE_LABELS.index("Xp")
+XP_INDEX = [t.prep for t in GRID_TERMS].index("Xp")
 
 
 # SIGNS3[mask, outcome] = (-1)^popcount(mask & outcome) turns outcome-indexed
@@ -145,8 +147,8 @@ class BlockTensor:
 
     ``outcomes`` axes: (pattern, input, cut term, outcome) for the
     four-qubit form and (pattern, input, outcome) for the three-qubit
-    form, with the pattern axis ordered (XZX, ZXZ), inputs in
-    STATE_LABELS order and the 3-bit measurement outcome of the block's
+    form, with the pattern axis ordered (XZX, ZXZ), inputs and cut terms
+    in GRID_TERMS order and the 3-bit measurement outcome of the block's
     real qubits last.  ``values`` is derived from it: the same axes, with
     the outcome replaced by the local parity mask.
     """
@@ -156,7 +158,8 @@ class BlockTensor:
     values: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        shape = (2, 6, 6, 8) if self.form == FOUR_QUBIT else (2, 6, 8)
+        m = len(GRID_TERMS)
+        shape = (2, m, m, 8) if self.form == FOUR_QUBIT else (2, m, 8)
         if self.outcomes.shape != shape:
             raise ValueError(f"tensor shape {self.outcomes.shape} invalid for {self.form}")
         object.__setattr__(self, "values", self.outcomes @ SIGNS3)
@@ -178,23 +181,22 @@ def build_block_tensors(
     ``payloads`` maps each job of the grid to its counts or distribution.
     Four-qubit entries combine the physical distribution's last-qubit
     outcome with each cut observable's outcome weights (projector terms
-    read the Z marginal, X/Y terms the parity), then transform outcome
+    read the Z marginal, X terms the parity), then transform outcome
     weights into parity values for the 8 local masks.
     """
-    terms = decomposition_table()
     missing = sorted(s.job_id for s in plan_chain_jobs() if s not in payloads)
     if missing:
         raise ValueError(f"job grid incomplete, missing: {missing}")
-    w4 = np.zeros((2, 6, 6, 8))
-    p3 = np.zeros((2, 6, 8))
+    w4 = np.zeros((2, len(GRID_TERMS), len(GRID_TERMS), 8))
+    p3 = np.zeros((2, len(GRID_TERMS), 8))
     for p_idx, pattern in enumerate(CUT_PATTERNS):
-        for j, label in enumerate(STATE_LABELS):
+        for j, label in enumerate(t.prep for t in GRID_TERMS):
             dists = {
                 basis: pipeline.physical(payloads[JobSpec(FOUR_QUBIT, label, pattern, basis)]).p
                 for basis in CUT_BASES
             }
-            for t in terms:
-                w4[p_idx, j, t.index] = dists[t.basis].reshape(8, 2) @ np.asarray(t.outcome_weights)
+            for i, t in enumerate(GRID_TERMS):
+                w4[p_idx, j, i] = dists[t.basis].reshape(8, 2) @ np.asarray(t.outcome_weights)
             p3[p_idx, j] = pipeline.physical(payloads[JobSpec(THREE_QUBIT, label, pattern, None)]).p
     return BlockTensor(FOUR_QUBIT, w4), BlockTensor(THREE_QUBIT, p3)
 
@@ -204,7 +206,7 @@ def build_block_tensors(
 
 
 def _coefficients() -> np.ndarray:
-    return np.array([t.coeff for t in decomposition_table()])
+    return np.array([t.coeff for t in GRID_TERMS])
 
 
 def chain_cut_count(n: int) -> int:
@@ -292,8 +294,9 @@ class ScalingRow:
     postprocess_time_s: float
 
 
+@functools.cache
 def _choice_weights(n: int, parity: str, block: int) -> np.ndarray:
-    """Weight of each stabilizer choice seen by one block, by local mask.
+    """Weight of each stabilizer choice seen by one block, by local mask (read-only).
 
     Entry [l, r, mask] sums, over the choices of the parity's stabilizers
     that give the block this 3-bit local mask, the weight 2^-(number of
@@ -318,6 +321,7 @@ def _choice_weights(n: int, parity: str, block: int) -> np.ndarray:
             hit = chosen.get(p, 0) | (chosen.get(p - 1, 0) ^ chosen.get(p + 1, 0))
             mask = (mask << 1) | hit
         out[chosen.get(left, 0), chosen.get(right, 0), mask] += weight
+    out.flags.writeable = False
     return out
 
 
@@ -325,7 +329,7 @@ def _parity_average(bt4: BlockTensor, bt3: BlockTensor, n: int, parity: str) -> 
     """Mean of all 2^m subset terms of one parity, at cost linear in n.
 
     The mean is the expectation of the stabilizer projector prod (I+s_i)/2,
-    contracted through the chain with a 12-dim transfer state: the 6 cut
+    contracted through the chain with an 8-dim transfer state: the 4 cut
     terms times the chosen bit of the stabilizer straddling the boundary.
     Each stabilizer carries its factor 1/2 into the transfer weights, so
     no 2^-m normaliser is ever formed.  Middle blocks repeat with period
@@ -333,18 +337,18 @@ def _parity_average(bt4: BlockTensor, bt3: BlockTensor, n: int, parity: str) -> 
     each parity needs at most two middle matrices.
     """
     blocks, closing = _chain_blocks(bt4.values, bt3.values, n, parity)
-    n_cuts = len(blocks)
+    n_cuts, dim = len(blocks), 2 * len(GRID_TERMS)
 
     def transfer(b: int) -> np.ndarray:
         weights = _choice_weights(n, parity, b)
-        return np.einsum("ijm,lrm->iljr", blocks[b], weights).reshape(12, 12)
+        return np.einsum("ijm,lrm->iljr", blocks[b], weights).reshape(dim, dim)
 
     v = transfer(0)[2 * XP_INDEX]  # state (input Xp, no left stabilizer)
     middles = {b % 2: transfer(b) for b in range(1, min(n_cuts, 3))}
     for b in range(1, n_cuts):
         v = v @ middles[b % 2]
     closing = np.einsum("im,lrm->il", closing, _choice_weights(n, parity, n_cuts))
-    return float(v @ closing.reshape(12))
+    return float(v @ closing.reshape(dim))
 
 
 def witness_averages(bt4: BlockTensor, bt3: BlockTensor, n: int) -> tuple[float, float]:

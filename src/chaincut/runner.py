@@ -30,10 +30,10 @@ _JOB_STREAM = 0
 _CALIB_STREAM = 1
 
 
-# The memos hold the 12 block states and 48 job distributions of the grid
+# The memos hold the 8 block states and 24 job distributions of the grid
 # (cut.plan_chain_jobs) for two noise models at once: an LRU smaller than the
 # keys one repetition cycles through would never hit.
-@functools.lru_cache(maxsize=2 * 12)
+@functools.lru_cache(maxsize=2 * 8)
 def _block_state(form: str, label: str, noise: NoiseModel) -> np.ndarray:
     """Read-only density operator of one block, measured later in each of its settings."""
     rho = run_exact(build_block_subcircuit(form, label), noise)
@@ -41,7 +41,7 @@ def _block_state(form: str, label: str, noise: NoiseModel) -> np.ndarray:
     return rho
 
 
-@functools.lru_cache(maxsize=2 * 48)
+@functools.lru_cache(maxsize=2 * 24)
 def block_distribution(spec: JobSpec, noise: NoiseModel) -> Distribution:
     """Exact outcome distribution of one job, computed once and shared (read-only)."""
     dist = measure_distribution(_block_state(spec.form, spec.input, noise), spec.meas)

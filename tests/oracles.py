@@ -1,9 +1,10 @@
 """Independent reference implementations used to cross-check the package.
 
 Everything here is deliberately written the slow, obvious way — explicit
-Kronecker embeddings, elementwise index summation, exhaustive 6^k loops,
+Kronecker embeddings, elementwise index summation, exhaustive 4^k loops,
 generic constrained optimization — and shares no code path with the
-library being tested.
+library being tested.  The dense simulator still reads out in Y, so it can
+build the six-term block tables that the library's grid no longer runs.
 """
 
 import itertools
@@ -169,8 +170,6 @@ def circuit_unitary(circuit, n: int) -> np.ndarray:
             u = embed(cz, op.qubits, n) @ u
         elif op.kind == "H":
             u = embed(H, op.qubits, n) @ u
-        elif op.kind == "Sdg":
-            u = embed(SDG, op.qubits, n) @ u
         else:
             raise ValueError(op.kind)
     return u
@@ -216,7 +215,7 @@ def noisy_density(circuit, p1: float, p2: float) -> np.ndarray:
     rho = np.zeros((2**n, 2**n), dtype=complex)
     rho[0, 0] = 1.0
     cz = np.diag([1, 1, 1, -1]).astype(complex)
-    gates = {"H": H, "Sdg": SDG}
+    gates = {"H": H}
     for op in circuit.ops:
         if op.kind == "prep":
             v = STATES[op.label]
@@ -351,15 +350,15 @@ def _block_masks_and_patterns(letters: str, parity: str) -> tuple[int, list, lis
 
 def stitch_brute_force(letters: str, parity: str, t4: np.ndarray, t3: np.ndarray,
                        coeffs: np.ndarray, xp_index: int = 2) -> float:
-    """Exhaustive 6^k summation of the chain-reuse contraction.
+    """Exhaustive m^k summation of the chain-reuse contraction over m cut terms.
 
-    ``t4``/``t3`` are block tensors shaped (2, 6, 6, 8) and (2, 6, 8);
-    block masks, patterns, and weights are recomputed here from the raw
-    Pauli letters, independently of the library's bit tricks.
+    ``t4``/``t3`` are block tensors shaped (2, m, m, 8) and (2, m, 8), m the
+    length of ``coeffs``; block masks, patterns, and weights are recomputed
+    here from the raw Pauli letters, independently of the library's bit tricks.
     """
     k, masks, patterns = _block_masks_and_patterns(letters, parity)
     total = 0.0
-    for combo in itertools.product(range(6), repeat=k):
+    for combo in itertools.product(range(len(coeffs)), repeat=k):
         weight = 1.0
         for i in combo:
             weight *= coeffs[i]
@@ -371,13 +370,46 @@ def stitch_brute_force(letters: str, parity: str, t4: np.ndarray, t3: np.ndarray
     return total
 
 
-# Cut-term coefficients in decomposition order (Z0, Z1, Xp, Xm, Yp, Ym).
-CUT_COEFFS = np.array([1.0, 1.0, 0.5, -0.5, 0.5, -0.5])
+# Coefficients of the cut terms the job grid reads (Z0, Z1, Xp, Xm), and of
+# the full six-term table (Z0, Z1, Xp, Xm, Yp, Ym).
+CUT_COEFFS = np.array([1.0, 1.0, 0.5, -0.5])
+SIX_TERM_COEFFS = np.array([1.0, 1.0, 0.5, -0.5, 0.5, -0.5])
 XP_INDEX = 2
 
 
+# Readout (basis, outcome weights) of each of the six cut terms, in table order.
+SIX_TERM_READOUTS = (("Z", (1.0, 0.0)), ("Z", (0.0, 1.0)), ("X", (1.0, -1.0)),
+                     ("X", (1.0, -1.0)), ("Y", (1.0, -1.0)), ("Y", (1.0, -1.0)))
+
+
+def local_parities(weights: np.ndarray) -> np.ndarray:
+    """Entry m: sum over 3-bit outcomes b of weights[b] * (-1)^(number of bits in m & b)."""
+    return np.array([sum(w * (-1) ** bin(m & b).count("1") for b, w in enumerate(weights))
+                     for m in range(8)])
+
+
+def six_term_block_tables(block_circuit, p1: float, p2: float) -> tuple[np.ndarray, np.ndarray]:
+    """Parity tables of the 48 jobs of the six-term cut, by dense simulation with Y readout.
+
+    ``block_circuit(form, label)`` builds a block.  Returns the four-qubit
+    table (pattern, input, cut term, local mask) over the six STATES inputs
+    and the six cut terms of SIX_TERM_READOUTS, and the three-qubit table
+    (pattern, input, local mask); no readout error is applied.
+    """
+    v4, v3 = np.zeros((2, 6, 6, 8)), np.zeros((2, 6, 8))
+    for j, label in enumerate(STATES):
+        rho4 = noisy_density(block_circuit("4q", label), p1, p2)
+        rho3 = noisy_density(block_circuit("3q", label), p1, p2)
+        for pat, pattern in enumerate(("XZX", "ZXZ")):
+            for i, (basis, (w0, w1)) in enumerate(SIX_TERM_READOUTS):
+                p = density_distribution(rho4, pattern + basis).reshape(8, 2)
+                v4[pat, j, i] = local_parities(w0 * p[:, 0] + w1 * p[:, 1])
+            v3[pat, j] = local_parities(density_distribution(rho3, pattern))
+    return v4, v3
+
+
 def stitch_expectation(letters: str, parity: str, bt4, bt3, n_cuts: int) -> float:
-    """Expectation of one witness term by explicit 6x6 transfer matrices.
+    """Expectation of one witness term by explicit 4x4 transfer matrices.
 
     Left boundary: the four-qubit tensor at input Xp (the open chain end
     prepares |+>).  Middle blocks reuse the same tensor with the input
@@ -393,7 +425,7 @@ def stitch_expectation(letters: str, parity: str, bt4, bt3, n_cuts: int) -> floa
     return float(v @ bt3.values[patterns[k], :, masks[k]])
 
 
-def stitch_all_terms(bt4, bt3, n: int, parity: str) -> np.ndarray:
+def stitch_all_terms(bt4, bt3, n: int, parity: str, coeffs=CUT_COEFFS) -> np.ndarray:
     """Every subset term of one parity by transfer matrices, all terms advancing together.
 
     Entry s is the subset whose bit t selects the t-th stabilizer of the
@@ -402,7 +434,8 @@ def stitch_all_terms(bt4, bt3, n: int, parity: str) -> np.ndarray:
     sites that exactly one chosen neighbour reaches.  The chain is then
     contracted as in stitch_expectation, one row per term, the rows grouped
     by their 3-bit block mask at each block; memory follows the 2^(n/2)
-    term count, not the 2^n outcomes.
+    term count, not the 2^n outcomes.  ``bt4``/``bt3`` need only a
+    ``values`` table with one input and cut-term entry per coefficient.
     """
     first = 1 if parity == "odd" else 2
     sites = range(first, n + 1, 2)
@@ -414,7 +447,7 @@ def stitch_all_terms(bt4, bt3, n: int, parity: str) -> np.ndarray:
     k = n // 3 - 1
     masks = [(support >> (n - 3 - 3 * b)) & 7 for b in range(k + 1)]
     patterns = [(b + first - 1) % 2 for b in range(k + 1)]
-    weighted = bt4.values * CUT_COEFFS[:, None]
+    weighted = bt4.values * coeffs[:, None]
     v = weighted[patterns[0], XP_INDEX][:, masks[0]].T
     for b in range(1, k):
         out = np.empty_like(v)

@@ -90,12 +90,8 @@ class TestBasisChanges:
         assert p[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_rotations(self):
-        ops = basis_change_ops("XYZ")
-        assert [(o.kind, o.qubits) for o in ops] == [
-            ("H", (0,)),
-            ("Sdg", (1,)),
-            ("H", (1,)),
-        ]
+        ops = basis_change_ops("XZX")
+        assert [(o.kind, o.qubits) for o in ops] == [("H", (0,)), ("H", (2,))]
 
 
     def test_setting_validated(self):
@@ -103,6 +99,8 @@ class TestBasisChanges:
             basis_change_ops("XZX", 4)
         with pytest.raises(ValueError, match="bad basis"):
             basis_change_ops("XQ", 2)
+        with pytest.raises(ValueError, match="bad basis"):  # no job reads out in Y
+            basis_change_ops("XY", 2)
 
 
 class TestValidation:

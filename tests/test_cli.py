@@ -102,15 +102,38 @@ def sha256_of(tree: dict[str, bytes]) -> str:
 # sha256 of the default-noise sampled bundle in
 # TestRunJobs.test_sampled_bundle_matches_golden_digest: every jobs.json and
 # calibration.json entry written alone (entry_files).
-GOLDEN_SAMPLED_BUNDLE_SHA256 = "b4fa9fb39b5001f5da61cf9b0bd8858fc579bf069f83cf4fd58daf8833fe4fe6"
+GOLDEN_SAMPLED_BUNDLE_SHA256 = "7e13f2e4b7c9199755e5b05e2ced3b057c0aadffb554ef7756428b2d3ab6db3a"
 # sha256 of the same bundle's jobs.json and calibration.json files.
-GOLDEN_SAMPLED_BUNDLE_FILES_SHA256 = "6caf547e2f3b8778f6d5c6d339f9eeee995f39ae24a047619a68a30ea8256e89"
+GOLDEN_SAMPLED_BUNDLE_FILES_SHA256 = "bb480f368ecd4e5280561b6c49271aa0a7088bd2db4498e318b93d537ed7de88"
 # sha256 of the sampled direct reports in
 # TestDirect.test_sampled_direct_matches_golden_digest.
 GOLDEN_SAMPLED_DIRECT_SHA256 = "a6e683dc32a29e0bad257bee57eda74d5f9f36bfa240dc6ebdd9027489aadd86"
 
 
+# Ids of the job grid, spelled out: the four cut terms' preps as inputs, and
+# X or Z on the cut qubit; the Y terms cancel, so no job reads Y or prepares Yp/Ym.
+GRID_IDS = sorted(
+    [f"4q-{label}-{pattern}-{basis}"
+     for label in ("Z0", "Z1", "Xp", "Xm") for pattern in ("XZX", "ZXZ") for basis in "XZ"]
+    + [f"3q-{label}-{pattern}" for label in ("Z0", "Z1", "Xp", "Xm") for pattern in ("XZX", "ZXZ")]
+)
+
+
 class TestRunJobs:
+    @pytest.mark.parametrize(
+        "fields",
+        [{"mode": "exact"}, {"mode": "sampled", "shots": 1000, "repetitions": 2}],
+        ids=["exact", "sampled"],
+    )
+    def test_every_jobs_file_holds_the_24_grid_ids(self, tmp_path, fields):
+        out = tmp_path / "run"
+        cfg = write_config(tmp_path, out_dir=str(out), **fields)
+        assert main(["run-jobs", "--config", str(cfg)]) == 0
+        files = sorted(out.glob("reps/r*/jobs.json"))
+        assert len(GRID_IDS) == 24 and len(files) == load_config(cfg).effective_repetitions
+        for path in files:
+            assert sorted(json.loads(path.read_text())) == GRID_IDS
+
     def test_exact_bundle_layout(self, tmp_path):
         cfg = write_config(tmp_path, mode="exact", out_dir=str(tmp_path / "run"))
         assert main(["run-jobs", "--config", str(cfg)]) == 0
@@ -127,7 +150,7 @@ class TestRunJobs:
         assert main(["run-jobs", "--config", str(cfg)]) == 0
         for rep in ("r00", "r01"):
             jobs, calibration = rep_files(tmp_path / "run", rep)
-            assert len(jobs) == 48
+            assert len(jobs) == 24
             assert sorted(calibration) == ["q3", "q4"]
             assert list(calibration["q3"]) == [f"{j:03b}" for j in range(8)]
             assert list(calibration["q4"]) == [f"{j:04b}" for j in range(16)]
@@ -182,7 +205,7 @@ class TestRunJobs:
         del tree["config.json"], tree["manifest.json"]
         assert len(tree) == 2 * 2
         entries = entry_files(tree)
-        assert len(entries) == 2 * (48 + 16 + 8)
+        assert len(entries) == 2 * (24 + 16 + 8)
         assert sha256_of(entries) == GOLDEN_SAMPLED_BUNDLE_SHA256
         assert sha256_of(tree) == GOLDEN_SAMPLED_BUNDLE_FILES_SHA256
 
@@ -231,16 +254,16 @@ class TestReconstruct:
         assert csv[-1].startswith("33,")
 
     def test_sweep_past_the_float_range_of_gamma_k(self, tmp_path):
-        # At k = 511 the cut one-norm 4^512 overflows a float; the sweep
+        # At k = 646 the cut one-norm 3^647 overflows a float; the sweep
         # still ends in reports with finite rows.
         out = tmp_path / "run"
         cfg = write_config(tmp_path, mode="exact", k_max=1, out_dir=str(out))
         assert main(["run-jobs", "--config", str(cfg)]) == 0
-        assert main(["reconstruct", "--out", str(out), "--k-max", "511"]) == 0
+        assert main(["reconstruct", "--out", str(out), "--k-max", "646"]) == 0
         csv = (out / "reports" / "scaling.csv").read_text().splitlines()
-        assert len(csv) == 512
+        assert len(csv) == 647
         n, *values = csv[-1].split(",")
-        assert n == "1539" and all(math.isfinite(float(v)) for v in values)
+        assert n == "1944" and all(math.isfinite(float(v)) for v in values)
 
     def test_missing_job_is_named(self, tmp_path, capsys):
         out = tmp_path / "run"

@@ -8,6 +8,7 @@ import pytest
 
 from chaincut import cut
 from chaincut.cut import (
+    GRID_TERMS,
     JobSpec,
     decomposition_table,
     jobs_file,
@@ -90,21 +91,40 @@ class TestDecomposition:
 
 class TestPlan:
     def test_grid_shape(self, plan):
-        assert len(plan) == 48
+        assert len(plan) == 24
         four = [s for s in plan if s.form == "4q"]
         three = [s for s in plan if s.form == "3q"]
-        assert len(four) == 36 and len(three) == 12
+        assert len(four) == 16 and len(three) == 8
 
     def test_ids_unique_and_specs_distinct(self, plan):
-        assert len({s.job_id for s in plan}) == 48
-        assert len(set(plan)) == 48
+        assert len({s.job_id for s in plan}) == 24
+        assert len(set(plan)) == 24
 
     def test_deterministic_ordering(self, plan):
         assert plan == plan_chain_jobs()
 
+    def test_grid_terms_are_the_table_terms_read_in_x_or_z(self):
+        assert [t.prep for t in GRID_TERMS] == ["Z0", "Z1", "Xp", "Xm"]
+        assert GRID_TERMS == decomposition_table()[:4]
+        assert sum(abs(t.coeff) for t in GRID_TERMS) == 3.0
+
+    def test_planner_refuses_a_grid_that_reads_y_on_an_input(self, monkeypatch):
+        # X X on the block's first two qubits pulls back through CZ(0, 1) to
+        # Y Y: with that pattern, Yp and Ym inputs would give different rows
+        plan_chain_jobs.cache_clear()
+        monkeypatch.setattr(cut, "CUT_PATTERNS", ("XXZ", "ZXZ"))
+        try:
+            with pytest.raises(AssertionError, match="job 4q-Z0-XXZ-X reads Y"):
+                plan_chain_jobs()
+        finally:
+            plan_chain_jobs.cache_clear()
+
+    def test_plan_is_computed_once(self):
+        assert plan_chain_jobs() is plan_chain_jobs()
+
     def test_cut_bases_cover_decomposition_needs(self, plan):
-        needed = {t.basis for t in decomposition_table()}
-        for label in ("Z0", "Z1", "Xp", "Xm", "Yp", "Ym"):
+        needed = {t.basis for t in GRID_TERMS}
+        for label in ("Z0", "Z1", "Xp", "Xm"):
             for pattern in ("XZX", "ZXZ"):
                 have = {
                     s.cut_basis
@@ -116,7 +136,7 @@ class TestPlan:
     def test_setting_invariants(self, plan):
         for s in plan:
             if s.form == "4q":
-                assert s.meas[:3] in ("XZX", "ZXZ") and s.meas[3] in "XYZ"
+                assert s.meas[:3] in ("XZX", "ZXZ") and s.meas[3] in "XZ"
             else:
                 assert s.meas in ("XZX", "ZXZ")
 
@@ -127,6 +147,8 @@ class TestPlan:
             JobSpec("3q", "Xp", "XZX", "Z")
         with pytest.raises(ValueError):
             JobSpec("4q", "Q9", "XZX", "Z")
+        with pytest.raises(ValueError, match="X or Z"):
+            JobSpec("4q", "Xp", "XZX", "Y")
 
 
 class TestExecution:

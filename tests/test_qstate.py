@@ -15,7 +15,6 @@ from chaincut.qstate import (
     assert_density_operator,
     conjugate_cz,
     conjugate_h,
-    conjugate_s,
     cz_phases,
     partial_trace,
     projector,
@@ -218,7 +217,6 @@ class TestConjugation:
 
     @pytest.mark.parametrize("gate,conj,matrix", [
         ("H", conjugate_h, oracles.H),
-        ("S", conjugate_s, oracles.S),
     ])
     def test_single_qubit(self, gate, conj, matrix):
         for q in range(3):

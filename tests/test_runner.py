@@ -27,7 +27,7 @@ def empty_memos():
     "noise", [NoiseModel(0.0, 0.0, None), NoiseModel()], ids=["noiseless", "default-noise"]
 )
 def test_shared_distribution_equals_fresh_simulation(plan, noise):
-    assert len(plan) == 48
+    assert len(plan) == 24
     for spec in plan:
         shared = runner.block_distribution(spec, noise)
         fresh = measure_distribution(
@@ -61,8 +61,8 @@ def test_run_jobs_simulates_each_block_once(tmp_path, monkeypatch):
     )
     (tmp_path / "config.json").write_text(dump_json(cfg.to_dict()))
     assert main(["run-jobs", "--config", str(tmp_path / "config.json")]) == 0
-    assert len(json.loads((tmp_path / "run" / "reps" / "r02" / "jobs.json").read_text())) == 48
-    # 12 block states (2 forms x 6 input labels), 48 settings; 144 of each
+    assert len(json.loads((tmp_path / "run" / "reps" / "r02" / "jobs.json").read_text())) == 24
+    # 8 block states (2 forms x 4 input labels), 24 settings; 72 of each
     # if every job of every repetition simulated its block again.
-    assert 0 < calls["run_exact"] <= 12
-    assert 0 < calls["measure_distribution"] <= 48
+    assert 0 < calls["run_exact"] <= 8
+    assert 0 < calls["measure_distribution"] <= 24

@@ -114,7 +114,7 @@ class TestMeasureDistribution:
 
     def test_normalized_and_nonnegative_under_noise(self):
         rho = run_exact(build_linear_cluster(4), NoiseModel(p1=0.01, p2=0.05, readout=None))
-        for meas in ("XZXZ", "ZXZX", "YYYY"):
+        for meas in ("XZXZ", "ZXZX", "XXXX"):
             p = measure_distribution(rho, meas).p
             assert abs(p.sum() - 1.0) < 1e-12
             assert np.all(p >= 0.0)
