@@ -11,16 +11,21 @@ which this script checks on random density matrices.
 
 import numpy as np
 
-from chaincut.cut import decomposition_table, reconstruction_error
+from chaincut.cut import GRID_PREPS, GRID_TERMS, decomposition_table, reconstruction_error
 
 print("term   coeff   readout basis   outcome weights   prepared state")
-for t in decomposition_table():
+for i, t in enumerate(decomposition_table()):
     weights = "({:g}, {:g})".format(*t.outcome_weights)
-    print(f"  {t.index}    {t.coeff:+.1f}      {t.basis:<15} {weights:<17} {t.prep}")
+    print(f"  {i}    {t.coeff:+.1f}      {t.basis:<15} {weights:<17} {t.prep}")
 
 one_norm = sum(abs(t.coeff) for t in decomposition_table())
 print(f"\n1-norm of the coefficients: {one_norm}  (sampling-overhead base per cut)")
 print(f"combinations for 3 cuts: {6 ** 3}, for 9 cuts: {6 ** 9:,}")
+# No job reads a Y parity on its input qubit, so the Yp and Ym terms cancel
+# and the job grid keeps only the four terms read in X or Z.
+grid_norm = sum(abs(t.coeff) for t in GRID_TERMS)
+print(f"1-norm of the job grid's terms {', '.join(GRID_PREPS)}: {grid_norm}")
+print(f"grid combinations for 3 cuts: {4 ** 3}, for 9 cuts: {4 ** 9:,}")
 
 rng = np.random.default_rng(1)
 

@@ -260,7 +260,9 @@ def cmd_direct(args) -> int:
     run = cfg.run_config()
     report = direct_chain_report(n, noise, run, cfg.effective_repetitions)
     out = Path(cfg.out_dir) / "direct"
-    out.mkdir(parents=True, exist_ok=True)
+    # As in reconstruct: an earlier run's files go first, manifest.json with them.
+    shutil.rmtree(out, ignore_errors=True)
+    out.mkdir(parents=True)
     bound, stddev = _mean_std(report["bound"])
     odd, even = report["odd"].mean(axis=0), report["even"].mean(axis=0)
     witness = {

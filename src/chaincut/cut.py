@@ -36,6 +36,7 @@ from __future__ import annotations
 import functools
 import json
 from dataclasses import dataclass
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -43,7 +44,7 @@ import numpy as np
 from . import circuit
 from .circuit import BLOCK_FORMS, FOUR_QUBIT, REGISTER_SIZES, THREE_QUBIT
 from .counts import Payload, dump_json, payload_from_dict, payload_to_dict
-from .qstate import PAULI_1Q, STATE_LABELS, conjugate_cz, conjugate_h, projector, state_vector_1q
+from .qstate import PAULI_1Q, conjugate_cz, conjugate_h, projector, state_vector_1q
 
 CUT_PATTERNS = ("XZX", "ZXZ")
 CUT_BASES = ("X", "Z")
@@ -58,7 +59,6 @@ class CutTerm:
     X/Y are outcome parities.  The reconstruction uses exactly these fields.
     """
 
-    index: int
     coeff: float
     basis: str
     outcome_weights: tuple[float, float]
@@ -73,20 +73,21 @@ class CutTerm:
 def decomposition_table() -> tuple[CutTerm, ...]:
     """The six (coefficient, readout, prepared state) cut terms.
 
-    Prepared states appear in STATE_LABELS order, so a term's index is
-    also the input-label index of the block that consumes its output.
+    Prepared states appear in STATE_LABELS order.
     """
     return (
-        CutTerm(0, 1.0, "Z", (1.0, 0.0), "Z0"),
-        CutTerm(1, 1.0, "Z", (0.0, 1.0), "Z1"),
-        CutTerm(2, 0.5, "X", (1.0, -1.0), "Xp"),
-        CutTerm(3, -0.5, "X", (1.0, -1.0), "Xm"),
-        CutTerm(4, 0.5, "Y", (1.0, -1.0), "Yp"),
-        CutTerm(5, -0.5, "Y", (1.0, -1.0), "Ym"),
+        CutTerm(1.0, "Z", (1.0, 0.0), "Z0"),
+        CutTerm(1.0, "Z", (0.0, 1.0), "Z1"),
+        CutTerm(0.5, "X", (1.0, -1.0), "Xp"),
+        CutTerm(-0.5, "X", (1.0, -1.0), "Xm"),
+        CutTerm(0.5, "Y", (1.0, -1.0), "Yp"),
+        CutTerm(-0.5, "Y", (1.0, -1.0), "Ym"),
     )
 
 
 GRID_TERMS = tuple(t for t in decomposition_table() if t.basis in CUT_BASES)
+# The grid's input labels, in GRID_TERMS order: every input-labelled axis follows it.
+GRID_PREPS = tuple(t.prep for t in GRID_TERMS)
 
 
 def reconstruction_error(rho: np.ndarray, terms=None) -> float:
@@ -104,9 +105,6 @@ def reconstruction_error(rho: np.ndarray, terms=None) -> float:
     return float(np.max(np.abs(acc - rho)))
 
 
-_VERIFIED = False
-
-
 def verify_decomposition() -> None:
     """Prove the cut table exact before any downstream use.
 
@@ -114,12 +112,9 @@ def verify_decomposition() -> None:
     16 two-qubit Pauli operators (a basis of the operator space; the I (x) P
     cases carry the one-qubit identity) to 1e-12 proves it for every state,
     for the readout bases and outcome weights the block tensors use.  The
-    1-norm sum |c_i| = 4 is checked too.  Raises on failure; caches success
-    for the process lifetime.
+    1-norm sum |c_i| = 4 is checked too.  Raises on failure; plan_chain_jobs,
+    cached for the process lifetime, runs it once per process.
     """
-    global _VERIFIED
-    if _VERIFIED:
-        return
     terms = decomposition_table()
     one_norm = sum(abs(t.coeff) for t in terms)
     if abs(one_norm - 4.0) > 1e-12:
@@ -131,7 +126,6 @@ def verify_decomposition() -> None:
     )
     if worst > 1e-12:
         raise AssertionError(f"cut reconstruction identity violated: {worst:.3e}")
-    _VERIFIED = True
 
 
 # ---------------------------------------------------------------------------
@@ -150,7 +144,7 @@ class JobSpec:
     def __post_init__(self):
         if self.form not in BLOCK_FORMS:
             raise ValueError(f"bad form {self.form!r}")
-        if self.input not in STATE_LABELS:
+        if self.input not in GRID_PREPS:
             raise ValueError(f"bad input label {self.input!r}")
         if self.pattern not in CUT_PATTERNS:
             raise ValueError(f"bad pattern {self.pattern!r}")
@@ -178,22 +172,14 @@ def plan_chain_jobs() -> tuple[JobSpec, ...]:
     """The 24-job grid covering every cut chain built from the two blocks.
 
     16 four-qubit jobs (4 inputs x 2 witness patterns x 2 cut bases) and
-    8 three-qubit jobs (4 inputs x 2 patterns): the inputs are the preps of
-    GRID_TERMS, whose observables the cut bases X, Z on the last qubit cover
+    8 three-qubit jobs (4 inputs x 2 patterns): the inputs are GRID_PREPS,
+    whose terms' observables the cut bases X, Z on the last qubit cover
     (projector outcomes come from the Z marginal).  Fixed ordering, computed
     once per process after the cut table and the Y cancellation are proven.
     """
     verify_decomposition()
-    labels = [t.prep for t in GRID_TERMS]
-    jobs = [
-        JobSpec(FOUR_QUBIT, label, pattern, basis)
-        for label in labels
-        for pattern in CUT_PATTERNS
-        for basis in CUT_BASES
-    ]
-    jobs += [
-        JobSpec(THREE_QUBIT, label, pattern, None) for label in labels for pattern in CUT_PATTERNS
-    ]
+    jobs = [JobSpec(FOUR_QUBIT, *k) for k in product(GRID_PREPS, CUT_PATTERNS, CUT_BASES)]
+    jobs += [JobSpec(THREE_QUBIT, *k, None) for k in product(GRID_PREPS, CUT_PATTERNS)]
     for spec in jobs:
         _check_input_reads_no_y(spec)
     return tuple(jobs)

@@ -36,9 +36,9 @@ PAULI_1Q = {
 # Fixed single-qubit gates, keyed by GateOp kind.
 GATES_1Q = {"H": np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)}
 
-# Single-qubit preparation labels, in the order the cut decomposition
-# enumerates its prepared states.  Downstream arrays indexed by "input
-# label" always use this order.
+# Single-qubit preparation labels, in the order of the cut table's rows
+# (cut.decomposition_table).  Input-labelled tensor axes follow the job
+# grid's labels, cut.GRID_PREPS: the first four.
 STATE_LABELS = ("Z0", "Z1", "Xp", "Xm", "Yp", "Ym")
 
 _STATE_VECTORS = {

@@ -47,13 +47,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .circuit import FOUR_QUBIT, THREE_QUBIT
-from .cut import CUT_BASES, CUT_PATTERNS, GRID_TERMS, JobSpec, Payload, plan_chain_jobs
+from .cut import CUT_PATTERNS, GRID_PREPS, GRID_TERMS, JobSpec, Payload, plan_chain_jobs
 from .mitigation import MitigationPipeline
 from .qstate import WALSH_1Q, apply_per_qubit
 
 # Global measurement setting that reads every witness term of each parity.
 SETTINGS = {"odd": "XZ", "even": "ZX"}
-XP_INDEX = [t.prep for t in GRID_TERMS].index("Xp")
+XP_INDEX = GRID_PREPS.index("Xp")
+COEFFS = np.array([t.coeff for t in GRID_TERMS])  # c_i of the grid's cut terms
+COEFFS.flags.writeable = False
 
 
 # SIGNS3[mask, outcome] = (-1)^popcount(mask & outcome) turns outcome-indexed
@@ -179,34 +181,32 @@ def build_block_tensors(
     """Mitigate every job's payload and assemble the two block tensors.
 
     ``payloads`` maps each job of the grid to its counts or distribution.
-    Four-qubit entries combine the physical distribution's last-qubit
-    outcome with each cut observable's outcome weights (projector terms
-    read the Z marginal, X terms the parity), then transform outcome
-    weights into parity values for the 8 local masks.
+    A job's entries sit at (its pattern, its input) in CUT_PATTERNS and
+    GRID_PREPS order.  Four-qubit entries combine the physical
+    distribution's last-qubit outcome with the outcome weights of each cut
+    observable read in the job's cut basis (projector terms read the Z
+    marginal, X terms the parity).
     """
-    missing = sorted(s.job_id for s in plan_chain_jobs() if s not in payloads)
+    grid = plan_chain_jobs()
+    missing = sorted(s.job_id for s in grid if s not in payloads)
     if missing:
         raise ValueError(f"job grid incomplete, missing: {missing}")
-    w4 = np.zeros((2, len(GRID_TERMS), len(GRID_TERMS), 8))
-    p3 = np.zeros((2, len(GRID_TERMS), 8))
-    for p_idx, pattern in enumerate(CUT_PATTERNS):
-        for j, label in enumerate(t.prep for t in GRID_TERMS):
-            dists = {
-                basis: pipeline.physical(payloads[JobSpec(FOUR_QUBIT, label, pattern, basis)]).p
-                for basis in CUT_BASES
-            }
+    m = len(GRID_TERMS)
+    w4, p3 = np.zeros((2, m, m, 8)), np.zeros((2, m, 8))
+    for spec in grid:
+        at = (CUT_PATTERNS.index(spec.pattern), GRID_PREPS.index(spec.input))
+        p = pipeline.physical(payloads[spec]).p
+        if spec.form == THREE_QUBIT:
+            p3[at] = p
+        else:
             for i, t in enumerate(GRID_TERMS):
-                w4[p_idx, j, i] = dists[t.basis].reshape(8, 2) @ np.asarray(t.outcome_weights)
-            p3[p_idx, j] = pipeline.physical(payloads[JobSpec(THREE_QUBIT, label, pattern, None)]).p
+                if t.basis == spec.cut_basis:
+                    w4[at + (i,)] = p.reshape(8, 2) @ np.asarray(t.outcome_weights)
     return BlockTensor(FOUR_QUBIT, w4), BlockTensor(THREE_QUBIT, p3)
 
 
 # ---------------------------------------------------------------------------
 # Transfer-matrix stitching
-
-
-def _coefficients() -> np.ndarray:
-    return np.array([t.coeff for t in GRID_TERMS])
 
 
 def chain_cut_count(n: int) -> int:
@@ -227,7 +227,7 @@ def _chain_blocks(t4: np.ndarray, t3: np.ndarray, n: int, parity: str) -> tuple[
     """
     start = _start(parity)
     k = chain_cut_count(n)
-    weighted = t4 * _coefficients()[:, None]
+    weighted = t4 * COEFFS[:, None]
     return [weighted[(b + start) % 2] for b in range(k)], t3[(k + start) % 2]
 
 
@@ -268,7 +268,7 @@ def stitched_lower_bound(odd_avg: float, even_avg: float, n: int) -> float:
     cut terms, k cuts) rather than by 1.  A noiseless sampled chain can
     land just above 1, which is shot noise, not a corrupt bundle.
     """
-    gamma = float(np.sum(np.abs(_coefficients())))
+    gamma = float(np.sum(np.abs(COEFFS)))
     try:
         limit = gamma ** chain_cut_count(n)
     except OverflowError:  # gamma^k is past the float range: every finite average passes

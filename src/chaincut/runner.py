@@ -14,6 +14,8 @@ mitigation mode that estimates its matrices from calibration counts).
 from __future__ import annotations
 
 import functools
+import types
+from collections.abc import Mapping
 from pathlib import Path
 
 import numpy as np
@@ -30,23 +32,21 @@ _JOB_STREAM = 0
 _CALIB_STREAM = 1
 
 
-# The memos hold the 8 block states and 24 job distributions of the grid
-# (cut.plan_chain_jobs) for two noise models at once: an LRU smaller than the
-# keys one repetition cycles through would never hit.
-@functools.lru_cache(maxsize=2 * 8)
-def _block_state(form: str, label: str, noise: NoiseModel) -> np.ndarray:
-    """Read-only density operator of one block, measured later in each of its settings."""
-    rho = run_exact(build_block_subcircuit(form, label), noise)
-    rho.flags.writeable = False
-    return rho
+@functools.lru_cache(maxsize=2)  # two noise models at once
+def grid_distributions(noise: NoiseModel) -> Mapping[JobSpec, Distribution]:
+    """Each job's exact outcome distribution, in plan_chain_jobs order, shared read-only.
 
-
-@functools.lru_cache(maxsize=2 * 24)
-def block_distribution(spec: JobSpec, noise: NoiseModel) -> Distribution:
-    """Exact outcome distribution of one job, computed once and shared (read-only)."""
-    dist = measure_distribution(_block_state(spec.form, spec.input, noise), spec.meas)
-    dist.p.flags.writeable = False
-    return dist
+    Each block state is simulated once per (form, input label) and measured
+    once per setting of its jobs.
+    """
+    states, dists = {}, {}
+    for spec in plan_chain_jobs():
+        key = (spec.form, spec.input)
+        if key not in states:
+            states[key] = run_exact(build_block_subcircuit(*key), noise)
+        dists[spec] = measure_distribution(states[key], spec.meas)
+        dists[spec].p.flags.writeable = False
+    return types.MappingProxyType(dists)
 
 
 def execute_jobs(run: RunConfig, noise: NoiseModel, rep: int = 0) -> dict[JobSpec, Payload]:
@@ -58,22 +58,17 @@ def execute_jobs(run: RunConfig, noise: NoiseModel, rep: int = 0) -> dict[JobSpe
     Results are independent of execution order by construction.
     """
     payloads = {}
-    for idx, spec in enumerate(plan_chain_jobs()):
+    for idx, (spec, dist) in enumerate(grid_distributions(noise).items()):
         try:
-            payloads[spec] = _execute_one(spec, idx, run, noise, rep)
+            if run.mode == "exact":
+                payloads[spec] = dist
+            else:
+                readout = readout_rates(noise.readout, spec.n_qubits)
+                rng = rng_for(run.seed, rep, _JOB_STREAM, idx)
+                payloads[spec] = sample_counts(dist, run.shots, rng, readout)
         except Exception as exc:
             raise RuntimeError(f"job {spec.job_id} failed: {exc}") from exc
     return payloads
-
-
-def _execute_one(
-    spec: JobSpec, idx: int, run: RunConfig, noise: NoiseModel, rep: int
-) -> Payload:
-    dist = block_distribution(spec, noise)
-    if run.mode == "exact":
-        return dist
-    readout = readout_rates(noise.readout, spec.n_qubits)
-    return sample_counts(dist, run.shots, rng_for(run.seed, rep, _JOB_STREAM, idx), readout)
 
 
 def calibration_counts(

@@ -534,6 +534,24 @@ class TestWholeOutputs:
         assert (out / "reports" / "scaling.csv").exists()
         assert not (out / "reports" / "manifest.json").exists()
 
+    def test_failed_direct_leaves_no_earlier_output(self, tmp_path, monkeypatch):
+        out = tmp_path / "run"
+        cfg = write_config(tmp_path, mode="exact", out_dir=str(out))
+        assert main(["direct", "--config", str(cfg), "--n", "9"]) == 0
+        assert (out / "direct" / "manifest.json").exists()
+        dump = cli.dump_json
+
+        def fails_on_distributions(obj, stream=None):
+            if stream is not None:  # only distributions.json is streamed
+                raise OSError("killed while writing distributions.json")
+            return dump(obj)
+
+        monkeypatch.setattr(cli, "dump_json", fails_on_distributions)
+        assert main(["direct", "--config", str(cfg), "--n", "12"]) == 1
+        left = {p.name for p in (out / "direct").iterdir()}
+        assert "manifest.json" not in left and "summary.csv" not in left
+        assert json.loads((out / "direct" / "witness_terms.json").read_text())["n"] == 12
+
 
 # (mode, field, edit): job-file edits that int(), float() or "".join() would
 # read back as the file run-jobs wrote.

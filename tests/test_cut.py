@@ -76,7 +76,6 @@ class TestDecomposition:
         table = list(decomposition_table())
         table[index] = dataclasses.replace(table[index], **{field: value})
         monkeypatch.setattr(cut, "decomposition_table", lambda: tuple(table))
-        monkeypatch.setattr(cut, "_VERIFIED", False)
         with pytest.raises(AssertionError):
             verify_decomposition()
 
@@ -149,6 +148,8 @@ class TestPlan:
             JobSpec("4q", "Q9", "XZX", "Z")
         with pytest.raises(ValueError, match="X or Z"):
             JobSpec("4q", "Xp", "XZX", "Y")
+        with pytest.raises(ValueError, match="bad input label"):
+            JobSpec("4q", "Yp", "XZX", "Z")  # no job prepares Yp or Ym
 
 
 class TestExecution:

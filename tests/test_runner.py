@@ -15,31 +15,31 @@ from chaincut.sim import NoiseModel, measure_distribution, run_exact
 
 @pytest.fixture(autouse=True)
 def empty_memos():
-    """Start and leave each test with empty memos, so test order cannot matter."""
-    runner._block_state.cache_clear()
-    runner.block_distribution.cache_clear()
+    """Start and leave each test with an empty memo, so test order cannot matter."""
+    runner.grid_distributions.cache_clear()
     yield
-    runner._block_state.cache_clear()
-    runner.block_distribution.cache_clear()
+    runner.grid_distributions.cache_clear()
 
 
 @pytest.mark.parametrize(
     "noise", [NoiseModel(0.0, 0.0, None), NoiseModel()], ids=["noiseless", "default-noise"]
 )
 def test_shared_distribution_equals_fresh_simulation(plan, noise):
-    assert len(plan) == 24
-    for spec in plan:
-        shared = runner.block_distribution(spec, noise)
+    shared = runner.grid_distributions(noise)
+    assert tuple(shared) == plan and len(plan) == 24
+    again = runner.grid_distributions(noise)
+    for spec, dist in shared.items():
         fresh = measure_distribution(
             run_exact(build_block_subcircuit(spec.form, spec.input), noise), spec.meas
         )
-        assert shared.n == fresh.n
-        assert np.array_equal(shared.p, fresh.p)
-        assert not shared.p.flags.writeable
-        assert runner.block_distribution(spec, noise) is shared
-        assert not runner._block_state(spec.form, spec.input, noise).flags.writeable
+        assert dist.n == fresh.n
+        assert np.array_equal(dist.p, fresh.p)
+        assert not dist.p.flags.writeable
+        assert again[spec] is dist
     with pytest.raises(ValueError, match="read-only"):
-        shared.p[0] = 0.5
+        dist.p[0] = 0.5
+    with pytest.raises(TypeError):
+        shared[plan[0]] = dist
 
 
 def test_run_jobs_simulates_each_block_once(tmp_path, monkeypatch):
