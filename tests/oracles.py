@@ -1,10 +1,13 @@
 """Independent reference implementations used to cross-check the package.
 
-Everything here is deliberately written the slow, obvious way — explicit
-Kronecker embeddings, elementwise index summation, exhaustive 4^k loops,
-generic constrained optimization — and shares no code path with the
-library being tested.  The dense simulator still reads out in Y, so it can
-build the six-term block tables that the library's grid no longer runs.
+Everything here is deliberately written the slow, obvious way — one
+einsum per gate over explicit qubit axes, Kronecker embeddings,
+elementwise index summation, exhaustive 4^k loops, generic constrained
+optimization — and shares no code path with the library's simulators.
+The one thing taken from the library is where noise goes: noisy_density
+walks ``NoiseModel.schedule``, which test_sim.py::TestSchedule pins
+directly.  The dense simulator still reads out in Y, so it can build the
+six-term block tables that the library's grid no longer runs.
 """
 
 import itertools
@@ -17,8 +20,7 @@ X = np.array([[0, 1], [1, 0]], dtype=complex)
 Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 Z = np.array([[1, 0], [0, -1]], dtype=complex)
 H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
-S = np.array([[1, 0], [0, 1j]], dtype=complex)
-SDG = S.conj().T
+SDG = np.array([[1, 0], [0, -1j]], dtype=complex)
 PAULIS = {"I": I2, "X": X, "Y": Y, "Z": Z}
 
 STATES = {
@@ -157,90 +159,83 @@ def embed(op: np.ndarray, qubits: tuple[int, ...], n: int) -> np.ndarray:
     return out
 
 
-def circuit_unitary(circuit, n: int) -> np.ndarray:
-    """Full unitary of a noiseless circuit via embedded matrix products."""
-    u = np.eye(2**n, dtype=complex)
-    cz = np.diag([1, 1, 1, -1]).astype(complex)
-    for op in circuit.ops:
-        if op.kind == "prep":
-            v = STATES[op.label]
-            g = np.array([[v[0], -np.conj(v[1])], [v[1], np.conj(v[0])]])
-            u = embed(g, op.qubits, n) @ u
-        elif op.kind == "CZ":
-            u = embed(cz, op.qubits, n) @ u
-        elif op.kind == "H":
-            u = embed(H, op.qubits, n) @ u
-        else:
-            raise ValueError(op.kind)
-    return u
+CZ = np.diag([1, 1, 1, -1]).astype(complex)
+READOUT_ROTATIONS = {"Z": I2, "X": H, "Y": H @ SDG}
+# Matrices of the 4^k Pauli strings on k qubits, for the supports an insertion can have.
+PAULI_STRINGS = {k: [pauli_matrix((1, "".join(s))) for s in itertools.product("IXYZ", repeat=k)]
+                 for k in (1, 2)}
+
+
+def apply_on_axes(t: np.ndarray, op: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
+    """Contract a k-qubit operator into the listed axes of a (2,) * m tensor.
+
+    ``op`` is 2^k x 2^k, the first listed axis its leading bit.  One einsum
+    over explicit labels: axis a of ``t`` is label a, and the op's output
+    axes take labels m, m+1, ... in the places of the axes they replace.
+    """
+    m, k = t.ndim, len(axes)
+    new = list(range(m, m + k))
+    out = list(range(m))
+    for axis, label in zip(axes, new):
+        out[axis] = label
+    return np.einsum(op.reshape((2,) * (2 * k)), new + list(axes), t, list(range(m)), out)
+
+
+def conjugate_on(rho: np.ndarray, u: np.ndarray, qubits: tuple[int, ...]) -> np.ndarray:
+    """U rho U^dag for a (2,) * 2n density tensor, U on the listed qubits."""
+    n = rho.ndim // 2
+    rho = apply_on_axes(rho, u, qubits)
+    return apply_on_axes(rho, u.conj(), tuple(n + q for q in qubits))
+
+
+def gate_matrix(op) -> np.ndarray:
+    """Unitary of one op; a prep rotates |0> onto its labelled state."""
+    if op.kind == "prep":
+        v = STATES[op.label]
+        return np.array([[v[0], -np.conj(v[1])], [v[1], np.conj(v[0])]])
+    return {"H": H, "CZ": CZ}[op.kind]
 
 
 def statevector(circuit) -> np.ndarray:
-    n = circuit.n_qubits
-    psi = np.zeros(2**n, dtype=complex)
-    psi[0] = 1.0
-    return circuit_unitary(circuit, n) @ psi
+    psi = ket("0" * circuit.n_qubits).reshape((2,) * circuit.n_qubits)
+    for op in circuit.ops:
+        psi = apply_on_axes(psi, gate_matrix(op), op.qubits)
+    return psi.reshape(-1)
 
 
 def measured_distribution(psi: np.ndarray, meas: str) -> np.ndarray:
-    """Outcome probabilities after rotating each basis onto Z."""
-    n = len(meas)
-    rot = np.eye(2**n, dtype=complex)
-    for q, b in enumerate(meas):
-        if b == "X":
-            rot = embed(H, (q,), n) @ rot
-        elif b == "Y":
-            rot = embed(H @ SDG, (q,), n) @ rot
-    return np.abs(rot @ psi) ** 2
+    """Outcome probabilities after rotating each basis onto Z, one qubit at a time."""
+    t = psi.reshape((2,) * len(meas))
+    for q, basis in enumerate(meas):
+        t = apply_on_axes(t, READOUT_ROTATIONS[basis], (q,))
+    return np.abs(t.reshape(-1)) ** 2
 
 
-def kraus_depolarize(rho: np.ndarray, qubits: tuple[int, ...], p: float, n: int) -> np.ndarray:
-    """Depolarizing via the Pauli-twirl Kraus sum on the gate support."""
-    if p == 0.0:
-        return rho
-    k = len(qubits)
-    acc = np.zeros_like(rho)
-    for letters in itertools.product("IXYZ", repeat=k):
-        op = np.array([[1.0]])
-        for c in letters:
-            op = np.kron(op, PAULIS[c])
-        full = embed(op, qubits, n)
-        acc += full @ rho @ full.conj().T
-    return (1.0 - p) * rho + p * acc / 4**k
+def noisy_density(circuit, noise) -> np.ndarray:
+    """Density operator after walking ``noise.schedule(circuit)``.
 
-
-def noisy_density(circuit, p1: float, p2: float) -> np.ndarray:
-    """Channel-composition reference: full-matrix unitaries + Kraus noise."""
+    Each op acts as U rho U^dag; each insertion (qubits, p) acts as
+    (1 - p) rho + p/4^k sum_P P rho P over the 4^k Pauli strings P on
+    those k qubits.  Where the noise goes is the schedule's to say.
+    """
     n = circuit.n_qubits
-    rho = np.zeros((2**n, 2**n), dtype=complex)
-    rho[0, 0] = 1.0
-    cz = np.diag([1, 1, 1, -1]).astype(complex)
-    gates = {"H": H}
-    for op in circuit.ops:
-        if op.kind == "prep":
-            v = STATES[op.label]
-            g = embed(np.array([[v[0], -np.conj(v[1])], [v[1], np.conj(v[0])]]), op.qubits, n)
-            rho = g @ rho @ g.conj().T
-        elif op.kind == "CZ":
-            g = embed(cz, op.qubits, n)
-            rho = g @ rho @ g.conj().T
-            rho = kraus_depolarize(rho, op.qubits, p2, n)
-        else:
-            g = embed(gates[op.kind], op.qubits, n)
-            rho = g @ rho @ g.conj().T
-            rho = kraus_depolarize(rho, op.qubits, p1, n)
-    return rho
+    zero = ket("0" * n)
+    rho = np.outer(zero, zero).reshape((2,) * (2 * n))
+    for op, insertions in noise.schedule(circuit):
+        rho = conjugate_on(rho, gate_matrix(op), op.qubits)
+        for qubits, p in insertions:
+            twirl = sum(conjugate_on(rho, P, qubits) for P in PAULI_STRINGS[len(qubits)])
+            rho = (1.0 - p) * rho + p * twirl / 4 ** len(qubits)
+    return rho.reshape(2**n, 2**n)
 
 
 def density_distribution(rho: np.ndarray, meas: str) -> np.ndarray:
+    """Outcome probabilities of rho after rotating each basis onto Z, one qubit at a time."""
     n = len(meas)
-    rot = np.eye(2**n, dtype=complex)
-    for q, b in enumerate(meas):
-        if b == "X":
-            rot = embed(H, (q,), n) @ rot
-        elif b == "Y":
-            rot = embed(H @ SDG, (q,), n) @ rot
-    return np.real(np.diag(rot @ rho @ rot.conj().T))
+    t = rho.reshape((2,) * (2 * n))
+    for q, basis in enumerate(meas):
+        t = conjugate_on(t, READOUT_ROTATIONS[basis], (q,))
+    return np.real(np.diagonal(t.reshape(2**n, 2**n))).copy()
 
 
 def partial_trace_index_sum(rho: np.ndarray, keep: list[int]) -> np.ndarray:
@@ -388,18 +383,19 @@ def local_parities(weights: np.ndarray) -> np.ndarray:
                      for m in range(8)])
 
 
-def six_term_block_tables(block_circuit, p1: float, p2: float) -> tuple[np.ndarray, np.ndarray]:
+def six_term_block_tables(block_circuit, noise) -> tuple[np.ndarray, np.ndarray]:
     """Parity tables of the 48 jobs of the six-term cut, by dense simulation with Y readout.
 
-    ``block_circuit(form, label)`` builds a block.  Returns the four-qubit
+    ``block_circuit(form, label)`` builds a block, simulated under the
+    NoiseModel ``noise`` by noisy_density.  Returns the four-qubit
     table (pattern, input, cut term, local mask) over the six STATES inputs
     and the six cut terms of SIX_TERM_READOUTS, and the three-qubit table
     (pattern, input, local mask); no readout error is applied.
     """
     v4, v3 = np.zeros((2, 6, 6, 8)), np.zeros((2, 6, 8))
     for j, label in enumerate(STATES):
-        rho4 = noisy_density(block_circuit("4q", label), p1, p2)
-        rho3 = noisy_density(block_circuit("3q", label), p1, p2)
+        rho4 = noisy_density(block_circuit("4q", label), noise)
+        rho3 = noisy_density(block_circuit("3q", label), noise)
         for pat, pattern in enumerate(("XZX", "ZXZ")):
             for i, (basis, (w0, w1)) in enumerate(SIX_TERM_READOUTS):
                 p = density_distribution(rho4, pattern + basis).reshape(8, 2)

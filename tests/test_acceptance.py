@@ -41,8 +41,6 @@ from chaincut.sim import (
     NoiseModel,
     RunConfig,
     apply_readout_to_distribution,
-    measure_distribution,
-    run_exact,
     sample_counts,
 )
 
@@ -168,7 +166,7 @@ def test_c4_scaling_exactness_and_cost():
 
 
 def _noisy_chain_witness(n: int, noise: NoiseModel):
-    rho = run_exact(build_linear_cluster(n), noise)
+    rho = oracles.noisy_density(build_linear_cluster(n), noise)
     values = {}
     for parity in ("odd", "even"):
         values[parity] = np.array(
@@ -198,7 +196,7 @@ def test_c5_witness_soundness():
     # sampled mode: 25 seeded repetitions at one million shots
     noise = NoiseModel()
     n = 4
-    rho_true = run_exact(build_linear_cluster(n), noise)
+    rho_true = oracles.noisy_density(build_linear_cluster(n), noise)
     fid_true = oracles.lc_state_fidelity(rho_true, n)
     t4 = pipeline_for_rep({}, noise.readout, "tensor").matrices[4]
     bounds = []
@@ -207,7 +205,7 @@ def test_c5_witness_soundness():
         avgs = {}
         for parity in ("odd", "even"):
             meas = witness_setting(n, parity)
-            p = measure_distribution(rho_true, meas).p
+            p = oracles.density_distribution(rho_true, meas)
             counts = sample_counts(
                 Distribution(p), 1_000_000, rng_rep, readout_rates(noise.readout, 4)
             )

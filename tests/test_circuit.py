@@ -118,6 +118,22 @@ class TestValidation:
         with pytest.raises(ValueError, match="precede"):
             Circuit(1, ops)
 
+    @pytest.mark.parametrize(
+        "build, match",
+        [
+            (lambda: GateOp("T", (0,)), "unknown gate kind"),
+            (lambda: GateOp("H", (0, 1)), "exactly one qubit"),
+            (lambda: GateOp("prep", (0,), "Q"), "bad prep label"),
+            (lambda: GateOp("H", (0,), "Xp"), "takes no label"),
+            (lambda: Circuit(0, ()), "at least one qubit"),
+            (lambda: build_block_subcircuit("5q", "Xp"), "unknown block form"),
+        ],
+        ids=["kind", "one-qubit-on-two", "prep-label", "gate-label", "no-qubits", "block-form"],
+    )
+    def test_malformed_op_or_circuit_rejected(self, build, match):
+        with pytest.raises(ValueError, match=match):
+            build()
+
     def test_cz_needs_distinct_qubits(self):
         with pytest.raises(ValueError):
             GateOp("CZ", (1, 1))

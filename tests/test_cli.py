@@ -950,6 +950,11 @@ class TestErrors:
         assert empty.to_dict()["f00"] == []
         assert empty.sha256() != config_from_dict({"f00": None, "f11": None}).sha256()
 
+    def test_reconstruct_needs_a_bundle(self, capsys):
+        assert main(["reconstruct"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "needs --out" in err
+
     def test_invalid_json_config(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
@@ -999,7 +1004,8 @@ class TestErrors:
         for shots in (2**62, 10**20):
             with pytest.raises(ValueError, match="shots"):
                 config_from_dict({"mode": "sampled", "shots": shots})
-        mistyped = [
+        # mistyped, then well typed but out of range
+        named = [
             ("f00", {"f00": 0.9, "f11": 0.9}),
             ("k_max", {"k_max": "9"}),
             ("shots", {"shots": True, "mode": "sampled"}),
@@ -1007,8 +1013,12 @@ class TestErrors:
             ("f11", {"f00": [0.9], "f11": [True]}),
             ("mode", {"mode": 1}),
             ("seed", {"seed": 1.0}),
+            ("mitigation", {"mitigation": "bogus"}),
+            ("repetitions", {"repetitions": 0}),
+            ("p1", {"p1": 1.5}),
+            ("p2", {"p2": -0.1}),
         ]
-        for field, d in mistyped:
+        for field, d in named:
             with pytest.raises(ValueError, match=field):
                 config_from_dict(d)
 

@@ -61,8 +61,8 @@ class TestCountsTable:
 
     @pytest.mark.parametrize(
         "vec",
-        [[1, 1, 1], [2, -1], [0, 0]],
-        ids=["not-power-of-two", "negative", "no-shots"],
+        [[1, 1, 1], [2, -1], [0, 0], [[1, 1], [1, 1]]],
+        ids=["not-power-of-two", "negative", "no-shots", "matrix"],
     )
     def test_invalid_tables_rejected(self, vec):
         with pytest.raises(ValueError):

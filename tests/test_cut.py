@@ -150,6 +150,10 @@ class TestPlan:
             JobSpec("4q", "Xp", "XZX", "Y")
         with pytest.raises(ValueError, match="bad input label"):
             JobSpec("4q", "Yp", "XZX", "Z")  # no job prepares Yp or Ym
+        with pytest.raises(ValueError, match="bad form"):
+            JobSpec("5q", "Xp", "XZX", "Z")
+        with pytest.raises(ValueError, match="bad pattern"):
+            JobSpec("4q", "Xp", "XXX", "Z")
 
 
 class TestExecution:

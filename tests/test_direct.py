@@ -18,13 +18,7 @@ from chaincut.direct import (
     run_statevector,
     statevector_distribution,
 )
-from chaincut.sim import (
-    DEFAULT_READOUT,
-    NoiseModel,
-    RunConfig,
-    measure_distribution,
-    run_exact,
-)
+from chaincut.sim import DEFAULT_READOUT, NoiseModel, RunConfig
 
 import oracles
 
@@ -54,29 +48,28 @@ class TestStatevector:
 
 
 class TestHeisenberg:
-    """Propagation agrees with dense density simulation wherever both run."""
+    """Propagation agrees with the dense oracle, tests/oracles.py, wherever both run."""
 
     @pytest.mark.parametrize("meas", ["XZXZ", "ZXZX"])
     def test_noisy_cluster_distribution_matches_density_sim(self, meas):
         noise = NoiseModel(p1=0.004, p2=0.06, readout=None)
         c = build_linear_cluster(4)
         got = heisenberg_distribution(c, meas, noise)
-        rho = run_exact(c, noise)
-        want = measure_distribution(rho, meas).p
+        want = oracles.density_distribution(oracles.noisy_density(c, noise), meas)
         np.testing.assert_allclose(got, want, atol=1e-12)
 
     def test_block_circuit_with_prep(self):
         noise = NoiseModel(p1=0.01, p2=0.08, readout=None)
         c = build_block_subcircuit("4q", "Yp")
         got = heisenberg_distribution(c, "XZXZ", noise)
-        want = measure_distribution(run_exact(c, noise), "XZXZ").p
+        want = oracles.density_distribution(oracles.noisy_density(c, noise), "XZXZ")
         np.testing.assert_allclose(got, want, atol=1e-12)
 
     def test_five_qubit_cross_check(self):
         noise = NoiseModel(p1=0.002, p2=0.05, readout=None)
         c = build_linear_cluster(5)
         got = heisenberg_distribution(c, "XZXZX", noise)
-        want = measure_distribution(run_exact(c, noise), "XZXZX").p
+        want = oracles.density_distribution(oracles.noisy_density(c, noise), "XZXZX")
         np.testing.assert_allclose(got, want, atol=1e-12)
 
     @pytest.mark.parametrize("noise", [
@@ -89,14 +82,20 @@ class TestHeisenberg:
         for spec in plan_chain_jobs():
             c = build_block_subcircuit(spec.form, spec.input)
             got = heisenberg_distribution(c, spec.meas, noise)
-            want = measure_distribution(run_exact(c, noise), spec.meas).p
+            want = oracles.density_distribution(oracles.noisy_density(c, noise), spec.meas)
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12, err_msg=spec.job_id)
 
     def test_noiseless_agrees_with_statevector(self):
         c = build_linear_cluster(6)
         got = heisenberg_distribution(c, "XZXZXZ", NOISELESS)
-        want = statevector_distribution(c, "XZXZXZ")
+        want = oracles.measured_distribution(oracles.statevector(c), "XZXZXZ")
         np.testing.assert_allclose(got, want, atol=1e-12)
+
+    @pytest.mark.parametrize("setting", ["XZ", "ZX"])
+    def test_noiseless_twelve_qubit_chain_matches_closed_form(self, setting):
+        got = chain_distribution(12, setting * 6, NOISELESS)
+        want = oracles.measured_distribution(oracles.cluster_state(12), setting * 6)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
 
     def test_chain_distribution_dispatch(self):
         p = chain_distribution(12, "XZ" * 6, NOISELESS)
@@ -169,7 +168,7 @@ class TestDirectReport:
     def test_noisy_bound_below_true_fidelity(self):
         noise = NoiseModel(p1=0.003, p2=0.05, readout=None)
         [bound] = direct_chain_report(5, noise, RunConfig("exact"))["bound"]
-        rho = run_exact(build_linear_cluster(5), noise)
+        rho = oracles.noisy_density(build_linear_cluster(5), noise)
         fid = oracles.lc_state_fidelity(rho, 5)
         assert bound <= fid + 1e-9
 

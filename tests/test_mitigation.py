@@ -129,6 +129,22 @@ class TestTransitionMatrix:
             np.testing.assert_allclose(t.matrix, want, rtol=0, atol=1e-15)
             assert t.cond == pytest.approx(np.linalg.cond(want, 1), rel=1e-12)
 
+    @pytest.mark.parametrize(
+        "matrix, match",
+        [
+            ([[1.1, 0.1], [-0.1, 0.9]], "negative entries"),
+            ([[0.9, 0.1], [0.0, 0.9]], "sum to 1"),
+        ],
+        ids=["negative", "column-sum"],
+    )
+    def test_non_stochastic_matrix_rejected(self, matrix, match):
+        with pytest.raises(ValueError, match=match):
+            TransitionMatrix(1, "full", np.array(matrix))
+
+    def test_unknown_mode_rejected(self):
+        with pytest.raises(ValueError, match="unknown mitigation mode 'bogus'"):
+            pipeline_for_rep({}, TABLE_RATES, "bogus")
+
     def test_singular_matrix_is_hard_error(self):
         with pytest.raises(NumericalError, match="condition number"):
             TransitionMatrix(1, "tensor", confusion_matrix(((0.5, 0.5),)))
@@ -181,6 +197,8 @@ class TestApplyTmem:
         t = TransitionMatrix(2, "tensor", confusion_matrix(TABLE_RATES[:2]))
         with pytest.raises(ValueError):
             apply_tmem(np.ones(8) / 8, t)
+        with pytest.raises(ValueError, match="does not match readout rates"):
+            tmem_product_inverse(np.ones(8) / 8, TABLE_RATES[:2])
 
     def test_product_inverse_matches_dense(self):
         rng = np.random.default_rng(26)

@@ -1,7 +1,8 @@
 """Axis kernels, partial trace, validators and symplectic conjugation.
 
-The signed Pauli-string algebra (product, matrix, expectation) lives in
-tests/oracles.py as a reference; it is checked here against dense matrices.
+The signed Pauli-string algebra (product, matrix, expectation) and the
+per-axis contraction of the dense oracles live in tests/oracles.py as
+references; they are checked here against dense matrices.
 """
 
 import itertools
@@ -69,6 +70,17 @@ class TestAxisKernels:
             got = apply_on_axis(t, m, axis).reshape(-1)
             want = oracles.embed(m, (axis,), n) @ t.reshape(-1)
             np.testing.assert_allclose(got, want, atol=1e-12)
+
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_oracle_contraction_matches_embedded_operator(self, n, k):
+        rng = np.random.default_rng(10 * n + k)
+        t = rng.normal(size=(2,) * n) + 1j * rng.normal(size=(2,) * n)
+        for axes in itertools.permutations(range(n), k):
+            m = rng.normal(size=(2**k, 2**k)) + 1j * rng.normal(size=(2**k, 2**k))
+            got = oracles.apply_on_axes(t, m, axes).reshape(-1)
+            want = oracles.embed(m, axes, n) @ t.reshape(-1)
+            np.testing.assert_allclose(got, want, atol=1e-12, err_msg=str(axes))
 
     @pytest.mark.parametrize("n", range(2, 6))
     def test_cz_phases_match_embedded_cz(self, n):
@@ -191,6 +203,10 @@ class TestValidators:
         bad = np.array([[0.5, 0.5], [0.0, 0.5]], dtype=complex)
         with pytest.raises(ValueError, match="Hermitian"):
             assert_density_operator(bad)
+
+    def test_rejects_unknown_state_label(self):
+        with pytest.raises(ValueError, match="unknown state label 'Q'"):
+            state_vector_1q("Q")
 
     def test_rejects_negative_eigenvalue(self):
         bad = np.diag([1.5, -0.5]).astype(complex)

@@ -146,7 +146,7 @@ class TestYTermsCancel:
         ids=["default", "p2-0.3", "noiseless"],
     )
     def test_y_terms_vanish_and_the_grid_gives_the_six_term_values(self, noise):
-        v4, v3 = oracles.six_term_block_tables(build_block_subcircuit, noise.p1, noise.p2)
+        v4, v3 = oracles.six_term_block_tables(build_block_subcircuit, noise)
         # the Y-measured cut parity is 0 for every input and local mask
         np.testing.assert_allclose(v4[:, :, 4:], 0.0, rtol=0, atol=1e-12)
         # Yp and Ym inputs give equal rows

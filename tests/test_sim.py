@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from chaincut.circuit import Circuit, GateOp, build_linear_cluster
+from chaincut.circuit import Circuit, GateOp, build_block_subcircuit, build_linear_cluster
 from chaincut.counts import Distribution
 from chaincut.mitigation import confusion_matrix, readout_rates
 from chaincut.qstate import assert_density_operator
@@ -46,9 +46,9 @@ class TestRunExact:
 
     def test_noisy_cluster_matches_kraus_composition_oracle(self):
         c = build_linear_cluster(4)
-        p1, p2 = 0.0007, 0.015
-        rho = run_exact(c, NoiseModel(p1=p1, p2=p2, readout=None))
-        ref = oracles.noisy_density(c, p1, p2)
+        noise = NoiseModel(p1=0.0007, p2=0.015, readout=None)
+        rho = run_exact(c, noise)
+        ref = oracles.noisy_density(c, noise)
         np.testing.assert_allclose(rho, ref, atol=1e-12)
         psi = oracles.statevector(c)
         assert oracles.fidelity_to_pure(rho, psi) == pytest.approx(
@@ -60,11 +60,10 @@ class TestRunExact:
             run_exact(build_linear_cluster(9), NOISELESS)
 
     def test_noisy_block_with_prep_matches_oracle(self):
-        from chaincut.circuit import build_block_subcircuit
-
         c = build_block_subcircuit("4q", "Ym")
-        rho = run_exact(c, NoiseModel(p1=0.002, p2=0.03, readout=None))
-        np.testing.assert_allclose(rho, oracles.noisy_density(c, 0.002, 0.03), atol=1e-12)
+        noise = NoiseModel(p1=0.002, p2=0.03, readout=None)
+        rho = run_exact(c, noise)
+        np.testing.assert_allclose(rho, oracles.noisy_density(c, noise), atol=1e-12)
 
 
 class TestSchedule:
@@ -82,6 +81,21 @@ class TestSchedule:
     def test_rate_follows_the_op_on_its_support(self, op, insertions):
         c = Circuit(3, (op,))
         assert NoiseModel(0.01, 0.2, None).schedule(c) == [(op, insertions)]
+
+    def test_whole_block_schedule(self):
+        # the dense oracle walks this schedule, so a wrong placement shows here alone
+        c = build_block_subcircuit("4q", "Ym")
+        schedule = NoiseModel(0.01, 0.2, None).schedule(c)
+        assert [g for g, _ in schedule] == list(c.ops)
+        assert schedule == [
+            (GateOp("prep", (0,), "Ym"), ()),
+            (GateOp("H", (1,)), (((1,), 0.01),)),
+            (GateOp("H", (2,)), (((2,), 0.01),)),
+            (GateOp("H", (3,)), (((3,), 0.01),)),
+            (GateOp("CZ", (0, 1)), (((0, 1), 0.2),)),
+            (GateOp("CZ", (1, 2)), (((1, 2), 0.2),)),
+            (GateOp("CZ", (2, 3)), (((2, 3), 0.2),)),
+        ]
 
     def test_zero_rate_inserts_nothing(self):
         c = build_linear_cluster(4)  # four H, then three CZ
@@ -198,6 +212,14 @@ class TestSampleCounts:
         d = Distribution(np.array([1.0, 0.0]))
         with pytest.raises(ValueError):
             sample_counts(d, 0, np.random.default_rng(1))
+
+    def test_readout_length_validated(self):
+        d = Distribution(np.array([1.0, 0.0]))
+        two = ((0.95, 0.9), (0.97, 0.92))
+        with pytest.raises(ValueError, match="register size"):
+            sample_counts(d, 10, np.random.default_rng(1), readout=two)
+        with pytest.raises(ValueError, match="register size"):
+            apply_readout_to_distribution(d.p, two)
 
     def test_readout_matches_exact_distribution_action(self):
         rng = np.random.default_rng(13)
