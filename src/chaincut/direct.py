@@ -26,8 +26,13 @@ from __future__ import annotations
 import numpy as np
 
 from .circuit import Circuit, basis_change_ops, build_linear_cluster
-from .counts import Distribution, QuasiDistribution
-from .mitigation import mle_project, readout_rates, tmem_product_inverse
+from .counts import QuasiDistribution
+from .mitigation import (
+    apply_readout_to_distribution,
+    mle_project,
+    readout_rates,
+    tmem_product_inverse,
+)
 from .qstate import (
     GATES_1Q,
     PAULI_1Q,
@@ -41,7 +46,7 @@ from .qstate import (
     state_vector_1q,
 )
 from .reconstruct import SETTINGS, bound_from_distributions, witness_setting
-from .sim import NoiseModel, RunConfig, apply_readout_to_distribution, rng_for, sample_counts
+from .sim import NoiseModel, RunConfig, rng_for, sample_counts
 
 MAX_DIRECT_QUBITS = 24
 
@@ -173,7 +178,7 @@ def direct_chain_report(
             p = flipped
             if run.mode == "sampled":
                 rng = rng_for(run.seed, 9000 + rep, n, ord(setting[0]))
-                p = sample_counts(Distribution(p), run.shots, rng).frequencies()
+                p = sample_counts(p, run.shots, rng).frequencies()
             observed[rep] = p
             quasi = p if readout is None else tmem_product_inverse(p, readout)
             mitigated[rep] = mle_project(QuasiDistribution(quasi)).p

@@ -1,5 +1,8 @@
-"""Readout error mitigation and physicalization of quasi-distributions.
+"""Readout error model, its mitigation, and physicalization of quasi-distributions.
 
+Readout flips each bit independently, so a register's read-out law is
+C p, with C the Kronecker product of per-qubit confusion matrices
+(``confusion_matrix``, or factor-wise ``apply_readout_to_distribution``).
 Transition-matrix error mitigation (TMEM) left-multiplies observed
 frequencies by the inverse of a column-stochastic readout confusion
 matrix.  Because the all-ones row is a left fixed point of any
@@ -24,7 +27,7 @@ import numpy as np
 from .circuit import REGISTER_SIZES
 from .counts import CountsTable, Distribution, Payload, QuasiDistribution, payload_from_dict
 from .cut import calibration_file, read_bundle_file, read_entries
-from .qstate import apply_per_qubit, index_to_bits
+from .qstate import apply_per_qubit, index_to_bits, num_qubits
 
 COND_LIMIT = 1e6
 # Mitigation modes that estimate each confusion matrix from calibration counts.
@@ -139,7 +142,7 @@ def readout_rates(
 
     Registers smaller than the configured list take its last n entries
     (a 3-qubit register reuses the same physical qubits as the tail of
-    the 4-qubit one); larger registers cycle the list.  The simulator,
+    the 4-qubit one); larger registers cycle the list.  The block jobs,
     the mitigation pipeline and the direct reference all read rates
     through this one function, so they always agree.
     """
@@ -149,6 +152,16 @@ def readout_rates(
     if n <= m:
         return tuple(readout[m - n:])
     return tuple(readout[q % m] for q in range(n))
+
+
+def apply_readout_to_distribution(
+    p: np.ndarray, readout: tuple[tuple[float, float], ...]
+) -> np.ndarray:
+    """The readout process applied exactly to p: confusion_matrix(readout) @ p, factor-wise."""
+    n = num_qubits(len(p))
+    if len(readout) != n:
+        raise ValueError("readout rates do not match register size")
+    return apply_per_qubit(p, [confusion_1q(f00, f11) for f00, f11 in readout])
 
 
 def tmem_product_inverse(p: np.ndarray, readout: tuple[tuple[float, float], ...]) -> np.ndarray:

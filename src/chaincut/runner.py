@@ -2,10 +2,10 @@
 
 Simulates each block state once per (form, input label, noise model) and
 measures it once per setting; repetitions differ only in their seeded
-draws, one multinomial per job from the readout-flipped distribution
-(sim.sample_counts).  Its results go to a bundle in the on-disk
-layout defined by chaincut.cut (one jobs.json per repetition).  Also
-writes the readout calibration (every basis state prepared and read out,
+draws, one multinomial per job (sim.sample_counts) from its read-out law
+C p, C the register's confusion matrix.  Its results go to a bundle in
+the on-disk layout defined by chaincut.cut (one jobs.json per repetition).  Also
+writes the readout calibration (basis state j read out by column j of C,
 one calibration.json per repetition) of calibrated configs
 (``ExperimentConfig.calibrated``: sampled, with readout rates, under a
 mitigation mode that estimates its matrices from calibration counts).
@@ -23,7 +23,7 @@ import numpy as np
 from .circuit import REGISTER_SIZES, build_block_subcircuit
 from .counts import CountsTable, Distribution, Payload, dump_json, payload_to_dict
 from .cut import JobSpec, calibration_file, plan_chain_jobs
-from .mitigation import readout_rates
+from .mitigation import confusion_matrix, readout_rates
 from .qstate import index_to_bits
 from .sim import NoiseModel, RunConfig, measure_distribution, rng_for, run_exact, sample_counts
 
@@ -53,21 +53,22 @@ def execute_jobs(run: RunConfig, noise: NoiseModel, rep: int = 0) -> dict[JobSpe
     """Run every job of the grid; each spec's payload, in plan_chain_jobs order.
 
     Exact mode stores the exact outcome distribution; sampled mode draws
-    ``run.shots`` shots, read out through the noise model's readout flips
-    if it has them, from a generator derived from (seed, rep, job index).
-    Results are independent of execution order by construction.
+    ``run.shots`` shots from a generator derived from (seed, rep, job
+    index).  Each shot's bits flip independently, so a shot reads out as
+    outcome i with probability (C p)_i, C the register's confusion matrix
+    (column j: the readout law of true outcome j).  The shots are
+    independent, so their counts are one Multinomial(shots, C p) draw: the
+    same law as drawing the true outcomes first and then flipping each
+    shot's bits.  Results are independent of execution order by construction.
     """
     payloads = {}
     for idx, (spec, dist) in enumerate(grid_distributions(noise).items()):
-        try:
-            if run.mode == "exact":
-                payloads[spec] = dist
-            else:
-                readout = readout_rates(noise.readout, spec.n_qubits)
-                rng = rng_for(run.seed, rep, _JOB_STREAM, idx)
-                payloads[spec] = sample_counts(dist, run.shots, rng, readout)
-        except Exception as exc:
-            raise RuntimeError(f"job {spec.job_id} failed: {exc}") from exc
+        if run.mode == "exact":
+            payloads[spec] = dist
+        else:
+            readout = readout_rates(noise.readout, spec.n_qubits)
+            p = dist.p if readout is None else confusion_matrix(readout) @ dist.p
+            payloads[spec] = sample_counts(p, run.shots, rng_for(run.seed, rep, _JOB_STREAM, idx))
     return payloads
 
 
@@ -81,7 +82,7 @@ def calibration_counts(
 
     Basis state j reads out by column j of the confusion matrix.
     """
-    return [sample_counts(Distribution(p), shots, rng, readout) for p in np.eye(2**n)]
+    return [sample_counts(column, shots, rng) for column in confusion_matrix(readout).T]
 
 
 def write_calibration(bundle_dir: Path, rep: int, run: RunConfig, noise: NoiseModel) -> None:

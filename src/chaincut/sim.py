@@ -2,10 +2,9 @@
 
 Noise model: gate-local depolarizing noise, placed by NoiseModel.schedule
 (the one statement of placement, iterated here and in chaincut.direct),
-and classical readout bit-flips, independent per bit and per shot.  Since
-every shot is flipped independently, sampling draws the counts once from
-the readout-flipped distribution C p (see sample_counts).  Decoherence is
-not modelled as time evolution; p1/p2 are effective per-gate knobs.
+and per-qubit readout fidelities, which chaincut.mitigation turns into
+the readout process and its inverse.  Decoherence is not modelled as
+time evolution; p1/p2 are effective per-gate knobs.
 ``NoiseModel(0.0, 0.0, None)`` is the noiseless model.
 
 Determinism contract: every stochastic step draws from a generator
@@ -23,8 +22,7 @@ import numpy as np
 from . import qstate
 from .circuit import Circuit, GateOp, basis_change_ops
 from .counts import MAX_SHOTS, CountsTable, Distribution, counts_from_vector
-from .mitigation import confusion_1q, confusion_matrix
-from .qstate import GATES_1Q, apply_on_axis, apply_per_qubit, cz_phases, prep_unitary
+from .qstate import GATES_1Q, apply_on_axis, cz_phases, prep_unitary
 
 # Dense density matrices become unwieldy past this point; larger chains
 # go through the reference evaluator in chaincut.direct instead.
@@ -160,7 +158,7 @@ def measure_distribution(rho: np.ndarray, meas: str) -> Distribution:
     """Outcome distribution of measuring ``rho`` in the given bases.
 
     Basis rotations here model ideal readout optics; readout error is a
-    classical process applied when the shots are drawn (see sample_counts).
+    classical process on this distribution, stated in chaincut.mitigation.
     """
     n = qstate.num_qubits(rho.shape[0])
     if len(meas) != n:
@@ -176,36 +174,12 @@ def measure_distribution(rho: np.ndarray, meas: str) -> Distribution:
 # Sampling
 
 
-def sample_counts(
-    dist: Distribution,
-    shots: int,
-    rng: np.random.Generator,
-    readout: tuple[tuple[float, float], ...] | None = None,
-) -> CountsTable:
-    """``shots`` shots of ``dist``, read out through the register's readout flips.
+def sample_counts(p: np.ndarray, shots: int, rng: np.random.Generator) -> CountsTable:
+    """``shots`` independent shots read out with law ``p``: one Multinomial(shots, p) draw.
 
-    Each shot's bits flip independently, so a shot is read out as
-    outcome i with probability (C p)_i, where C is the register's
-    confusion matrix (column j: the readout law of true outcome j).
-    The shots are independent, so their counts are one
-    Multinomial(shots, C p) draw: the same law as drawing the true
-    outcomes first and then flipping each shot's bits.
+    ``p`` is the law of what is read out, readout error included; its
+    entries are renormalized to sum to one before the draw.
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
-    p = dist.p
-    if readout is not None:
-        if len(readout) != dist.n:
-            raise ValueError("readout rates do not match register size")
-        p = confusion_matrix(readout) @ p
     return counts_from_vector(rng.multinomial(shots, p / p.sum()), shots)
-
-
-def apply_readout_to_distribution(
-    p: np.ndarray, readout: tuple[tuple[float, float], ...]
-) -> np.ndarray:
-    """Exact action of the classical readout process on a distribution."""
-    n = qstate.num_qubits(len(p))
-    if len(readout) != n:
-        raise ValueError("readout rates do not match register size")
-    return apply_per_qubit(p, [confusion_1q(f00, f11) for f00, f11 in readout])

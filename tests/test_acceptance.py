@@ -18,12 +18,14 @@ from chaincut.cut import GRID_TERMS, reconstruction_error
 from chaincut.direct import direct_chain_report
 from chaincut.mitigation import (
     MitigationPipeline,
+    apply_readout_to_distribution,
     apply_tmem,
+    confusion_matrix,
     mle_project,
     pipeline_for_rep,
     readout_rates,
 )
-from chaincut.counts import Distribution, QuasiDistribution
+from chaincut.counts import QuasiDistribution
 from chaincut.reconstruct import (
     SETTINGS,
     bound_from_distributions,
@@ -37,12 +39,7 @@ from chaincut.reconstruct import (
     witness_values,
 )
 from chaincut.runner import execute_jobs
-from chaincut.sim import (
-    NoiseModel,
-    RunConfig,
-    apply_readout_to_distribution,
-    sample_counts,
-)
+from chaincut.sim import NoiseModel, RunConfig, sample_counts
 
 import oracles
 from test_reconstruct import random_tensors
@@ -206,9 +203,8 @@ def test_c5_witness_soundness():
         for parity in ("odd", "even"):
             meas = witness_setting(n, parity)
             p = oracles.density_distribution(rho_true, meas)
-            counts = sample_counts(
-                Distribution(p), 1_000_000, rng_rep, readout_rates(noise.readout, 4)
-            )
+            flipped = confusion_matrix(readout_rates(noise.readout, 4)) @ p
+            counts = sample_counts(flipped, 1_000_000, rng_rep)
             phys = mle_project(apply_tmem(counts, t4))
             vals = [
                 oracles.expectation_from_weights(phys.p, n, t.letters, meas)
@@ -245,7 +241,7 @@ def test_c6_mitigation_pipeline():
     p = rng.random(16)
     p /= p.sum()
     observed = apply_readout_to_distribution(p, TABLE_RATES)
-    counts = sample_counts(Distribution(observed), 1_000_000, np.random.default_rng(2718))
+    counts = sample_counts(observed, 1_000_000, np.random.default_rng(2718))
     rec = mle_project(apply_tmem(counts, t4))
     tv = 0.5 * float(np.sum(np.abs(rec.p - p)))
 

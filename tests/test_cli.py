@@ -950,6 +950,18 @@ class TestErrors:
         assert empty.to_dict()["f00"] == []
         assert empty.sha256() != config_from_dict({"f00": None, "f11": None}).sha256()
 
+    def test_error_while_drawing_a_job_is_one_error_line(self, tmp_path, capsys, monkeypatch):
+        def boom(*args):
+            raise ValueError("boom")
+
+        monkeypatch.setattr("chaincut.runner.sample_counts", boom)
+        out = tmp_path / "run"
+        cfg = write_config(tmp_path, mode="sampled", shots=100, out_dir=str(out), repetitions=1)
+        assert main(["run-jobs", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: boom\n"
+        assert not (out / "manifest.json").exists()
+
     def test_reconstruct_needs_a_bundle(self, capsys):
         assert main(["reconstruct"]) == 1
         err = capsys.readouterr().err

@@ -11,6 +11,7 @@ from chaincut.mitigation import (
     MitigationPipeline,
     NumericalError,
     TransitionMatrix,
+    apply_readout_to_distribution,
     apply_tmem,
     checked_cond,
     confusion_matrix,
@@ -23,7 +24,7 @@ from chaincut.mitigation import (
     transition_matrix_to_dict,
 )
 from chaincut.runner import calibration_counts
-from chaincut.sim import apply_readout_to_distribution, sample_counts
+from chaincut.sim import sample_counts
 
 import oracles
 
@@ -97,6 +98,15 @@ class TestTransitionMatrix:
         for n in (3, 4):
             assert full[n].mode == "full"
             assert np.max(np.abs(full[n].matrix - ref[n].matrix)) < 5e-3
+        # the tables are one multinomial draw per column of C, in order,
+        # on an identical generator
+        same = np.random.default_rng(17)
+        for n in (3, 4):
+            columns = confusion_matrix(readout_rates(TABLE_RATES, n)).T
+            assert len(calibration[n]) == len(columns)
+            for table, col in zip(calibration[n], columns):
+                want = same.multinomial(200_000, col / col.sum())
+                np.testing.assert_array_equal(table.counts, want)
 
     def test_full_calibration_missing_state(self):
         rng = np.random.default_rng(18)
@@ -179,7 +189,7 @@ class TestApplyTmem:
         p /= p.sum()
         t = TransitionMatrix(4, "tensor", confusion_matrix(TABLE_RATES))
         flipped = apply_readout_to_distribution(p, TABLE_RATES)
-        counts = sample_counts(Distribution(flipped), 1_000_000, np.random.default_rng(77))
+        counts = sample_counts(flipped, 1_000_000, np.random.default_rng(77))
         rec = mle_project(apply_tmem(counts, t))
         tv = 0.5 * np.sum(np.abs(rec.p - p))
         assert tv <= 5e-3

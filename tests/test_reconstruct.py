@@ -484,10 +484,17 @@ class TestBoundAndSweep:
 
 
 class TestModuleBoundary:
-    def test_reconstruct_does_not_import_simulator(self, child_env):
+    # Stitching and mitigation need no backend; the simulator draws the law
+    # it is given and leaves the readout model to mitigation.
+    @pytest.mark.parametrize(
+        "module, unloaded",
+        [("reconstruct", "sim"), ("mitigation", "sim"), ("sim", "mitigation")],
+        ids=["reconstruct-sim", "mitigation-sim", "sim-mitigation"],
+    )
+    def test_import_leaves_module_unloaded(self, child_env, module, unloaded):
         code = (
-            "import sys; import chaincut.reconstruct; "
-            "sys.exit(1 if 'chaincut.sim' in sys.modules else 0)"
+            f"import sys; import chaincut.{module}; "
+            f"sys.exit(1 if 'chaincut.{unloaded}' in sys.modules else 0)"
         )
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, env=child_env)
         assert proc.returncode == 0, proc.stderr.decode()

@@ -4,13 +4,11 @@ import numpy as np
 import pytest
 
 from chaincut.circuit import Circuit, GateOp, build_block_subcircuit, build_linear_cluster
-from chaincut.counts import Distribution
-from chaincut.mitigation import confusion_matrix, readout_rates
+from chaincut.mitigation import apply_readout_to_distribution, confusion_matrix, readout_rates
 from chaincut.qstate import assert_density_operator
 from chaincut.sim import (
     DEFAULT_READOUT,
     NoiseModel,
-    apply_readout_to_distribution,
     measure_distribution,
     rng_for,
     run_exact,
@@ -140,27 +138,24 @@ class TestMeasureDistribution:
 
 class TestSampleCounts:
     def test_deterministic_outcome(self):
-        d = Distribution(np.array([1.0, 0.0]))
-        t = sample_counts(d, 1000, np.random.default_rng(5))
+        t = sample_counts(np.array([1.0, 0.0]), 1000, np.random.default_rng(5))
         np.testing.assert_array_equal(t.counts, [1000, 0])
 
     def test_binomial_within_five_sigma(self):
-        d = Distribution(np.array([0.5, 0.5]))
-        t = sample_counts(d, 1_000_000, np.random.default_rng(42))
+        t = sample_counts(np.array([0.5, 0.5]), 1_000_000, np.random.default_rng(42))
         sigma = np.sqrt(1_000_000 * 0.25)
         assert abs(t.counts[0] - 500_000) < 5 * sigma
 
     def test_readout_flip_rate_within_five_sigma(self):
-        d = Distribution(np.array([1.0, 0.0]))
-        t = sample_counts(d, 1_000_000, np.random.default_rng(9), readout=((0.95, 0.9),))
+        p = confusion_matrix(((0.95, 0.9),)) @ np.array([1.0, 0.0])
+        t = sample_counts(p, 1_000_000, np.random.default_rng(9))
         sigma = np.sqrt(1_000_000 * 0.05 * 0.95)
         assert abs(t.counts[1] - 50_000) < 5 * sigma
 
     def test_reproducible_for_fixed_seed(self):
-        d = Distribution(np.array([0.4, 0.3, 0.2, 0.1]))
-        kwargs = dict(shots=10_000, readout=((0.95, 0.9), (0.97, 0.92)))
-        a = sample_counts(d, rng=np.random.default_rng(77), **kwargs)
-        b = sample_counts(d, rng=np.random.default_rng(77), **kwargs)
+        p = confusion_matrix(((0.95, 0.9), (0.97, 0.92))) @ np.array([0.4, 0.3, 0.2, 0.1])
+        a = sample_counts(p, 10_000, np.random.default_rng(77))
+        b = sample_counts(p, 10_000, np.random.default_rng(77))
         assert a == b
 
     @staticmethod
@@ -177,24 +172,24 @@ class TestSampleCounts:
         # multinomial draw from C p on an identical generator.
         p, readout = self.seeded_case(seed)
         shots = (1, 10, 1_000_000)[seed % 3]
-        rng = rng_for(seed, 2)
-        got = sample_counts(Distribution(p), shots, rng, readout)
-        ref = rng_for(seed, 2)
         flipped = confusion_matrix(readout) @ p
+        rng = rng_for(seed, 2)
+        got = sample_counts(flipped, shots, rng)
+        ref = rng_for(seed, 2)
         np.testing.assert_array_equal(got.counts, ref.multinomial(shots, flipped / flipped.sum()))
         assert rng.integers(1 << 62) == ref.integers(1 << 62)
 
     @pytest.mark.parametrize("seed", range(12))
     def test_readout_draw_matches_per_outcome_loop(self, seed):
-        # In law: over many 10-shot draws, the counts' mean and covariance
-        # match those of the per-shot two-stage sampler (each shot's true
-        # outcome, then its bit flips), entry by entry within 5 sigma.
+        # In law: over many 10-shot draws from C p, the counts' mean and
+        # covariance match those of the per-shot two-stage sampler (each
+        # shot's true outcome, then its bit flips), entry by entry within
+        # 5 sigma.
         p, readout = self.seeded_case(seed)
         draws, shots = 2000, 10
+        flipped = confusion_matrix(readout) @ p
         rng, ref = rng_for(seed, 2), rng_for(seed, 3)
-        got = np.array(
-            [sample_counts(Distribution(p), shots, rng, readout).counts for _ in range(draws)]
-        )
+        got = np.array([sample_counts(flipped, shots, rng).counts for _ in range(draws)])
         want = np.array(
             [oracles.sample_with_readout_flips(p, shots, readout, ref) for _ in range(draws)]
         )
@@ -209,17 +204,13 @@ class TestSampleCounts:
             assert np.all(np.abs(a - b) <= 5 * np.hypot(sa, sb))
 
     def test_shots_validated(self):
-        d = Distribution(np.array([1.0, 0.0]))
         with pytest.raises(ValueError):
-            sample_counts(d, 0, np.random.default_rng(1))
+            sample_counts(np.array([1.0, 0.0]), 0, np.random.default_rng(1))
 
     def test_readout_length_validated(self):
-        d = Distribution(np.array([1.0, 0.0]))
         two = ((0.95, 0.9), (0.97, 0.92))
         with pytest.raises(ValueError, match="register size"):
-            sample_counts(d, 10, np.random.default_rng(1), readout=two)
-        with pytest.raises(ValueError, match="register size"):
-            apply_readout_to_distribution(d.p, two)
+            apply_readout_to_distribution(np.array([1.0, 0.0]), two)
 
     def test_readout_matches_exact_distribution_action(self):
         rng = np.random.default_rng(13)
@@ -227,7 +218,7 @@ class TestSampleCounts:
         p /= p.sum()
         readout = ((0.95, 0.9), (0.93, 0.91), (0.96, 0.9))
         flipped = apply_readout_to_distribution(p, readout)
-        t = sample_counts(Distribution(p), 2_000_000, np.random.default_rng(3), readout=readout)
+        t = sample_counts(confusion_matrix(readout) @ p, 2_000_000, np.random.default_rng(3))
         np.testing.assert_allclose(t.frequencies(), flipped, atol=2e-3)
 
 
