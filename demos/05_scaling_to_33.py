@@ -3,9 +3,9 @@
 
 The same 24 jobs serve every chain length n = 6 + 3k: middle blocks are
 repeated in postprocessing only.  Quantum cost stays fixed; the exact
-witness averages are contracted at a classical cost linear in n, even
-though the witness term count grows as 2^(n/2)-ish, and under noise the
-fidelity bound decays with n.
+witness averages of every length come from one transfer walk per parity,
+one step per row, even though the witness term count grows as
+2^(n/2)-ish, and under noise the fidelity bound decays with n.
 """
 
 from chaincut.mitigation import MitigationPipeline
@@ -29,8 +29,8 @@ for r in rows:
 
 print("\nnote the columns: the naive 4^cuts combination count and the witness")
 print("term count both explode, but the averages contract the stabilizer")
-print("projector through one transfer matrix per block, so time grows at most")
-print("linearly with n (at these lengths a fixed per-call cost dominates).")
+print("projector through one transfer matrix per block, and one walk per")
+print("parity passes every chain length: each row costs one transfer step.")
 print("The bound decays because every extra block multiplies each term by")
 print("more sub-unity expectations.")
 

@@ -28,9 +28,10 @@ Witness terms are all subset-products of the odd- (or even-) indexed
 chain stabilizers; every odd product is measurable in the XZXZ...
 setting and every even product in ZXZX....  The fidelity bound needs
 only their mean, the expectation of the projector prod (I + s_i)/2, so
-witness_averages contracts that projector through an 8-dim transfer
+one walk per parity contracts that projector through an 8-dim transfer
 state (cut term x chosen bit of the stabilizer straddling the block
-boundary) at a cost linear in n, never enumerating the ~2^(n/2) terms.
+boundary), never enumerating the ~2^(n/2) terms, and closes every chain
+length it passes: a whole sweep to n costs time linear in n.
 Per-term values (witness_values) are read off the stitched distribution
 by the Walsh-Hadamard kernel that direct uses; their cost is 2^n.
 
@@ -42,6 +43,7 @@ from __future__ import annotations
 
 import functools
 import time
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -216,19 +218,20 @@ def chain_cut_count(n: int) -> int:
     return n // 3 - 1
 
 
-def _chain_blocks(t4: np.ndarray, t3: np.ndarray, n: int, parity: str) -> tuple[list, np.ndarray]:
+def _chain_blocks(t4: np.ndarray, t3: np.ndarray, n: int, parity: str) -> tuple[list, list]:
     """The block sequence of an n-site chain measured in one parity's setting.
 
     ``t4`` and ``t3`` are a block form's outcome or parity tables.  Block
     b of the k four-qubit blocks measures pattern (b + start) % 2, and its
     (input, cut term, last axis) table is weighted by the cut coefficient
-    of its outgoing cut term; the three-qubit closing table, also returned,
-    follows the last cut.
+    of its outgoing cut term.  The three-qubit closing tables, also
+    returned, measure the patterns of blocks 1..k: entry b closes the
+    chain of b + 1 cuts, the last one the n-site chain.
     """
     start = _start(parity)
-    k = chain_cut_count(n)
     weighted = t4 * COEFFS[:, None]
-    return [weighted[(b + start) % 2] for b in range(k)], t3[(k + start) % 2]
+    patterns = [(b + start) % 2 for b in range(chain_cut_count(n) + 1)]
+    return [weighted[a] for a in patterns[:-1]], [t3[a] for a in patterns[1:]]
 
 
 def stitched_distribution(bt4: BlockTensor, bt3: BlockTensor, n: int, parity: str) -> np.ndarray:
@@ -238,11 +241,11 @@ def stitched_distribution(bt4: BlockTensor, bt3: BlockTensor, n: int, parity: st
     result sums to one exactly (cut-term weights cancel per block) but
     may carry small negative entries for sampled data.
     """
-    blocks, closing = _chain_blocks(bt4.outcomes, bt3.outcomes, n, parity)
+    blocks, closings = _chain_blocks(bt4.outcomes, bt3.outcomes, n, parity)
     acc = blocks[0][XP_INDEX].T
     for block in blocks[1:]:
         acc = np.tensordot(acc, np.moveaxis(block, 2, 0), axes=([-1], [1]))
-    acc = np.tensordot(acc, closing.T, axes=([-1], [1]))
+    acc = np.tensordot(acc, closings[-1].T, axes=([-1], [1]))
     return acc.reshape(-1)
 
 
@@ -285,7 +288,7 @@ def _bound_within(odd_avg, even_avg, limit: float):
 
 @dataclass(frozen=True)
 class ScalingRow:
-    """One chain length of the reuse sweep with its postprocessing cost."""
+    """One chain length of the reuse sweep with the wall time of its step of the walk."""
 
     n: int
     odd_avg: float
@@ -325,53 +328,61 @@ def _choice_weights(n: int, parity: str, block: int) -> np.ndarray:
     return out
 
 
-def _parity_average(bt4: BlockTensor, bt3: BlockTensor, n: int, parity: str) -> float:
-    """Mean of all 2^m subset terms of one parity, at cost linear in n.
+def _parity_walk(bt4: BlockTensor, bt3: BlockTensor, n: int, parity: str) -> Iterator[float]:
+    """Mean of all 2^m subset terms of one parity, for each chain of 6, 9, ..., n sites.
 
     The mean is the expectation of the stabilizer projector prod (I+s_i)/2,
     contracted through the chain with an 8-dim transfer state: the 4 cut
     terms times the chosen bit of the stabilizer straddling the boundary.
     Each stabilizer carries its factor 1/2 into the transfer weights, so
-    no 2^-m normaliser is ever formed.  Middle blocks repeat with period
-    two (both the local pattern and the stabilizer sites alternate), so
-    each parity needs at most two middle matrices.
+    no 2^-m normaliser is ever formed.  A block's transfer matrix is the
+    same in every chain that extends past it, so one walk closes each
+    chain on its way.  Middle blocks repeat with period two (both the
+    local pattern and the stabilizer sites alternate), so each parity
+    needs at most two middle matrices.
     """
-    blocks, closing = _chain_blocks(bt4.values, bt3.values, n, parity)
-    n_cuts, dim = len(blocks), 2 * len(GRID_TERMS)
+    blocks, closings = _chain_blocks(bt4.values, bt3.values, n, parity)
+    dim = 2 * len(GRID_TERMS)
 
     def transfer(b: int) -> np.ndarray:
         weights = _choice_weights(n, parity, b)
         return np.einsum("ijm,lrm->iljr", blocks[b], weights).reshape(dim, dim)
 
     v = transfer(0)[2 * XP_INDEX]  # state (input Xp, no left stabilizer)
-    middles = {b % 2: transfer(b) for b in range(1, min(n_cuts, 3))}
-    for b in range(1, n_cuts):
-        v = v @ middles[b % 2]
-    closing = np.einsum("im,lrm->il", closing, _choice_weights(n, parity, n_cuts))
-    return float(v @ closing.reshape(dim))
+    middles = {b % 2: transfer(b) for b in range(1, min(len(blocks), 3))}
+    for b, closing in enumerate(closings):
+        if b:
+            v = v @ middles[b % 2]
+        closing = np.einsum("im,lrm->il", closing, _choice_weights(3 * b + 6, parity, b + 1))
+        yield float(v @ closing.reshape(dim))
 
 
 def witness_averages(bt4: BlockTensor, bt3: BlockTensor, n: int) -> tuple[float, float]:
     """Mean odd and even subset-term expectations of an n-site chain."""
-    return _parity_average(bt4, bt3, n, "odd"), _parity_average(bt4, bt3, n, "even")
+    *_, odd_avg = _parity_walk(bt4, bt3, n, "odd")
+    *_, even_avg = _parity_walk(bt4, bt3, n, "even")
+    return odd_avg, even_avg
 
 
 def scaling_sweep(bt4: BlockTensor, bt3: BlockTensor, k_max: int) -> list[ScalingRow]:
     """Reuse the same block tensors for chains n = 6 + 3k, k = 1..k_max.
 
     Each row is the exact mean over every subset term (no term
-    subsampling), contracted at a cost linear in n, so the recorded
-    wall-clock time grows with the chain length rather than with the
+    subsampling).  One walk per parity passes every chain length, so the
+    whole sweep costs time linear in k_max and each row's recorded
+    wall-clock time is its own step of the walks, not a function of the
     2^(n/2)-ish term count; the tensors themselves are fixed, mirroring
     how one set of measured blocks serves every chain length.
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
+    n_max = 6 + 3 * k_max
+    walks = zip(_parity_walk(bt4, bt3, n_max, "odd"), _parity_walk(bt4, bt3, n_max, "even"))
+    next(walks)  # n = 6, below the sweep's first chain
     rows = []
-    for k in range(1, k_max + 1):
-        n = 6 + 3 * k
+    for n in range(9, n_max + 1, 3):
         t0 = time.perf_counter()
-        odd_avg, even_avg = witness_averages(bt4, bt3, n)
+        odd_avg, even_avg = next(walks)
         elapsed = time.perf_counter() - t0
         rows.append(
             ScalingRow(n, odd_avg, even_avg, stitched_lower_bound(odd_avg, even_avg, n), elapsed)

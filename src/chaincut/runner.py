@@ -73,14 +73,12 @@ def execute_jobs(run: RunConfig, noise: NoiseModel, rep: int = 0) -> dict[JobSpe
 
 
 def calibration_counts(
-    n: int,
-    readout: tuple[tuple[float, float], ...],
-    shots: int,
-    rng: np.random.Generator,
+    readout: tuple[tuple[float, float], ...], shots: int, rng: np.random.Generator
 ) -> list[CountsTable]:
     """Readout calibration data: sampled counts for each prepared basis state, in index order.
 
-    Basis state j reads out by column j of the confusion matrix.
+    The register has one qubit per readout pair, and basis state j reads
+    out by column j of the confusion matrix.
     """
     return [sample_counts(column, shots, rng) for column in confusion_matrix(readout).T]
 
@@ -95,7 +93,7 @@ def write_calibration(bundle_dir: Path, rep: int, run: RunConfig, noise: NoiseMo
     for n in REGISTER_SIZES:
         readout = readout_rates(noise.readout, n)
         rng = rng_for(run.seed, rep, _CALIB_STREAM, n)
-        tables = calibration_counts(n, readout, run.shots, rng)
+        tables = calibration_counts(readout, run.shots, rng)
         registers[f"q{n}"] = {
             index_to_bits(j, n): payload_to_dict("Z" * n, table) for j, table in enumerate(tables)
         }

@@ -91,7 +91,7 @@ class TestTransitionMatrix:
     def test_full_calibration_estimates_columns(self):
         rng = np.random.default_rng(17)
         calibration = {
-            n: calibration_counts(n, readout_rates(TABLE_RATES, n), 200_000, rng) for n in (3, 4)
+            n: calibration_counts(readout_rates(TABLE_RATES, n), 200_000, rng) for n in (3, 4)
         }
         full = pipeline_for_rep(calibration, TABLE_RATES, "full").matrices
         ref = pipeline_for_rep({}, TABLE_RATES, "tensor").matrices
@@ -111,7 +111,7 @@ class TestTransitionMatrix:
     def test_full_calibration_missing_state(self):
         rng = np.random.default_rng(18)
         calibration = {
-            n: calibration_counts(n, readout_rates(TABLE_RATES, n), 1000, rng) for n in (3, 4)
+            n: calibration_counts(readout_rates(TABLE_RATES, n), 1000, rng) for n in (3, 4)
         }
         del calibration[4][15]
         with pytest.raises(ValueError, match=r"matrix shape \(16, 15\) does not match n=4"):

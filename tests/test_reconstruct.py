@@ -9,6 +9,7 @@ import pytest
 
 from chaincut.circuit import build_block_subcircuit, build_linear_cluster
 from chaincut.cut import GRID_TERMS
+from chaincut import reconstruct
 from chaincut.mitigation import MitigationPipeline
 from chaincut.reconstruct import (
     SETTINGS,
@@ -232,11 +233,15 @@ class TestStitching:
 
     @staticmethod
     def assert_averages_equal_term_mean(bt4, bt3, n_max):
+        rows = {r.n: r for r in scaling_sweep(bt4, bt3, (n_max - 6) // 3)}
         for n in range(6, n_max + 1, 3):
-            got = witness_averages(bt4, bt3, n)
-            for parity, avg in zip(("odd", "even"), got):
-                want = np.mean(oracles.stitch_all_terms(bt4, bt3, n, parity))
-                assert abs(avg - want) <= 1e-15, (n, parity)
+            got = [witness_averages(bt4, bt3, n)]
+            if n > 6:  # the sweep starts at n = 9
+                got.append((rows[n].odd_avg, rows[n].even_avg))
+            for pair in got:
+                for parity, avg in zip(("odd", "even"), pair):
+                    want = np.mean(oracles.stitch_all_terms(bt4, bt3, n, parity))
+                    assert abs(avg - want) <= 1e-15, (n, parity)
 
     @pytest.mark.parametrize("seed", [71, 72, 73])
     def test_averages_equal_term_mean_on_random_tensors(self, seed):
@@ -472,11 +477,30 @@ class TestBoundAndSweep:
             else:
                 assert total == 2 ** ((n + 1) // 2) + 2 ** (n // 2)
 
-    def test_noiseless_sweep_stays_exact_to_306(self, exact_tensors):
-        rows = scaling_sweep(*exact_tensors, 100)
-        assert rows[-1].n == 306
+    def test_noiseless_sweep_stays_exact_to_3006(self, exact_tensors):
+        rows = scaling_sweep(*exact_tensors, 1000)
+        assert rows[-1].n == 3006
         for r in rows:
-            assert r.bound == pytest.approx(1.0, abs=1e-9)
+            assert np.isfinite(r.bound) and r.bound == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("k_max", [1, 9, 100])
+    def test_sweep_is_one_walk_per_parity(self, exact_tensors, monkeypatch, k_max):
+        walks = []
+        walk = reconstruct._parity_walk
+
+        def counted(*args):
+            walks.append(args[-1])
+            return walk(*args)
+
+        monkeypatch.setattr(reconstruct, "_parity_walk", counted)
+        assert len(scaling_sweep(*exact_tensors, k_max)) == k_max
+        assert sorted(walks) == ["even", "odd"]
+
+    def test_sweep_rows_equal_averages_to_the_bit(self, sampled_tensors):
+        # the walk that passes every n does the same float operations as
+        # the walk that stops at n
+        for r in scaling_sweep(*sampled_tensors, 100):
+            assert (r.odd_avg, r.even_avg) == witness_averages(*sampled_tensors, r.n), r.n
 
     def test_k_max_validated(self, exact_tensors):
         with pytest.raises(ValueError):

@@ -8,9 +8,10 @@ directory and runs the same verbs with it and with this checkout's
 ``reconstruct`` on small sampled configs under every mitigation mode, on
 ``tensor`` mitigation from one readout-rate pair (which every register
 cycles), on null and empty readout-rate lists, on an exact config, an exact one with
-p2 = 0 and a noiseless exact one, and on one sampled config at k_max 9,
-the only case whose sweep reaches n = 18 to 33 (the others stop at
-k_max 3, n = 15); then a user's rerun into an existing bundle: the
+p2 = 0 and a noiseless exact one, on one sampled config at k_max 9,
+whose sweep reaches n = 33, and on one exact config at k_max 1000, whose
+sweep reaches n = 3006 and passes gamma^k's float range at n = 1944 (the
+others stop at k_max 3, n = 15); then a user's rerun into an existing bundle: the
 sampled config under ``auto`` and then under ``none``, both into
 ``rerun``, so the second run replaces the first's outputs and shows what
 it leaves of those it no longer writes (``auto``'s transition matrices);
@@ -83,6 +84,7 @@ BUNDLES = {
     "auto-9-reps": {**SAMPLED, "repetitions": 9},
     "auto-1-rep": {**SAMPLED, "repetitions": 1},
     "auto-k9": {**SAMPLED, "k_max": 9},
+    "exact-k1000": {"mode": "exact", "k_max": 1000},
     # a rerun into an existing bundle (the benchmark times only empty out_dirs)
     "rerun-auto": {**SAMPLED, "out_dir": "rerun"},
     "rerun-none": {**SAMPLED, "mitigation": "none", "out_dir": "rerun"},
