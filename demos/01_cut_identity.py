@@ -11,7 +11,14 @@ which this script checks on random density matrices.
 
 import numpy as np
 
-from chaincut.cut import GRID_PREPS, GRID_TERMS, decomposition_table, reconstruction_error
+from chaincut.cut import (
+    CUT_PATTERNS,
+    GRID_PREPS,
+    GRID_TERMS,
+    decomposition_table,
+    plan_chain_jobs,
+    reconstruction_error,
+)
 
 print("term   coeff   readout basis   outcome weights   prepared state")
 for i, t in enumerate(decomposition_table()):
@@ -26,6 +33,22 @@ print(f"combinations for 3 cuts: {6 ** 3}, for 9 cuts: {6 ** 9:,}")
 grid_norm = sum(abs(t.coeff) for t in GRID_TERMS)
 print(f"1-norm of the job grid's terms {', '.join(GRID_PREPS)}: {grid_norm}")
 print(f"grid combinations for 3 cuts: {4 ** 3}, for 9 cuts: {4 ** 9:,}")
+
+# The planner pulls every parity a job measures back through its block and
+# plans a cut basis only where some parity it is read through can be
+# nonzero.  After an XZX block every X-cut parity is 0, so that cut is read
+# in Z alone: a classical measure-and-prepare, where each shot's outcome
+# picks Z0 or Z1 with weight 1 (gamma 1).  After a ZXZ block the cut reads
+# all four terms, gamma = sum |c_i| = 3, the base of the range check's 3^k.
+plan = plan_chain_jobs()
+print(f"\njob grid: {len(plan)} jobs, derived by the planner")
+for pattern in CUT_PATTERNS:
+    bases = sorted({s.cut_basis for s in plan if s.form == "4q" and s.pattern == pattern})
+    terms = [t for t in GRID_TERMS if t.basis in bases]
+    gamma = 1.0 if bases == ["Z"] else sum(abs(t.coeff) for t in terms)
+    preps = ", ".join(t.prep for t in terms)
+    read = "/".join(bases)
+    print(f"  cut after {pattern} blocks: read in {read}, prepares {preps}, gamma {gamma:g}")
 
 rng = np.random.default_rng(1)
 

@@ -1,12 +1,15 @@
 #!/usr/bin/env python3
-"""The fixed 24-job grid and what one block's statistics look like.
+"""The 16-job grid and what one block's statistics look like.
 
 Two circuit templates cover every chain: a 4-qubit block (prepared
 input, H column, CZ staircase, last qubit read in X or Z for the cut)
 and a 3-qubit closing block.  The inputs are the preps of the four cut
 terms read in X or Z (Z0, Z1, Xp, Xm): the two Y terms cancel on these
-blocks, which the planner proves.  4 inputs x 2 witness patterns x 2 cut
-bases gives 16 four-qubit jobs; 4 x 2 gives 8 three-qubit jobs.
+blocks, which the planner proves.  The planner also drops what no report
+reads: every cut parity of an XZX block read in X is 0, so the cut after
+an XZX block is read in Z only, and the blocks after it never take Xm
+(nor a closing block Xp).  That leaves 4 XZX-Z jobs, 3 inputs x 2 cut
+bases of ZXZ, and 4 + 2 three-qubit jobs.
 """
 
 import numpy as np

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Reusing one set of block data for chains of 9 to 33 qubits.
 
-The same 24 jobs serve every chain length n = 6 + 3k: middle blocks are
+The same 16 jobs serve every chain length n = 6 + 3k: middle blocks are
 repeated in postprocessing only.  Quantum cost stays fixed; the exact
 witness averages of every length come from one transfer walk per parity,
 one step per row, even though the witness term count grows as

@@ -15,7 +15,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .qstate import STATE_LABELS
+import numpy as np
+
+from .qstate import STATE_LABELS, conjugate_cz, conjugate_h
 
 GATE_KINDS = ("prep", "H", "CZ")
 
@@ -96,6 +98,30 @@ def basis_change_ops(meas: str, n_qubits: int | None = None) -> list[GateOp]:
         elif basis != "Z":
             raise ValueError(f"bad basis {basis!r}")
     return ops
+
+
+def pull_back(c: Circuit, meas: str, schedule: list[tuple[GateOp, tuple]] | None = None):
+    """x, z and signed damping of every outcome parity Z_T of ``c`` read in ``meas``, pulled back.
+
+    Frame T starts as x = 0 and z = T (see qstate).  The readout rotations,
+    then ``schedule`` (sim.NoiseModel.schedule; no insertions by default),
+    are undone last step first: each insertion (qubits, p) damps by 1 - p
+    every frame whose support meets its own, then the op conjugates every
+    frame.  Prep ops are left to the caller.
+    """
+    n = c.n_qubits
+    steps = (schedule or [(g, ()) for g in c.ops]) + [(g, ()) for g in basis_change_ops(meas, n)]
+    z = np.arange(2**n, dtype=np.int64)
+    x, sign, factor = np.zeros_like(z), np.ones(2**n), np.ones(2**n)
+    for g, insertions in reversed(steps):
+        if g.kind == "prep":
+            continue
+        for qubits, p in insertions:
+            support = sum(1 << (n - 1 - q) for q in qubits)
+            factor[((x | z) & support) != 0] *= 1.0 - p
+        conjugate = conjugate_cz if g.kind == "CZ" else conjugate_h
+        conjugate(x, z, sign, *(1 << (n - 1 - q) for q in g.qubits))
+    return x, z, sign * factor
 
 
 def build_linear_cluster(n: int) -> Circuit:

@@ -19,11 +19,14 @@ and its matrix is derived from those, so the check covers the readout the
 reconstruction applies.
 
 The job grid reads only Z0, Z1, Xp and Xm (GRID_TERMS: sum |c_i| = 3, 4^k
-term combinations for k cuts).  The Y terms cancel: the planner proves that
-no parity a job measures, pulled back through its readout rotations and
-Clifford block, reads Y on the input qubit, so Yp and Ym (which differ only
-in <Y>) give equal rows under every NoiseModel: depolarizing noise is
-Pauli-diagonal, and readout flips and TMEM act within one setting.
+term combinations for k cuts), and the planner derives it from every
+parity a job measures, pulled back through its readout rotations and
+Clifford block (circuit.pull_back).  No such parity reads Y on the input
+qubit, so Yp and Ym (which differ only in <Y>) give equal rows under every
+NoiseModel: depolarizing noise is Pauli-diagonal, and readout flips and
+TMEM act within one setting.  A parity with X on a fresh |0> qubit is 0,
+as is each cut parity of an XZX block's X-cut jobs: the cut after an XZX
+block is classical, so the grid has 16 jobs, not 4 x 2 x 2 + 4 x 2.
 
 This module carries no simulator dependency: the job grid and the
 on-disk bundle format defined here are the contract between execution
@@ -44,7 +47,7 @@ import numpy as np
 from . import circuit
 from .circuit import BLOCK_FORMS, FOUR_QUBIT, REGISTER_SIZES, THREE_QUBIT
 from .counts import Payload, dump_json, payload_from_dict, payload_to_dict
-from .qstate import PAULI_1Q, conjugate_cz, conjugate_h, projector, state_vector_1q
+from .qstate import PAULI_1Q, projector, state_vector_1q
 
 CUT_PATTERNS = ("XZX", "ZXZ")
 CUT_BASES = ("X", "Z")
@@ -169,33 +172,40 @@ class JobSpec:
 
 @functools.cache
 def plan_chain_jobs() -> tuple[JobSpec, ...]:
-    """The 24-job grid covering every cut chain built from the two blocks.
+    """The job grid covering every cut chain built from the two blocks, derived from its frames.
 
-    16 four-qubit jobs (4 inputs x 2 witness patterns x 2 cut bases) and
-    8 three-qubit jobs (4 inputs x 2 patterns): the inputs are GRID_PREPS,
-    whose terms' observables the cut bases X, Z on the last qubit cover
-    (projector outcomes come from the Z marginal).  Fixed ordering, computed
-    once per process after the cut table and the Y cancellation are proven.
+    A pattern's cut basis is planned only if some parity that the
+    reconstruction reads from it can be nonzero (_reads_nonzero).  A block
+    takes the inputs that the opposite pattern's planned cut terms prepare;
+    a four-qubit block also takes Xp, block 0's input.  Fixed ordering,
+    computed once per process after the cut table and the Y cancellation
+    are proven.
     """
     verify_decomposition()
-    jobs = [JobSpec(FOUR_QUBIT, *k) for k in product(GRID_PREPS, CUT_PATTERNS, CUT_BASES)]
-    jobs += [JobSpec(THREE_QUBIT, *k, None) for k in product(GRID_PREPS, CUT_PATTERNS)]
-    for spec in jobs:
-        _check_input_reads_no_y(spec)
-    return tuple(jobs)
+    grid = [JobSpec(FOUR_QUBIT, *k) for k in product(GRID_PREPS, CUT_PATTERNS, CUT_BASES)]
+    grid += [JobSpec(THREE_QUBIT, *k, None) for k in product(GRID_PREPS, CUT_PATTERNS)]
+    read = {s.meas for s in grid if _reads_nonzero(s)}
+    opposite = dict(zip(CUT_PATTERNS, CUT_PATTERNS[::-1]))
+    fed = {p: {t.prep for t in GRID_TERMS if opposite[p] + t.basis in read} for p in CUT_PATTERNS}
+    starts = {FOUR_QUBIT: {"Xp"}, THREE_QUBIT: set()}
+    return tuple(s for s in grid if s.meas in read and s.input in (fed[s.pattern] | starts[s.form]))
 
 
-def _check_input_reads_no_y(spec: JobSpec) -> None:
-    """Raise if a parity Z_T that ``spec`` measures, pulled back to its input qubit, reads Y."""
+def _reads_nonzero(spec: JobSpec) -> bool:
+    """Whether some parity Z_T that the reconstruction reads from ``spec`` can be nonzero.
+
+    Pulled back through the readout rotations and the block after its
+    prep, a frame with X or Y on a fresh |0> qubit is 0 under every
+    Pauli-diagonal noise model.  An X cut basis is read only through the
+    parities that include the cut qubit (odd T).  Raises if any parity
+    reads Y on the input qubit, where Yp and Ym could differ.
+    """
     n = spec.n_qubits
-    z = np.arange(2**n, dtype=np.int64)  # every T, with x = 0; signs do not matter
-    x, sign = np.zeros_like(z), np.ones(2**n)
-    gates = circuit.build_block_subcircuit(spec.form, spec.input).ops[1:]  # after the prep
-    for g in reversed(gates + tuple(circuit.basis_change_ops(spec.meas))):
-        conj = conjugate_cz if g.kind == "CZ" else conjugate_h
-        conj(x, z, sign, *(1 << (n - 1 - q) for q in g.qubits))
+    x, z, _ = circuit.pull_back(circuit.build_block_subcircuit(spec.form, spec.input), spec.meas)
     if np.any(x & z & (1 << (n - 1))):
         raise AssertionError(f"job {spec.job_id} reads Y on its input qubit")
+    live = (x & ((1 << (n - 1)) - 1)) == 0
+    return bool(np.any(live & (((np.arange(2**n) & 1) == 1) | (spec.cut_basis != "X"))))
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .circuit import Circuit, basis_change_ops, build_linear_cluster
+from .circuit import Circuit, basis_change_ops, build_linear_cluster, pull_back
 from .counts import QuasiDistribution
 from .mitigation import (
     apply_readout_to_distribution,
@@ -39,8 +39,6 @@ from .qstate import (
     WALSH_1Q,
     apply_on_axis,
     apply_per_qubit,
-    conjugate_cz,
-    conjugate_h,
     cz_phases,
     prep_unitary,
     state_vector_1q,
@@ -70,11 +68,8 @@ def run_statevector(c: Circuit) -> np.ndarray:
 
 
 def statevector_distribution(c: Circuit, meas: str) -> np.ndarray:
-    n = c.n_qubits
-    psi = run_statevector(c)
-    for g in basis_change_ops(meas, n):
-        psi = apply_on_axis(psi.reshape((2,) * n), GATES_1Q[g.kind], g.qubits[0]).reshape(-1)
-    return np.abs(psi) ** 2
+    rotated = Circuit(c.n_qubits, c.ops + tuple(basis_change_ops(meas, c.n_qubits)))
+    return np.abs(run_statevector(rotated)) ** 2
 
 
 # ---------------------------------------------------------------------------
@@ -82,11 +77,8 @@ def statevector_distribution(c: Circuit, meas: str) -> np.ndarray:
 
 # <v|sigma|v> for each prep label and Pauli letter index 2z + x (I,X,Z,Y).
 def _initial_values(label: str | None) -> np.ndarray:
-    v = state_vector_1q(label) if label is not None else state_vector_1q("Z0")
-    vals = []
-    for letter in ("I", "X", "Z", "Y"):
-        vals.append(float(np.real(v.conj() @ PAULI_1Q[letter] @ v)))
-    return np.asarray(vals)
+    v = state_vector_1q(label or "Z0")
+    return np.array([np.real(v.conj() @ PAULI_1Q[letter] @ v) for letter in "IXZY"])
 
 
 def heisenberg_distribution(c: Circuit, meas: str, noise: NoiseModel) -> np.ndarray:
@@ -94,34 +86,14 @@ def heisenberg_distribution(c: Circuit, meas: str, noise: NoiseModel) -> np.ndar
 
     Computes <Z_T> for every outcome-parity subset T, then converts
     parities to probabilities with a Walsh-Hadamard transform.  Subset T's
-    frame starts as x = 0 and z = T, its outcome index read as a bit mask
-    (see qstate).  The ops of ``noise.schedule``, then the noiseless
-    readout rotations, conjugate every frame in reverse order; each
-    depolarizing insertion first multiplies the damping factor of every
-    frame whose current support meets the insertion's.
+    frame starts as x = 0 and z = T (circuit.pull_back), and is pulled
+    back through the noiseless readout rotations and then the ops of
+    ``noise.schedule``, damped by each depolarizing insertion that its
+    support meets on the way.
     """
     n = c.n_qubits
-    z = np.arange(2**n, dtype=np.int64)
-    x = np.zeros_like(z)
-    sign = np.ones(2**n)
-    factor = np.ones(2**n)
-    prep_labels: dict[int, str] = {}
-    sequence = noise.schedule(c) + [(g, ()) for g in basis_change_ops(meas, n)]
-    for g, insertions in reversed(sequence):
-        if g.kind == "prep":
-            prep_labels[g.qubits[0]] = g.label
-            continue
-        for qubits, p in insertions:
-            support = sum(1 << (n - 1 - q) for q in qubits)
-            factor[((x | z) & support) != 0] *= 1.0 - p
-        bits = [1 << (n - 1 - q) for q in g.qubits]
-        if g.kind == "CZ":
-            conjugate_cz(x, z, sign, *bits)
-        elif g.kind == "H":
-            conjugate_h(x, z, sign, *bits)
-        else:
-            raise ValueError(f"cannot propagate through {g.kind}")
-    chi = sign * factor
+    x, z, chi = pull_back(c, meas, noise.schedule(c))
+    prep_labels = {g.qubits[0]: g.label for g in c.ops if g.kind == "prep"}
     for q in range(n):
         vals = _initial_values(prep_labels.get(q))
         chi = chi * vals[2 * ((z >> (n - 1 - q)) & 1) + ((x >> (n - 1 - q)) & 1)]

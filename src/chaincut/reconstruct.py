@@ -58,6 +58,7 @@ SETTINGS = {"odd": "XZ", "even": "ZX"}
 XP_INDEX = GRID_PREPS.index("Xp")
 COEFFS = np.array([t.coeff for t in GRID_TERMS])  # c_i of the grid's cut terms
 COEFFS.flags.writeable = False
+GAMMA = float(np.sum(np.abs(COEFFS)))  # sum |c_i|: a stitched average's range grows by it per cut
 
 
 # SIGNS3[mask, outcome] = (-1)^popcount(mask & outcome) turns outcome-indexed
@@ -182,12 +183,12 @@ def build_block_tensors(
 ) -> tuple[BlockTensor, BlockTensor]:
     """Mitigate every job's payload and assemble the two block tensors.
 
-    ``payloads`` maps each job of the grid to its counts or distribution.
-    A job's entries sit at (its pattern, its input) in CUT_PATTERNS and
-    GRID_PREPS order.  Four-qubit entries combine the physical
-    distribution's last-qubit outcome with the outcome weights of each cut
-    observable read in the job's cut basis (projector terms read the Z
-    marginal, X terms the parity).
+    ``payloads`` maps each job of the grid to its counts or distribution,
+    whose entries sit at (its pattern, its input) in CUT_PATTERNS and
+    GRID_PREPS order; the entries of jobs the grid leaves out stay 0.
+    Four-qubit entries combine the physical distribution's last-qubit
+    outcome with the outcome weights of each cut observable read in the
+    job's cut basis (projector terms read the Z marginal, X terms the parity).
     """
     grid = plan_chain_jobs()
     missing = sorted(s.job_id for s in grid if s not in payloads)
@@ -267,21 +268,21 @@ def stitched_lower_bound(odd_avg: float, even_avg: float, n: int) -> float:
     """fidelity_lower_bound for averages stitched across the cuts of an n-site chain.
 
     Stitched from sampled blocks, each average is a quasi-probability
-    estimate: unbiased, but bounded by gamma^k (gamma = sum |c_i| over the
-    cut terms, k cuts) rather than by 1.  A noiseless sampled chain can
-    land just above 1, which is shot noise, not a corrupt bundle.
+    estimate: unbiased, but bounded by GAMMA^k (k cuts) rather than by 1.
+    A noiseless sampled chain can land just above 1, which is shot noise,
+    not a corrupt bundle.
     """
-    gamma = float(np.sum(np.abs(COEFFS)))
     try:
-        limit = gamma ** chain_cut_count(n)
-    except OverflowError:  # gamma^k is past the float range: every finite average passes
+        limit = GAMMA ** chain_cut_count(n)
+    except OverflowError:  # GAMMA^k is past the float range: every finite average passes
         limit = np.finfo(float).max
     return _bound_within(odd_avg, even_avg, limit)
 
 
 def _bound_within(odd_avg, even_avg, limit: float):
     for name, v in (("odd_avg", odd_avg), ("even_avg", even_avg)):
-        if not np.all(np.abs(v) <= limit + BLOCK_ENTRY_TOL):
+        within = abs(v) <= limit + BLOCK_ENTRY_TOL  # a bool for a float: no numpy call
+        if within is not True and not np.all(within):
             raise ValueError(f"{name}={v} outside [-{limit:g}-eps, {limit:g}+eps]")
     return odd_avg + even_avg - 1.0
 

@@ -1,14 +1,14 @@
 """Job execution: plays the role of the quantum backend for the cut blocks.
 
-Simulates each block state once per (form, input label, noise model) and
-measures it once per setting; repetitions differ only in their seeded
-draws, one multinomial per job (sim.sample_counts) from its read-out law
-C p, C the register's confusion matrix.  Its results go to a bundle in
-the on-disk layout defined by chaincut.cut (one jobs.json per repetition).  Also
-writes the readout calibration (basis state j read out by column j of C,
-one calibration.json per repetition) of calibrated configs
-(``ExperimentConfig.calibrated``: sampled, with readout rates, under a
-mitigation mode that estimates its matrices from calibration counts).
+Runs the jobs of cut.plan_chain_jobs(), simulating each block state once
+per (form, input label, noise model) and measuring it once per setting;
+repetitions differ only in their seeded draws, one multinomial per job
+(sim.sample_counts) from its read-out law C p, C the register's confusion
+matrix.  Results go to a bundle in chaincut.cut's layout (one jobs.json
+per repetition).  Also writes the readout calibration (basis state j read
+out by column j of C, one calibration.json per repetition) of calibrated
+configs (``ExperimentConfig.calibrated``: sampled, with readout rates,
+under a mitigation mode that estimates its matrices from calibration counts).
 """
 
 from __future__ import annotations

@@ -9,6 +9,7 @@ from chaincut.circuit import (
     basis_change_ops,
     build_block_subcircuit,
     build_linear_cluster,
+    pull_back,
 )
 
 import oracles
@@ -138,3 +139,29 @@ class TestValidation:
         with pytest.raises(ValueError):
             GateOp("CZ", (1, 1))
 
+
+
+class TestPullBack:
+    @pytest.mark.parametrize("form, meas", [("4q", "XZXX"), ("4q", "ZXZZ"), ("3q", "XZX")])
+    def test_frames_are_the_parities_conjugated_back_through_the_circuit(self, form, meas):
+        # each frame T is U^dag Z_T U, U the block's ops after its prep and
+        # then the readout rotations, with its sign
+        c = build_block_subcircuit(form, "Xm")
+        n = c.n_qubits
+        u = np.eye(2**n, dtype=complex)
+        for op in c.ops[1:] + tuple(basis_change_ops(meas, n)):
+            u = oracles.embed(oracles.gate_matrix(op), op.qubits, n) @ u
+        x, z, signed = pull_back(c, meas)
+        for t in range(2**n):
+            parity = "".join("IZ"[(t >> (n - 1 - q)) & 1] for q in range(n))
+            want = u.conj().T @ oracles.pauli_matrix((1, parity)) @ u
+            frame = oracles.masks_to_pauli(int(x[t]), int(z[t]), n)
+            got = oracles.pauli_matrix((int(signed[t]), frame))
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12, err_msg=parity)
+
+    def test_an_insertion_damps_the_frames_that_meet_it(self):
+        # depolarizing qubit 0 after the CZ damps the parities that read it
+        c = build_linear_cluster(2)
+        schedule = [(op, ()) for op in c.ops[:-1]] + [(c.ops[-1], (((0,), 0.25),))]
+        _, _, signed = pull_back(c, "ZZ", schedule)
+        np.testing.assert_array_equal(np.abs(signed), [1.0, 1.0, 0.75, 0.75])

@@ -102,9 +102,9 @@ def sha256_of(tree: dict[str, bytes]) -> str:
 # sha256 of the default-noise sampled bundle in
 # TestRunJobs.test_sampled_bundle_matches_golden_digest: every jobs.json and
 # calibration.json entry written alone (entry_files).
-GOLDEN_SAMPLED_BUNDLE_SHA256 = "7e13f2e4b7c9199755e5b05e2ced3b057c0aadffb554ef7756428b2d3ab6db3a"
+GOLDEN_SAMPLED_BUNDLE_SHA256 = "dcc7dca8d4541f62ef9df9da60327d89770e1552e47bd9a2dc2155c292f7eced"
 # sha256 of the same bundle's jobs.json and calibration.json files.
-GOLDEN_SAMPLED_BUNDLE_FILES_SHA256 = "bb480f368ecd4e5280561b6c49271aa0a7088bd2db4498e318b93d537ed7de88"
+GOLDEN_SAMPLED_BUNDLE_FILES_SHA256 = "aeac12b56158283f53572f6a79e1221be4f1cd005fee578be487131e0b9b3cd6"
 # sha256 of the sampled direct reports in
 # TestDirect.test_sampled_direct_matches_golden_digest.
 GOLDEN_SAMPLED_DIRECT_SHA256 = "a6e683dc32a29e0bad257bee57eda74d5f9f36bfa240dc6ebdd9027489aadd86"
@@ -112,10 +112,14 @@ GOLDEN_SAMPLED_DIRECT_SHA256 = "a6e683dc32a29e0bad257bee57eda74d5f9f36bfa240dc6e
 
 # Ids of the job grid, spelled out: the four cut terms' preps as inputs, and
 # X or Z on the cut qubit; the Y terms cancel, so no job reads Y or prepares Yp/Ym.
+# Every cut parity of an XZX block's X-cut job is 0, so the cut after an XZX
+# block is read in Z only: no XZX-X job, and a ZXZ block takes Z0 and Z1 (and
+# a four-qubit one Xp, block 0's input).
 GRID_IDS = sorted(
-    [f"4q-{label}-{pattern}-{basis}"
-     for label in ("Z0", "Z1", "Xp", "Xm") for pattern in ("XZX", "ZXZ") for basis in "XZ"]
-    + [f"3q-{label}-{pattern}" for label in ("Z0", "Z1", "Xp", "Xm") for pattern in ("XZX", "ZXZ")]
+    [f"4q-{label}-XZX-Z" for label in ("Z0", "Z1", "Xp", "Xm")]
+    + [f"4q-{label}-ZXZ-{basis}" for label in ("Z0", "Z1", "Xp") for basis in "XZ"]
+    + [f"3q-{label}-XZX" for label in ("Z0", "Z1", "Xp", "Xm")]
+    + [f"3q-{label}-ZXZ" for label in ("Z0", "Z1")]
 )
 
 
@@ -125,12 +129,13 @@ class TestRunJobs:
         [{"mode": "exact"}, {"mode": "sampled", "shots": 1000, "repetitions": 2}],
         ids=["exact", "sampled"],
     )
-    def test_every_jobs_file_holds_the_24_grid_ids(self, tmp_path, fields):
+    def test_every_jobs_file_holds_the_grid_ids(self, tmp_path, capsys, fields):
         out = tmp_path / "run"
         cfg = write_config(tmp_path, out_dir=str(out), **fields)
         assert main(["run-jobs", "--config", str(cfg)]) == 0
+        assert " of 16 jobs to " in capsys.readouterr().out
         files = sorted(out.glob("reps/r*/jobs.json"))
-        assert len(GRID_IDS) == 24 and len(files) == load_config(cfg).effective_repetitions
+        assert len(GRID_IDS) == 16 and len(files) == load_config(cfg).effective_repetitions
         for path in files:
             assert sorted(json.loads(path.read_text())) == GRID_IDS
 
@@ -150,7 +155,7 @@ class TestRunJobs:
         assert main(["run-jobs", "--config", str(cfg)]) == 0
         for rep in ("r00", "r01"):
             jobs, calibration = rep_files(tmp_path / "run", rep)
-            assert len(jobs) == 24
+            assert len(jobs) == 16
             assert sorted(calibration) == ["q3", "q4"]
             assert list(calibration["q3"]) == [f"{j:03b}" for j in range(8)]
             assert list(calibration["q4"]) == [f"{j:04b}" for j in range(16)]
@@ -205,7 +210,7 @@ class TestRunJobs:
         del tree["config.json"], tree["manifest.json"]
         assert len(tree) == 2 * 2
         entries = entry_files(tree)
-        assert len(entries) == 2 * (24 + 16 + 8)
+        assert len(entries) == 2 * (16 + 16 + 8)
         assert sha256_of(entries) == GOLDEN_SAMPLED_BUNDLE_SHA256
         assert sha256_of(tree) == GOLDEN_SAMPLED_BUNDLE_FILES_SHA256
 
@@ -391,11 +396,30 @@ class TestReconstruct:
         assert main(["run-jobs", "--config", str(cfg)]) == 0
         jobs = out / "reps" / "r00" / "jobs.json"
         d = json.loads(jobs.read_text())
-        d["4q-Xp-XZX-X"], d["4q-Xp-XZX-Z"] = d["4q-Xp-XZX-Z"], d["4q-Xp-XZX-X"]
+        d["4q-Xp-ZXZ-X"], d["4q-Xp-ZXZ-Z"] = d["4q-Xp-ZXZ-Z"], d["4q-Xp-ZXZ-X"]
         jobs.write_text(dump_json(d))
         assert main(["reconstruct", "--out", str(out)]) == 1
         err = capsys.readouterr().err
-        assert str(jobs) in err and "'4q-Xp-XZX-X'" in err
+        assert str(jobs) in err and "'4q-Xp-ZXZ-X'" in err
+
+    # 4q-Xm-XZX-X is one of the jobs that a 24-job bundle of earlier versions
+    # holds; its entry here is well formed for that job's setting
+    @pytest.mark.parametrize(
+        "extra, meas",
+        [("4q-Xm-XZX-X", "XZXX"), ("5q-Xm-XZX-X", "XZXX")],
+        ids=["dropped", "unknown"],
+    )
+    def test_job_file_with_an_extra_id_is_rejected(self, tmp_path, capsys, extra, meas):
+        out = tmp_path / "run"
+        cfg = write_config(tmp_path, mode="exact", k_max=1, out_dir=str(out))
+        assert main(["run-jobs", "--config", str(cfg)]) == 0
+        jobs = out / "reps" / "r00" / "jobs.json"
+        d = json.loads(jobs.read_text())
+        d[extra] = {**d["4q-Xm-XZX-Z"], "meas": list(meas)}
+        jobs.write_text(dump_json(d))
+        assert main(["reconstruct", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(jobs) in err and repr(extra) in err
 
     def test_sampled_full_calibration_pipeline(self, tmp_path):
         out = tmp_path / "run"

@@ -6,7 +6,8 @@ import json
 import numpy as np
 import pytest
 
-from chaincut import cut
+from chaincut import circuit, cut
+from chaincut.circuit import Circuit, build_block_subcircuit
 from chaincut.cut import (
     GRID_TERMS,
     JobSpec,
@@ -90,14 +91,44 @@ class TestDecomposition:
 
 class TestPlan:
     def test_grid_shape(self, plan):
-        assert len(plan) == 24
+        assert len(plan) == 16
         four = [s for s in plan if s.form == "4q"]
         three = [s for s in plan if s.form == "3q"]
-        assert len(four) == 16 and len(three) == 8
+        assert len(four) == 10 and len(three) == 6
 
     def test_ids_unique_and_specs_distinct(self, plan):
-        assert len({s.job_id for s in plan}) == 24
-        assert len(set(plan)) == 24
+        assert len({s.job_id for s in plan}) == 16
+        assert len(set(plan)) == 16
+
+    def test_plan_is_the_derived_sixteen_job_grid(self, plan):
+        # the XZX X cut reads only zeros, so the cut after an XZX block is
+        # read in Z alone, and a ZXZ block never takes Xm (nor a 3q one Xp)
+        assert [s.job_id for s in plan] == [
+            "4q-Z0-XZX-Z", "4q-Z0-ZXZ-X", "4q-Z0-ZXZ-Z",
+            "4q-Z1-XZX-Z", "4q-Z1-ZXZ-X", "4q-Z1-ZXZ-Z",
+            "4q-Xp-XZX-Z", "4q-Xp-ZXZ-X", "4q-Xp-ZXZ-Z",
+            "4q-Xm-XZX-Z",
+            "3q-Z0-XZX", "3q-Z0-ZXZ", "3q-Z1-XZX", "3q-Z1-ZXZ", "3q-Xp-XZX", "3q-Xm-XZX",
+        ]
+
+    def test_a_readable_xzx_x_cut_is_planned(self, plan, monkeypatch):
+        # without its last CZ the 4q block's cut qubit is a lone |+>, so the
+        # XZX X-cut parity of that qubit alone reads 1 and the full
+        # 4 x 2 x 2 + 4 x 2 product comes back
+        def no_last_cz(form, label):
+            c = build_block_subcircuit(form, label)
+            return Circuit(c.n_qubits, c.ops[:-1]) if form == "4q" else c
+
+        xzx_x = {f"4q-{label}-XZX-X" for label in ("Z0", "Z1", "Xp", "Xm")}
+        assert not xzx_x & {s.job_id for s in plan}
+        plan_chain_jobs.cache_clear()
+        monkeypatch.setattr(circuit, "build_block_subcircuit", no_last_cz)
+        try:
+            ids = {s.job_id for s in plan_chain_jobs()}
+        finally:
+            plan_chain_jobs.cache_clear()
+        assert xzx_x <= ids
+        assert {"4q-Xm-ZXZ-X", "3q-Xp-ZXZ", "3q-Xm-ZXZ"} <= ids and len(ids) == 24
 
     def test_deterministic_ordering(self, plan):
         assert plan == plan_chain_jobs()
@@ -122,15 +153,21 @@ class TestPlan:
         assert plan_chain_jobs() is plan_chain_jobs()
 
     def test_cut_bases_cover_decomposition_needs(self, plan):
-        needed = {t.basis for t in GRID_TERMS}
-        for label in ("Z0", "Z1", "Xp", "Xm"):
-            for pattern in ("XZX", "ZXZ"):
-                have = {
-                    s.cut_basis
-                    for s in plan
-                    if s.form == "4q" and s.input == label and s.pattern == pattern
-                }
-                assert needed <= have
+        # every input a block can be given is planned, read in every cut
+        # basis its pattern is planned in: the preps of the terms that the
+        # opposite pattern's cut bases read, and Xp at the chain's open end
+        def jobs(form, pattern):
+            return [s for s in plan if s.form == form and s.pattern == pattern]
+
+        bases = {p: {s.cut_basis for s in jobs("4q", p)} for p in ("XZX", "ZXZ")}
+        assert bases == {"XZX": {"Z"}, "ZXZ": {"X", "Z"}}
+        for pattern, opposite in (("XZX", "ZXZ"), ("ZXZ", "XZX")):
+            fed = {t.prep for t in GRID_TERMS if t.basis in bases[opposite]}
+            assert {s.input for s in jobs("3q", pattern)} == fed
+            for label in fed | {"Xp"}:
+                have = {s.cut_basis for s in jobs("4q", pattern) if s.input == label}
+                assert have == bases[pattern]
+            assert {s.input for s in jobs("4q", pattern)} == fed | {"Xp"}
 
     def test_setting_invariants(self, plan):
         for s in plan:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from chaincut.circuit import build_block_subcircuit, build_linear_cluster
-from chaincut.cut import GRID_TERMS
+from chaincut.cut import CUT_PATTERNS, GRID_PREPS, GRID_TERMS
 from chaincut import reconstruct
 from chaincut.mitigation import MitigationPipeline
 from chaincut.reconstruct import (
@@ -139,7 +139,7 @@ def test_unknown_parity_rejected(call):
 
 
 class TestYTermsCancel:
-    """The fact the 24-job grid rests on, checked on six-term tables from the dense oracle."""
+    """The facts the 16-job grid rests on, checked on six-term tables from the dense oracle."""
 
     @pytest.mark.parametrize(
         "noise",
@@ -161,6 +161,47 @@ class TestYTermsCancel:
             for parity in ("odd", "even"):
                 want = oracles.stitch_all_terms(*six, n, parity, oracles.SIX_TERM_COEFFS)
                 got = witness_values(bt4, bt3, n, parity)
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-12, err_msg=f"{n} {parity}")
+
+    @pytest.mark.parametrize(
+        "noise",
+        [NoiseModel(), NoiseModel(p2=0.3), NOISELESS],
+        ids=["default", "p2-0.3", "noiseless"],
+    )
+    def test_jobs_the_grid_drops_read_zeros_or_are_never_reached(self, noise, plan):
+        labels = list(oracles.STATES)
+        candidates = [
+            (form, label, pattern, basis)
+            for form, bases in (("4q", "XZ"), ("3q", [None]))
+            for label in GRID_PREPS for pattern in CUT_PATTERNS for basis in bases
+        ]
+        planned = {(s.form, s.input, s.pattern, s.cut_basis) for s in plan}
+        dropped = [c for c in candidates if c not in planned]
+        assert sorted("-".join(filter(None, c)) for c in dropped) == sorted(
+            [f"4q-{label}-XZX-X" for label in GRID_PREPS]
+            + ["4q-Xm-ZXZ-X", "4q-Xm-ZXZ-Z", "3q-Xp-ZXZ", "3q-Xm-ZXZ"]
+        )
+        v4, v3 = oracles.six_term_block_tables(build_block_subcircuit, noise)
+        # the parities an XZX X-cut job is read through (cut qubit included)
+        # are 0 for every input, so its Xp and Xm terms carry nothing
+        x_terms = [i for i, (basis, _) in enumerate(oracles.SIX_TERM_READOUTS) if basis == "X"]
+        np.testing.assert_allclose(v4[0][:, x_terms], 0.0, rtol=0, atol=1e-12)
+        # so the ZXZ rows that only those terms prepare are never reached:
+        # zeroing every dropped job's entries leaves every stitched term as it was
+        z4, z3 = v4.copy(), v3.copy()
+        for form, label, pattern, basis in dropped:
+            at = (CUT_PATTERNS.index(pattern), labels.index(label))
+            if form == "3q":
+                z3[at] = 0.0
+            else:
+                read = [b == basis for b, _ in oracles.SIX_TERM_READOUTS]
+                z4[at][read] = 0.0
+        six = SimpleNamespace(values=v4), SimpleNamespace(values=v3)
+        kept = SimpleNamespace(values=z4), SimpleNamespace(values=z3)
+        for n in range(6, 19, 3):
+            for parity in ("odd", "even"):
+                want = oracles.stitch_all_terms(*six, n, parity, oracles.SIX_TERM_COEFFS)
+                got = oracles.stitch_all_terms(*kept, n, parity, oracles.SIX_TERM_COEFFS)
                 np.testing.assert_allclose(got, want, rtol=0, atol=1e-12, err_msg=f"{n} {parity}")
 
 
@@ -357,13 +398,16 @@ class TestWitnessFromDistribution:
 
 
 class TestBlockTensors:
-    def test_projector_pair_marginal_normalization(self, exact_tensors):
+    def test_projector_pair_marginal_normalization(self, exact_tensors, plan):
         bt4, _ = exact_tensors
-        # P0 + P1 at identity mask: total weight of the cut marginal
-        for pat in (0, 1):
-            for j in range(4):
-                total = bt4.values[pat, j, 0, 0] + bt4.values[pat, j, 1, 0]
-                assert total == pytest.approx(1.0, abs=1e-12)
+        # P0 + P1 at identity mask: total weight of the cut marginal, at every
+        # (pattern, input) whose Z-cut job is planned
+        planned = [s for s in plan if s.cut_basis == "Z"]
+        assert len(planned) == 7
+        for s in planned:
+            pat, j = CUT_PATTERNS.index(s.pattern), GRID_PREPS.index(s.input)
+            total = bt4.values[pat, j, 0, 0] + bt4.values[pat, j, 1, 0]
+            assert total == pytest.approx(1.0, abs=1e-12)
 
     def test_stabilizer_entry_on_cluster_input(self, exact_tensors):
         bt4, _ = exact_tensors

@@ -26,7 +26,7 @@ def empty_memos():
 )
 def test_shared_distribution_equals_fresh_simulation(plan, noise):
     shared = runner.grid_distributions(noise)
-    assert tuple(shared) == plan and len(plan) == 24
+    assert tuple(shared) == plan and len(plan) == 16
     again = runner.grid_distributions(noise)
     for spec, dist in shared.items():
         fresh = measure_distribution(
@@ -61,8 +61,8 @@ def test_run_jobs_simulates_each_block_once(tmp_path, monkeypatch):
     )
     (tmp_path / "config.json").write_text(dump_json(cfg.to_dict()))
     assert main(["run-jobs", "--config", str(tmp_path / "config.json")]) == 0
-    assert len(json.loads((tmp_path / "run" / "reps" / "r02" / "jobs.json").read_text())) == 24
-    # 8 block states (2 forms x 4 input labels), 24 settings; 72 of each
+    assert len(json.loads((tmp_path / "run" / "reps" / "r02" / "jobs.json").read_text())) == 16
+    # 8 block states (2 forms x 4 input labels), 16 settings; 48 of each
     # if every job of every repetition simulated its block again.
     assert 0 < calls["run_exact"] <= 8
-    assert 0 < calls["measure_distribution"] <= 24
+    assert 0 < calls["measure_distribution"] <= 16
