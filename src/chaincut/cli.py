@@ -277,16 +277,8 @@ def cmd_direct(args) -> int:
     (out / "witness_terms.json").write_text(dump_json(witness))
     # The arrays go to the file as they are: dump_json converts and writes
     # them a slice at a time, so their text is never held whole.
-    dists = {
-        setting: {
-            "ideal": kinds["ideal"],
-            "observed": kinds["observed"].mean(axis=0),
-            "mitigated": kinds["mitigated"].mean(axis=0),
-        }
-        for setting, kinds in report["distributions"].items()
-    }
     with open(out / "distributions.json", "w") as stream:
-        dump_json({"n": n, **dists}, stream)
+        dump_json({"n": n, **report["distributions"]}, stream)
     summary = "n,odd_avg,even_avg,bound,bound_stddev\n"
     summary += (
         f"{n},{witness['odd_avg']!r},{witness['even_avg']!r},"

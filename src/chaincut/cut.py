@@ -96,15 +96,19 @@ GRID_PREPS = tuple(t.prep for t in GRID_TERMS)
 def reconstruction_error(rho: np.ndarray, terms=None) -> float:
     """Error of sum_i c_i Tr_b(rho O_i^b) (x) rho_i against rho.
 
-    The cut qubit b is rho's last (least significant) qubit; the others are kept.
+    The cut qubit b is rho's last (least significant) qubit; the others are
+    kept.  ``rho`` may carry leading axes (a stack of operators); the error
+    is the worst over all of them.
     """
     terms = terms or decomposition_table()
-    d = rho.shape[0] // 2
+    d = rho.shape[-1] // 2
+    blocks = rho.reshape(*rho.shape[:-2], d, 2, d, 2)
     acc = np.zeros(rho.shape, dtype=complex)
     for t in terms:
         # Tr_b(rho (I (x) O)): contract b's row and column indices through O.
-        cond = np.einsum("aibj,ji->ab", rho.reshape(d, 2, d, 2), t.observable_matrix())
-        acc += t.coeff * np.kron(cond, projector(state_vector_1q(t.prep)))
+        cond = np.einsum("...aibj,ji->...ab", blocks, t.observable_matrix())
+        prep = projector(state_vector_1q(t.prep))
+        acc += t.coeff * np.einsum("...ab,ij->...aibj", cond, prep).reshape(rho.shape)
     return float(np.max(np.abs(acc - rho)))
 
 
@@ -113,20 +117,19 @@ def verify_decomposition() -> None:
 
     The reconstruction identity is linear in rho, so checking it on the
     16 two-qubit Pauli operators (a basis of the operator space; the I (x) P
-    cases carry the one-qubit identity) to 1e-12 proves it for every state,
-    for the readout bases and outcome weights the block tensors use.  The
-    1-norm sum |c_i| = 4 is checked too.  Raises on failure; plan_chain_jobs,
-    cached for the process lifetime, runs it once per process.
+    cases carry the one-qubit identity), stacked into one contraction, to
+    1e-12 proves it for every state, for the readout bases and outcome
+    weights the block tensors use.  The 1-norm sum |c_i| = 4 is checked
+    too.  Raises on failure; plan_chain_jobs, cached for the process
+    lifetime, runs it once per process.
     """
     terms = decomposition_table()
     one_norm = sum(abs(t.coeff) for t in terms)
     if abs(one_norm - 4.0) > 1e-12:
         raise AssertionError(f"cut-table 1-norm {one_norm} != 4")
-    worst = max(
-        reconstruction_error(np.kron(a, b), terms)
-        for a in PAULI_1Q.values()
-        for b in PAULI_1Q.values()
-    )
+    paulis = np.array(list(PAULI_1Q.values()))
+    products = np.einsum("aij,bkl->abikjl", paulis, paulis).reshape(16, 4, 4)  # every a (x) b
+    worst = reconstruction_error(products, terms)
     if worst > 1e-12:
         raise AssertionError(f"cut reconstruction identity violated: {worst:.3e}")
 
@@ -184,7 +187,12 @@ def plan_chain_jobs() -> tuple[JobSpec, ...]:
     verify_decomposition()
     grid = [JobSpec(FOUR_QUBIT, *k) for k in product(GRID_PREPS, CUT_PATTERNS, CUT_BASES)]
     grid += [JobSpec(THREE_QUBIT, *k, None) for k in product(GRID_PREPS, CUT_PATTERNS)]
-    read = {s.meas for s in grid if _reads_nonzero(s)}
+    # pull_back skips prep ops, so a job's frames depend on its setting alone
+    # (whose length names the form): check the first job of each setting
+    first = {}
+    for spec in grid:
+        first.setdefault(spec.meas, spec)
+    read = {meas for meas, spec in first.items() if _reads_nonzero(spec)}
     opposite = dict(zip(CUT_PATTERNS, CUT_PATTERNS[::-1]))
     fed = {p: {t.prep for t in GRID_TERMS if opposite[p] + t.basis in read} for p in CUT_PATTERNS}
     starts = {FOUR_QUBIT: {"Xp"}, THREE_QUBIT: set()}

@@ -18,7 +18,9 @@ under "auto" and "full" uses sampled calibration, understating direct's
 spread.
 Each setting's chain distribution and its readout-flipped form are
 computed once per run, and the report keeps that one ideal distribution;
-a repetition only samples, mitigates and projects its own copy.
+a repetition only samples, mitigates and projects its own copy, keeps
+that copy's witness values and adds it into the setting's running means,
+so memory grows as 2^n whatever the number of repetitions.
 """
 
 from __future__ import annotations
@@ -43,7 +45,12 @@ from .qstate import (
     prep_unitary,
     state_vector_1q,
 )
-from .reconstruct import SETTINGS, bound_from_distributions, witness_setting
+from .reconstruct import (
+    SETTINGS,
+    fidelity_lower_bound,
+    witness_setting,
+    witness_values_from_distribution,
+)
 from .sim import NoiseModel, RunConfig, rng_for, sample_counts
 
 MAX_DIRECT_QUBITS = 24
@@ -120,18 +127,21 @@ def direct_chain_report(
     run: RunConfig,
     repetitions: int = 1,
 ) -> dict:
-    """Distributions, witness expectations, and bound of the uncut chain, per repetition.
+    """Witness expectations and bound of the uncut chain per repetition, and its mean distributions.
 
     Readout noise, if the model has rates, is applied exactly to the
     distribution; sampled mode then draws ``run.shots`` shots from it.
     TMEM with the model's per-qubit rates inverts the readout, and the
     result is projected back onto the simplex -- the same processing the
     cut pipeline applies per block.
-    Repetitions are the leading axis of every array: ``odd``/``even``
-    (R, 2^m), ``odd_avg``/``even_avg``/``bound`` (R,), and
-    ``distributions[setting]["observed"|"mitigated"]`` (R, 2^n), while
-    ``distributions[setting]["ideal"]`` is the one (2^n,) distribution
-    that every repetition starts from.
+    Repetitions are the leading axis of ``odd``/``even`` (R, 2^m) and
+    ``odd_avg``/``even_avg``/``bound`` (R,).  Each of
+    ``distributions[setting]["ideal"|"observed"|"mitigated"]`` is one
+    (2^n,) distribution: the ideal one every repetition starts from, and
+    the means over repetitions of the drawn and the mitigated ones.  A
+    repetition's distributions are added into running sums and dropped,
+    so no (R, 2^n) array is held; the sums start from +0.0 and are
+    divided once by R, as numpy's mean down the first axis of a stack.
     Repetition r draws from its own stream (9000 + r), so its row does
     not depend on how many repetitions are requested.
     """
@@ -140,21 +150,27 @@ def direct_chain_report(
     if n < 2:
         raise ValueError(f"direct reference needs n >= 2 for its witness terms, got {n}")
     readout = readout_rates(noise.readout, n)
-    dists = {}
+    report, dists = {"n": n}, {}
     for parity, setting in SETTINGS.items():
         ideal = chain_distribution(n, witness_setting(n, parity), noise)
         flipped = ideal if readout is None else apply_readout_to_distribution(ideal, readout)
-        observed = np.empty((repetitions, 2**n))
-        mitigated = np.empty((repetitions, 2**n))
+        observed, mitigated, values = np.zeros(2**n), np.zeros(2**n), []
         for rep in range(repetitions):
             p = flipped
             if run.mode == "sampled":
                 rng = rng_for(run.seed, 9000 + rep, n, ord(setting[0]))
                 p = sample_counts(p, run.shots, rng).frequencies()
-            observed[rep] = p
             quasi = p if readout is None else tmem_product_inverse(p, readout)
-            mitigated[rep] = mle_project(QuasiDistribution(quasi)).p
-        dists[setting] = {"ideal": ideal, "observed": observed, "mitigated": mitigated}
-    # odd (XZ) then even (ZX), the order of SETTINGS
-    report = bound_from_distributions(*(d["mitigated"] for d in dists.values()), n)
+            projected = mle_project(QuasiDistribution(quasi)).p
+            observed += p
+            mitigated += projected
+            values.append(witness_values_from_distribution(projected, n, parity))
+        report[parity] = np.array(values)
+        report[f"{parity}_avg"] = report[parity].mean(axis=-1)
+        dists[setting] = {
+            "ideal": ideal,
+            "observed": observed / repetitions,
+            "mitigated": mitigated / repetitions,
+        }
+    report["bound"] = fidelity_lower_bound(report["odd_avg"], report["even_avg"])
     return {**report, "distributions": dists}

@@ -418,22 +418,3 @@ def witness_values(bt4: BlockTensor, bt3: BlockTensor, n: int, parity: str) -> n
     """
     return witness_values_from_distribution(stitched_distribution(bt4, bt3, n, parity), n, parity)
 
-
-def bound_from_distributions(p_xz: np.ndarray, p_zx: np.ndarray, n: int) -> dict:
-    """Witness values, averages and fidelity bound from XZ- and ZX-basis statistics.
-
-    Takes one pair of distributions, or a pair of (repetitions, 2^n)
-    stacks; then every value gains the leading repetition axis, and row r
-    is what the pair of rows r gives on its own.
-    """
-    odd = witness_values_from_distribution(p_xz, n, "odd")
-    even = witness_values_from_distribution(p_zx, n, "even")
-    odd_avg, even_avg = odd.mean(axis=-1), even.mean(axis=-1)
-    return {
-        "n": n,
-        "odd": odd,
-        "even": even,
-        "odd_avg": odd_avg,
-        "even_avg": even_avg,
-        "bound": fidelity_lower_bound(odd_avg, even_avg),
-    }

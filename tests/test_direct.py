@@ -1,6 +1,7 @@
 """Whole-chain reference evaluator: statevector and Heisenberg paths."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -129,7 +130,7 @@ class TestDirectReport:
         report = direct_chain_report(6, noise, RunConfig("exact"))
         [bound] = report["bound"]
         assert bound == pytest.approx(1.0, abs=1e-9)
-        [flipped] = report["distributions"]["XZ"]["observed"]
+        flipped = report["distributions"]["XZ"]["observed"]
         ideal = report["distributions"]["XZ"]["ideal"]
         assert 0.5 * np.sum(np.abs(flipped - ideal)) > 0.05
 
@@ -141,10 +142,15 @@ class TestDirectReport:
         for setting, parity in (("XZ", "odd"), ("ZX", "even")):
             assert report[parity].shape == (3, reconstruct.witness_term_count(6, parity))
             kinds = report["distributions"][setting]
-            assert all(kinds[kind].shape == (3, 64) for kind in ("observed", "mitigated"))
-            # the ideal distribution is held once, not once per repetition
+            # every distribution is held once, not once per repetition: the
+            # ideal one, and the means of the drawn and the mitigated ones
+            assert all(kinds[kind].shape == (64,) for kind in ("observed", "mitigated"))
             meas = reconstruct.witness_setting(6, parity)
             assert np.array_equal(kinds["ideal"], chain_distribution(6, meas, NoiseModel()))
+            # a repetition's witness values come from its own mitigated
+            # distribution, so their mean is read off the mean distribution
+            of_mean = reconstruct.witness_values_from_distribution(kinds["mitigated"], 6, parity)
+            np.testing.assert_allclose(report[parity].mean(axis=0), of_mean, rtol=0, atol=1e-12)
 
     def test_repetition_does_not_depend_on_how_many_run(self):
         # repetition r draws from its own stream, so asking for more
@@ -156,13 +162,11 @@ class TestDirectReport:
         for count in (1, 2):
             fewer = direct_chain_report(6, noise, run, count)
             assert len(fewer["bound"]) == count
-            for key in ("bound", "odd", "even"):
-                assert np.array_equal(fewer[key], three[key][:count])
+            for key in ("bound", "odd", "even", "odd_avg", "even_avg"):
+                assert len(fewer[key]) == count and np.array_equal(fewer[key], three[key][:count])
             for key in ("XZ", "ZX"):
                 a, b = fewer["distributions"][key], three["distributions"][key]
                 assert np.array_equal(a["ideal"], b["ideal"])
-                for kind in ("observed", "mitigated"):
-                    assert len(a[kind]) == count and np.array_equal(a[kind], b[kind][:count])
         assert three["bound"][1] != three["bound"][0]
 
     def test_noisy_bound_below_true_fidelity(self):
@@ -171,6 +175,22 @@ class TestDirectReport:
         rho = oracles.noisy_density(build_linear_cluster(5), noise)
         fid = oracles.lc_state_fidelity(rho, 5)
         assert bound <= fid + 1e-9
+
+    def test_memory_does_not_grow_with_repetitions(self):
+        # each repetition's 2^n distributions are folded into running means
+        # and dropped; only its 2^m witness values per parity stay
+        run = RunConfig("sampled", 10_000, 3)
+
+        def peak(repetitions):
+            tracemalloc.start()
+            try:
+                direct_chain_report(12, NoiseModel(), run, repetitions)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(1)  # warm-up: module-level caches fill outside the measurement
+        assert peak(8) - peak(1) < 128 * 1024
 
     def test_cap_enforced(self):
         with pytest.raises(ValueError, match="capped"):

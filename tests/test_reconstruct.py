@@ -16,7 +16,6 @@ from chaincut.reconstruct import (
     SIGNS3,
     BlockTensor,
     _choice_weights,
-    bound_from_distributions,
     build_block_tensors,
     chain_cut_count,
     fidelity_lower_bound,
@@ -463,16 +462,23 @@ class TestBoundAndSweep:
     @pytest.mark.parametrize("reps", [1, 3, 9])
     @pytest.mark.parametrize("n", [4, 6, 9])
     def test_stacked_distributions_match_each_pair(self, n, reps):
-        # averages of a stack are reduced along each row, as one pair's are,
-        # so every value matches to the bit
+        # averages of a stack of witness values are reduced along each row,
+        # as one pair's are, so every value matches to the bit
         rng = np.random.default_rng(100 * n + reps)
         p_xz, p_zx = rng.dirichlet(np.ones(2**n), size=(2, reps))
-        stacked = bound_from_distributions(p_xz, p_zx, n)
-        assert stacked["n"] == n and stacked["bound"].shape == (reps,)
+
+        def bound(p_xz, p_zx):
+            odd = witness_values_from_distribution(p_xz, n, "odd")
+            even = witness_values_from_distribution(p_zx, n, "even")
+            odd_avg, even_avg = odd.mean(axis=-1), even.mean(axis=-1)
+            return odd, even, odd_avg, even_avg, fidelity_lower_bound(odd_avg, even_avg)
+
+        stacked = bound(p_xz, p_zx)
+        assert stacked[-1].shape == (reps,)
         for r in range(reps):
-            one = bound_from_distributions(p_xz[r], p_zx[r], n)
-            for key in ("odd", "even", "odd_avg", "even_avg", "bound"):
-                assert stacked[key][r].tobytes() == np.asarray(one[key]).tobytes(), key
+            one = bound(p_xz[r], p_zx[r])
+            for key, a, b in zip(("odd", "even", "odd_avg", "even_avg", "bound"), stacked, one):
+                assert a[r].tobytes() == np.asarray(b).tobytes(), key
 
     def test_stitched_range_is_the_cut_one_norm(self):
         # sampled blocks may stitch to just above 1; the reachable range at
@@ -509,8 +515,11 @@ class TestBoundAndSweep:
         by_id = {s.job_id: counts for s, counts in sampled_results.items()}
         p_xz = sampled_pipeline.physical(by_id["4q-Xp-XZX-Z"]).p
         p_zx = sampled_pipeline.physical(by_id["4q-Xp-ZXZ-X"]).p
-        rep = bound_from_distributions(p_xz, p_zx, 4)
-        assert 0.60 <= rep["bound"] <= 0.85
+        bound = fidelity_lower_bound(
+            np.mean(witness_values_from_distribution(p_xz, 4, "odd")),
+            np.mean(witness_values_from_distribution(p_zx, 4, "even")),
+        )
+        assert 0.60 <= bound <= 0.85
 
     def test_term_counts_double_every_three_sites(self):
         for k in range(1, 10):

@@ -22,7 +22,8 @@ register size and repetition count), noiseless at n = 18, whose
 distributions are written in several slices and whose witness transform
 runs over 2^18 outcomes for 512 terms per parity, and exact at n = 16, the
 largest register that the Heisenberg engine ran before its 16-qubit cap
-went.  The sampled configs use
+went; and sampled at n = 12 with 25 repetitions, the default count.  The
+other sampled configs use
 3 repetitions, apart from one bundle and one ``direct --n 9`` at 9
 repetitions and again at 1: numpy sums 8 or more values pairwise along a
 vector but one by one down the first axis of a stack, so only 8 or more
@@ -33,8 +34,9 @@ simulator, p1 = 0 in the Heisenberg reference.  Configs use relative
 ``out_dir``s, so the two sides write the same paths; a case's ``out_dir``
 is its name unless its fields name another.  Every output file is
 compared byte for byte, with the wall-clock ``time_ms`` column of
-``scaling.csv`` stripped; so are each verb's exit code, stdout and stderr
-(``commands.log``).
+``scaling.csv`` stripped; so are each verb's exit code, stdout and stderr,
+one file per command named by case and verb (``logs/auto-run-jobs.log``),
+so a change declared for one command's output hides no other command's.
 
 A change that alters outputs on purpose declares them in
 ``tools/expected_changes.txt``, read from this checkout: one path or glob
@@ -101,17 +103,18 @@ DIRECT = {
     "direct-exact-n16": ({"mode": "exact"}, 16),
     "direct-sampled-9-reps": ({**SAMPLED, "repetitions": 9}, 9),
     "direct-sampled-1-rep": ({**SAMPLED, "repetitions": 1}, 9),
+    "direct-sampled-25-reps": ({**SAMPLED, "repetitions": 25}, 12),
 }
 
 
-def commands() -> list[list[str]]:
-    """Verb argvs in run order; each config is written as configs/<name>.json."""
+def commands() -> list[tuple[str, list[str]]]:
+    """(case name, verb argv) in run order; each config is written as configs/<name>.json."""
     steps = []
     for name, fields in BUNDLES.items():
-        steps.append(["run-jobs", "--config", f"configs/{name}.json"])
-        steps.append(["reconstruct", "--out", fields.get("out_dir", name)])
+        steps.append((name, ["run-jobs", "--config", f"configs/{name}.json"]))
+        steps.append((name, ["reconstruct", "--out", fields.get("out_dir", name)]))
     for name, (_, n) in DIRECT.items():
-        steps.append(["direct", "--config", f"configs/{name}.json", "--n", str(n)])
+        steps.append((name, ["direct", "--config", f"configs/{name}.json", "--n", str(n)]))
     return steps
 
 
@@ -122,15 +125,16 @@ def run_side(src: Path, work: Path) -> None:
     for name, fields in configs.items():
         (work / "configs" / f"{name}.json").write_text(json.dumps({"out_dir": name, **fields}))
     env = {**os.environ, "PYTHONPATH": str(src)}
-    log = []
-    for argv in commands():
+    (work / "logs").mkdir()
+    for name, argv in commands():
         proc = subprocess.run(
             [sys.executable, "-m", "chaincut.cli", *argv],
             cwd=work, env=env, capture_output=True, text=True, timeout=600,
         )
-        log.append(f"$ chaincut {' '.join(argv)}\nexit {proc.returncode}")
-        log.append(proc.stdout + proc.stderr)
-    (work / "commands.log").write_text("\n".join(log))
+        (work / "logs" / f"{name}-{argv[0]}.log").write_text(
+            f"$ chaincut {' '.join(argv)}\nexit {proc.returncode}\n"
+            f"--- stdout\n{proc.stdout}--- stderr\n{proc.stderr}"
+        )
 
 
 def comparable(path: Path) -> bytes:
